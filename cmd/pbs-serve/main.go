@@ -241,20 +241,11 @@ func main() {
 	advertise := flag.String("advertise", "", "single-node mode: address peers should dial instead of the bound listen address (host or host:port; a bare host keeps each listener's bound port)")
 	leave := flag.Bool("leave", false, "single-node mode: drain and leave the ring (a committed config-log leave) on SIGINT/SIGTERM instead of just shutting down")
 	gossipInterval := flag.Duration("gossip-interval", 0, "anti-entropy membership gossip interval (0 = server default)")
-	transport := flag.String("transport", "mux", "internal data-plane transport: mux (multiplexed tagged frames) or blocking (one pooled connection per in-flight RPC)")
 	proto := flag.String("proto", "binary", "client protocol for the load generator and probes: binary (pipelined tagged frames) or http (JSON compatibility API)")
 	workloadName := flag.String("workload", "mixed", "load shape: mixed (single-key ops per -read-fraction) or mget-zipf (Zipf hot-key multi-get batches of -batch keys, writes batched too)")
 	batchSize := flag.Int("batch", 8, "keys per batched operation for -workload mget-zipf")
 	flag.Parse()
 
-	var blockingTransport bool
-	switch *transport {
-	case "mux":
-	case "blocking":
-		blockingTransport = true
-	default:
-		fatalf("unknown -transport %q (want mux or blocking)", *transport)
-	}
 	dialClient := client.DialBinary
 	switch *proto {
 	case "binary":
@@ -279,9 +270,8 @@ func main() {
 			DataDir: *dataDir, Fsync: *fsyncPolicy, MemtableBytes: *memtableBytes,
 			WARSSampling: true,
 			Model:        &model, Scale: *scale,
-			Seed:              *seed,
-			GossipInterval:    *gossipInterval,
-			BlockingTransport: blockingTransport,
+			Seed:           *seed,
+			GossipInterval: *gossipInterval,
 		}, *listenAddr, *internalAddr, *joinAddr, *advertise, *failSpec, *leave)
 		return
 	}
@@ -315,9 +305,8 @@ func main() {
 		DataDir: *dataDir, Fsync: *fsyncPolicy, MemtableBytes: *memtableBytes,
 		WARSSampling: true, // /wars is part of the CLI surface; the tuner feeds on it
 		Model:        &model, Scale: *scale,
-		Seed:              *seed,
-		GossipInterval:    *gossipInterval,
-		BlockingTransport: blockingTransport,
+		Seed:           *seed,
+		GossipInterval: *gossipInterval,
 	})
 	if err != nil {
 		fatalf("%v", err)

@@ -52,8 +52,9 @@ type scenario struct {
 	// batch > 1 drives the load phase through batched MGet/MPut client ops
 	// (grouped per coordinator, one frame per node) instead of single-key
 	// ops. Staleness and latency are still recorded per key, and on
-	// WARS-injected clusters the coordinator decomposes batches into
-	// concurrent per-key operations, so the same conformance bounds apply.
+	// WARS-injected clusters every leg of a batched key carries its own
+	// injected delays as a single-key leg, so the same conformance bounds
+	// apply.
 	batch int
 }
 
@@ -100,7 +101,7 @@ func scenarios() []scenario {
 // single-replica cluster with known point-mass delays (d ms on every leg,
 // so every operation costs exactly 2d plus overhead) is driven at the same
 // client concurrency as the scenarios; whatever latency exceeds 2d is
-// harness overhead (RPC, HTTP, goroutine scheduling, sleep granularity).
+// harness overhead (RPC, HTTP, goroutine scheduling, timer granularity).
 // The dial parameter selects the client protocol under test (client.Dial
 // for HTTP+JSON, client.DialBinary for the pipelined binary protocol), so
 // the overhead it measures is the overhead the scenarios actually pay.
@@ -244,10 +245,11 @@ func TestBinaryClientConformance(t *testing.T) {
 // the load phase issuing batched multi-key MGet/MPut frames (batch 8)
 // over the binary protocol: one validation-tier scenario and the
 // strict-quorum cell. On these WARS-injected clusters the coordinator's
-// batch entry point decomposes into concurrent per-key operations — the
-// same injected legs, the same per-key latency semantics — so measured
-// t-visibility must stay inside the same RMSE band, and the strict-quorum
-// cell must still read zero staleness through the batch path.
+// batch entry point sends each key's legs as single-key legs with their
+// own injected delays — the same legs, the same per-key latency semantics
+// as a single-key operation — so measured t-visibility must stay inside
+// the same RMSE band, and the strict-quorum cell must still read zero
+// staleness through the batch path.
 func TestBatchedClientConformance(t *testing.T) {
 	readOv, writeOv := calibrate(t, client.DialBinary)
 	picked := map[string]bool{

@@ -1,7 +1,7 @@
 package dist
 
 // Time scaling. The live networked store (internal/server) injects sampled
-// WARS delays as real wall-clock sleeps; for very fast latency models
+// WARS delays as real wall-clock timers; for very fast latency models
 // (LNKD-SSD's mean is 0.29 ms) real loopback and scheduler overhead would
 // drown the injected signal. Scaling a model stretches its time axis by a
 // constant factor so injected delays dominate measurement noise, while the

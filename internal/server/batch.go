@@ -1,17 +1,17 @@
 package server
 
-// Batched multi-key coordination. A batch decomposes into the same per-key
-// quorum operations the paper analyzes — each key keeps its own preference
-// list, quorum accounting, and typed verdict — but the fan-out is amortized:
-// on the strict-quorum hot path the coordinator groups every key's legs by
-// destination peer and sends ONE multi-key RPC per peer per batch
-// (ApplyBatch / GetVersionBatch), so a 64-key batch on a 3-replica cluster
-// costs 3 frames instead of 192. Off the hot path (WARS injection, blocking
-// transport, sloppy quorums) the batch decomposes into concurrent
-// single-key coordinations, preserving per-key latency semantics — under an
-// injected model a batched op is indistinguishable from its single-key
-// twin, which is what keeps the conformance RMSE band closed by
-// construction.
+// Batched multi-key coordination. A batch runs the same per-key quorum
+// operations the paper analyzes — each key keeps its own preference list,
+// quorum accounting, and typed verdict — but the fan-out is amortized: the
+// coordinator groups the keys' legs by destination peer and sends ONE
+// multi-key RPC per peer per batch (ApplyBatch / GetVersionBatch), so a
+// 64-key batch on a 3-replica cluster costs 3 frames instead of 192. A leg
+// that carries an injected WARS delay or a sloppy-quorum spare walk cannot
+// share a frame — one frame cannot land entries at different times, or
+// substitute a spare for one entry — so it runs as a single-key leg on the
+// same worker queues, with its own delays or spares; under an injected
+// model a batched key therefore sees exactly the legs of its single-key
+// twin.
 
 import (
 	"net/http"
@@ -27,10 +27,10 @@ import (
 // maxBatchOps bounds one client batch (both frames and the HTTP shim).
 const maxBatchOps = 4096
 
-// batchFallbackConcurrency bounds the concurrent per-key coordinations on
-// the decomposed path. Wide enough to overlap injected WARS sleeps for a
-// full batch tranche, narrow enough not to stampede the transport.
-const batchFallbackConcurrency = 32
+// remoteWriteConcurrency bounds the concurrent routed writes for batch keys
+// another node coordinates. Wide enough to overlap their proxy hops,
+// narrow enough not to stampede the transport.
+const remoteWriteConcurrency = 32
 
 // BatchPutOp is one write inside a batched client operation.
 type BatchPutOp struct {
@@ -52,14 +52,6 @@ type batchGetOut struct {
 	oe *opError
 }
 
-// batchHotPath reports whether batched ops may use grouped multi-key peer
-// legs. Mirrors the single-key hot-path gate plus sloppy quorums: spare
-// walks substitute legs per key mid-flight, which grouped frames cannot
-// express, so sloppy mode decomposes.
-func (n *Node) batchHotPath() bool {
-	return n.inj == nil && !n.params.BlockingTransport && !n.params.SloppyQuorum
-}
-
 // forEachIndex runs fn(i) for every index in idxs on a bounded worker
 // group and waits for all of them.
 func forEachIndex(idxs []int, fn func(i int)) {
@@ -70,7 +62,7 @@ func forEachIndex(idxs []int, fn func(i int)) {
 		fn(idxs[0])
 		return
 	}
-	workers := batchFallbackConcurrency
+	workers := remoteWriteConcurrency
 	if workers > len(idxs) {
 		workers = len(idxs)
 	}
@@ -120,12 +112,6 @@ func (n *Node) coordinateMGet(keys []string) []batchGetOut {
 		}
 		todo = append(todo, i)
 	}
-	if !n.batchHotPath() {
-		forEachIndex(todo, func(i int) {
-			outs[i].gr, outs[i].oe = n.coordinateGetOp(keys[i])
-		})
-		return outs
-	}
 	v := n.view()
 	if v == nil {
 		oe := errUnavailable("server: node has no membership yet")
@@ -147,7 +133,15 @@ func (n *Node) coordinateMGet(keys []string) []batchGetOut {
 		}
 		rs := n.newReadState(v, q, len(prefs))
 		rss[i] = rs
+		var spares *sparePicker
+		if n.params.SloppyQuorum {
+			spares = n.sparePicker(v, keys[i])
+		}
 		for _, id := range prefs {
+			if pre, post := n.inj.readLeg(); pre > 0 || post > 0 || spares != nil {
+				n.submitReadLeg(v, id, keys[i], spares, rs, pre, post)
+				continue
+			}
 			t := batchLegFor(&legs, n, v, id, true)
 			t.bkeys = append(t.bkeys, keys[i])
 			t.brs = append(t.brs, rs)
@@ -157,10 +151,12 @@ func (n *Node) coordinateMGet(keys []string) []batchGetOut {
 		n.submitLeg(t.target, t)
 	}
 	// Harvest verdicts in input order. The waits overlap (every leg is
-	// already in flight), so the walk costs the slowest key, not the sum.
+	// already in flight), so the walk costs the slowest key, not the sum;
+	// each key's latency ends at its own quorum signal.
 	for _, i := range todo {
 		rs := rss[i]
 		<-rs.waiter
+		answered := rs.signaledAt
 		best, found, ok, finalizeNow := rs.answer()
 		if !ok {
 			n.failedOps.Add(1)
@@ -172,7 +168,7 @@ func (n *Node) coordinateMGet(keys []string) []batchGetOut {
 			Found:   found && !best.Tombstone,
 			Seq:     best.Seq,
 			Value:   best.Value,
-			CoordMs: float64(time.Since(start)) / float64(time.Millisecond),
+			CoordMs: durationMs(answered.Sub(start)),
 			Node:    n.id,
 		}
 		if finalizeNow {
@@ -191,10 +187,11 @@ func (n *Node) coordinateMGet(keys []string) []batchGetOut {
 }
 
 // coordinateMPut answers a batched write: one entry per op, in input
-// order, each with its own verdict. Keys this node coordinates fan out as
-// grouped multi-key legs; keys owned elsewhere (a client raced a ring
-// change) take the single-key routing path — including the proxy hop — so
-// correctness never depends on the client's grouping being current.
+// order, each with its own verdict. Keys this node coordinates fan out on
+// grouped multi-key legs where they can; keys owned elsewhere (a client
+// raced a ring change) take the single-key routing path — including the
+// proxy hop — so correctness never depends on the client's grouping being
+// current.
 func (n *Node) coordinateMPut(ops []BatchPutOp) []batchPutOut {
 	outs := make([]batchPutOut, len(ops))
 	todo := make([]int, 0, len(ops))
@@ -212,12 +209,6 @@ func (n *Node) coordinateMPut(ops []BatchPutOp) []batchPutOut {
 			continue
 		}
 		todo = append(todo, i)
-	}
-	if !n.batchHotPath() {
-		forEachIndex(todo, func(i int) {
-			outs[i].pr, outs[i].oe = n.routeWriteOp(ops[i].Key, ops[i].Value, ops[i].Tombstone, false)
-		})
-		return outs
 	}
 	v := n.view()
 	if v == nil {
@@ -244,7 +235,7 @@ func (n *Node) coordinateMPut(ops []BatchPutOp) []batchPutOut {
 		go func() {
 			defer remoteWG.Done()
 			forEachIndex(remote, func(i int) {
-				outs[i].pr, outs[i].oe = n.routeWriteOp(ops[i].Key, ops[i].Value, ops[i].Tombstone, false)
+				outs[i].pr, outs[i].oe = n.routeWriteOp(ops[i].Key, ops[i].Value, ops[i].Tombstone, 0)
 			})
 		}()
 	}
@@ -270,7 +261,15 @@ func (n *Node) coordinateMPut(ops []BatchPutOp) []batchPutOut {
 		ws := newWriteState(q, len(prefs))
 		wss[i] = ws
 		outs[i].pr.Seq = seq
+		var spares *sparePicker
+		if n.params.SloppyQuorum {
+			spares = n.sparePicker(v, ops[i].Key)
+		}
 		for _, id := range prefs {
+			if pre, post := n.inj.writeLeg(); pre > 0 || post > 0 || spares != nil {
+				n.submitWriteLeg(v, id, ver, spares, ws, pre, post)
+				continue
+			}
 			t := batchLegFor(&legs, n, v, id, false)
 			t.bvers = append(t.bvers, ver)
 			t.bws = append(t.bws, ws)
@@ -282,16 +281,16 @@ func (n *Node) coordinateMPut(ops []BatchPutOp) []batchPutOut {
 	for _, i := range local {
 		ws := wss[i]
 		<-ws.waiter
+		committed := ws.signaledAt
 		if !ws.finish() {
 			n.failedOps.Add(1)
 			outs[i] = batchPutOut{oe: errQuorumFailed("server: write quorum not reached")}
 			continue
 		}
-		committed := time.Now()
 		outs[i].pr = PutResponse{
 			Seq:               outs[i].pr.Seq,
 			CommittedUnixNano: committed.UnixNano(),
-			CoordMs:           float64(committed.Sub(start)) / float64(time.Millisecond),
+			CoordMs:           durationMs(committed.Sub(start)),
 			Node:              n.id,
 		}
 	}

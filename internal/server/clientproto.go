@@ -367,7 +367,7 @@ func (n *Node) handleClientOp(op byte, payload, buf []byte) (byte, []byte) {
 		if len(value) > maxValueBytes {
 			return fail(&opError{status: http.StatusRequestEntityTooLarge, code: CodeBadRequest, msg: "server: value exceeds 1 MiB"})
 		}
-		pr, oe := n.routeWriteOp(key, value, tombstone, false)
+		pr, oe := n.routeWriteOp(key, value, tombstone, 0)
 		if oe != nil {
 			return fail(oe)
 		}

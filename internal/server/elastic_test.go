@@ -155,6 +155,58 @@ func TestJoinUnderLoadLosesNoAcknowledgedWrite(t *testing.T) {
 
 // httpPutErr is httpPut without the test fatality — load generators need
 // to count failures, not abort.
+// TestForwardedWriteFollowsNewerView pins the forwarding rule that keeps
+// writes from failing mid-flip: a forwarded write reaching a node that is
+// not the key's primary is forwarded again when that node's ring view is
+// newer than the forwarder's, refused when both views have the same epoch
+// (a loop), and held while the node waits for the forwarder's newer view.
+func TestForwardedWriteFollowsNewerView(t *testing.T) {
+	c, err := StartLocal(3, Params{N: 3, R: 2, W: 2, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.AddNode(); err != nil { // epoch 2: leaves an older epoch to claim
+		t.Fatal(err)
+	}
+	n := c.Nodes[0]
+	epoch := n.RingEpoch()
+	key := ""
+	for i := 0; key == ""; i++ {
+		if k := fmt.Sprintf("fwd-%d", i); n.Membership().Coordinator(k) != n.ID() {
+			key = k
+		}
+	}
+	put := func(fwd uint64) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPut, n.HTTPAddr()+"/kv/"+key, strings.NewReader("v"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(forwardedHeader, fmt.Sprint(fwd))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	if st, body := put(epoch - 1); st != http.StatusOK {
+		t.Fatalf("write forwarded under an older view: %d %s, want it forwarded on to the primary", st, body)
+	}
+	if st, body := put(epoch); st != http.StatusInternalServerError || !strings.Contains(body, "forwarding loop") {
+		t.Fatalf("write forwarded under the same view: %d %s, want the forwarding-loop refusal", st, body)
+	}
+	start := time.Now()
+	if st, body := put(epoch + 1); st != http.StatusInternalServerError {
+		t.Fatalf("write forwarded under a view that never arrives: %d %s, want a refusal", st, body)
+	}
+	if waited := time.Since(start); waited < 900*time.Millisecond {
+		t.Fatalf("refused a write from a newer view after %v, want a wait for that view first", waited)
+	}
+}
+
 func httpPutErr(base, key, value string) (PutResponse, error) {
 	req, err := http.NewRequest(http.MethodPut, base+"/kv/"+key, strings.NewReader(value))
 	if err != nil {

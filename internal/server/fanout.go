@@ -1,22 +1,22 @@
 package server
 
-// Persistent per-peer fan-out workers for the serving hot path. The v1
-// coordinator spawned one goroutine per quorum leg per operation; at tens
-// of thousands of ops/s on a 3-replica cluster that is >100k goroutine
-// creations per second of pure churn. Here each destination member gets a
-// small persistent worker pool draining a submission queue, so a quorum
-// write touches N queues instead of spawning N goroutines, and the leg
-// task itself is pooled.
+// Persistent per-peer fan-out workers: the one path every coordinator leg
+// takes, single-key or batched, injected or not. The v1 coordinator spawned
+// one goroutine per quorum leg per operation; at tens of thousands of ops/s
+// on a 3-replica cluster that is >100k goroutine creations per second of
+// pure churn. Here each destination member gets a small persistent worker
+// pool draining a submission queue, so a quorum write touches N queues
+// instead of spawning N goroutines, and the leg task itself is pooled.
 //
-// The worker path is only taken when no WARS latency model is injected
-// (n.inj == nil): injected legs sleep their sampled W/A/R/S delays on the
-// coordinator, and serializing those sleeps through a fixed worker pool
-// would distort the order statistics the conformance suite pins. With a
-// model installed, coordinators keep the original goroutine-per-leg path —
-// identical semantics by construction. Fault injection (delay/pause) can
-// also make a leg dwell: a full queue spills the task onto a fresh
-// goroutine rather than queueing behind a stalled worker, so cross-peer
-// legs never serialize behind one slow destination.
+// Injected WARS delays (latency.go) ride the same tasks as timers: a leg
+// with a request delay arms its timer instead of entering the queue, and
+// the timer enqueues it; a leg with a response delay re-arms the timer
+// after its RPC, and the timer delivers the ack or read response. Workers
+// therefore only ever hold a leg for its RPC, so injected legs overlap
+// exactly as the WARS order statistics require. Fault injection
+// (delay/pause) can make the RPC itself dwell: a full queue spills the task
+// onto a fresh goroutine rather than queueing behind a stalled worker, so
+// cross-peer legs never serialize behind one slow destination.
 //
 // Queues are keyed by member ID, which the membership layer never reuses,
 // and live until the node closes: a departed member's drained queue idles
@@ -24,6 +24,7 @@ package server
 // enqueue-vs-shutdown race a per-membership lifecycle would create.
 
 import (
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -113,16 +114,44 @@ func (n *Node) legQueue(id int) *peerQueue {
 
 // submitLeg routes one fan-out leg to its destination's worker queue,
 // spilling onto a fresh goroutine when the queue is saturated or closing.
+// A leg with an injected request delay arms its timer instead; the timer
+// re-enters here once the delay has elapsed.
 func (n *Node) submitLeg(id int, t *legTask) {
+	if t.pre > 0 && !t.waited {
+		t.waited = true
+		t.arm(t.pre)
+		return
+	}
 	if !n.legQueue(id).submit(t) {
 		go t.run()
 	}
 }
 
-// legTask is one enqueued fan-out leg. Pooled: the worker that runs it
-// releases it, so the steady-state hot path allocates no task objects. A
-// batch leg carries one peer's whole share of a multi-key client batch
-// (parallel per-key slices) and costs one RPC frame for all of them.
+// submitWriteLeg sends one single-key write leg to target with its
+// injected W/A delays and sloppy-quorum spares.
+func (n *Node) submitWriteLeg(v *memView, target int, ver kvstore.Version, spares *sparePicker, ws *writeState, pre, post time.Duration) {
+	t := newLegTask()
+	t.n, t.view, t.target = n, v, target
+	t.ver, t.spares, t.ws = ver, spares, ws
+	t.pre, t.post = pre, post
+	n.submitLeg(target, t)
+}
+
+// submitReadLeg sends one single-key read leg to target with its injected
+// R/S delays and sloppy-quorum spares.
+func (n *Node) submitReadLeg(v *memView, target int, key string, spares *sparePicker, rs *readState, pre, post time.Duration) {
+	t := newLegTask()
+	t.n, t.view, t.target, t.read = n, v, target, true
+	t.key, t.spares, t.rs = key, spares, rs
+	t.pre, t.post = pre, post
+	n.submitLeg(target, t)
+}
+
+// legTask is one fan-out leg. Pooled: whoever delivers its outcome releases
+// it, so the steady-state hot path allocates no task objects. A batch leg
+// carries one peer's whole share of a multi-key client batch (parallel
+// per-key slices) and costs one RPC frame for all of them; batch legs never
+// carry delays or spares.
 type legTask struct {
 	n      *Node
 	view   *memView
@@ -145,32 +174,99 @@ type legTask struct {
 	brs   []*readState
 
 	spares *sparePicker
+
+	// Injected WARS delays: pre holds the leg back before its RPC (W or R),
+	// post holds its outcome back after (A or S). timer serves both; it is
+	// made on a task's first delay and kept across pool cycles, so
+	// un-injected tasks never carry one. waited marks pre as served, done
+	// that the RPC ran and its outcome (ok or rr) awaits delivery.
+	pre, post time.Duration
+	timer     *time.Timer
+	waited    bool
+	done      bool
+	ok        bool
+	rr        readResp
 }
 
 var legTaskPool = sync.Pool{New: func() any { return new(legTask) }}
 
 func newLegTask() *legTask { return legTaskPool.Get().(*legTask) }
 
-func (t *legTask) run() {
-	switch {
-	case t.batch && t.read:
-		t.n.runReadBatchLeg(t.view, t.target, t.bkeys, t.brs)
-	case t.batch:
-		t.n.runWriteBatchLeg(t.view, t.target, t.bvers, t.bws)
-	case t.read:
-		t.n.runReadLeg(t.view, t.target, t.key, t.spares, t.rs)
-	default:
-		t.n.runWriteLeg(t.view, t.target, t.ver, t.spares, t.ws)
+// arm schedules fire after d. A new timer is made with a due time that
+// never comes and then reset, so the assignment to t.timer happens before
+// any fire can read it.
+func (t *legTask) arm(d time.Duration) {
+	if t.timer == nil {
+		t.timer = time.AfterFunc(math.MaxInt64, t.fire)
 	}
-	t.reset()
-	legTaskPool.Put(t)
+	t.timer.Reset(d)
 }
 
-// reset clears the task for pooling, zeroing the batch slices' elements
-// (they hold strings and pooled state pointers) while keeping their
-// capacity — the per-peer grouping buffers are the batch path's hottest
-// allocation.
-func (t *legTask) reset() {
+// fire ends an injected delay: before the RPC it enqueues the leg, after
+// it delivers the outcome.
+func (t *legTask) fire() {
+	if t.done {
+		t.deliver()
+		return
+	}
+	t.n.submitLeg(t.target, t)
+}
+
+// run performs the leg's RPC. Batch legs ack each key themselves; a
+// single-key leg stores its outcome and delivers it now, or after its
+// injected response delay. The leg sampler sees the request leg as the
+// injected delay plus the real RPC time, and the response leg as the
+// injected delay alone (zero when nothing is injected).
+func (t *legTask) run() {
+	n := t.n
+	var sent time.Time
+	if n.legs != nil {
+		sent = time.Now()
+	}
+	var ok bool
+	switch {
+	case t.batch && t.read:
+		n.runReadBatchLeg(t.view, t.target, t.bkeys, t.brs, sent)
+		t.release()
+		return
+	case t.batch:
+		n.runWriteBatchLeg(t.view, t.target, t.bvers, t.bws, sent)
+		t.release()
+		return
+	case t.read:
+		t.rr = n.readReplica(t.view, t.target, t.key, t.spares)
+		ok = t.rr.err == nil
+	default:
+		t.ok = n.deliverWrite(t.view, t.target, t.ver, t.spares)
+		ok = t.ok
+	}
+	if ok && n.legs != nil {
+		n.legs.observeLeg(t.read, durationMs(t.pre+time.Since(sent)), durationMs(t.post))
+	}
+	t.done = true
+	if t.post > 0 {
+		t.arm(t.post)
+		return
+	}
+	t.deliver()
+}
+
+// deliver hands a single-key leg's outcome to its operation and releases
+// the task.
+func (t *legTask) deliver() {
+	if t.read {
+		t.rs.complete(t.rr)
+	} else {
+		t.ws.ack(t.ok)
+	}
+	t.release()
+}
+
+// release clears the task and returns it to the pool, zeroing the batch
+// slices' elements (they hold strings and pooled state pointers) while
+// keeping their capacity — the per-peer grouping buffers are the batch
+// path's hottest allocation — and keeping the timer.
+func (t *legTask) release() {
 	for i := range t.bvers {
 		t.bvers[i] = kvstore.Version{}
 	}
@@ -184,22 +280,8 @@ func (t *legTask) reset() {
 		t.brs[i] = nil
 	}
 	bvers, bws, bkeys, brs := t.bvers[:0], t.bws[:0], t.bkeys[:0], t.brs[:0]
-	*t = legTask{bvers: bvers, bws: bws, bkeys: bkeys, brs: brs}
-}
-
-// runWriteLeg delivers one write leg and acks the coordinator. The leg
-// sampler sees the same observation as the goroutine path with zero
-// injected delays: the real RPC time as W, zero A.
-func (n *Node) runWriteLeg(v *memView, target int, ver kvstore.Version, spares *sparePicker, ws *writeState) {
-	var sent time.Time
-	if n.legs != nil {
-		sent = time.Now()
-	}
-	ok := n.deliverWrite(v, target, ver, spares)
-	if ok && n.legs != nil {
-		n.legs.observeWrite(float64(time.Since(sent))/float64(time.Millisecond), 0)
-	}
-	ws.ack(ok)
+	*t = legTask{bvers: bvers, bws: bws, bkeys: bkeys, brs: brs, timer: t.timer}
+	legTaskPool.Put(t)
 }
 
 // runWriteBatchLeg delivers one peer's share of a batched write fan-out as
@@ -207,13 +289,8 @@ func (n *Node) runWriteLeg(v *memView, target int, ver kvstore.Version, spares *
 // peer's per-version answers, so ackable's stale-epoch refusal applies per
 // key exactly as on the single-key path. A transport failure fails every
 // key's leg and buffers one hint per version, mirroring deliverWrite.
-// Batch legs only run on the strict-quorum hot path, so there is no spare
-// walk here.
-func (n *Node) runWriteBatchLeg(v *memView, target int, vers []kvstore.Version, wss []*writeState) {
-	var sent time.Time
-	if n.legs != nil {
-		sent = time.Now()
-	}
+// Keys with a spare walk never ride a batch leg, so there is none here.
+func (n *Node) runWriteBatchLeg(v *memView, target int, vers []kvstore.Version, wss []*writeState, sent time.Time) {
 	acks, err := v.peers[target].ApplyBatch(vers)
 	if err != nil {
 		if n.handoff != nil {
@@ -228,7 +305,7 @@ func (n *Node) runWriteBatchLeg(v *memView, target int, vers []kvstore.Version, 
 	}
 	if n.legs != nil {
 		// One observation per batch RPC: the keys shared one round trip.
-		n.legs.observeWrite(float64(time.Since(sent))/float64(time.Millisecond), 0)
+		n.legs.observeLeg(false, durationMs(time.Since(sent)), 0)
 	}
 	for i, ws := range wss {
 		ws.ack(n.ackable(vers[i], acks[i].Applied, acks[i].Seq))
@@ -239,11 +316,7 @@ func (n *Node) runWriteBatchLeg(v *memView, target int, vers []kvstore.Version, 
 // single GetVersionBatch round trip, distributing per-key responses to
 // each key's shared read state. A transport failure completes every key's
 // leg with the error (each key's quorum accounting stays independent).
-func (n *Node) runReadBatchLeg(v *memView, target int, keys []string, rss []*readState) {
-	var sent time.Time
-	if n.legs != nil {
-		sent = time.Now()
-	}
+func (n *Node) runReadBatchLeg(v *memView, target int, keys []string, rss []*readState, sent time.Time) {
 	vs, found, err := v.peers[target].GetVersionBatch(keys)
 	if err != nil {
 		for _, rs := range rss {
@@ -252,26 +325,11 @@ func (n *Node) runReadBatchLeg(v *memView, target int, keys []string, rss []*rea
 		return
 	}
 	if n.legs != nil {
-		n.legs.observeRead(float64(time.Since(sent))/float64(time.Millisecond), 0)
+		n.legs.observeLeg(true, durationMs(time.Since(sent)), 0)
 	}
 	for i, rs := range rss {
 		rs.complete(readResp{node: target, v: vs[i], found: found[i]})
 	}
-}
-
-// runReadLeg performs one read leg and hands the response to the shared
-// read state (which answers the handler at quorum and finalizes the
-// detector/repair pass when the last leg lands).
-func (n *Node) runReadLeg(v *memView, target int, key string, spares *sparePicker, rs *readState) {
-	var sent time.Time
-	if n.legs != nil {
-		sent = time.Now()
-	}
-	rr := n.readReplica(v, target, key, spares)
-	if rr.err == nil && n.legs != nil {
-		n.legs.observeRead(float64(time.Since(sent))/float64(time.Millisecond), 0)
-	}
-	rs.complete(rr)
 }
 
 // --- coordinated-read state ---------------------------------------------
@@ -291,6 +349,9 @@ type readState struct {
 
 	quorum, total int
 	waiter        chan struct{}
+	// signaledAt is when the waiter fired: the handler's answer time. It is
+	// written before the send and read after the receive.
+	signaledAt time.Time
 
 	mu        sync.Mutex
 	resps     []readResp
@@ -333,6 +394,7 @@ func (rs *readState) release() {
 	rs.quorum, rs.total, rs.succ, rs.don = 0, 0, 0, 0
 	rs.signaled, rs.answered, rs.finalized = false, false, false
 	rs.returned = kvstore.Version{}
+	rs.signaledAt = time.Time{}
 	readStatePool.Put(rs)
 }
 
@@ -356,6 +418,7 @@ func (rs *readState) complete(r readResp) {
 	}
 	rs.mu.Unlock()
 	if signal {
+		rs.signaledAt = time.Now()
 		rs.waiter <- struct{}{}
 	}
 	if fin {
@@ -435,6 +498,9 @@ func (rs *readState) finalize() {
 type writeState struct {
 	quorum, total int
 	waiter        chan struct{}
+	// signaledAt is when the waiter fired: the commit time on success. It
+	// is written before the send and read after the receive.
+	signaledAt time.Time
 
 	mu          sync.Mutex
 	got, don    int
@@ -469,6 +535,7 @@ func (ws *writeState) ack(ok bool) {
 	release := ws.don == ws.total && ws.handlerDone
 	ws.mu.Unlock()
 	if signal {
+		ws.signaledAt = time.Now()
 		ws.waiter <- struct{}{}
 	}
 	if release {
@@ -494,5 +561,6 @@ func (ws *writeState) finish() bool {
 func (ws *writeState) release() {
 	ws.quorum, ws.total, ws.got, ws.don = 0, 0, 0, 0
 	ws.signaled, ws.handlerDone = false, false
+	ws.signaledAt = time.Time{}
 	writeStatePool.Put(ws)
 }

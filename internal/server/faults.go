@@ -338,7 +338,9 @@ func (f *Faults) allow(from, to int) error {
 	if dropped {
 		return fmt.Errorf("%w: to node %d", ErrRPCDropped, to)
 	}
-	sleepMs(delayMs)
+	if delayMs > 0 {
+		time.Sleep(msDuration(delayMs))
+	}
 	return nil
 }
 

@@ -4,11 +4,13 @@ package server
 // loopback cluster must reproduce the paper's production conditions: each
 // coordinated operation draws per-replica one-way delays from a
 // dist.LatencyModel — W (write dissemination), A (write ack), R (read
-// request), S (read response) — and realizes them as wall-clock sleeps on
-// the coordinator's per-replica fan-out goroutines. Sleeping on the
-// coordinator *before* the internal RPC (for the request leg) and *after*
-// it returns (for the response leg) reproduces the WARS arrival times at
-// both ends while keeping replicas and the transport latency-agnostic.
+// request), S (read response) — and realizes them as timers on the
+// coordinator's fan-out legs (fanout.go): the request delay (W or R) holds
+// the leg back before it enters its peer's worker queue, and the response
+// delay (A or S) holds the leg's outcome back after the internal RPC
+// returns. That reproduces the WARS arrival times at both ends while
+// keeping replicas and the transport latency-agnostic, and the legs of one
+// operation overlap without a goroutine or a sleep per leg.
 
 import (
 	"sync"
@@ -38,43 +40,30 @@ func newInjector(model *dist.LatencyModel, scale float64, seed uint64) *injector
 	return &injector{model: m, r: rng.New(seed)}
 }
 
-// writeDelays fills w and a with per-replica write-propagation and ack
-// delays (milliseconds).
-func (in *injector) writeDelays(w, a []float64) {
+// writeLeg samples one replica's write-propagation (pre) and ack (post)
+// delays.
+func (in *injector) writeLeg() (pre, post time.Duration) {
 	if in == nil {
-		for i := range w {
-			w[i], a[i] = 0, 0
-		}
-		return
+		return 0, 0
 	}
 	in.mu.Lock()
-	for i := range w {
-		w[i] = in.model.W.Sample(in.r)
-		a[i] = in.model.A.Sample(in.r)
-	}
+	w, a := in.model.W.Sample(in.r), in.model.A.Sample(in.r)
 	in.mu.Unlock()
+	return msDuration(w), msDuration(a)
 }
 
-// readDelays fills r and s with per-replica read-request and read-response
-// delays (milliseconds).
-func (in *injector) readDelays(r, s []float64) {
+// readLeg samples one replica's read-request (pre) and read-response
+// (post) delays.
+func (in *injector) readLeg() (pre, post time.Duration) {
 	if in == nil {
-		for i := range r {
-			r[i], s[i] = 0, 0
-		}
-		return
+		return 0, 0
 	}
 	in.mu.Lock()
-	for i := range r {
-		r[i] = in.model.R.Sample(in.r)
-		s[i] = in.model.S.Sample(in.r)
-	}
+	r, s := in.model.R.Sample(in.r), in.model.S.Sample(in.r)
 	in.mu.Unlock()
+	return msDuration(r), msDuration(s)
 }
 
-// sleepMs blocks for ms milliseconds (no-op for ms <= 0).
-func sleepMs(ms float64) {
-	if ms > 0 {
-		time.Sleep(time.Duration(ms * float64(time.Millisecond)))
-	}
-}
+func msDuration(ms float64) time.Duration { return time.Duration(ms * float64(time.Millisecond)) }
+
+func durationMs(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

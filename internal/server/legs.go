@@ -5,15 +5,15 @@ package server
 // individual fan-out legs directly: for writes, the dissemination leg (W)
 // from fan-out start to the apply acknowledgment and the ack leg (A)
 // until the response is accounted; for reads, the request leg (R) and the
-// response leg (S) likewise. Injected delays sleep on the coordinator
-// before the RPC (request leg) and after it (response leg), so the real
-// transport round trip is attributed to the request leg — the same
-// convention the conformance suite uses when composing predictions with
-// measured harness overhead. Each node keeps a bounded uniform reservoir
-// per leg and serves the pooled samples at GET /wars, which the tuner fits
-// online. Sampling is enabled by Params.WARSSampling (off by default: it
-// costs two clock reads and one mutex acquisition per fan-out leg); with
-// it off, /wars serves empty reservoirs.
+// response leg (S) likewise. Injected delays are timers on the fan-out
+// leg (fanout.go) before the RPC (request leg) and after it (response
+// leg), so the real transport round trip is attributed to the request leg
+// — the same convention the conformance suite uses when composing
+// predictions with measured harness overhead. Each node keeps a bounded
+// uniform reservoir per leg and serves the pooled samples at GET /wars,
+// which the tuner fits online. Sampling is enabled by Params.WARSSampling
+// (off by default: it costs two clock reads and one mutex acquisition per
+// fan-out leg); with it off, /wars serves empty reservoirs.
 
 import (
 	"sync"
@@ -60,20 +60,17 @@ func (ls *legSampler) observe(leg int, ms float64) {
 	}
 }
 
-// observeWrite records one replica's write legs (one lock for the pair —
-// this runs on every fan-out goroutine of the hot path).
-func (ls *legSampler) observeWrite(wMs, aMs float64) {
+// observeLeg records one replica's request and response legs — W and A
+// for a write, R and S for a read — under one lock (this runs on every
+// fan-out leg of the hot path).
+func (ls *legSampler) observeLeg(read bool, reqMs, respMs float64) {
+	req, resp := legW, legA
+	if read {
+		req, resp = legR, legS
+	}
 	ls.mu.Lock()
-	ls.observe(legW, wMs)
-	ls.observe(legA, aMs)
-	ls.mu.Unlock()
-}
-
-// observeRead records one replica's read legs.
-func (ls *legSampler) observeRead(rMs, sMs float64) {
-	ls.mu.Lock()
-	ls.observe(legR, rMs)
-	ls.observe(legS, sMs)
+	ls.observe(req, reqMs)
+	ls.observe(resp, respMs)
 	ls.mu.Unlock()
 }
 

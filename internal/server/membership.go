@@ -73,17 +73,9 @@ func (v *memView) httpAddr(id int) string {
 }
 
 // mkPeer builds the fault-wrapped RPC client for one member as seen from
-// this node. Params.BlockingTransport pins the data plane to the v1
-// blocking pool (the pre-multiplexing baseline the serving benchmark
-// compares against); the default rides the multiplexed v2 transport.
+// this node.
 func (n *Node) mkPeer(to int, internalAddr string) Peer {
-	var next Peer
-	if n.params.BlockingTransport {
-		next = newBlockingPeer(internalAddr)
-	} else {
-		next = newPeer(internalAddr)
-	}
-	return &faultPeer{f: n.faults, from: n.id, to: to, next: next}
+	return &faultPeer{f: n.faults, from: n.id, to: to, next: newPeer(internalAddr)}
 }
 
 // closePeer tears down one member's pooled connections.

@@ -125,11 +125,6 @@ type Params struct {
 	Vnodes int
 	// Seed seeds latency-injection sampling.
 	Seed uint64
-	// BlockingTransport pins data-plane RPCs (Apply, ApplyHinted,
-	// GetVersion, Ping) to the v1 blocking conn-per-RPC transport instead
-	// of the v2 multiplexed one — the pre-multiplexing baseline the serving
-	// benchmark compares against. Control-plane ops use v1 either way.
-	BlockingTransport bool
 }
 
 // SetDefaults resolves zero values and implied settings (SloppyQuorum
@@ -686,9 +681,24 @@ func codeForStatus(status int, msg string) byte {
 	}
 }
 
-// forwardedHeader marks a write already proxied once, guarding against
-// forwarding loops if two nodes ever disagree about ring ownership.
+// forwardedHeader marks a proxied write and carries the forwarder's ring
+// epoch. A receiver that is not the key's primary forwards again only when
+// its own view is newer than the forwarder's, so every hop carries a
+// strictly higher epoch and forwarding cannot loop; a receiver whose view
+// is older waits for the forwarder's newer view to arrive (awaitEpoch).
 const forwardedHeader = "X-Pbs-Forwarded"
+
+// forwardedEpoch reads forwardedHeader: 0 means the write was not
+// forwarded (ring epochs start at 1).
+func forwardedEpoch(req *http.Request) uint64 {
+	h := req.Header.Get(forwardedHeader)
+	if h == "" {
+		return 0
+	}
+	// A malformed value still marks the write as forwarded.
+	e, _ := strconv.ParseUint(h, 10, 64)
+	return max(e, 1)
+}
 
 // handlePut routes a write: version-number assignment is serialized at the
 // key's coordinator, so a PUT arriving at any other node is proxied there
@@ -712,7 +722,7 @@ func (n *Node) handlePut(w http.ResponseWriter, req *http.Request) {
 		}
 		return
 	}
-	pr, oe := n.routeWriteOp(key, string(body), false, req.Header.Get(forwardedHeader) != "")
+	pr, oe := n.routeWriteOp(key, string(body), false, forwardedEpoch(req))
 	if oe != nil {
 		httpError(w, oe)
 		return
@@ -727,7 +737,7 @@ func (n *Node) handlePut(w http.ResponseWriter, req *http.Request) {
 // replication-borne tombstone is exactly what keeps a stale replica from
 // resurrecting the key later.
 func (n *Node) handleDelete(w http.ResponseWriter, req *http.Request) {
-	pr, oe := n.routeWriteOp(req.PathValue("key"), "", true, req.Header.Get(forwardedHeader) != "")
+	pr, oe := n.routeWriteOp(req.PathValue("key"), "", true, forwardedEpoch(req))
 	if oe != nil {
 		httpError(w, oe)
 		return
@@ -739,8 +749,9 @@ func (n *Node) handleDelete(w http.ResponseWriter, req *http.Request) {
 // comment for the coordinator-election rules), factored out of the HTTP
 // handlers so the binary client front end (clientproto.go) drives the
 // identical code: both enter here and leave with a typed response or a
-// typed failure.
-func (n *Node) routeWriteOp(key, value string, tombstone, forwarded bool) (PutResponse, *opError) {
+// typed failure. fwdEpoch is the forwarder's ring epoch, 0 when the write
+// was not forwarded.
+func (n *Node) routeWriteOp(key, value string, tombstone bool, fwdEpoch uint64) (PutResponse, *opError) {
 	v := n.view()
 	if v == nil {
 		return PutResponse{}, errUnavailable("server: node has no membership yet")
@@ -750,12 +761,15 @@ func (n *Node) routeWriteOp(key, value string, tombstone, forwarded bool) (PutRe
 		return n.coordinatePutOp(v, key, value, tombstone, false)
 	}
 	if !n.params.SloppyQuorum {
-		if forwarded {
-			return PutResponse{}, errInternal("server: forwarding loop: not the primary coordinator")
+		switch epoch := v.m.Epoch(); {
+		case fwdEpoch == 0 || epoch > fwdEpoch:
+			return n.forwardPutOp(v, primary, key, value, tombstone)
+		case epoch < fwdEpoch && n.awaitEpoch(fwdEpoch):
+			return n.routeWriteOp(key, value, tombstone, fwdEpoch)
 		}
-		return n.forwardPutOp(v, primary, key, value, tombstone)
+		return PutResponse{}, errInternal("server: forwarding loop: not the primary coordinator")
 	}
-	if forwarded {
+	if fwdEpoch != 0 {
 		// The forwarder decided we are the first live preference replica.
 		// Accept the takeover if we really are on the preference list;
 		// re-forwarding here risks loops whenever liveness views disagree.
@@ -802,6 +816,27 @@ func (n *Node) routeWriteOp(key, value string, tombstone, forwarded bool) (PutRe
 	return PutResponse{}, errUnavailable("server: no live coordinator for key")
 }
 
+// awaitEpoch waits, for at most a second, until this node has installed a
+// ring view at least as new as epoch; it reports whether it has. A
+// forwarder's newer view is normally in flight to us (the flip pushes it to
+// every member), so waiting keeps the write from failing mid-flip.
+func (n *Node) awaitEpoch(epoch uint64) bool {
+	deadline := time.Now().Add(time.Second)
+	for {
+		if v := n.view(); v != nil && v.m.Epoch() >= epoch {
+			return true
+		}
+		if time.Now().After(deadline) {
+			return false
+		}
+		select {
+		case <-n.stop:
+			return false
+		case <-time.After(2 * time.Millisecond):
+		}
+	}
+}
+
 // onPreferenceList reports whether this node replicates key under view v.
 func (n *Node) onPreferenceList(v *memView, key string) bool {
 	for _, id := range n.prefs(v, key) {
@@ -845,56 +880,21 @@ func (n *Node) coordinatePutOp(v *memView, key, value string, tombstone, takeove
 	}
 	start := time.Now()
 	ws := newWriteState(quorumW, nReps)
-	if n.inj == nil && !n.params.BlockingTransport {
-		// Hot path: no WARS model, so legs go straight to the persistent
-		// per-peer workers (fanout.go) — no per-op goroutines, no delay
-		// arrays.
-		for _, nodeID := range prefs {
-			t := newLegTask()
-			t.n, t.view, t.target = n, v, nodeID
-			t.ver, t.spares, t.ws = ver, spares, ws
-			n.submitLeg(nodeID, t)
-		}
-	} else {
-		// Injected path: each leg sleeps its sampled W delay before the RPC
-		// and its A delay after, on a goroutine of its own so the sleeps
-		// overlap — the order statistics the conformance suite pins.
-		// BlockingTransport also lands here (with zero delays): it pins the
-		// whole pre-mux data plane, goroutine-per-leg fan-out included, so
-		// the serving bench compares like against like.
-		wd := make([]float64, nReps)
-		ad := make([]float64, nReps)
-		if n.inj != nil {
-			n.inj.writeDelays(wd, ad)
-		}
-		for i, nodeID := range prefs {
-			go func(i, nodeID int) {
-				sleepMs(wd[i])
-				var sent time.Time
-				if n.legs != nil {
-					sent = time.Now()
-				}
-				ok := n.deliverWrite(v, nodeID, ver, spares)
-				if ok && n.legs != nil {
-					rpcMs := float64(time.Since(sent)) / float64(time.Millisecond)
-					n.legs.observeWrite(wd[i]+rpcMs, ad[i])
-				}
-				sleepMs(ad[i])
-				ws.ack(ok)
-			}(i, nodeID)
-		}
+	for _, nodeID := range prefs {
+		pre, post := n.inj.writeLeg()
+		n.submitWriteLeg(v, nodeID, ver, spares, ws, pre, post)
 	}
 
 	<-ws.waiter
+	committed := ws.signaledAt
 	if !ws.finish() {
 		n.failedOps.Add(1)
 		return PutResponse{}, errQuorumFailed("server: write quorum not reached")
 	}
-	committed := time.Now()
 	return PutResponse{
 		Seq:               seq,
 		CommittedUnixNano: committed.UnixNano(),
-		CoordMs:           float64(committed.Sub(start)) / float64(time.Millisecond),
+		CoordMs:           durationMs(committed.Sub(start)),
 		Node:              n.id,
 	}, nil
 }
@@ -1018,7 +1018,7 @@ func (n *Node) forwardPutOp(v *memView, primary int, key, value string, tombston
 	if err != nil {
 		return PutResponse{}, errInternal(err.Error())
 	}
-	freq.Header.Set(forwardedHeader, "1")
+	freq.Header.Set(forwardedHeader, strconv.FormatUint(v.m.Epoch(), 10))
 	resp, err := n.proxyClient.Do(freq)
 	if err != nil {
 		return PutResponse{}, &opError{status: http.StatusBadGateway, code: CodeUnavailable,
@@ -1082,7 +1082,7 @@ func (n *Node) tryForwardOp(v *memView, cand int, key, value string, tombstone b
 	if err != nil {
 		return PutResponse{}, errInternal(err.Error()), forwardRelayed
 	}
-	freq.Header.Set(forwardedHeader, "1")
+	freq.Header.Set(forwardedHeader, strconv.FormatUint(v.m.Epoch(), 10))
 	resp, err := n.proxyClient.Do(freq)
 	if err != nil {
 		return PutResponse{}, nil, forwardUnreachable
@@ -1186,45 +1186,16 @@ func (n *Node) coordinateGetOp(key string) (GetResponse, *opError) {
 	}
 	start := time.Now()
 	rs := n.newReadState(v, quorumR, nReps)
-	if n.inj == nil && !n.params.BlockingTransport {
-		// Hot path: persistent per-peer workers (fanout.go), no per-op
-		// goroutines.
-		for _, nodeID := range prefs {
-			t := newLegTask()
-			t.n, t.view, t.target, t.read = n, v, nodeID, true
-			t.key, t.spares, t.rs = key, spares, rs
-			n.submitLeg(nodeID, t)
-		}
-	} else {
-		// Injected path (and the BlockingTransport baseline, with zero
-		// delays): overlapped R/S delay sleeps per leg (see coordinatePut).
-		rd := make([]float64, nReps)
-		sd := make([]float64, nReps)
-		if n.inj != nil {
-			n.inj.readDelays(rd, sd)
-		}
-		for i, nodeID := range prefs {
-			go func(i, nodeID int) {
-				sleepMs(rd[i])
-				var sent time.Time
-				if n.legs != nil {
-					sent = time.Now()
-				}
-				rr := n.readReplica(v, nodeID, key, spares)
-				if rr.err == nil && n.legs != nil {
-					rpcMs := float64(time.Since(sent)) / float64(time.Millisecond)
-					n.legs.observeRead(rd[i]+rpcMs, sd[i])
-				}
-				sleepMs(sd[i])
-				rs.complete(rr)
-			}(i, nodeID)
-		}
+	for _, nodeID := range prefs {
+		pre, post := n.inj.readLeg()
+		n.submitReadLeg(v, nodeID, key, spares, rs, pre, post)
 	}
 
 	// Wait for the read quorum (or every leg, if the quorum is
 	// unreachable), then compute the verdict over the first R successful
 	// responses in arrival order.
 	<-rs.waiter
+	answered := rs.signaledAt
 	best, bestFound, ok, finalizeNow := rs.answer()
 	if !ok {
 		// The waiter only fired with succ < quorum because every leg had
@@ -1233,7 +1204,6 @@ func (n *Node) coordinateGetOp(key string) (GetResponse, *opError) {
 		rs.release()
 		return GetResponse{}, errQuorumFailed("server: read quorum not reached")
 	}
-	answered := time.Now()
 	// A tombstone wins the newest-of-R comparison like any version — that is
 	// what makes a delete stick against slower live writes — but the client
 	// sees the key as absent. Seq is still reported so callers can observe
@@ -1242,7 +1212,7 @@ func (n *Node) coordinateGetOp(key string) (GetResponse, *opError) {
 		Found:   bestFound && !best.Tombstone,
 		Seq:     best.Seq,
 		Value:   best.Value,
-		CoordMs: float64(answered.Sub(start)) / float64(time.Millisecond),
+		CoordMs: durationMs(answered.Sub(start)),
 		Node:    n.id,
 	}
 	// The staleness-detector / read-repair pass over the complete response

@@ -2,10 +2,9 @@ package server
 
 // Raw internal-RPC benchmark hook for the serving bench harness
 // (internal/smoke). End-to-end PUT/GET cells measure the whole serving
-// stack, where the HTTP layer floors both transports equally; this hook
-// measures the layer this transport rebuild actually changed — concurrent
-// data-plane RPCs against a live node — so the mux-vs-blocking ratio is
-// undiluted by shared framework cost.
+// stack; this hook measures the data-plane transport alone — concurrent
+// mux RPCs against a live node — undiluted by client-front-end and
+// coordinator cost.
 
 import (
 	"fmt"
@@ -22,7 +21,7 @@ import (
 // RPCBenchResult is one raw-transport cell: conc concurrent callers
 // hammering a single op type at one node for a fixed window.
 type RPCBenchResult struct {
-	Transport   string  `json:"transport"` // "mux" or "blocking"
+	Transport   string  `json:"transport"` // always "mux"
 	Op          string  `json:"op"`        // "apply" or "get"
 	Conc        int     `json:"conc"`
 	Ops         int64   `json:"ops"`
@@ -35,22 +34,12 @@ type RPCBenchResult struct {
 // BenchInternalRPC drives conc concurrent callers issuing one internal
 // data-plane RPC type (replica applies, or version reads when read is
 // true) against the last node of the cluster for the given window, over a
-// fresh peer using the chosen transport. The server side is whatever the
-// cluster is running — it speaks both wire formats per connection.
-func (c *Cluster) BenchInternalRPC(blocking, read bool, conc int, d time.Duration) (RPCBenchResult, error) {
-	node := c.Nodes[len(c.Nodes)-1]
-	var p *peer
-	if blocking {
-		p = newBlockingPeer(node.selfInternal)
-	} else {
-		p = newPeer(node.selfInternal)
-	}
+// fresh multiplexed peer.
+func (c *Cluster) BenchInternalRPC(read bool, conc int, d time.Duration) (RPCBenchResult, error) {
+	p := newPeer(c.Nodes[len(c.Nodes)-1].selfInternal)
 	defer p.close()
 
 	res := RPCBenchResult{Transport: "mux", Op: "apply", Conc: conc}
-	if blocking {
-		res.Transport = "blocking"
-	}
 	if read {
 		res.Op = "get"
 	}

@@ -19,8 +19,7 @@ package server
 // connection upgrades from v1 with an opMuxHello frame. Data-plane ops
 // (Apply, ApplyHinted, GetVersion, Ping) default to v2; control-plane ops
 // (membership, gossip, consensus, anti-entropy, range streaming) are not
-// hot and stay on the v1 pool, as does everything when
-// Params.BlockingTransport pins the pre-multiplexing baseline.
+// hot and stay on the v1 pool.
 
 import (
 	"bufio"
@@ -75,9 +74,9 @@ const (
 	// peerPoolSize caps the idle connections kept per peer.
 	peerPoolSize = 64
 
-	// rpcTimeout bounds one internal round trip. Injected WARS delays sleep
-	// on the coordinator before the RPC starts, so this only covers real
-	// network plus handler time.
+	// rpcTimeout bounds one internal round trip. Injected WARS delays are
+	// served on the coordinator before the RPC starts and after it returns,
+	// so this only covers real network plus handler time.
 	rpcTimeout = 10 * time.Second
 )
 
@@ -532,12 +531,10 @@ type peerConn struct {
 
 // peer is the RPC client for one replica's internal endpoint. Data-plane
 // ops (Apply, ApplyHinted, GetVersion, Ping) ride a small fixed set of
-// multiplexed v2 connections (mux.go) unless blocking pins them to the v1
-// pool; control-plane ops always use the v1 pool.
+// multiplexed v2 connections (mux.go); control-plane ops use the v1 pool.
 type peer struct {
-	addr     string
-	blocking bool
-	free     chan *peerConn
+	addr string
+	free chan *peerConn
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{} // every live v1 conn, for Close
@@ -555,15 +552,6 @@ func newPeer(addr string) *peer {
 		free:  make(chan *peerConn, peerPoolSize),
 		conns: make(map[net.Conn]struct{}),
 	}
-}
-
-// newBlockingPeer returns a peer whose data-plane ops use the v1
-// blocking-pool path — the pre-multiplexing baseline (Params.
-// BlockingTransport) and the subject of the v1 retry-semantics tests.
-func newBlockingPeer(addr string) *peer {
-	p := newPeer(addr)
-	p.blocking = true
-	return p
 }
 
 // muxConnFor returns the live mux connection for this call's round-robin
@@ -737,13 +725,6 @@ func versionSizeHint(v kvstore.Version) int {
 // Apply replicates v to the peer, reporting whether the peer's state
 // changed and the peer's resulting seq for the key.
 func (p *peer) Apply(v kvstore.Version) (applied bool, replicaSeq uint64, err error) {
-	if p.blocking {
-		resp, err := p.rpc(opApply, encodeVersion(nil, v))
-		if err != nil {
-			return false, 0, err
-		}
-		return decodeApply(resp)
-	}
 	resp, err := p.muxRPC(opApply, versionSizeHint(v), func(b []byte) []byte {
 		return encodeVersion(b, v)
 	})
@@ -761,13 +742,6 @@ func (p *peer) Apply(v kvstore.Version) (applied bool, replicaSeq uint64, err er
 func (p *peer) ApplyHinted(v kvstore.Version, target int) (applied bool, replicaSeq uint64, err error) {
 	// The wire payload is exactly a hint-log record: one format, one
 	// encoder (hintlog.go), decoded by handleRPC and replayHints alike.
-	if p.blocking {
-		resp, err := p.rpc(opApplyHint, encodeHintRecord(target, v))
-		if err != nil {
-			return false, 0, err
-		}
-		return decodeApply(resp)
-	}
 	resp, err := p.muxRPC(opApplyHint, 4+versionSizeHint(v), func(b []byte) []byte {
 		return appendHintRecord(b, target, v)
 	})
@@ -781,10 +755,6 @@ func (p *peer) ApplyHinted(v kvstore.Version, target int) (applied bool, replica
 
 // Ping probes the peer's liveness with an empty round trip.
 func (p *peer) Ping() error {
-	if p.blocking {
-		_, err := p.rpc(opPing, nil)
-		return err
-	}
 	resp, err := p.muxRPC(opPing, 0, nil)
 	if err != nil {
 		return err
@@ -795,23 +765,16 @@ func (p *peer) Ping() error {
 
 // GetVersion reads the peer's current version for key.
 func (p *peer) GetVersion(key string) (v kvstore.Version, found bool, err error) {
-	var resp []byte
-	if p.blocking {
-		resp, err = p.rpc(opGet, appendString16(nil, key))
-	} else {
-		resp, err = p.muxRPC(opGet, 2+len(key), func(b []byte) []byte {
-			return appendString16(b, key)
-		})
-	}
+	resp, err := p.muxRPC(opGet, 2+len(key), func(b []byte) []byte {
+		return appendString16(b, key)
+	})
 	if err != nil {
 		return kvstore.Version{}, false, err
 	}
 	d := &decoder{b: resp}
 	found = d.u8() == 1
 	v = d.versionForKey(key)
-	if !p.blocking {
-		putBuf(resp)
-	}
+	putBuf(resp)
 	if d.err != nil {
 		return kvstore.Version{}, false, d.err
 	}
@@ -837,17 +800,11 @@ func (p *peer) ApplyBatch(vers []kvstore.Version) ([]ApplyAck, error) {
 		}
 		return b
 	}
-	var resp []byte
-	var err error
-	if p.blocking {
-		resp, err = p.rpc(opApplyBatch, enc(nil))
-	} else {
-		hint := 2
-		for i := range vers {
-			hint += versionSizeHint(vers[i])
-		}
-		resp, err = p.muxRPC(opApplyBatch, hint, enc)
+	hint := 2
+	for i := range vers {
+		hint += versionSizeHint(vers[i])
 	}
+	resp, err := p.muxRPC(opApplyBatch, hint, enc)
 	if err != nil {
 		return nil, err
 	}
@@ -857,9 +814,7 @@ func (p *peer) ApplyBatch(vers []kvstore.Version) ([]ApplyAck, error) {
 		acks[i] = ApplyAck{Applied: d.u8() == 1, Seq: d.u64()}
 	}
 	derr := d.err
-	if !p.blocking {
-		putBuf(resp)
-	}
+	putBuf(resp)
 	if derr != nil {
 		return nil, derr
 	}
@@ -876,17 +831,11 @@ func (p *peer) GetVersionBatch(keys []string) ([]kvstore.Version, []bool, error)
 		}
 		return b
 	}
-	var resp []byte
-	var err error
-	if p.blocking {
-		resp, err = p.rpc(opGetBatch, enc(nil))
-	} else {
-		hint := 2
-		for _, k := range keys {
-			hint += 2 + len(k)
-		}
-		resp, err = p.muxRPC(opGetBatch, hint, enc)
+	hint := 2
+	for _, k := range keys {
+		hint += 2 + len(k)
 	}
+	resp, err := p.muxRPC(opGetBatch, hint, enc)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -898,9 +847,7 @@ func (p *peer) GetVersionBatch(keys []string) ([]kvstore.Version, []bool, error)
 		vs[i] = d.versionForKey(keys[i])
 	}
 	derr := d.err
-	if !p.blocking {
-		putBuf(resp)
-	}
+	putBuf(resp)
 	if derr != nil {
 		return nil, nil, derr
 	}

@@ -1,14 +1,14 @@
 package server
 
-// v1 (blocking-pool) transport client regression coverage: a pooled
+// v1 (pooled-connection) transport client regression coverage: a pooled
 // connection that died while idling in the free list (the replica paused,
 // restarted, or an idle timeout fired) must not surface as a replica
 // failure — the RPC retries once on a fresh connection. Failures on
-// freshly dialed connections are real and must still propagate. These
-// tests pin the blocking path explicitly (newBlockingPeer): frameEcho
-// speaks only v1, and the v1 pool stays live as the control-plane carrier
-// and the BlockingTransport baseline. The v2 mux transport's failure modes
-// are covered in mux_test.go.
+// freshly dialed connections are real and must still propagate. The v1
+// pool is the control-plane carrier (membership, gossip, config log,
+// anti-entropy), so these tests drive it directly with p.rpc: frameEcho
+// speaks only v1. The v2 mux transport's failure modes are covered in
+// mux_test.go.
 
 import (
 	"bufio"
@@ -75,11 +75,11 @@ func (e *frameEcho) killConns() {
 
 func TestStalePooledConnRetriesOnFreshConn(t *testing.T) {
 	e := startFrameEcho(t)
-	p := newBlockingPeer(e.ln.Addr().String())
+	p := newPeer(e.ln.Addr().String())
 	defer p.close()
 
 	// Populate the pool, then kill the server side of the idle connection.
-	if err := p.Ping(); err != nil {
+	if _, err := p.rpc(opPing, nil); err != nil {
 		t.Fatalf("first rpc: %v", err)
 	}
 	e.killConns()
@@ -88,7 +88,7 @@ func TestStalePooledConnRetriesOnFreshConn(t *testing.T) {
 	// Without the retry this surfaced as a spurious replica failure (EOF
 	// or EPIPE on the stale pooled conn) right after the replica was back.
 	for i := 0; i < 3; i++ {
-		if err := p.Ping(); err != nil {
+		if _, err := p.rpc(opPing, nil); err != nil {
 			t.Fatalf("rpc %d after server-side conn reset: %v", i, err)
 		}
 	}
@@ -97,9 +97,9 @@ func TestStalePooledConnRetriesOnFreshConn(t *testing.T) {
 func TestDownPeerStillFails(t *testing.T) {
 	e := startFrameEcho(t)
 	addr := e.ln.Addr().String()
-	p := newBlockingPeer(addr)
+	p := newPeer(addr)
 	defer p.close()
-	if err := p.Ping(); err != nil {
+	if _, err := p.rpc(opPing, nil); err != nil {
 		t.Fatalf("first rpc: %v", err)
 	}
 
@@ -108,7 +108,7 @@ func TestDownPeerStillFails(t *testing.T) {
 	e.ln.Close()
 	e.killConns()
 	time.Sleep(50 * time.Millisecond)
-	if err := p.Ping(); err == nil {
+	if _, err := p.rpc(opPing, nil); err == nil {
 		t.Fatal("rpc to a dead peer succeeded")
 	}
 }

@@ -37,6 +37,7 @@ func (e *Engine) maybeFlushLocked() {
 	e.frozenWAL = append(e.frozenWAL, old)
 	e.flushing = true
 	gen := e.nextGenLocked()
+	e.bg.Add(1)
 	go e.flushFrozen(e.frozen, gen)
 }
 
@@ -45,6 +46,7 @@ func (e *Engine) maybeFlushLocked() {
 // into the live memtable (their WAL segments stay on disk, so no acked
 // write is lost either way).
 func (e *Engine) flushFrozen(frozen *memtable, gen uint64) {
+	defer e.bg.Done()
 	versions := make([]kvstore.Version, 0, len(frozen.data))
 	for _, v := range frozen.data {
 		versions = append(versions, v)
@@ -92,12 +94,14 @@ func (e *Engine) maybeCompactLocked() {
 	gen := e.nextGenLocked()
 	gcAge := e.opts.TombstoneGCAge
 	now := e.lastNow
+	e.bg.Add(1)
 	go e.compact(snapshot, gen, gcAge, now)
 }
 
 // compact merges snapshot newest-seq-wins into one table and swaps it in
 // for the snapshot prefix of e.tables.
 func (e *Engine) compact(snapshot []*sstable, gen uint64, gcAge, now float64) {
+	defer e.bg.Done()
 	merged := make(map[string]kvstore.Version)
 	for _, t := range snapshot { // oldest → newest; later records win
 		err := t.iterate(func(v kvstore.Version) error {
@@ -148,13 +152,8 @@ func (e *Engine) compact(snapshot []*sstable, gen uint64, gcAge, now float64) {
 	e.tables = append([]*sstable{t}, e.tables[len(snapshot):]...)
 	e.compacting = false
 	e.compactions++
-	closed := e.closed
 	e.mu.Unlock()
 
-	if closed {
-		t.close()
-		return
-	}
 	for _, old := range replaced {
 		old.close()
 		removeFile(old.path)

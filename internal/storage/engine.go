@@ -89,17 +89,20 @@ type Metrics struct {
 type Engine struct {
 	opts Options
 
-	mu        sync.Mutex
-	wal       *wal
-	mem       *memtable
-	frozen    *memtable // being flushed; immutable
-	frozenWAL []string  // rotated-out WAL segments, deletable after a successful flush
-	tables    []*sstable
-	gen       uint64  // last allocated file generation
-	lastNow   float64 // most recent Apply timestamp (drives tombstone GC age)
-	flushing  bool
+	mu         sync.Mutex
+	wal        *wal
+	mem        *memtable
+	frozen     *memtable // being flushed; immutable
+	frozenWAL  []string  // rotated-out WAL segments, deletable after a successful flush
+	tables     []*sstable
+	gen        uint64  // last allocated file generation
+	lastNow    float64 // most recent Apply timestamp (drives tombstone GC age)
+	flushing   bool
 	compacting bool
 	closed     bool
+	// bg tracks the background flush and compaction goroutines; Close
+	// waits for them, so no file is written or removed after it returns.
+	bg sync.WaitGroup
 
 	applied, ignored, overread int64
 	recovered                  int64
@@ -335,8 +338,10 @@ func (e *Engine) Metrics() Metrics {
 	}
 }
 
-// Close flushes the WAL (memtable contents replay from it on next open)
-// and releases file handles. The engine rejects writes afterwards.
+// Close waits for a running flush or compaction to finish, flushes the WAL
+// (memtable contents replay from it on next open) and releases file
+// handles, so the directory can be reopened as soon as Close returns. The
+// engine rejects writes afterwards.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -344,6 +349,9 @@ func (e *Engine) Close() error {
 		return nil
 	}
 	e.closed = true
+	e.mu.Unlock()
+	e.bg.Wait()
+	e.mu.Lock()
 	tables := e.tables
 	wal := e.wal
 	e.mu.Unlock()

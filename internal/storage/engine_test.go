@@ -311,3 +311,57 @@ func TestEngineTombstoneGC(t *testing.T) {
 		t.Log("aged tombstone not yet collected (resident outside compacted snapshot)")
 	}
 }
+
+// dirEntries lists dir's file names.
+func dirEntries(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(ents))
+	for i, ent := range ents {
+		names[i] = ent.Name()
+	}
+	return names
+}
+
+// TestEngineCloseReopenDuringBackgroundWork closes the engine right after
+// writes that trigger flushes and compactions — so one is usually still
+// writing and removing files — and reopens the same directory at once,
+// round after round. Close must wait for that work: the directory must not
+// change after Close returns, and every key ever applied must read back.
+func TestEngineCloseReopenDuringBackgroundWork(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Dir: dir, Fsync: FsyncNever, MemtableBytes: 1 << 10, CompactAt: 2}
+	const rounds, perRound = 20, 120
+	for round := 0; round < rounds; round++ {
+		e, err := Open(opts)
+		if err != nil {
+			t.Fatalf("round %d: reopen right after Close: %v", round, err)
+		}
+		for r := 0; r < round; r++ {
+			for i := 0; i < perRound; i += 17 {
+				key := fmt.Sprintf("r%02d-k%03d", r, i)
+				if v, found := e.Get(key); !found || v.Seq != uint64(r*perRound+i+1) {
+					t.Fatalf("round %d: Get(%s) = %+v, %v", round, key, v, found)
+				}
+			}
+		}
+		for i := 0; i < perRound; i++ {
+			e.Apply(kvstore.Version{
+				Key:   fmt.Sprintf("r%02d-k%03d", round, i),
+				Seq:   uint64(round*perRound + i + 1),
+				Value: "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx",
+			}, float64(round))
+		}
+		if err := e.Close(); err != nil {
+			t.Fatalf("round %d: close: %v", round, err)
+		}
+		before := dirEntries(t, dir)
+		time.Sleep(5 * time.Millisecond)
+		if after := dirEntries(t, dir); fmt.Sprint(after) != fmt.Sprint(before) {
+			t.Fatalf("round %d: directory changed after Close returned:\n before %v\n after  %v", round, before, after)
+		}
+	}
+}
