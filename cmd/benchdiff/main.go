@@ -1,8 +1,7 @@
 // Command benchdiff compares two BENCH_serving.json artifacts — the
 // committed baseline and a fresh run — and prints a GitHub-flavored
-// markdown delta table per row, keyed by (transport, proto, op, clients,
-// pipeline, batch) for the end-to-end cells and (transport, op) for the
-// raw RPC cells. CI appends the output to the job summary so a perf
+// markdown delta table per row, keyed by (proto, op, clients, pipeline,
+// batch) for the end-to-end cells and op for the raw RPC cells. CI appends the output to the job summary so a perf
 // regression (or win) is visible on every run without downloading
 // artifacts.
 //
@@ -21,7 +20,6 @@ import (
 
 // servingRow mirrors the end-to-end cells in BENCH_serving.json.
 type servingRow struct {
-	Transport   string  `json:"transport"`
 	Proto       string  `json:"proto"`
 	Op          string  `json:"op"`
 	Clients     int     `json:"clients"`
@@ -35,7 +33,6 @@ type servingRow struct {
 
 // rpcRow mirrors the raw internal-RPC cells.
 type rpcRow struct {
-	Transport   string  `json:"transport"`
 	Op          string  `json:"op"`
 	OpsPerSec   float64 `json:"ops_per_sec"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
@@ -61,7 +58,7 @@ func servingKey(r servingRow) string {
 	if batch == 0 {
 		batch = 1
 	}
-	return fmt.Sprintf("%s/%s/%s %d×%d b%d", r.Transport, r.Proto, r.Op, r.Clients, r.Pipeline, batch)
+	return fmt.Sprintf("%s/%s %d×%d b%d", r.Proto, r.Op, r.Clients, r.Pipeline, batch)
 }
 
 // delta renders new-vs-old as a signed percentage; moreIsBetter flips the
@@ -133,13 +130,13 @@ func main() {
 
 	oldRPC := make(map[string]rpcRow, len(oldBF.RPCRows))
 	for _, r := range oldBF.RPCRows {
-		oldRPC[r.Transport+"/"+r.Op] = r
+		oldRPC[r.Op] = r
 	}
 	fmt.Println()
 	fmt.Println("| raw rpc | ops/s old | ops/s new | Δ ops/s | allocs old | allocs new |")
 	fmt.Println("|---|---|---|---|---|---|")
 	for _, nr := range newBF.RPCRows {
-		k := nr.Transport + "/" + nr.Op
+		k := nr.Op
 		or, ok := oldRPC[k]
 		if !ok {
 			fmt.Printf("| %s *(new)* | — | %.0f | — | — | %.1f |\n", k, nr.OpsPerSec, nr.AllocsPerOp)

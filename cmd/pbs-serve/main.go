@@ -1,6 +1,7 @@
 // Command pbs-serve boots a live networked PBS cluster on loopback and
 // measures it against its own predictions: N internal/server replicas
-// (HTTP key-value API, TCP replication, injectable WARS latency), a
+// (binary client protocol and TCP replication on each node's internal
+// port, HTTP admin surface, injectable WARS latency), a
 // concurrent load generator driving a configurable workload through the
 // cluster, an online staleness monitor streaming measured staleness and
 // latency, and a probe campaign whose measured t-visibility is printed
@@ -8,8 +9,7 @@
 // counterpart of the pbs calculator.
 //
 // The load generator and probes speak the pipelined binary client
-// protocol by default; -proto http keeps them on the JSON compatibility
-// API instead.
+// protocol, bootstrapping their view from a node's HTTP /config.
 //
 // The cluster can additionally run degraded: -fail scripts fault
 // injection (crashed/paused replicas, dropped or delayed internal RPCs),
@@ -235,25 +235,15 @@ func main() {
 	tuneApply := flag.Bool("tune-apply", false, "apply the tuner's recommended configuration to the live cluster")
 	tuneMaxN := flag.Int("tune-max-n", 0, "let the tuner sweep the replication factor N up to this bound (0 = keep N fixed); with -tune-apply the cluster grows nodes as needed")
 	nodeMode := flag.Bool("node", false, "run a single node instead of a whole loopback cluster (implied by -join)")
-	listenAddr := flag.String("listen", "127.0.0.1:0", "single-node mode: public HTTP listen address")
-	internalAddr := flag.String("internal", "127.0.0.1:0", "single-node mode: internal replication-transport listen address")
+	listenAddr := flag.String("listen", "127.0.0.1:0", "single-node mode: HTTP admin listen address (/config, /stats, /wars, /healthz)")
+	internalAddr := flag.String("internal", "127.0.0.1:0", "single-node mode: internal listen address (binary client protocol and replication transport)")
 	joinAddr := flag.String("join", "", "single-node mode: internal address of any member of a running cluster to join")
 	advertise := flag.String("advertise", "", "single-node mode: address peers should dial instead of the bound listen address (host or host:port; a bare host keeps each listener's bound port)")
 	leave := flag.Bool("leave", false, "single-node mode: drain and leave the ring (a committed config-log leave) on SIGINT/SIGTERM instead of just shutting down")
 	gossipInterval := flag.Duration("gossip-interval", 0, "anti-entropy membership gossip interval (0 = server default)")
-	proto := flag.String("proto", "binary", "client protocol for the load generator and probes: binary (pipelined tagged frames) or http (JSON compatibility API)")
 	workloadName := flag.String("workload", "mixed", "load shape: mixed (single-key ops per -read-fraction) or mget-zipf (Zipf hot-key multi-get batches of -batch keys, writes batched too)")
 	batchSize := flag.Int("batch", 8, "keys per batched operation for -workload mget-zipf")
 	flag.Parse()
-
-	dialClient := client.DialBinary
-	switch *proto {
-	case "binary":
-	case "http":
-		dialClient = client.Dial
-	default:
-		fatalf("unknown -proto %q (want binary or http)", *proto)
-	}
 
 	model, ok := latencyModel(*modelName)
 	if !ok {
@@ -314,8 +304,8 @@ func main() {
 	defer cluster.Close()
 
 	fmt.Printf("pbs-serve: live PBS cluster on loopback\n")
-	fmt.Printf("  replicas=%d N=%d R=%d W=%d model=%s scale=%g read-repair=%v handoff=%v anti-entropy=%v sloppy=%v proto=%s\n",
-		*replicas, *n, *r, *w, model.Name, *scale, *readRepair, *handoff || *sloppy, *antiEntropy, *sloppy, *proto)
+	fmt.Printf("  replicas=%d N=%d R=%d W=%d model=%s scale=%g read-repair=%v handoff=%v anti-entropy=%v sloppy=%v\n",
+		*replicas, *n, *r, *w, model.Name, *scale, *readRepair, *handoff || *sloppy, *antiEntropy, *sloppy)
 	if *hintDir != "" {
 		fmt.Printf("  durable hints: %s\n", *hintDir)
 	}
@@ -340,7 +330,7 @@ func main() {
 	fmt.Printf("  predicted: P(consistent, t=0)=%.4f, t-visibility@99.9%%=%.1fms%s\n\n",
 		pred.PConsistent(0), pred.TVisibility(0.999), strict)
 
-	c, err := dialClient(cluster.HTTPAddrs[0])
+	c, err := client.DialBinary(cluster.HTTPAddrs[0])
 	if err != nil {
 		fatalf("%v", err)
 	}

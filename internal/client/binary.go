@@ -4,64 +4,79 @@ package client
 // (internal/server/clientproto.go) to each member's internal TCP address:
 // one hello-upgraded connection pool per node, many in-flight calls
 // multiplexed per connection, ring epoch prefixed on every response
-// payload instead of an HTTP header. The BinClient layer deliberately
-// does not retry — a connection teardown fails its in-flight calls
-// exactly once, and the translation here turns those into retryable
-// errors so the Client's ring walk (the same one the HTTP path uses)
-// decides where the retry goes.
+// payload. The BinClient layer deliberately does not retry — a connection
+// teardown fails its in-flight calls exactly once, and the translation
+// here turns those into retryable errors so the Client's ring walk decides
+// where the retry goes.
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
+	"time"
 
 	"pbs/internal/server"
 )
 
 // DialBinary bootstraps the cluster view from any node's HTTP /config
-// endpoint (the one piece of HTTP a binary client still speaks — the seed
-// URL is an HTTP base URL), then returns a routing client whose data
-// plane speaks the binary protocol to every member's internal address.
+// endpoint (the one piece of HTTP a client speaks — the seed URL is an
+// HTTP base URL), then returns a routing client whose data plane speaks
+// the binary protocol to every member's internal address.
 func DialBinary(seedURL string) (*Client, error) {
-	boot := newHTTPTransport()
-	defer boot.Close()
-	cfg, err := boot.FetchConfig(server.MemberInfo{Addr: strings.TrimRight(seedURL, "/")})
+	hc := &http.Client{Timeout: 30 * time.Second}
+	resp, err := hc.Get(strings.TrimRight(seedURL, "/") + "/config")
 	if err != nil {
 		return nil, err
 	}
-	if len(cfg.Members) == 0 {
-		return nil, errors.New("client: binary protocol needs a members list in the config")
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("client: config fetch: %s", resp.Status)
 	}
-	for _, m := range cfg.Members {
-		if m.Internal == "" {
-			return nil, fmt.Errorf("client: member %d advertises no internal address", m.ID)
-		}
+	var cfg server.ConfigResponse
+	if err := json.NewDecoder(resp.Body).Decode(&cfg); err != nil {
+		return nil, fmt.Errorf("client: config fetch: %w", err)
 	}
-	return newWith(cfg, newBinaryTransport())
+	v, err := buildView(cfg)
+	if err != nil {
+		return nil, err
+	}
+	c := &Client{tr: &binaryTransport{conns: make(map[string]*server.BinClient)}}
+	c.tr.notify = c.noteEpoch
+	c.view.Store(v)
+	return c, nil
 }
 
+// BatchPutOutcome is one op's outcome inside a transport-level batched
+// write: exactly one of Resp and Err is meaningful. Err follows the same
+// retryable/final classification as single-op transport errors.
+type BatchPutOutcome struct {
+	Resp server.PutResponse
+	Err  error
+}
+
+// BatchGetOutcome is one key's outcome inside a transport-level batched
+// read.
+type BatchGetOutcome struct {
+	Resp server.GetResponse
+	Err  error
+}
+
+// binaryTransport performs single operations against single members;
+// routing across members is the Client's job. Safe for concurrent use.
 type binaryTransport struct {
-	notify atomic.Value // func(uint64)
+	// notify receives the ring epoch carried on each response, feeding the
+	// client's view-refresh loop. Set once before the client is shared.
+	notify func(epoch uint64)
 
 	mu     sync.Mutex
 	conns  map[string]*server.BinClient
 	closed bool
 }
 
-func newBinaryTransport() *binaryTransport {
-	return &binaryTransport{conns: make(map[string]*server.BinClient)}
-}
-
-func (t *binaryTransport) SetEpochNotify(fn func(uint64)) { t.notify.Store(fn) }
-
 func (t *binaryTransport) conn(m server.MemberInfo) (*server.BinClient, error) {
-	if m.Internal == "" {
-		// A view without internal addresses cannot carry binary traffic;
-		// final, like a malformed request URL on the HTTP path.
-		return nil, fmt.Errorf("client: member %d advertises no internal address", m.ID)
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -99,10 +114,8 @@ func translate(err error) error {
 // finish feeds the response's ring epoch into the refresh loop, then
 // translates the error.
 func (t *binaryTransport) finish(epoch uint64, err error) error {
-	if epoch > 0 {
-		if fn, ok := t.notify.Load().(func(uint64)); ok {
-			fn(epoch)
-		}
+	if epoch > 0 && t.notify != nil {
+		t.notify(epoch)
 	}
 	return translate(err)
 }

@@ -57,11 +57,10 @@ func TestBinaryClientRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryClientRefreshesRingView mirrors TestClientRefreshesRingView on
-// the binary path: the ring epoch rides the response frame prefix instead
-// of the X-Pbs-Ring-Epoch header, and a join must still propagate to the
-// client's view through ordinary traffic — including the refresh itself,
-// which runs over the binary config op, not HTTP.
+// TestBinaryClientRefreshesRingView pins view refresh on the binary path:
+// the ring epoch rides the response frame prefix, and a join must
+// propagate to the client's view through ordinary traffic — including the
+// refresh itself, which runs over the binary config op, not HTTP.
 func TestBinaryClientRefreshesRingView(t *testing.T) {
 	cl, err := server.StartLocal(3, server.Params{N: 3, R: 2, W: 2, Seed: 23})
 	if err != nil {
@@ -139,8 +138,20 @@ func TestBinaryClientRetryDiscipline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Put("retry-key", "v"); err != nil {
+	pr, err := c.Put("retry-key", "v")
+	if err != nil {
 		t.Fatal(err)
+	}
+	// W=1 acks at the first replica; let the write reach every replica so
+	// an R=1 read below cannot be a (legitimately) stale one.
+	deadline := time.Now().Add(5 * time.Second)
+	for node := 0; node < 3; node++ {
+		for cl.ReplicaSeq(node, "retry-key") < pr.Seq {
+			if time.Now().After(deadline) {
+				t.Fatalf("write never reached replica %d", node)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 
 	// Reads route around a crashed node: with R=1 the survivors answer.

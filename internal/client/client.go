@@ -1,9 +1,8 @@
 // Package client is the client side of the live networked PBS store: a
-// ring-routing client for the internal/server key-value API (speaking
-// either the HTTP+JSON compatibility protocol or the binary tagged-frame
-// protocol — see transport.go / binary.go), a concurrent load generator
-// driven by internal/workload, an online staleness monitor streaming
-// measured t-visibility/k-staleness and latency quantiles, and the
+// ring-routing client for the internal/server key-value API (speaking the
+// binary tagged-frame client protocol — see binary.go), a concurrent load
+// generator driven by internal/workload, an online staleness monitor
+// streaming measured t-visibility/k-staleness and latency quantiles, and the
 // probe-based t-visibility measurement that the end-to-end conformance
 // suite compares against wars.SimulateBatch predictions.
 package client
@@ -11,8 +10,6 @@ package client
 import (
 	"errors"
 	"fmt"
-	"net/url"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,18 +24,17 @@ import (
 // nodes round-robin — any node can coordinate a read. Safe for concurrent
 // use.
 //
-// The wire protocol lives behind the Transport seam: Dial speaks HTTP+JSON,
-// DialBinary speaks the pipelined tagged-frame protocol; routing, retry,
-// and view-refresh logic are protocol-independent and live here.
+// DialBinary builds one; the wire protocol lives in binary.go, and the
+// routing, retry, and view-refresh logic live here.
 //
 // The routing state is a versioned view of the cluster (ring epoch, member
 // set, consistent-hash ring) held behind an atomic pointer: every server
-// response carries the node's ring epoch (header or frame prefix), and
+// response carries the node's ring epoch (a frame prefix), and
 // when the cluster has moved on (a node joined or left) the client
 // refreshes its view from the config endpoint in the background — no
 // static node list, no restart.
 type Client struct {
-	tr Transport
+	tr *binaryTransport
 
 	view       atomic.Pointer[clientView]
 	refreshing atomic.Bool
@@ -58,40 +54,11 @@ type clientView struct {
 	ring    *ring.Ring
 }
 
-// Dial fetches the cluster configuration from any node's /config endpoint
-// and returns a routing client speaking HTTP+JSON.
-func Dial(seedURL string) (*Client, error) {
-	tr := newHTTPTransport()
-	cfg, err := tr.FetchConfig(server.MemberInfo{Addr: strings.TrimRight(seedURL, "/")})
-	if err != nil {
-		tr.Close()
-		return nil, err
-	}
-	return newWith(cfg, tr)
-}
-
-// New builds an HTTP client from an already known configuration.
-func New(cfg server.ConfigResponse) (*Client, error) {
-	return newWith(cfg, newHTTPTransport())
-}
-
-func newWith(cfg server.ConfigResponse, tr Transport) (*Client, error) {
-	v, err := buildView(cfg)
-	if err != nil {
-		tr.Close()
-		return nil, err
-	}
-	c := &Client{tr: tr}
-	c.view.Store(v)
-	tr.SetEpochNotify(c.noteEpoch)
-	return c, nil
-}
-
-// buildView validates a config and compiles the routing view. Configs
-// without a Members list (older servers) synthesize contiguous IDs.
+// buildView validates a config and compiles the routing view. Every
+// member must advertise the internal address the client protocol dials.
 func buildView(cfg server.ConfigResponse) (*clientView, error) {
-	if cfg.Nodes < 1 || len(cfg.Addrs) != cfg.Nodes {
-		return nil, fmt.Errorf("client: bad config: %d nodes, %d addrs", cfg.Nodes, len(cfg.Addrs))
+	if cfg.Nodes < 1 || len(cfg.Members) != cfg.Nodes {
+		return nil, fmt.Errorf("client: bad config: %d nodes, %d members", cfg.Nodes, len(cfg.Members))
 	}
 	if cfg.Vnodes < 1 {
 		return nil, fmt.Errorf("client: bad config: %d vnodes", cfg.Vnodes)
@@ -102,30 +69,21 @@ func buildView(cfg server.ConfigResponse) (*clientView, error) {
 		vnodes: cfg.Vnodes,
 		byID:   make(map[int]server.MemberInfo, cfg.Nodes),
 	}
-	if len(cfg.Members) > 0 {
-		if len(cfg.Members) != cfg.Nodes {
-			return nil, fmt.Errorf("client: bad config: %d nodes, %d members", cfg.Nodes, len(cfg.Members))
+	for _, m := range cfg.Members {
+		// Validate before ring construction: NewWithIDs panics on
+		// duplicate or negative IDs, and this data came off the network.
+		if m.ID < 0 {
+			return nil, fmt.Errorf("client: bad config: negative member id %d", m.ID)
 		}
-		for _, m := range cfg.Members {
-			// Validate before ring construction: NewWithIDs panics on
-			// duplicate or negative IDs, and this data came off the network.
-			if m.ID < 0 {
-				return nil, fmt.Errorf("client: bad config: negative member id %d", m.ID)
-			}
-			if _, dup := v.byID[m.ID]; dup {
-				return nil, fmt.Errorf("client: bad config: duplicate member id %d", m.ID)
-			}
-			v.ids = append(v.ids, m.ID)
-			v.members = append(v.members, m)
-			v.byID[m.ID] = m
+		if _, dup := v.byID[m.ID]; dup {
+			return nil, fmt.Errorf("client: bad config: duplicate member id %d", m.ID)
 		}
-	} else {
-		for i, addr := range cfg.Addrs {
-			m := server.MemberInfo{ID: i, Addr: addr}
-			v.ids = append(v.ids, i)
-			v.members = append(v.members, m)
-			v.byID[i] = m
+		if m.Internal == "" {
+			return nil, fmt.Errorf("client: member %d advertises no internal address", m.ID)
 		}
+		v.ids = append(v.ids, m.ID)
+		v.members = append(v.members, m)
+		v.byID[m.ID] = m
 	}
 	v.ring = ring.NewWithIDs(v.ids, cfg.Vnodes)
 	return v, nil
@@ -171,7 +129,7 @@ func (c *Client) install(nv *clientView) {
 }
 
 // noteEpoch is the transport's epoch-notify hook: every response carries
-// the responding node's ring epoch (HTTP header or binary frame prefix),
+// the responding node's ring epoch,
 // and when the cluster is ahead of the cached view one background refresh
 // is triggered. Routing keeps working off the stale view meanwhile — the
 // servers proxy mis-routed operations to the right owners.
@@ -187,9 +145,8 @@ func (c *Client) noteEpoch(e uint64) {
 	}
 }
 
-// Close releases the transport's connections. In-flight calls on the
-// binary transport fail exactly once; the HTTP transport just drops idle
-// connections.
+// Close releases the transport's connections; in-flight calls fail
+// exactly once.
 func (c *Client) Close() { c.tr.Close() }
 
 // Nodes returns the cluster size under the current view.
@@ -221,7 +178,7 @@ type GetResult struct {
 }
 
 // Put writes value to key through the key's primary coordinator. When a
-// node is unreachable or answers a routing-level 502/503 (crashed node,
+// node is unreachable or answers a retryable unavailability (crashed node,
 // dead forward hop), the write falls through the rest of the key's ring
 // order — paired with the server's sloppy quorums this makes a single
 // node crash invisible to writers. A coordinator's own "write quorum not
@@ -236,7 +193,7 @@ func (c *Client) Put(key, value string) (PutResult, error) {
 // commits at the same W quorum, and replicates through hinted handoff and
 // anti-entropy, so a stale replica cannot resurrect the key later. The
 // routing and retry discipline is exactly Put's: unreachable nodes and
-// routing-level 502/503s fall through the key's ring order, a
+// routing-level unavailability fall through the key's ring order, a
 // coordinator's own quorum failure is final.
 func (c *Client) Delete(key string) (PutResult, error) {
 	return c.write(key, "", true)
@@ -270,8 +227,9 @@ func (c *Client) write(key, value string, tombstone bool) (PutResult, error) {
 }
 
 // Get reads key through a round-robin coordinator. A coordinator that is
-// unreachable or answers 502/503 is skipped for the next in rotation, so a
-// crashed node degrades read spread, not read availability.
+// unreachable or answers a retryable unavailability is skipped for the
+// next in rotation, so a crashed node degrades read spread, not read
+// availability.
 func (c *Client) Get(key string) (GetResult, error) {
 	var lastErr error
 	// One draw from the shared round-robin counter, then a deterministic
@@ -302,11 +260,7 @@ func (e *retryableError) Unwrap() error { return e.err }
 
 func isRetryable(err error) bool {
 	var re *retryableError
-	if errors.As(err, &re) {
-		return true
-	}
-	var ue *url.Error
-	return errors.As(err, &ue) // transport-level failure (conn refused, reset)
+	return errors.As(err, &re)
 }
 
 // GetVia reads key through a specific coordinator (sticky sessions,
@@ -505,11 +459,11 @@ func (c *Client) MPut(ops []PutOp) ([]PutOutcome, error) {
 	return outs, nil
 }
 
-// WARSSamples fetches every node's measured WARS leg samples (GET /wars)
-// and pools them: the cluster-wide empirical W/A/R/S distributions the
-// tuner fits online (Section 6's dynamic configuration). Unreachable
-// nodes (crashed replicas answer 503) are skipped, so the tuning loop
-// keeps running on the survivors' measurements during an outage; an
+// WARSSamples fetches every node's measured WARS leg samples and pools
+// them: the cluster-wide empirical W/A/R/S distributions the tuner fits
+// online (Section 6's dynamic configuration). Unreachable nodes (crashed
+// replicas refuse client frames) are skipped, so the tuning loop keeps
+// running on the survivors' measurements during an outage; an
 // error is returned only when no node answers.
 func (c *Client) WARSSamples() (w, a, r, s []float64, err error) {
 	var lastErr error
@@ -533,7 +487,7 @@ func (c *Client) WARSSamples() (w, a, r, s []float64, err error) {
 }
 
 // ClusterStats sums the counters of every reachable node (crashed
-// replicas answer 503 and are skipped) — the client-side view of
+// replicas refuse client frames and are skipped) — the client-side view of
 // Cluster.Stats, including the sloppy-quorum surface (failover writes,
 // spare writes, pending/restored hints). An error is returned only when no
 // node answers.

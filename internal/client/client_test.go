@@ -19,7 +19,7 @@ func startCluster(t *testing.T, nodes int, p server.Params) (*server.Cluster, *C
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Close)
-	c, err := Dial(cl.HTTPAddrs[0])
+	c, err := DialBinary(cl.HTTPAddrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ type LoadOptions struct {
 	// Pipeline is how many requests each worker keeps in flight at once
 	// (default 1, the strict closed loop). Higher values model clients
 	// that pipeline writes instead of waiting out each round trip: the
-	// generator issues K concurrent HTTP requests per worker session, so
+	// generator issues K concurrent requests per worker session, so
 	// total in-flight concurrency is Clients × Pipeline.
 	Pipeline int
 	// Rate is the target aggregate throughput in operations per second.

@@ -19,7 +19,7 @@ func TestClientRefreshesRingView(t *testing.T) {
 	}
 	defer cl.Close()
 
-	c, err := Dial(cl.HTTPAddrs[0])
+	c, err := DialBinary(cl.HTTPAddrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}

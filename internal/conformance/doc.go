@@ -1,8 +1,8 @@
 // Package conformance holds the end-to-end conformance suite for the live
 // networked PBS store: tests that boot a real multi-replica cluster over
 // loopback (internal/server), drive tens of thousands of operations
-// through the HTTP client and load generator (internal/client), and
-// assert that the staleness and latency the live system measures agree
+// through the binary-protocol client and load generator (internal/client),
+// and assert that the staleness and latency the live system measures agree
 // with the wars.SimulateBatch predictions — the live-system analogue of
 // internal/experiments/validation.go, which validates the predictor
 // against the discrete-event store only.

@@ -154,7 +154,7 @@ func TestFaultRecoveryConformance(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cl.Close()
-		c, err := client.Dial(cl.HTTPAddrs[0])
+		c, err := client.DialBinary(cl.HTTPAddrs[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +195,7 @@ func TestFaultRecoveryConformance(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cl.Close()
-		c, err := client.Dial(cl.HTTPAddrs[0])
+		c, err := client.DialBinary(cl.HTTPAddrs[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +292,7 @@ func TestTunerConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	c, err := client.Dial(cl.HTTPAddrs[0])
+	c, err := client.DialBinary(cl.HTTPAddrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestTunerConformance(t *testing.T) {
 	if r, w := cl.Quorums(); r != rec.Choice.R || w != rec.Choice.W {
 		t.Fatalf("cluster quorums (%d, %d) after apply, want (%d, %d)", r, w, rec.Choice.R, rec.Choice.W)
 	}
-	c2, err := client.Dial(cl.HTTPAddrs[1])
+	c2, err := client.DialBinary(cl.HTTPAddrs[1])
 	if err != nil {
 		t.Fatal(err)
 	}

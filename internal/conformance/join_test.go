@@ -36,7 +36,7 @@ func TestJoinConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	c, err := client.Dial(cl.HTTPAddrs[0])
+	c, err := client.DialBinary(cl.HTTPAddrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}

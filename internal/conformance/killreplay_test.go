@@ -26,7 +26,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -172,49 +171,35 @@ func krStart(t *testing.T, ctx context.Context, bin string, cleanup bool, args .
 	}
 }
 
-// krKV is the subset of the PUT/GET/DELETE payloads the scenarios need.
+// krKV is the subset of the put/get/delete answers the scenarios need.
 type krKV struct {
-	Seq   uint64 `json:"seq"`
-	Found bool   `json:"found"`
-	Value string `json:"value"`
+	Seq   uint64
+	Found bool
+	Value string
 }
 
-func krDo(req *http.Request) (krKV, error) {
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return krKV{}, err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return krKV{}, fmt.Errorf("%s %s: %s: %s", req.Method, req.URL.Path, resp.Status, body)
-	}
-	var kv krKV
-	return kv, json.Unmarshal(body, &kv)
+// krPut, krDelete and krGet drive one node directly over the binary client
+// protocol at its internal address — the scenarios pin which process
+// coordinates.
+func krPut(addr, key, value string) (krKV, error) {
+	bc := server.NewBinClient(addr)
+	defer bc.Close()
+	pr, _, err := bc.Put(key, value)
+	return krKV{Seq: pr.Seq}, err
 }
 
-func krPut(base, key, value string) (krKV, error) {
-	req, err := http.NewRequest(http.MethodPut, base+"/kv/"+key, strings.NewReader(value))
-	if err != nil {
-		return krKV{}, err
-	}
-	return krDo(req)
+func krDelete(addr, key string) (krKV, error) {
+	bc := server.NewBinClient(addr)
+	defer bc.Close()
+	pr, _, err := bc.Delete(key)
+	return krKV{Seq: pr.Seq}, err
 }
 
-func krDelete(base, key string) (krKV, error) {
-	req, err := http.NewRequest(http.MethodDelete, base+"/kv/"+key, nil)
-	if err != nil {
-		return krKV{}, err
-	}
-	return krDo(req)
-}
-
-func krGet(base, key string) (krKV, error) {
-	req, err := http.NewRequest(http.MethodGet, base+"/kv/"+key, nil)
-	if err != nil {
-		return krKV{}, err
-	}
-	return krDo(req)
+func krGet(addr, key string) (krKV, error) {
+	bc := server.NewBinClient(addr)
+	defer bc.Close()
+	gr, _, err := bc.Get(key)
+	return krKV{Seq: gr.Seq, Found: gr.Found, Value: gr.Value}, err
 }
 
 func krStats(t *testing.T, base string) server.StatsResponse {
@@ -290,9 +275,9 @@ func TestKillReplayDurability(t *testing.T) {
 				var err error
 				del := i%7 == 6
 				if del {
-					kv, err = krDelete(p.httpAddr, key)
+					kv, err = krDelete(p.internal, key)
 				} else {
-					kv, err = krPut(p.httpAddr, key, fmt.Sprintf("v-%d-%d", w, i))
+					kv, err = krPut(p.internal, key, fmt.Sprintf("v-%d-%d", w, i))
 				}
 				if err != nil {
 					continue // post-kill refusals; only acks count
@@ -322,7 +307,7 @@ func TestKillReplayDurability(t *testing.T) {
 
 	lost := 0
 	for key, ack := range acked {
-		kv, err := krGet(p2.httpAddr, key)
+		kv, err := krGet(p2.internal, key)
 		if err != nil {
 			t.Fatalf("read-back of %s: %v", key, err)
 		}
@@ -376,7 +361,7 @@ func TestKillReplayConverge(t *testing.T) {
 	victim := krStart(t, ctx, bin, false, victimArgs...)
 	victimID := victim.id
 
-	c, err := client.Dial(seed.httpAddr)
+	c, err := client.DialBinary(seed.httpAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +430,7 @@ func TestKillReplayConverge(t *testing.T) {
 		stop    = make(chan struct{})
 		churnWG sync.WaitGroup
 	)
-	bases := []string{seed.httpAddr, j1.httpAddr}
+	addrs := []string{seed.internal, j1.internal}
 	for w := 0; w < 2; w++ {
 		churnWG.Add(1)
 		go func(w int) {
@@ -457,7 +442,7 @@ func TestKillReplayConverge(t *testing.T) {
 				default:
 				}
 				key := fmt.Sprintf("krw-%d-%d", w, i%16)
-				kv, err := krPut(bases[w], key, fmt.Sprintf("c-%d-%d", w, i))
+				kv, err := krPut(addrs[w], key, fmt.Sprintf("c-%d-%d", w, i))
 				if err == nil {
 					mu.Lock()
 					if kv.Seq > acked[key].seq {
@@ -508,18 +493,18 @@ func TestKillReplayConverge(t *testing.T) {
 		snapshot[k] = a
 	}
 	mu.Unlock()
-	allBases := []string{seed.httpAddr, j1.httpAddr, restarted.httpAddr}
+	allAddrs := []string{seed.internal, j1.internal, restarted.internal}
 	convergeDeadline := time.Now().Add(30 * time.Second)
 	for {
 		behind := 0
 		var lastErr error
 		for key, ack := range snapshot {
-			targets := allBases
+			targets := allAddrs
 			if !ack.del {
-				targets = allBases[2:3] // puts: through the restarted coordinator
+				targets = allAddrs[2:3] // puts: through the restarted coordinator
 			}
-			for _, base := range targets {
-				kv, err := krGet(base, key)
+			for _, addr := range targets {
+				kv, err := krGet(addr, key)
 				if err != nil {
 					behind++
 					lastErr = err

@@ -15,12 +15,8 @@ package conformance
 //     races") must not resurface as an error.
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net"
-	"net/http"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -28,45 +24,27 @@ import (
 	"pbs/internal/server"
 )
 
-// httpPut / httpGet drive one node's public API directly (the membership
-// scenarios pin *which* node coordinates, so the ring-aware client would
-// get in the way).
-func httpPut(t *testing.T, base, key, value string) server.PutResponse {
+// nodePut / nodeGet drive one node directly over the binary client
+// protocol (the membership scenarios pin *which* node coordinates, so the
+// ring-aware client would get in the way).
+func nodePut(t *testing.T, n *server.Node, key, value string) server.PutResponse {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPut, base+"/kv/"+key, strings.NewReader(value))
+	bc := server.NewBinClient(n.InternalAddr())
+	defer bc.Close()
+	pr, _, err := bc.Put(key, value)
 	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("PUT %s: %s: %s", key, resp.Status, body)
-	}
-	var pr server.PutResponse
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-		t.Fatal(err)
+		t.Fatalf("PUT %s: %v", key, err)
 	}
 	return pr
 }
 
-func httpGet(t *testing.T, base, key string) server.GetResponse {
+func nodeGet(t *testing.T, n *server.Node, key string) server.GetResponse {
 	t.Helper()
-	resp, err := http.Get(base + "/kv/" + key)
+	bc := server.NewBinClient(n.InternalAddr())
+	defer bc.Close()
+	gr, _, err := bc.Get(key)
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("GET %s: %s: %s", key, resp.Status, body)
-	}
-	var gr server.GetResponse
-	if err := json.NewDecoder(resp.Body).Decode(&gr); err != nil {
-		t.Fatal(err)
+		t.Fatalf("GET %s: %v", key, err)
 	}
 	return gr
 }
@@ -94,7 +72,7 @@ func TestPartitionHealConformance(t *testing.T) {
 	defer c.Close()
 
 	for i := 0; i < 40; i++ {
-		httpPut(t, c.HTTPAddrs[i%4], fmt.Sprintf("part-%d", i), "v")
+		nodePut(t, c.Nodes[i%4], fmt.Sprintf("part-%d", i), "v")
 	}
 
 	// Cut node 3 off, then run a full join: the configuration at the next
@@ -129,8 +107,8 @@ func TestPartitionHealConformance(t *testing.T) {
 	}
 
 	// The healed member serves correctly under the new ring.
-	pr := httpPut(t, c.HTTPAddrs[3], "part-after-heal", "x")
-	if gr := httpGet(t, c.HTTPAddrs[0], "part-after-heal"); gr.Seq != pr.Seq || gr.Value != "x" {
+	pr := nodePut(t, c.Nodes[3], "part-after-heal", "x")
+	if gr := nodeGet(t, c.Nodes[0], "part-after-heal"); gr.Seq != pr.Seq || gr.Value != "x" {
 		t.Fatalf("read-after-heal %+v, want seq %d", gr, pr.Seq)
 	}
 }
@@ -205,8 +183,8 @@ func TestConcurrentJoinConformance(t *testing.T) {
 	// readable cluster-wide.
 	for i, r := range results {
 		key := fmt.Sprintf("conc-join-%d", i)
-		pr := httpPut(t, r.node.HTTPAddr(), key, "v")
-		if gr := httpGet(t, c.HTTPAddrs[0], key); gr.Seq != pr.Seq {
+		pr := nodePut(t, r.node, key, "v")
+		if gr := nodeGet(t, c.Nodes[0], key); gr.Seq != pr.Seq {
 			t.Fatalf("write through joiner %d read back %+v, want seq %d", i, gr, pr.Seq)
 		}
 	}

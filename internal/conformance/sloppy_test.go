@@ -67,7 +67,7 @@ func TestSloppyQuorumFailoverConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	c, err := client.Dial(cl.HTTPAddrs[0])
+	c, err := client.DialBinary(cl.HTTPAddrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestDurableHintsSurviveRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1, err := client.Dial(cl1.HTTPAddrs[0])
+	c1, err := client.DialBinary(cl1.HTTPAddrs[0])
 	if err != nil {
 		cl1.Close()
 		t.Fatal(err)
@@ -173,6 +173,13 @@ func TestDurableHintsSurviveRestart(t *testing.T) {
 	keys := victimKeys(t, nodes, cl1.Params.Vnodes, victim, 64, "dur-")
 	cl1.Faults().Crash(victim)
 	writeAll(t, c1, keys)
+	// A write is acked at W while its leg to the crashed replica may still
+	// be buffering the hint (a durable log append), so let the legs settle
+	// before snapshotting the count the restart must restore.
+	settle := time.Now().Add(5 * time.Second)
+	for cl1.HintsPending() < len(keys) && time.Now().Before(settle) {
+		time.Sleep(10 * time.Millisecond)
+	}
 	pendingBefore := cl1.HintsPending()
 	if pendingBefore < len(keys) {
 		t.Fatalf("%d hints pending for %d missed writes", pendingBefore, len(keys))

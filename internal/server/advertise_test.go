@@ -93,8 +93,8 @@ func TestAdvertiseFlagReachesRing(t *testing.T) {
 	if joiner.Membership().Size() != 2 {
 		t.Fatalf("joiner sees %d members, want 2", joiner.Membership().Size())
 	}
-	httpPut(t, seed.HTTPAddr(), "adv-key", "v1")
-	if gr := httpGet(t, joiner.HTTPAddr(), "adv-key"); !gr.Found || gr.Value != "v1" {
+	binPut(t, seed, "adv-key", "v1")
+	if gr := binGet(t, joiner, "adv-key"); !gr.Found || gr.Value != "v1" {
 		t.Fatalf("read through joiner %+v", gr)
 	}
 }

@@ -14,8 +14,6 @@ package server
 // twin.
 
 import (
-	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,11 +22,11 @@ import (
 	"pbs/internal/vclock"
 )
 
-// maxBatchOps bounds one client batch (both frames and the HTTP shim).
+// maxBatchOps bounds one client batch.
 const maxBatchOps = 4096
 
 // remoteWriteConcurrency bounds the concurrent routed writes for batch keys
-// another node coordinates. Wide enough to overlap their proxy hops,
+// another node coordinates. Wide enough to overlap their forward hops,
 // narrow enough not to stampede the transport.
 const remoteWriteConcurrency = 32
 
@@ -190,7 +188,7 @@ func (n *Node) coordinateMGet(keys []string) []batchGetOut {
 // order, each with its own verdict. Keys this node coordinates fan out on
 // grouped multi-key legs where they can; keys owned elsewhere (a client
 // raced a ring change) take the single-key routing path — including the
-// proxy hop — so correctness never depends on the client's grouping being
+// forward hop — so correctness never depends on the client's grouping being
 // current.
 func (n *Node) coordinateMPut(ops []BatchPutOp) []batchPutOut {
 	outs := make([]batchPutOut, len(ops))
@@ -201,11 +199,7 @@ func (n *Node) coordinateMPut(ops []BatchPutOp) []batchPutOut {
 			continue
 		}
 		if len(op.Value) > maxValueBytes {
-			outs[i].oe = &opError{
-				status: http.StatusRequestEntityTooLarge,
-				code:   CodeBadRequest,
-				msg:    "server: value exceeds 1 MiB",
-			}
+			outs[i].oe = errBadRequest(errValueTooLarge)
 			continue
 		}
 		todo = append(todo, i)
@@ -296,43 +290,4 @@ func (n *Node) coordinateMPut(ops []BatchPutOp) []batchPutOut {
 	}
 	remoteWG.Wait()
 	return outs
-}
-
-// --- HTTP compatibility shim --------------------------------------------
-
-// BatchGetHTTPResult is one key's entry in the GET /kv?keys=... response:
-// the GetResponse on success, or the same typed verdict the binary
-// protocol carries (Code per clientproto.go, retryability included).
-type BatchGetHTTPResult struct {
-	GetResponse
-	Error string `json:"error,omitempty"`
-	Code  byte   `json:"code,omitempty"`
-}
-
-// handleMGet is the HTTP front end of coordinateMGet: GET /kv?keys=a,b,c
-// answers a JSON array with one entry per requested key, in request
-// order. Keys containing commas cannot ride this shim (the client library
-// falls back to single-key GETs for those); the binary frames have no
-// such restriction.
-func (n *Node) handleMGet(w http.ResponseWriter, req *http.Request) {
-	raw := req.URL.Query().Get("keys")
-	if raw == "" {
-		http.Error(w, "server: missing keys parameter", http.StatusBadRequest)
-		return
-	}
-	keys := strings.Split(raw, ",")
-	if len(keys) > maxBatchOps {
-		http.Error(w, "server: batch too large", http.StatusBadRequest)
-		return
-	}
-	outs := n.coordinateMGet(keys)
-	items := make([]BatchGetHTTPResult, len(outs))
-	for i, out := range outs {
-		if out.oe != nil {
-			items[i] = BatchGetHTTPResult{Error: out.oe.msg, Code: out.oe.code}
-		} else {
-			items[i] = BatchGetHTTPResult{GetResponse: out.gr}
-		}
-	}
-	writeJSON(w, items)
 }

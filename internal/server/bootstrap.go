@@ -128,10 +128,7 @@ func newNode(id int, p Params, faults *Faults, seeds *rng.RNG) (*Node, error) {
 		live:         newLiveness(),
 		pendingJoins: make(map[string]int),
 		stop:         make(chan struct{}),
-		proxyClient: &http.Client{
-			Transport: &http.Transport{MaxIdleConnsPerHost: 64},
-			Timeout:   30 * time.Second,
-		},
+		accepted:     make(map[net.Conn]struct{}),
 	}
 	n.rq.Store(int32(p.R))
 	n.wq.Store(int32(p.W))
@@ -177,7 +174,8 @@ func (n *Node) start(httpLn, internalLn net.Listener) {
 }
 
 // Close tears the node down: background services, HTTP server, internal
-// listener, hint log, and pooled peer connections. Idempotent.
+// listener and every connection it accepted, hint log, and pooled peer
+// connections. Idempotent.
 func (n *Node) Close() {
 	n.closeOnce.Do(func() {
 		n.closed.Store(true)
@@ -187,6 +185,13 @@ func (n *Node) Close() {
 		}
 		if n.internalLn != nil {
 			n.internalLn.Close()
+		}
+		n.acceptedMu.Lock()
+		conns := n.accepted
+		n.accepted = nil
+		n.acceptedMu.Unlock()
+		for c := range conns {
+			c.Close()
 		}
 		if n.handoff != nil {
 			n.handoff.closeLog()
@@ -201,7 +206,7 @@ func (n *Node) Close() {
 // ID returns the node's member ID.
 func (n *Node) ID() int { return n.id }
 
-// HTTPAddr returns the node's public base URL.
+// HTTPAddr returns the base URL of the node's HTTP admin surface.
 func (n *Node) HTTPAddr() string { return n.selfHTTP }
 
 // InternalAddr returns the node's replication-transport address.

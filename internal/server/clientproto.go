@@ -1,23 +1,24 @@
 package server
 
-// Binary client protocol: the tagged-frame v2 mux transport extended from
-// peer-to-peer to client-to-server. A client opens a TCP connection to a
-// node's internal address, sends a v1 opClientHello frame carrying the
-// protocol version it speaks, and — on an accepting reply — the connection
-// upgrades to tagged framing (tag|id|len|payload) with pipelined
-// PUT/GET/DELETE/config/stats/WARS requests multiplexed over it, exactly
-// the machinery peers use (mux.go). Server-side, client ops dispatch into
-// the same coordinator entry points the HTTP handlers call (routeWriteOp,
-// coordinateGetOp, configLocal, statsLocal), so both front ends share one
-// code path and one set of quorum semantics.
+// Binary client protocol: the store's one client protocol, on the
+// tagged-frame v2 mux transport extended from peer-to-peer to
+// client-to-server. A client opens a TCP connection to a node's internal
+// address, sends a v1 opClientHello frame carrying the protocol version it
+// speaks, and — on an accepting reply — the connection upgrades to tagged
+// framing (tag|id|len|payload) with pipelined PUT/GET/DELETE/batch/config/
+// stats/WARS requests multiplexed over it, exactly the machinery peers use
+// (mux.go). Server-side, client ops dispatch into the coordinator entry
+// points (routeWriteOp, coordinateGetOp, coordinateMPut/MGet, configLocal,
+// statsLocal). A node forwarding a write to the key's coordinator speaks
+// this protocol too (peer.ForwardWrite), tagging the frame with its ring
+// epoch.
 //
-// Every response payload is prefixed with the responding node's ring epoch
-// (the binary analogue of the X-Pbs-Ring-Epoch header): clients compare it
-// against their cached view and re-fetch membership on a bump. Error
-// responses carry a one-byte code so clients can distinguish retryable
-// routing-level unavailability (CodeUnavailable — the 502/503 analogue)
-// from final quorum verdicts (CodeQuorumFailed — "quorum not reached" is
-// an answer, not an outage) and malformed requests (CodeBadRequest).
+// Every response payload is prefixed with the responding node's ring epoch:
+// clients compare it against their cached view and re-fetch membership on
+// a bump. Error responses carry a one-byte code so clients can distinguish
+// retryable routing-level unavailability (CodeUnavailable) from final
+// quorum verdicts (CodeQuorumFailed — "quorum not reached" is an answer,
+// not an outage) and malformed requests (CodeBadRequest).
 
 import (
 	"bufio"
@@ -27,7 +28,6 @@ import (
 	"fmt"
 	"math"
 	"net"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,8 +41,8 @@ const clientProtoVersion = 1
 // Client-facing ops live above the peer op range (opMuxHello = 12).
 const (
 	opClientHello  = 13 // v1 frame: upgrade this connection to the client protocol
-	opClientPut    = 14 // key string16 | value string32
-	opClientDelete = 15 // key string16
+	opClientPut    = 14 // key string16 | value string32 [| fwdEpoch u64]
+	opClientDelete = 15 // key string16 [| fwdEpoch u64]
 	opClientGet    = 16 // key string16
 	opClientConfig = 17 // empty
 	opClientStats  = 18 // empty
@@ -82,11 +82,41 @@ type ClientError struct {
 
 func (e *ClientError) Error() string { return e.Msg }
 
-// Retryable reports whether another node might answer differently — the
-// binary analogue of the HTTP client's 502/503-minus-quorum-verdict rule.
+// Retryable reports whether another node might answer differently:
+// routing-level unavailability is, quorum verdicts and bad requests are
+// final.
 func (e *ClientError) Retryable() bool { return e.Code == CodeUnavailable }
 
 // --- wire codecs ----------------------------------------------------------
+
+// appendClientWrite encodes an opClientPut (or, for a tombstone,
+// opClientDelete) request. A nonzero fwdEpoch marks the write as forwarded
+// by a node whose ring view is at that epoch; ordinary client writes omit
+// the field.
+func appendClientWrite(b []byte, key, value string, tombstone bool, fwdEpoch uint64) []byte {
+	b = appendString16(b, key)
+	if !tombstone {
+		b = appendString32(b, value)
+	}
+	if fwdEpoch != 0 {
+		b = binary.BigEndian.AppendUint64(b, fwdEpoch)
+	}
+	return b
+}
+
+// decodeClientWrite parses appendClientWrite's payload; ok is false on a
+// truncated or over-long frame.
+func decodeClientWrite(payload []byte, tombstone bool) (key, value string, fwdEpoch uint64, ok bool) {
+	d := &decoder{b: payload}
+	key = d.string16()
+	if !tombstone {
+		value = d.string32()
+	}
+	if len(d.b) == 8 {
+		fwdEpoch = d.u64()
+	}
+	return key, value, fwdEpoch, d.err == nil && len(d.b) == 0
+}
 
 func appendClientError(b []byte, epoch uint64, code byte, msg string) []byte {
 	b = binary.BigEndian.AppendUint64(b, epoch)
@@ -337,15 +367,14 @@ func clientOp(op byte) bool { return op >= opClientPut && op <= opClientMGet }
 
 // handleClientOp serves one client-protocol request. It runs on the mux
 // worker pool (client ops block on quorums, so they never run inline in
-// the reader loop) and routes into the same coordinator entry points the
-// HTTP handlers use. buf is the pooled response scratch from serveMux.
+// the reader loop). buf is the pooled response scratch from serveMux.
 func (n *Node) handleClientOp(op byte, payload, buf []byte) (byte, []byte) {
 	epoch := n.RingEpoch()
 	fail := func(oe *opError) (byte, []byte) {
 		return statusClientErr, appendClientError(buf[:0], epoch, oe.code, oe.msg)
 	}
-	// A crashed or partitioned replica refuses client traffic just as the
-	// HTTP front end does (503), but as a typed retryable frame.
+	// A crashed or partitioned replica refuses client traffic with a typed
+	// retryable frame.
 	if n.faults.Down(n.id) {
 		return fail(errUnavailable(ErrReplicaDown.Error()))
 	}
@@ -355,19 +384,14 @@ func (n *Node) handleClientOp(op byte, payload, buf []byte) (byte, []byte) {
 	d := &decoder{b: payload}
 	switch op {
 	case opClientPut, opClientDelete:
-		tombstone := op == opClientDelete
-		key := d.string16()
-		var value string
-		if !tombstone {
-			value = d.string32()
-		}
-		if d.err != nil || key == "" {
+		key, value, fwdEpoch, ok := decodeClientWrite(payload, op == opClientDelete)
+		if !ok || key == "" {
 			return fail(errBadRequest("server: malformed client request"))
 		}
 		if len(value) > maxValueBytes {
-			return fail(&opError{status: http.StatusRequestEntityTooLarge, code: CodeBadRequest, msg: "server: value exceeds 1 MiB"})
+			return fail(errBadRequest(errValueTooLarge))
 		}
-		pr, oe := n.routeWriteOp(key, value, tombstone, 0)
+		pr, oe := n.routeWriteOp(key, value, op == opClientDelete, fwdEpoch)
 		if oe != nil {
 			return fail(oe)
 		}
@@ -411,7 +435,8 @@ func (n *Node) handleClientOp(op byte, payload, buf []byte) (byte, []byte) {
 
 // clientJSON answers a cold-path client op (config/stats/WARS) with an
 // epoch-prefixed JSON body — these are off the hot path, so reflection
-// cost is fine and the response types stay shared with the HTTP API.
+// cost is fine and the response types stay shared with the HTTP admin
+// surface.
 func clientJSON(epoch uint64, buf []byte, v any) (byte, []byte) {
 	enc, err := json.Marshal(v)
 	if err != nil {
@@ -521,25 +546,23 @@ func (bc *BinClient) do(op byte, sizeHint int, enc func(b []byte) []byte) (byte,
 // Put writes key=value through the node's coordinator. The returned epoch
 // is the node's ring epoch at response time (0 only on transport errors).
 func (bc *BinClient) Put(key, value string) (PutResponse, uint64, error) {
-	st, resp, err := bc.do(opClientPut, 2+len(key)+4+len(value), func(b []byte) []byte {
-		return appendString32(appendString16(b, key), value)
-	})
-	if err != nil {
-		return PutResponse{}, 0, err
-	}
-	defer putBuf(resp)
-	epoch, body, err := decodeClientFrame(st, resp)
-	if err != nil {
-		return PutResponse{}, epoch, err
-	}
-	pr, err := decodeClientPutBody(body)
-	return pr, epoch, err
+	return bc.write(key, value, false, 0)
 }
 
 // Delete writes a tombstone for key.
 func (bc *BinClient) Delete(key string) (PutResponse, uint64, error) {
-	st, resp, err := bc.do(opClientDelete, 2+len(key), func(b []byte) []byte {
-		return appendString16(b, key)
+	return bc.write(key, "", true, 0)
+}
+
+// write sends one put or delete frame. A nonzero fwdEpoch marks the write
+// as forwarded by a node whose ring view is at that epoch (ForwardWrite).
+func (bc *BinClient) write(key, value string, tombstone bool, fwdEpoch uint64) (PutResponse, uint64, error) {
+	op := byte(opClientPut)
+	if tombstone {
+		op = opClientDelete
+	}
+	st, resp, err := bc.do(op, 2+len(key)+4+len(value)+8, func(b []byte) []byte {
+		return appendClientWrite(b, key, value, tombstone, fwdEpoch)
 	})
 	if err != nil {
 		return PutResponse{}, 0, err

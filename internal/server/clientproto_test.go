@@ -10,6 +10,7 @@ package server
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -235,6 +236,36 @@ func TestBinClientRedialsAfterTeardown(t *testing.T) {
 	for i := 0; i < 2*binConnsPerNode; i++ {
 		if gr, _, err := bc.Get("k"); err != nil || !gr.Found {
 			t.Fatalf("get %d after teardown: found=%v err=%v", i, gr.Found, err)
+		}
+	}
+}
+
+// TestClosedNodeCutsClientConnections: closing a node cuts the client
+// connections it accepted, so a client holding one sees a transport
+// failure (which its routing treats as retryable and walks past) rather
+// than the closed node answering with a quorum verdict it reached with its
+// peer connections already torn down.
+func TestClosedNodeCutsClientConnections(t *testing.T) {
+	c, err := StartLocal(3, Params{N: 3, R: 2, W: 2, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	bc := NewBinClient(c.Nodes[0].selfInternal)
+	defer bc.Close()
+
+	if _, _, err := bc.Put("k", "v1"); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	c.Nodes[0].Close()
+	for i := 0; i < 2*binConnsPerNode; i++ {
+		_, _, err := bc.Get("k")
+		if err == nil {
+			t.Fatalf("get %d: a closed node answered", i)
+		}
+		var ce *ClientError
+		if errors.As(err, &ce) {
+			t.Fatalf("get %d: closed node answered %v, want its connection cut", i, err)
 		}
 	}
 }

@@ -1,15 +1,17 @@
 package server
 
 // Cluster bootstrap: StartLocal launches an n-node cluster on loopback —
-// every node gets a public HTTP listener (the key-value API) and an
-// internal TCP listener (replication transport), all on 127.0.0.1 with
+// every node gets an HTTP listener (the admin surface: /config, /stats,
+// /wars, /healthz) and an internal TCP listener (the binary client
+// protocol and the replication transport), all on 127.0.0.1 with
 // OS-assigned ports. This is the harness behind cmd/pbs-serve and the
 // end-to-end conformance suite; a production deployment runs one Node per
 // machine with the same wiring (cmd/pbs-serve's single-node mode plus
 // -join — see bootstrap.go).
 //
-// Every cluster carries a shared fault controller (faults.go): all
-// coordinator fan-out is threaded through fault-wrapped Peers, so crashes,
+// Every cluster carries a shared fault controller (faults.go): every
+// node-to-node hop — write forwarding and coordinator fan-out included — is
+// threaded through fault-wrapped Peers, so crashes,
 // pauses, drops and delays can be injected at runtime — and the recovery
 // subsystems (hinted handoff, Merkle anti-entropy) exercised — without
 // touching the transport.
@@ -35,7 +37,7 @@ import (
 type Cluster struct {
 	Params Params
 	Nodes  []*Node
-	// HTTPAddrs are the public base URLs ("http://127.0.0.1:port") of the
+	// HTTPAddrs are the HTTP admin base URLs ("http://127.0.0.1:port") of the
 	// current members, in join order.
 	HTTPAddrs []string
 

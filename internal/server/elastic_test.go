@@ -5,10 +5,7 @@ package server
 // hint-log fsync policies.
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,7 +29,7 @@ func TestJoinStreamsRangesAndFlips(t *testing.T) {
 
 	const keys = 120
 	for i := 0; i < keys; i++ {
-		httpPut(t, c.HTTPAddrs[i%3], fmt.Sprintf("pre-%d", i), fmt.Sprintf("v%d", i))
+		binPut(t, c.Nodes[i%3], fmt.Sprintf("pre-%d", i), fmt.Sprintf("v%d", i))
 	}
 
 	startEpoch := c.Membership().Epoch()
@@ -78,8 +75,8 @@ func TestJoinStreamsRangesAndFlips(t *testing.T) {
 	}
 
 	// The joiner serves as a full coordinator: reads and writes through it.
-	pr := httpPut(t, n3.HTTPAddr(), "post-join", "x")
-	if gr := httpGet(t, c.HTTPAddrs[0], "post-join"); gr.Seq != pr.Seq || gr.Value != "x" {
+	pr := binPut(t, n3, "post-join", "x")
+	if gr := binGet(t, c.Nodes[0], "post-join"); gr.Seq != pr.Seq || gr.Value != "x" {
 		t.Fatalf("write through joiner read back %+v, want seq %d", gr, pr.Seq)
 	}
 }
@@ -99,8 +96,8 @@ func TestJoinUnderLoadLosesNoAcknowledgedWrite(t *testing.T) {
 		writers       = 4
 		keysPerWriter = 40
 	)
-	// AddNode mutates c.HTTPAddrs; workers use a pre-join copy.
-	bases := append([]string(nil), c.HTTPAddrs...)
+	// AddNode mutates c.Nodes; workers use a pre-join copy.
+	nodes := append([]*Node(nil), c.Nodes...)
 	acked := make([]map[string]uint64, writers)
 	var writeErrs atomic.Int64
 	stop := make(chan struct{})
@@ -110,6 +107,8 @@ func TestJoinUnderLoadLosesNoAcknowledgedWrite(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			bc := NewBinClient(nodes[w%3].InternalAddr())
+			defer bc.Close()
 			i := 0
 			for {
 				select {
@@ -118,7 +117,7 @@ func TestJoinUnderLoadLosesNoAcknowledgedWrite(t *testing.T) {
 				default:
 				}
 				key := fmt.Sprintf("load-%d-%d", w, i%keysPerWriter)
-				pr, err := httpPutErr(bases[w%3], key, fmt.Sprintf("v-%d", i))
+				pr, _, err := bc.Put(key, fmt.Sprintf("v-%d", i))
 				if err != nil {
 					writeErrs.Add(1)
 				} else if pr.Seq > acked[w][key] {
@@ -145,7 +144,7 @@ func TestJoinUnderLoadLosesNoAcknowledgedWrite(t *testing.T) {
 	// the joiner as coordinator, which exercises the streamed state.
 	for w := 0; w < writers; w++ {
 		for key, seq := range acked[w] {
-			gr := httpGet(t, joined.HTTPAddr(), key)
+			gr := binGet(t, joined, key)
 			if !gr.Found || gr.Seq < seq {
 				t.Fatalf("acknowledged write %q seq %d lost after join (read %+v)", key, seq, gr)
 			}
@@ -153,8 +152,6 @@ func TestJoinUnderLoadLosesNoAcknowledgedWrite(t *testing.T) {
 	}
 }
 
-// httpPutErr is httpPut without the test fatality — load generators need
-// to count failures, not abort.
 // TestForwardedWriteFollowsNewerView pins the forwarding rule that keeps
 // writes from failing mid-flip: a forwarded write reaching a node that is
 // not the key's primary is forwarded again when that node's ring view is
@@ -177,55 +174,25 @@ func TestForwardedWriteFollowsNewerView(t *testing.T) {
 			key = k
 		}
 	}
-	put := func(fwd uint64) (int, string) {
-		t.Helper()
-		req, err := http.NewRequest(http.MethodPut, n.HTTPAddr()+"/kv/"+key, strings.NewReader("v"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set(forwardedHeader, fmt.Sprint(fwd))
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, string(body)
+	bc := NewBinClient(n.InternalAddr())
+	defer bc.Close()
+	put := func(fwd uint64) error {
+		_, _, err := bc.write(key, "v", false, fwd)
+		return err
 	}
-	if st, body := put(epoch - 1); st != http.StatusOK {
-		t.Fatalf("write forwarded under an older view: %d %s, want it forwarded on to the primary", st, body)
+	if err := put(epoch - 1); err != nil {
+		t.Fatalf("write forwarded under an older view: %v, want it forwarded on to the primary", err)
 	}
-	if st, body := put(epoch); st != http.StatusInternalServerError || !strings.Contains(body, "forwarding loop") {
-		t.Fatalf("write forwarded under the same view: %d %s, want the forwarding-loop refusal", st, body)
+	if err := put(epoch); clientCode(err) != CodeInternal || !strings.Contains(err.Error(), "forwarding loop") {
+		t.Fatalf("write forwarded under the same view: %v, want the forwarding-loop refusal", err)
 	}
 	start := time.Now()
-	if st, body := put(epoch + 1); st != http.StatusInternalServerError {
-		t.Fatalf("write forwarded under a view that never arrives: %d %s, want a refusal", st, body)
+	if err := put(epoch + 1); clientCode(err) != CodeInternal {
+		t.Fatalf("write forwarded under a view that never arrives: %v, want a refusal", err)
 	}
 	if waited := time.Since(start); waited < 900*time.Millisecond {
 		t.Fatalf("refused a write from a newer view after %v, want a wait for that view first", waited)
 	}
-}
-
-func httpPutErr(base, key, value string) (PutResponse, error) {
-	req, err := http.NewRequest(http.MethodPut, base+"/kv/"+key, strings.NewReader(value))
-	if err != nil {
-		return PutResponse{}, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return PutResponse{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		return PutResponse{}, fmt.Errorf("PUT %s: %s: %s", key, resp.Status, body)
-	}
-	var pr PutResponse
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-		return PutResponse{}, err
-	}
-	return pr, nil
 }
 
 // TestLeaveDrainsRanges removes a member from a populated cluster and
@@ -241,7 +208,7 @@ func TestLeaveDrainsRanges(t *testing.T) {
 	seqs := make(map[string]uint64, keys)
 	for i := 0; i < keys; i++ {
 		key := fmt.Sprintf("drain-%d", i)
-		seqs[key] = httpPut(t, c.HTTPAddrs[i%4], key, "v").Seq
+		seqs[key] = binPut(t, c.Nodes[i%4], key, "v").Seq
 	}
 
 	if err := c.RemoveNode(2); err != nil {
@@ -252,7 +219,7 @@ func TestLeaveDrainsRanges(t *testing.T) {
 		t.Fatalf("membership after leave: %v", m)
 	}
 	for key, seq := range seqs {
-		gr := httpGet(t, c.HTTPAddrs[0], key)
+		gr := binGet(t, c.Nodes[0], key)
 		if !gr.Found || gr.Seq < seq {
 			t.Fatalf("key %q lost after leave (read %+v, want seq >= %d)", key, gr, seq)
 		}
@@ -286,12 +253,12 @@ func TestReadSpareFallback(t *testing.T) {
 	// Crash a non-primary preference replica, then write: W=3 commits via
 	// the spare (write-side behavior, PR 4).
 	c.Faults().Crash(victim)
-	pr := httpPut(t, c.HTTPAddrs[prefs[0]], key, "survives")
+	pr := binPut(t, c.Nodes[prefs[0]], key, "survives")
 
 	// R=3 read with the replica still down: without the read-side
 	// fallback this 503s (only 2 of 3 preference replicas answer); with
 	// it, the spare's response counts toward R.
-	gr := httpGet(t, c.HTTPAddrs[prefs[0]], key)
+	gr := binGet(t, c.Nodes[prefs[0]], key)
 	if gr.Seq != pr.Seq || gr.Value != "survives" {
 		t.Fatalf("spare-fallback read %+v, want seq %d", gr, pr.Seq)
 	}

@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"pbs/internal/kvstore"
+	"pbs/internal/storage"
 )
 
 // legWorkersPerPeer bounds concurrent legs per destination on the worker
@@ -37,13 +38,26 @@ import (
 // without re-creating per-op goroutine churn.
 var legWorkersPerPeer = max(8, min(32, 4*runtime.GOMAXPROCS(0)))
 
-// legQueueCap bounds a peer queue; submissions beyond it spill onto fresh
-// goroutines (never block — a stalled peer must not gate other ops, and a
-// leg RPC is a blocking round trip, so a backlog deeper than the worker
-// pool would just sit in queue adding latency: the cap keeps queue dwell
-// to about one extra round trip, and overload degrades to the pre-mux
-// goroutine-per-leg shape instead of a convoy).
-var legQueueCap = legWorkersPerPeer
+// legWorkers is this node's per-destination pool size, which is also the
+// queue's capacity: submissions beyond it spill onto fresh goroutines
+// (never block — a stalled peer must not gate other ops, and a leg RPC is
+// a blocking round trip, so a backlog deeper than the worker pool would
+// just sit in queue adding latency: the cap keeps queue dwell to about one
+// extra round trip, and overload degrades to the pre-mux goroutine-per-leg
+// shape instead of a convoy).
+//
+// Under fsync=always a write leg holds its worker through the replica's
+// group commit — a whole fsync cycle, not a loopback round trip — so the
+// pool is widened to the batch the replica's WAL can gather (its serving
+// side's muxServerWorkers): behind a narrower pool the queued legs miss
+// the commit in flight and each dwells an extra one. The policy is read
+// from this node's own Params, which a cluster's nodes share.
+func (n *Node) legWorkers() int {
+	if n.params.DataDir != "" && n.params.Fsync == storage.FsyncAlways {
+		return max(legWorkersPerPeer, muxServerWorkers)
+	}
+	return legWorkersPerPeer
+}
 
 type peerQueue struct {
 	mu     sync.Mutex
@@ -89,11 +103,12 @@ func (n *Node) legQueue(id int) *peerQueue {
 	if q, ok := n.legQueues.Load(id); ok {
 		return q.(*peerQueue)
 	}
-	q := &peerQueue{ch: make(chan *legTask, legQueueCap)}
+	workers := n.legWorkers()
+	q := &peerQueue{ch: make(chan *legTask, workers)}
 	if actual, loaded := n.legQueues.LoadOrStore(id, q); loaded {
 		return actual.(*peerQueue)
 	}
-	for i := 0; i < legWorkersPerPeer; i++ {
+	for i := 0; i < workers; i++ {
 		first := i == 0
 		go func() {
 			for {

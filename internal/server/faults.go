@@ -6,7 +6,8 @@ package server
 // crashed. Supported faults:
 //
 //   - crash: the replica is down — internal RPCs to or from it fail fast,
-//     its public HTTP API answers 503, and its background services
+//     it refuses client frames and its HTTP admin surface answers 503,
+//     and its background services
 //     (handoff replay, anti-entropy) idle until recovery.
 //   - pause: the replica stalls (long GC, VM migration) — RPCs toward it
 //     block until resume instead of failing.
@@ -14,9 +15,10 @@ package server
 //   - delay: internal RPCs toward the replica are delayed by a fixed
 //     amount, on top of any injected WARS latency.
 //   - partition: the replica is cut off from every other node — internal
-//     RPCs to and from it fail, control plane included (gossip, pings,
-//     membership pushes), but unlike a crash its process stays up: the
-//     public HTTP surface keeps answering from the stale local view. This
+//     RPCs to and from it fail, control plane and forwarded writes
+//     included (gossip, pings, membership pushes), but unlike a crash its
+//     process stays up: the HTTP admin surface keeps answering from the
+//     stale local view. This
 //     is the "drop rule between one node and the rest" scenario gossip
 //     must heal.
 //
@@ -179,7 +181,7 @@ func (f *Faults) SetDelay(id int, ms float64) {
 
 // Partition cuts the replica off from every other node until Heal: RPCs
 // to and from it — control plane included — fail fast, while its process
-// (public HTTP surface, local state) stays up.
+// (HTTP admin surface, local state) stays up.
 func (f *Faults) Partition(id int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -92,8 +93,9 @@ func TestParseSchedule(t *testing.T) {
 }
 
 // TestCrashedReplicaRefusesService pins the crash semantics end to end:
-// internal RPCs toward the node fail fast, its public HTTP API answers
-// 503, and recovery restores both.
+// internal RPCs toward the node fail fast, it refuses client frames with a
+// retryable unavailability and its HTTP admin surface answers 503, and
+// recovery restores both.
 func TestCrashedReplicaRefusesService(t *testing.T) {
 	c, err := StartLocal(3, Params{N: 3, R: 1, W: 1, Seed: 21})
 	if err != nil {
@@ -102,12 +104,17 @@ func TestCrashedReplicaRefusesService(t *testing.T) {
 	defer c.Close()
 
 	key := keysWithPrimary(t, c, 0, 1, "crash-")[0]
-	httpPut(t, c.HTTPAddrs[0], key, "v1")
+	binPut(t, c.Nodes[0], key, "v1")
 	waitReplicaSeqs(t, c, 2, []string{key}, 1, 3*time.Second)
 
 	c.Faults().Crash(2)
-	// The crashed node's public API refuses.
-	resp, err := http.Get(c.HTTPAddrs[2] + "/kv/" + key)
+	// The crashed node refuses clients and admin scrapes alike.
+	bc := NewBinClient(c.Nodes[2].InternalAddr())
+	defer bc.Close()
+	if _, _, err := bc.Get(key); clientCode(err) != CodeUnavailable {
+		t.Fatalf("crashed node served a client read: %v, want a retryable unavailability", err)
+	}
+	resp, err := http.Get(c.HTTPAddrs[2] + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +125,7 @@ func TestCrashedReplicaRefusesService(t *testing.T) {
 	// Writes keep committing (W=1) but no longer reach the crashed
 	// replica.
 	start := time.Now()
-	pr := httpPut(t, c.HTTPAddrs[0], key, "v2")
+	pr := binPut(t, c.Nodes[0], key, "v2")
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("write took %v with a crashed replica; crash must fail fast", elapsed)
 	}
@@ -131,7 +138,7 @@ func TestCrashedReplicaRefusesService(t *testing.T) {
 	}
 
 	c.Faults().Recover(2)
-	pr = httpPut(t, c.HTTPAddrs[0], key, "v3")
+	pr = binPut(t, c.Nodes[0], key, "v3")
 	waitReplicaSeqs(t, c, 2, []string{key}, pr.Seq, 3*time.Second)
 	if len(c.Faults().Log()) < 2 {
 		t.Error("fault log missing crash/recover events")
@@ -155,7 +162,7 @@ func TestHintedHandoffReplaysMissedWrites(t *testing.T) {
 	keys := keysWithPrimary(t, c, 0, 25, "hh-")
 	c.Faults().Crash(victim)
 	for _, k := range keys {
-		httpPut(t, c.HTTPAddrs[0], k, "v")
+		binPut(t, c.Nodes[0], k, "v")
 	}
 	// Wait for the fan-out stragglers to fail and buffer their hints.
 	deadline := time.Now().Add(3 * time.Second)
@@ -199,7 +206,7 @@ func TestHandoffKeepsNewestVersionPerKey(t *testing.T) {
 	c.Faults().Crash(victim)
 	var last PutResponse
 	for i := 0; i < 10; i++ {
-		last = httpPut(t, c.HTTPAddrs[0], key, fmt.Sprintf("v%d", i))
+		last = binPut(t, c.Nodes[0], key, fmt.Sprintf("v%d", i))
 	}
 	deadline := time.Now().Add(3 * time.Second)
 	for c.HintsPending() != 1 {
@@ -262,7 +269,7 @@ func TestAntiEntropyRepairsCrashWithoutHandoff(t *testing.T) {
 	keys := keysWithPrimary(t, c, 1, 20, "aec-")
 	c.Faults().Crash(victim)
 	for _, k := range keys {
-		httpPut(t, c.HTTPAddrs[1], k, "v")
+		binPut(t, c.Nodes[1], k, "v")
 	}
 	c.Faults().Recover(victim)
 	waitReplicaSeqs(t, c, victim, keys, 1, 10*time.Second)
@@ -286,7 +293,7 @@ func TestHandoffNotBlockedByPausedTarget(t *testing.T) {
 	c.Faults().Crash(1)
 	c.Faults().Crash(2)
 	for _, k := range keys {
-		httpPut(t, c.HTTPAddrs[0], k, "v")
+		binPut(t, c.Nodes[0], k, "v")
 	}
 	deadline := time.Now().Add(3 * time.Second)
 	for c.HintsPending() < 2*len(keys) {
@@ -326,7 +333,7 @@ func TestDroppedRPCsHealedByRecovery(t *testing.T) {
 	keys := keysWithPrimary(t, c, 0, 30, "drop-")
 	c.Faults().SetDrop(victim, 1.0)
 	for _, k := range keys {
-		httpPut(t, c.HTTPAddrs[0], k, "v")
+		binPut(t, c.Nodes[0], k, "v")
 	}
 	c.Faults().Heal(victim)
 	waitReplicaSeqs(t, c, victim, keys, 1, 5*time.Second)
@@ -345,7 +352,7 @@ func TestPauseBlocksThenDelivers(t *testing.T) {
 	key := keysWithPrimary(t, c, 0, 1, "pause-")[0]
 	c.Faults().Pause(victim)
 	done := make(chan PutResponse, 1)
-	go func() { done <- httpPut(t, c.HTTPAddrs[0], key, "v") }()
+	go func() { done <- binPut(t, c.Nodes[0], key, "v") }()
 	select {
 	case <-done:
 		t.Fatal("W=3 write completed while one replica was paused")
@@ -378,7 +385,7 @@ func TestDelayInjection(t *testing.T) {
 	key := keysWithPrimary(t, c, 0, 1, "delay-")[0]
 	c.Faults().SetDelay(victim, 250)
 	start := time.Now()
-	httpPut(t, c.HTTPAddrs[0], key, "v") // W=1: commits at the local apply
+	binPut(t, c.Nodes[0], key, "v") // W=1: commits at the local apply
 	if time.Since(start) > 200*time.Millisecond {
 		t.Fatal("W=1 commit waited for the delayed replica")
 	}
@@ -422,8 +429,8 @@ func TestSetQuorumsLive(t *testing.T) {
 	}
 	// Operations run under the new quorums.
 	key := keysWithPrimary(t, c, 0, 1, "sq-")[0]
-	pr := httpPut(t, c.HTTPAddrs[0], key, "v")
-	gr := httpGet(t, c.HTTPAddrs[1], key)
+	pr := binPut(t, c.Nodes[0], key, "v")
+	gr := binGet(t, c.Nodes[1], key)
 	if gr.Seq != pr.Seq {
 		t.Fatalf("strict quorum read missed the write: %+v", gr)
 	}
@@ -457,7 +464,7 @@ func TestScheduleDrivesFaults(t *testing.T) {
 	}
 	keys := keysWithPrimary(t, c, 0, 10, "sched-")
 	for _, k := range keys {
-		httpPut(t, c.HTTPAddrs[0], k, "v")
+		binPut(t, c.Nodes[0], k, "v")
 	}
 	// After the scheduled recovery, handoff converges the victim.
 	waitReplicaSeqs(t, c, 2, keys, 1, 5*time.Second)
@@ -474,8 +481,8 @@ func TestWARSEndpointServesLegSamples(t *testing.T) {
 
 	for i := 0; i < 20; i++ {
 		key := fmt.Sprintf("wars-%d", i)
-		httpPut(t, c.HTTPAddrs[i%3], key, "v")
-		httpGet(t, c.HTTPAddrs[i%3], key)
+		binPut(t, c.Nodes[i%3], key, "v")
+		binGet(t, c.Nodes[i%3], key)
 	}
 	time.Sleep(100 * time.Millisecond) // stragglers record after the quorum response
 
@@ -506,5 +513,37 @@ func TestWARSEndpointServesLegSamples(t *testing.T) {
 		if v < 0 {
 			t.Fatal("negative leg sample")
 		}
+	}
+}
+
+// TestForwardedWriteRespectsPartition pins the forward hop behind the
+// fault seam: a write sent to a non-primary is forwarded to the key's
+// primary through the node's Peer, so a partitioned primary is never
+// reached — the write fails as a retryable unavailability at the
+// forwarder, and the cut-off primary coordinates (and fails) nothing.
+func TestForwardedWriteRespectsPartition(t *testing.T) {
+	c, err := StartLocal(3, Params{N: 3, R: 2, W: 2, Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const primary, via = 0, 1
+	key := keysWithPrimary(t, c, primary, 1, "cut-")[0]
+	binPut(t, c.Nodes[via], key, "before")
+
+	c.Faults().Partition(primary)
+	_, err = binPutErr(c.Nodes[via], key, "during")
+	var ce *ClientError
+	if !errors.As(err, &ce) || ce.Code != CodeUnavailable || !ce.Retryable() {
+		t.Fatalf("write forwarded to a partitioned primary got %v, want a retryable unavailability", err)
+	}
+	if got := c.Nodes[primary].failedOps.Load(); got != 0 {
+		t.Fatalf("partitioned primary counted %d failed coordinations, want 0 (the forward must not reach it)", got)
+	}
+
+	c.Faults().Heal(primary)
+	if pr := binPut(t, c.Nodes[via], key, "after"); pr.Node != primary {
+		t.Fatalf("healed write coordinated by node %d, want the primary %d", pr.Node, primary)
 	}
 }

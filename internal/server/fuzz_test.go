@@ -11,10 +11,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
-	"net/http"
 	"sync"
 	"testing"
-	"time"
 
 	"pbs/internal/kvstore"
 	"pbs/internal/ring"
@@ -47,7 +45,6 @@ func fuzzNode() *Node {
 			pendingJoins: make(map[string]int),
 			stop:         make(chan struct{}),
 			live:         newLiveness(),
-			proxyClient:  &http.Client{Timeout: time.Second},
 		}
 		m, err := ring.NewMembership([]ring.Member{
 			{ID: 0, HTTPAddr: "http://127.0.0.1:9", InternalAddr: "127.0.0.1:9"},
@@ -233,6 +230,12 @@ func FuzzClientStream(f *testing.F) {
 	f.Add(taggedFrame(opClientMGet, 12, mgetReq))
 	f.Add(taggedFrame(opClientMGet, 13, binary.BigEndian.AppendUint16(nil, 0)))      // zero-op batch
 	f.Add(taggedFrame(opClientMPut, 14, binary.BigEndian.AppendUint16(nil, 0xffff))) // oversized count
+	// Forwarded writes carry the forwarder's ring epoch after the fields.
+	// The shared node sits at epoch 1: a same-epoch forward for a key it
+	// does not coordinate is refused as a loop, one it does coordinate runs.
+	f.Add(taggedFrame(opClientPut, 15, appendClientWrite(nil, "seeded", "v", false, 1)))
+	f.Add(taggedFrame(opClientDelete, 16, appendClientWrite(nil, "k", "", true, 1)))
+	f.Add(taggedFrame(opClientPut, 17, append(appendClientWrite(nil, "k", "v", false, 0), 1, 2, 3))) // trailing junk
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n := fuzzNode()
 		br := bufio.NewReader(bytes.NewReader(data))
@@ -290,9 +293,27 @@ func FuzzClientStream(f *testing.F) {
 // compared by bits so NaN payloads round-trip too), and the body decoders
 // must reject arbitrary bytes without panicking.
 func FuzzClientFrameRoundTrip(f *testing.F) {
-	f.Add(uint64(1), uint64(7), int64(12345), 1.5, int32(2), "value", true, byte(CodeUnavailable), "server: replica down")
-	f.Add(uint64(0), uint64(0), int64(-1), math.Inf(1), int32(-1), "", false, byte(0), "")
-	f.Fuzz(func(t *testing.T, epoch, seq uint64, committed int64, coordMs float64, node int32, value string, found bool, code byte, msg string) {
+	f.Add(uint64(1), uint64(7), int64(12345), 1.5, int32(2), "value", true, byte(CodeUnavailable), "server: replica down", uint64(0))
+	f.Add(uint64(0), uint64(0), int64(-1), math.Inf(1), int32(-1), "", false, byte(0), "", uint64(0))
+	// Forwarded writes: the forwarder's ring epoch rides after the fields.
+	f.Add(uint64(3), uint64(9), int64(1), 0.25, int32(1), "fwd-value", false, byte(0), "fwd-key", uint64(3))
+	f.Add(uint64(3), uint64(9), int64(1), 0.25, int32(1), "", true, byte(0), "fwd-key", uint64(1<<63))
+	f.Fuzz(func(t *testing.T, epoch, seq uint64, committed int64, coordMs float64, node int32, value string, found bool, code byte, msg string, fwdEpoch uint64) {
+		// Write requests: msg doubles as the key, found as the tombstone
+		// flag. Deletes carry no value on the wire.
+		if len(msg) <= 0xffff {
+			tombstone := found
+			wantValue := value
+			if tombstone {
+				wantValue = ""
+			}
+			req := appendClientWrite(nil, msg, value, tombstone, fwdEpoch)
+			k, v, e, ok := decodeClientWrite(req, tombstone)
+			if !ok || k != msg || v != wantValue || e != fwdEpoch {
+				t.Fatalf("write request round trip: %q %q %d ok=%v, want %q %q %d", k, v, e, ok, msg, wantValue, fwdEpoch)
+			}
+		}
+
 		pr := PutResponse{Seq: seq, CommittedUnixNano: committed, CoordMs: coordMs, Node: int(node)}
 		pb := appendClientPutResponse(nil, epoch, pr)
 		gotEpoch, body, err := decodeClientFrame(statusClientOK, pb)
@@ -338,6 +359,7 @@ func FuzzClientFrameRoundTrip(f *testing.F) {
 		raw := []byte(msg)
 		decodeClientPutBody(raw)
 		decodeClientGetBody(raw)
+		decodeClientWrite(raw, found)
 		decodeClientError(raw)
 		decodeClientFrame(code, raw)
 	})

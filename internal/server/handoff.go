@@ -225,7 +225,7 @@ func (n *Node) runHandoff(interval time.Duration) {
 					// Re-check the crash state per hint, not just per round:
 					// a replay goroutine launched while this coordinator was
 					// healthy must fall silent the instant the fault
-					// controller crashes it, matching the HTTP and RPC
+					// controller crashes it, matching the client and RPC
 					// paths — otherwise an in-flight round keeps leaking
 					// deliveries out of a supposedly dead node.
 					if n.faults.Down(n.id) {

@@ -62,16 +62,6 @@ func (n *Node) prefs(v *memView, key string) []int {
 	return v.m.PreferenceList(key, n.replication(v))
 }
 
-// httpAddr returns a member's public base URL under view v ("" when the
-// member is unknown).
-func (v *memView) httpAddr(id int) string {
-	mem, ok := v.m.Member(id)
-	if !ok {
-		return ""
-	}
-	return mem.HTTPAddr
-}
-
 // mkPeer builds the fault-wrapped RPC client for one member as seen from
 // this node.
 func (n *Node) mkPeer(to int, internalAddr string) Peer {

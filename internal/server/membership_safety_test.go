@@ -161,7 +161,7 @@ func TestGossipRestoresSeqFloorAcrossRestart(t *testing.T) {
 	c.Faults().Crash(2)
 	c.Faults().SetDrop(3, 1.0)
 
-	pr := httpPut(t, c.HTTPAddrs[1], key, "v1")
+	pr := binPut(t, c.Nodes[1], key, "v1")
 	epoch := SeqEpoch(pr.Seq)
 	if epoch == 0 {
 		t.Fatalf("failover write got seq %d in epoch 0 — takeover did not claim an epoch", pr.Seq)
@@ -219,7 +219,7 @@ func TestGossipRestoresSeqFloorAcrossRestart(t *testing.T) {
 		return restarted.seqFloor.Load() >= epoch
 	})
 
-	pr2 := httpPut(t, restarted.HTTPAddr(), key, "v2")
+	pr2 := binPut(t, restarted, key, "v2")
 	if got := SeqEpoch(pr2.Seq); got <= epoch {
 		t.Fatalf("restarted coordinator assigned in epoch %d, want strictly above the pre-restart claim %d", got, epoch)
 	}

@@ -10,10 +10,8 @@ package server
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"net"
-	"net/http"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -222,21 +220,7 @@ func TestWorkerPathFaultDropAndDelay(t *testing.T) {
 
 	put := func(key, val string) PutResponse {
 		t.Helper()
-		req, _ := http.NewRequest(http.MethodPut,
-			c.HTTPAddrs[0]+"/kv/"+key, strings.NewReader(val))
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatalf("put %s: %v", key, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("put %s: status %d", key, resp.StatusCode)
-		}
-		var pr PutResponse
-		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-			t.Fatalf("put %s: decode: %v", key, err)
-		}
-		return pr
+		return binPut(t, c.Nodes[0], key, val)
 	}
 
 	// Drop every RPC to one non-coordinating replica: writes must still

@@ -2,12 +2,13 @@
 // reproduction: a real N-replica Dynamo-style key-value service assembled
 // from the repository's building blocks — internal/kvstore versioned
 // replica storage, internal/ring consistent-hash placement,
-// internal/vclock causal metadata — serving a public HTTP API with
-// coordinated partial-quorum reads and writes (tunable N, R, W),
-// send-to-all fan-out, optional read repair, an asynchronous staleness
-// detector (paper Section 4.3), and injectable per-replica WARS latency
-// (internal/dist) so a loopback cluster reproduces the paper's LNKD-SSD /
-// LNKD-DISK / YMMR production conditions.
+// internal/vclock causal metadata — serving a binary client protocol
+// (clientproto.go) with coordinated partial-quorum reads and writes
+// (tunable N, R, W), send-to-all fan-out, optional read repair, an
+// asynchronous staleness detector (paper Section 4.3), and injectable
+// per-replica WARS latency (internal/dist) so a loopback cluster
+// reproduces the paper's LNKD-SSD / LNKD-DISK / YMMR production
+// conditions.
 //
 // Any node can coordinate any operation: the coordinator looks up the
 // key's N-replica preference list on the ring and fans the operation out
@@ -20,16 +21,11 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
-	neturl "net/url"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -190,7 +186,7 @@ func (p Params) validateElastic() error {
 // MemberInfo is one cluster member as reported by GET /config.
 type MemberInfo struct {
 	ID       int    `json:"id"`
-	Addr     string `json:"addr"`     // public HTTP base URL
+	Addr     string `json:"addr"`     // HTTP admin base URL
 	Internal string `json:"internal"` // replication-transport TCP address
 }
 
@@ -211,7 +207,7 @@ type ConfigResponse struct {
 	Members   []MemberInfo `json:"members"`
 }
 
-// PutResponse is the payload of PUT /kv/{key}.
+// PutResponse answers a client write (opClientPut/opClientDelete).
 type PutResponse struct {
 	Seq uint64 `json:"seq"`
 	// CommittedUnixNano is the coordinator wall clock at quorum commit (the
@@ -224,7 +220,7 @@ type PutResponse struct {
 	Node    int     `json:"node"`
 }
 
-// GetResponse is the payload of GET /kv/{key}.
+// GetResponse answers a client read (opClientGet).
 type GetResponse struct {
 	Found bool   `json:"found"`
 	Seq   uint64 `json:"seq"`
@@ -473,11 +469,16 @@ type Node struct {
 	configDecides  atomic.Int64
 	configRejects  atomic.Int64
 
-	httpSrv     *http.Server
-	internalLn  net.Listener
-	proxyClient *http.Client
-	closeOnce   sync.Once
-	closed      atomic.Bool // set by Close; a closed node is not a live member
+	httpSrv    *http.Server
+	internalLn net.Listener
+	// accepted holds the live connections accepted on the internal
+	// listener — peer mux and client protocol alike — so Close can cut
+	// them: a closed node stops answering instead of serving whoever still
+	// holds a connection. nil once Close has run.
+	acceptedMu sync.Mutex
+	accepted   map[net.Conn]struct{}
+	closeOnce  sync.Once
+	closed     atomic.Bool // set by Close; a closed node is not a live member
 }
 
 // nowMs is the node's store clock (milliseconds since node start), used to
@@ -496,7 +497,7 @@ func (n *Node) applyLocal(v kvstore.Version) bool {
 // getLocal reads this replica's current version for key. The boolean means
 // a record exists — a tombstone reads as found here, so quorum reads can
 // pick the newest version across live and deleted states; visibility is
-// decided at the coordinator (handleGet).
+// decided at the coordinator (coordinateGetOp).
 func (n *Node) getLocal(key string) (kvstore.Version, bool) {
 	return n.store.Get(key)
 }
@@ -591,28 +592,23 @@ func (n *Node) nextSeq(key string, takeover bool) uint64 {
 	return e.next
 }
 
-// --- HTTP API ----------------------------------------------------------
+// --- HTTP admin API ----------------------------------------------------
 
+// handler serves the admin surface: the routing configuration a client
+// bootstraps from (DialBinary fetches GET /config), counters, WARS leg
+// reservoirs and a health check. Data-plane traffic speaks the binary
+// client protocol (clientproto.go).
 func (n *Node) handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("PUT /kv/{key}", n.handlePut)
-	mux.HandleFunc("DELETE /kv/{key}", n.handleDelete)
-	mux.HandleFunc("GET /kv/{key}", n.handleGet)
-	mux.HandleFunc("GET /kv", n.handleMGet)
 	mux.HandleFunc("GET /config", n.handleConfig)
 	mux.HandleFunc("GET /stats", n.handleStats)
 	mux.HandleFunc("GET /wars", n.handleWARS)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Write([]byte("ok"))
 	})
-	// A crashed replica's entire public surface answers 503 — health
-	// checks and stats scrapes must see the process as dead, not just the
-	// data path. Every response carries the node's ring epoch so clients
-	// can notice a membership change and refresh their view.
+	// A crashed replica's entire admin surface answers 503 — health checks
+	// and stats scrapes must see the process as dead.
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		if v := n.view(); v != nil {
-			w.Header().Set(RingEpochHeader, strconv.FormatUint(v.m.Epoch(), 10))
-		}
 		if n.faults.Down(n.id) {
 			http.Error(w, ErrReplicaDown.Error(), http.StatusServiceUnavailable)
 			return
@@ -621,136 +617,52 @@ func (n *Node) handler() http.Handler {
 	})
 }
 
-// RingEpochHeader carries the responding node's ring epoch on every public
-// HTTP response; clients compare it with the epoch of their cached view and
-// refresh when the cluster has moved on.
-const RingEpochHeader = "X-Pbs-Ring-Epoch"
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(v)
+}
 
 // maxValueBytes bounds one value payload.
 const maxValueBytes = 1 << 20
 
-// opError is a coordination failure in front-end-neutral form: status is
-// the HTTP status the compatibility front end writes, code the binary
-// client protocol's error code (clientproto.go). Both front ends route
-// through the same typed entry points below, so they cannot drift on
-// failure semantics — in particular on which failures a client may retry
-// at another node (CodeUnavailable / routing-level 502-503) versus which
-// are the cluster's final verdict (quorum failures, bad requests).
+const errValueTooLarge = "server: value exceeds 1 MiB"
+
+// opError is a coordination failure in typed form: code is the binary
+// client protocol's error code (clientproto.go). Single-key, batched and
+// forwarded writes all route through the typed entry points below, so
+// they cannot drift on failure semantics — in particular on which
+// failures a client may retry at another node (CodeUnavailable) versus
+// which are the cluster's final verdict (quorum failures, bad requests).
 type opError struct {
-	status int
-	code   byte
-	msg    string
+	code byte
+	msg  string
 }
 
 func (e *opError) Error() string { return e.msg }
 
-func errUnavailable(msg string) *opError {
-	return &opError{status: http.StatusServiceUnavailable, code: CodeUnavailable, msg: msg}
-}
+func errUnavailable(msg string) *opError { return &opError{code: CodeUnavailable, msg: msg} }
 
-func errQuorumFailed(msg string) *opError {
-	return &opError{status: http.StatusServiceUnavailable, code: CodeQuorumFailed, msg: msg}
-}
+func errQuorumFailed(msg string) *opError { return &opError{code: CodeQuorumFailed, msg: msg} }
 
-func errBadRequest(msg string) *opError {
-	return &opError{status: http.StatusBadRequest, code: CodeBadRequest, msg: msg}
-}
+func errBadRequest(msg string) *opError { return &opError{code: CodeBadRequest, msg: msg} }
 
-func errInternal(msg string) *opError {
-	return &opError{status: http.StatusInternalServerError, code: CodeInternal, msg: msg}
-}
+func errInternal(msg string) *opError { return &opError{code: CodeInternal, msg: msg} }
 
-// httpError writes e exactly the way the pre-refactor handlers called
-// http.Error, keeping the compatibility surface byte-identical.
-func httpError(w http.ResponseWriter, e *opError) { http.Error(w, e.msg, e.status) }
-
-// codeForStatus maps a proxied HTTP failure onto the binary protocol's
-// error codes, preserving client-visible retryability: 502/503 are
-// routing-level and retryable EXCEPT a coordinator's own quorum verdict.
-func codeForStatus(status int, msg string) byte {
-	switch status {
-	case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
-		return CodeBadRequest
-	case http.StatusBadGateway, http.StatusServiceUnavailable:
-		if strings.Contains(msg, "quorum not reached") {
-			return CodeQuorumFailed
-		}
-		return CodeUnavailable
-	default:
-		return CodeInternal
-	}
-}
-
-// forwardedHeader marks a proxied write and carries the forwarder's ring
-// epoch. A receiver that is not the key's primary forwards again only when
-// its own view is newer than the forwarder's, so every hop carries a
-// strictly higher epoch and forwarding cannot loop; a receiver whose view
-// is older waits for the forwarder's newer view to arrive (awaitEpoch).
-const forwardedHeader = "X-Pbs-Forwarded"
-
-// forwardedEpoch reads forwardedHeader: 0 means the write was not
-// forwarded (ring epochs start at 1).
-func forwardedEpoch(req *http.Request) uint64 {
-	h := req.Header.Get(forwardedHeader)
-	if h == "" {
-		return 0
-	}
-	// A malformed value still marks the write as forwarded.
-	e, _ := strconv.ParseUint(h, 10, 64)
-	return max(e, 1)
-}
-
-// handlePut routes a write: version-number assignment is serialized at the
-// key's coordinator, so a PUT arriving at any other node is proxied there
+// routeWriteOp routes a write (a delete is a write whose version is a
+// tombstone). Version-number assignment is serialized at the key's
+// coordinator, so a write arriving at any other node is forwarded there
 // first (Section 4.2's "proxying operations") — otherwise two coordinators
 // could assign the same sequence number and fork the key's history. The
-// coordinator is normally the key's ring primary; with sloppy quorums it is
-// the first *live* node on the preference list, so a crashed primary costs
-// availability nothing (the failover coordinator claims a fresh seq epoch,
-// see nextSeq).
-func (n *Node) handlePut(w http.ResponseWriter, req *http.Request) {
-	key := req.PathValue("key")
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxValueBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, "server: value exceeds 1 MiB", http.StatusRequestEntityTooLarge)
-		} else {
-			// Client disconnect, short body, chunk error: the request is
-			// malformed, not oversized.
-			http.Error(w, "server: read request body: "+err.Error(), http.StatusBadRequest)
-		}
-		return
-	}
-	pr, oe := n.routeWriteOp(key, string(body), false, forwardedEpoch(req))
-	if oe != nil {
-		httpError(w, oe)
-		return
-	}
-	writeJSON(w, pr)
-}
-
-// handleDelete routes a delete, which is just a write whose version is a
-// tombstone: it gets a fresh seq from the key's coordinator, fans out to
-// the same N preference replicas, commits at the same W quorum, and flows
-// through hinted handoff and anti-entropy like any live write — the
-// replication-borne tombstone is exactly what keeps a stale replica from
-// resurrecting the key later.
-func (n *Node) handleDelete(w http.ResponseWriter, req *http.Request) {
-	pr, oe := n.routeWriteOp(req.PathValue("key"), "", true, forwardedEpoch(req))
-	if oe != nil {
-		httpError(w, oe)
-		return
-	}
-	writeJSON(w, pr)
-}
-
-// routeWriteOp is the shared PUT/DELETE routing path (see handlePut's doc
-// comment for the coordinator-election rules), factored out of the HTTP
-// handlers so the binary client front end (clientproto.go) drives the
-// identical code: both enter here and leave with a typed response or a
-// typed failure. fwdEpoch is the forwarder's ring epoch, 0 when the write
-// was not forwarded.
+// coordinator is normally the key's ring primary; with sloppy quorums it
+// is the first *live* node on the preference list, so a crashed primary
+// costs availability nothing (the failover coordinator claims a fresh seq
+// epoch, see nextSeq).
+//
+// fwdEpoch is the forwarder's ring epoch, 0 when the write was not
+// forwarded. A receiver that is not the key's primary forwards again only
+// when its own view is newer than the forwarder's, so every hop carries a
+// strictly higher epoch and forwarding cannot loop; a receiver whose view
+// is older waits for the forwarder's newer view to arrive (awaitEpoch).
 func (n *Node) routeWriteOp(key, value string, tombstone bool, fwdEpoch uint64) (PutResponse, *opError) {
 	v := n.view()
 	if v == nil {
@@ -763,7 +675,7 @@ func (n *Node) routeWriteOp(key, value string, tombstone bool, fwdEpoch uint64) 
 	if !n.params.SloppyQuorum {
 		switch epoch := v.m.Epoch(); {
 		case fwdEpoch == 0 || epoch > fwdEpoch:
-			return n.forwardPutOp(v, primary, key, value, tombstone)
+			return n.forwardWrite(v, primary, key, value, tombstone)
 		case epoch < fwdEpoch && n.awaitEpoch(fwdEpoch):
 			return n.routeWriteOp(key, value, tombstone, fwdEpoch)
 		}
@@ -792,8 +704,6 @@ func (n *Node) routeWriteOp(key, value string, tombstone bool, fwdEpoch uint64) 
 		switch outcome {
 		case forwardRelayed:
 			return pr, oe
-		case forwardUnreachable:
-			n.live.markDead(cand)
 		case forwardFailed:
 			// The candidate is alive — it coordinated (or proxied) and
 			// genuinely failed; it is not dead and already counted the
@@ -1010,49 +920,23 @@ func (n *Node) deliverWrite(v *memView, target int, ver kvstore.Version, spares 
 	return false
 }
 
-// forwardPutOp proxies a write to the key's primary coordinator
-// (strict-quorum routing) and relays its verdict in typed form.
-func (n *Node) forwardPutOp(v *memView, primary int, key, value string, tombstone bool) (PutResponse, *opError) {
-	url := v.httpAddr(primary) + "/kv/" + neturl.PathEscape(key)
-	freq, err := http.NewRequest(writeMethod(tombstone), url, strings.NewReader(value))
-	if err != nil {
-		return PutResponse{}, errInternal(err.Error())
+// forwardWrite proxies a write to the key's primary coordinator
+// (strict-quorum routing) and relays its verdict in typed form. A forward
+// that gets no verdict back — the primary is crashed or cut off, or the
+// forward or its answer was lost — is a retryable unavailability, not a
+// quorum verdict: no coordinator has ruled on the write (as with a
+// client's own broken connection, a retry may repeat a write whose answer
+// was lost).
+func (n *Node) forwardWrite(v *memView, primary int, key, value string, tombstone bool) (PutResponse, *opError) {
+	pr, err := v.peers[primary].ForwardWrite(key, value, tombstone, v.m.Epoch())
+	if err == nil {
+		return pr, nil
 	}
-	freq.Header.Set(forwardedHeader, strconv.FormatUint(v.m.Epoch(), 10))
-	resp, err := n.proxyClient.Do(freq)
-	if err != nil {
-		return PutResponse{}, &opError{status: http.StatusBadGateway, code: CodeUnavailable,
-			msg: "server: forward to primary: " + err.Error()}
+	var ce *ClientError
+	if errors.As(err, &ce) {
+		return PutResponse{}, &opError{code: ce.Code, msg: ce.Msg}
 	}
-	return decodeForwarded(resp)
-}
-
-// decodeForwarded turns a proxied coordinator response back into typed
-// form: 200 bodies decode as PutResponse, anything else relays the proxied
-// status and message, so the client-visible verdict (and its retryability)
-// is exactly what the remote coordinator decided.
-func decodeForwarded(resp *http.Response) (PutResponse, *opError) {
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		msg := strings.TrimSpace(string(raw))
-		return PutResponse{}, &opError{status: resp.StatusCode, code: codeForStatus(resp.StatusCode, msg), msg: msg}
-	}
-	var pr PutResponse
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-		return PutResponse{}, &opError{status: http.StatusBadGateway, code: CodeUnavailable,
-			msg: "server: decode forwarded response: " + err.Error()}
-	}
-	return pr, nil
-}
-
-// writeMethod maps a write's tombstone flag back to its HTTP verb, so
-// proxied deletes stay deletes across forwarding hops.
-func writeMethod(tombstone bool) string {
-	if tombstone {
-		return http.MethodDelete
-	}
-	return http.MethodPut
+	return PutResponse{}, errUnavailable("server: forward to primary: " + err.Error())
 }
 
 // forwardOutcome classifies one sloppy-routing forward attempt.
@@ -1061,45 +945,46 @@ type forwardOutcome int
 const (
 	// forwardRelayed: the candidate answered and its response was relayed.
 	forwardRelayed forwardOutcome = iota
-	// forwardUnreachable: connection error or a "replica down" 503 — the
-	// candidate is dead and should be marked so.
+	// forwardUnreachable: the forward never reached a coordinator — the
+	// candidate is down or cut off (and is marked dead), or the message
+	// was lost on a lossy link.
 	forwardUnreachable
-	// forwardFailed: the candidate is alive but answered 502/503 (its own
-	// quorum failed, or a proxy hop did) — not a death signal.
+	// forwardFailed: the candidate is alive but could not commit (its own
+	// quorum failed, or it is otherwise unavailable) — not a death signal.
 	forwardFailed
 )
 
 // tryForwardOp proxies a write to candidate coordinator cand
-// (sloppy-quorum routing). Failures (connection error, 502/503) are NOT
+// (sloppy-quorum routing). Unreachable and failed candidates are NOT
 // relayed: the caller moves to the next candidate instead of surfacing a
-// failure the cluster can absorb. The outcome distinguishes a dead
-// candidate from a live one that couldn't commit, so only the former is
-// marked dead in the liveness cache; the response/error pair is meaningful
-// only on forwardRelayed.
+// failure the cluster can absorb. Only a candidate that is down or
+// partitioned is marked dead in the liveness cache; the response/error
+// pair is meaningful only on forwardRelayed.
 func (n *Node) tryForwardOp(v *memView, cand int, key, value string, tombstone bool) (PutResponse, *opError, forwardOutcome) {
-	url := v.httpAddr(cand) + "/kv/" + neturl.PathEscape(key)
-	freq, err := http.NewRequest(writeMethod(tombstone), url, strings.NewReader(value))
-	if err != nil {
-		return PutResponse{}, errInternal(err.Error()), forwardRelayed
+	pr, err := v.peers[cand].ForwardWrite(key, value, tombstone, v.m.Epoch())
+	if err == nil {
+		return pr, nil, forwardRelayed
 	}
-	freq.Header.Set(forwardedHeader, strconv.FormatUint(v.m.Epoch(), 10))
-	resp, err := n.proxyClient.Do(freq)
-	if err != nil {
+	var ce *ClientError
+	if !errors.As(err, &ce) {
+		if deadError(err) {
+			n.live.markDead(cand)
+		}
 		return PutResponse{}, nil, forwardUnreachable
 	}
-	if resp.StatusCode == http.StatusBadGateway || resp.StatusCode == http.StatusServiceUnavailable {
-		// A crashed node's whole HTTP surface answers 503 "replica down";
-		// a live coordinator that failed its quorum answers 503 too. Only
-		// the former means the candidate should be considered dead.
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		resp.Body.Close()
-		if bytes.Contains(msg, []byte(ErrReplicaDown.Error())) {
+	switch ce.Code {
+	case CodeUnavailable:
+		// A crashed or partitioned candidate refuses client frames with
+		// exactly these messages (handleClientOp).
+		if ce.Msg == ErrReplicaDown.Error() || ce.Msg == ErrPartitioned.Error() {
+			n.live.markDead(cand)
 			return PutResponse{}, nil, forwardUnreachable
 		}
 		return PutResponse{}, nil, forwardFailed
+	case CodeQuorumFailed:
+		return PutResponse{}, nil, forwardFailed
 	}
-	pr, oe := decodeForwarded(resp)
-	return pr, oe, forwardRelayed
+	return PutResponse{}, &opError{code: ce.Code, msg: ce.Msg}, forwardRelayed
 }
 
 // readResp is one replica's answer during a coordinated read.
@@ -1149,16 +1034,6 @@ func (n *Node) readReplica(view *memView, target int, key string, spares *spareP
 	return readResp{node: target, err: fmt.Errorf("%w: replica %d and all spares unreachable", ErrReplicaDown, target)}
 }
 
-// handleGet is the HTTP front end of coordinateGetOp.
-func (n *Node) handleGet(w http.ResponseWriter, req *http.Request) {
-	gr, oe := n.coordinateGetOp(req.PathValue("key"))
-	if oe != nil {
-		httpError(w, oe)
-		return
-	}
-	writeJSON(w, gr)
-}
-
 // coordinateGetOp coordinates a read: fan out to all N preference replicas
 // with injected R/S delays, answer with the newest of the first R
 // responses, then keep collecting in the background for the staleness
@@ -1166,7 +1041,7 @@ func (n *Node) handleGet(w http.ResponseWriter, req *http.Request) {
 // replica is down falls back to the next live spare beyond the preference
 // list — the node that absorbed the down replica's hinted writes — and the
 // spare's response counts toward R (the read-side mirror of the write-side
-// spare behavior). Shared by the HTTP and binary client front ends.
+// spare behavior).
 func (n *Node) coordinateGetOp(key string) (GetResponse, *opError) {
 	n.coordReads.Add(1)
 
@@ -1236,7 +1111,7 @@ func (n *Node) coordinateGetOp(key string) (GetResponse, *opError) {
 func (n *Node) handleConfig(w http.ResponseWriter, _ *http.Request) {
 	cfg, oe := n.configLocal()
 	if oe != nil {
-		httpError(w, oe)
+		http.Error(w, oe.msg, http.StatusServiceUnavailable)
 		return
 	}
 	writeJSON(w, cfg)

@@ -2,12 +2,12 @@ package server
 
 // The Peer seam between coordinator logic (node.go) and the wire transport
 // (transport.go). Coordinators never talk to a *peer (the TCP RPC client)
-// directly: every internal RPC — write fan-out, replica reads, read repair,
-// hinted-handoff replay, anti-entropy exchange — goes through a Peer, and
-// StartLocal interposes a fault layer (faults.go) between the coordinator
-// and the transport. The fault-free path adds one interface dispatch and a
-// nil check per RPC, preserving the WARS measurement semantics the
-// conformance suite pins.
+// directly: every node-to-node hop — write forwarding, write fan-out,
+// replica reads, read repair, hinted-handoff replay, anti-entropy
+// exchange — goes through a Peer, and StartLocal interposes a fault layer
+// (faults.go) between the coordinator and the transport. The fault-free
+// path adds one interface dispatch and a nil check per RPC, preserving the
+// WARS measurement semantics the conformance suite pins.
 
 import "pbs/internal/kvstore"
 
@@ -54,6 +54,11 @@ type Peer interface {
 	// ConfigRPC carries one ring-config consensus message (internal/configlog
 	// wire format) to the peer's acceptor and returns its reply.
 	ConfigRPC(payload []byte) ([]byte, error)
+	// ForwardWrite hands a client write to the peer as its coordinator
+	// (Section 4.2's proxying), tagged with the forwarder's ring epoch
+	// fwdEpoch. The peer's typed verdict comes back as a *ClientError;
+	// any other error means the peer was not reached.
+	ForwardWrite(key, value string, tombstone bool, fwdEpoch uint64) (PutResponse, error)
 }
 
 // faultPeer interposes a cluster-wide fault controller on the path from one
@@ -87,6 +92,13 @@ func (fp *faultPeer) Ping() error {
 		return err
 	}
 	return fp.next.Ping()
+}
+
+func (fp *faultPeer) ForwardWrite(key, value string, tombstone bool, fwdEpoch uint64) (PutResponse, error) {
+	if err := fp.f.allow(fp.from, fp.to); err != nil {
+		return PutResponse{}, err
+	}
+	return fp.next.ForwardWrite(key, value, tombstone, fwdEpoch)
 }
 
 func (fp *faultPeer) GetVersion(key string) (kvstore.Version, bool, error) {

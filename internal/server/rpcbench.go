@@ -21,8 +21,7 @@ import (
 // RPCBenchResult is one raw-transport cell: conc concurrent callers
 // hammering a single op type at one node for a fixed window.
 type RPCBenchResult struct {
-	Transport   string  `json:"transport"` // always "mux"
-	Op          string  `json:"op"`        // "apply" or "get"
+	Op          string  `json:"op"` // "apply" or "get"
 	Conc        int     `json:"conc"`
 	Ops         int64   `json:"ops"`
 	OpsPerSec   float64 `json:"ops_per_sec"`
@@ -39,7 +38,7 @@ func (c *Cluster) BenchInternalRPC(read bool, conc int, d time.Duration) (RPCBen
 	p := newPeer(c.Nodes[len(c.Nodes)-1].selfInternal)
 	defer p.close()
 
-	res := RPCBenchResult{Transport: "mux", Op: "apply", Conc: conc}
+	res := RPCBenchResult{Op: "apply", Conc: conc}
 	if read {
 		res.Op = "get"
 	}

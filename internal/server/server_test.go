@@ -2,8 +2,8 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -13,45 +13,43 @@ import (
 	"pbs/internal/dist"
 )
 
-// httpPut writes through a node's public API and decodes the response.
-func httpPut(t *testing.T, base, key, value string) PutResponse {
+// binPutErr writes through a node's binary client protocol.
+func binPutErr(n *Node, key, value string) (PutResponse, error) {
+	bc := NewBinClient(n.InternalAddr())
+	defer bc.Close()
+	pr, _, err := bc.Put(key, value)
+	return pr, err
+}
+
+// binPut is binPutErr failing the test on any error.
+func binPut(t *testing.T, n *Node, key, value string) PutResponse {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPut, base+"/kv/"+key, strings.NewReader(value))
+	pr, err := binPutErr(n, key, value)
 	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("PUT %s: %s: %s", key, resp.Status, body)
-	}
-	var pr PutResponse
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-		t.Fatal(err)
+		t.Fatalf("PUT %s: %v", key, err)
 	}
 	return pr
 }
 
-func httpGet(t *testing.T, base, key string) GetResponse {
+func binGet(t *testing.T, n *Node, key string) GetResponse {
 	t.Helper()
-	resp, err := http.Get(base + "/kv/" + key)
+	bc := NewBinClient(n.InternalAddr())
+	defer bc.Close()
+	gr, _, err := bc.Get(key)
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("GET %s: %s: %s", key, resp.Status, body)
-	}
-	var gr GetResponse
-	if err := json.NewDecoder(resp.Body).Decode(&gr); err != nil {
-		t.Fatal(err)
+		t.Fatalf("GET %s: %v", key, err)
 	}
 	return gr
+}
+
+// clientCode returns err's client-protocol error code (0 if err is not a
+// typed client error).
+func clientCode(err error) byte {
+	var ce *ClientError
+	if errors.As(err, &ce) {
+		return ce.Code
+	}
+	return 0
 }
 
 func TestPutGetRoundtrip(t *testing.T) {
@@ -61,30 +59,30 @@ func TestPutGetRoundtrip(t *testing.T) {
 	}
 	defer c.Close()
 
-	pr := httpPut(t, c.HTTPAddrs[0], "alpha", "one")
+	pr := binPut(t, c.Nodes[0], "alpha", "one")
 	if pr.Seq != 1 {
 		t.Fatalf("first write got seq %d", pr.Seq)
 	}
 	if pr.CommittedUnixNano == 0 || pr.CoordMs < 0 {
 		t.Fatalf("bad commit metadata: %+v", pr)
 	}
-	gr := httpGet(t, c.HTTPAddrs[1], "alpha")
+	gr := binGet(t, c.Nodes[1], "alpha")
 	if !gr.Found || gr.Value != "one" || gr.Seq != 1 {
 		t.Fatalf("read %+v, want found seq=1 value=one", gr)
 	}
 
 	// Versions advance, any coordinator observes them (strict quorum).
-	pr = httpPut(t, c.HTTPAddrs[2], "alpha", "two")
+	pr = binPut(t, c.Nodes[2], "alpha", "two")
 	if pr.Seq != 2 {
 		t.Fatalf("second write got seq %d", pr.Seq)
 	}
-	gr = httpGet(t, c.HTTPAddrs[0], "alpha")
+	gr = binGet(t, c.Nodes[0], "alpha")
 	if gr.Value != "two" || gr.Seq != 2 {
 		t.Fatalf("read %+v after second write", gr)
 	}
 
 	// Missing keys report not-found with seq 0.
-	gr = httpGet(t, c.HTTPAddrs[0], "missing")
+	gr = binGet(t, c.Nodes[0], "missing")
 	if gr.Found || gr.Seq != 0 {
 		t.Fatalf("missing key read %+v", gr)
 	}
@@ -110,8 +108,8 @@ func TestStrictQuorumAlwaysConsistent(t *testing.T) {
 
 	for e := 0; e < 25; e++ {
 		key := fmt.Sprintf("strict-%d", e)
-		pr := httpPut(t, c.HTTPAddrs[e%3], key, "v")
-		gr := httpGet(t, c.HTTPAddrs[(e+1)%3], key)
+		pr := binPut(t, c.Nodes[e%3], key, "v")
+		gr := binGet(t, c.Nodes[(e+1)%3], key)
 		if gr.Seq < pr.Seq {
 			t.Fatalf("strict quorum returned stale version: wrote seq %d, read seq %d", pr.Seq, gr.Seq)
 		}
@@ -146,8 +144,8 @@ func TestPartialQuorumObservesStaleness(t *testing.T) {
 		go func(e int) {
 			defer func() { <-sem; wg.Done() }()
 			key := fmt.Sprintf("partial-%d", e)
-			pr := httpPut(t, c.HTTPAddrs[e%3], key, "v")
-			gr := httpGet(t, c.HTTPAddrs[(e+1)%3], key)
+			pr := binPut(t, c.Nodes[e%3], key, "v")
+			gr := binGet(t, c.Nodes[(e+1)%3], key)
 			if gr.Seq < pr.Seq {
 				mu.Lock()
 				stale++
@@ -168,12 +166,12 @@ func TestReadRepairConverges(t *testing.T) {
 	}
 	defer c.Close()
 
-	httpPut(t, c.HTTPAddrs[0], "rr", "old")
+	binPut(t, c.Nodes[0], "rr", "old")
 	// One replica diverges ahead of the others.
 	if !c.InjectVersion(1, "rr", 9, "newer") {
 		t.Fatal("inject failed")
 	}
-	gr := httpGet(t, c.HTTPAddrs[0], "rr")
+	gr := binGet(t, c.Nodes[0], "rr")
 	if gr.Seq != 9 || gr.Value != "newer" {
 		t.Fatalf("R=N read missed the divergent replica: %+v", gr)
 	}
@@ -215,13 +213,13 @@ func TestStalenessDetectorFlags(t *testing.T) {
 	}
 	defer c.Close()
 
-	httpPut(t, c.HTTPAddrs[0], "det", "base")
+	binPut(t, c.Nodes[0], "det", "base")
 	c.InjectVersion(2, "det", 50, "future")
 
 	// R=1 reads race: when the first responder is a lagging replica, the
 	// late newer response must raise a flag.
 	for i := 0; i < 60; i++ {
-		httpGet(t, c.HTTPAddrs[i%3], "det")
+		binGet(t, c.Nodes[i%3], "det")
 	}
 	// Flags are counted in a background goroutine; give stragglers a beat.
 	deadline := time.Now().Add(5 * time.Second)
@@ -258,7 +256,7 @@ func TestSeqAssignmentSerializesPerKey(t *testing.T) {
 				// All writers target one key through its primary coordinator
 				// (any node would route the same way via the client; here we
 				// exercise the coordinator directly).
-				pr := httpPut(t, c.HTTPAddrs[0], "contended", "v")
+				pr := binPut(t, c.Nodes[0], "contended", "v")
 				seqs <- pr.Seq
 			}
 		}()
@@ -278,7 +276,7 @@ func TestSeqAssignmentSerializesPerKey(t *testing.T) {
 }
 
 // TestPutForwardsToPrimary pins the fix for cross-coordinator version
-// forks: PUTs arriving at any node are proxied to the key's primary
+// forks: PUTs arriving at any node are forwarded to the key's primary
 // coordinator, so concurrent writes through different nodes still receive
 // unique, serialized sequence numbers.
 func TestPutForwardsToPrimary(t *testing.T) {
@@ -299,7 +297,7 @@ func TestPutForwardsToPrimary(t *testing.T) {
 				for i := 0; i < per; i++ {
 					// Same key through every node: only the primary may
 					// assign versions.
-					seqs <- httpPut(t, c.HTTPAddrs[node], "forwarded", "v").Seq
+					seqs <- binPut(t, c.Nodes[node], "forwarded", "v").Seq
 				}
 			}(node)
 		}
@@ -324,8 +322,9 @@ func TestPutForwardsToPrimary(t *testing.T) {
 	}
 }
 
-// TestPutRejectsOversizedValue pins the 413 on values beyond the 1 MiB
-// cap (previously the body was silently truncated and stored).
+// TestPutRejectsOversizedValue pins the bad-request verdict on values
+// beyond the 1 MiB cap (previously the body was silently truncated and
+// stored).
 func TestPutRejectsOversizedValue(t *testing.T) {
 	c, err := StartLocal(1, Params{N: 1, R: 1, W: 1})
 	if err != nil {
@@ -334,19 +333,10 @@ func TestPutRejectsOversizedValue(t *testing.T) {
 	defer c.Close()
 
 	big := strings.Repeat("x", maxValueBytes+1)
-	req, err := http.NewRequest(http.MethodPut, c.HTTPAddrs[0]+"/kv/big", strings.NewReader(big))
-	if err != nil {
-		t.Fatal(err)
+	if _, err := binPutErr(c.Nodes[0], "big", big); clientCode(err) != CodeBadRequest {
+		t.Fatalf("oversized PUT got %v, want a CodeBadRequest verdict", err)
 	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized PUT got %s, want 413", resp.Status)
-	}
-	gr := httpGet(t, c.HTTPAddrs[0], "big")
+	gr := binGet(t, c.Nodes[0], "big")
 	if gr.Found {
 		t.Fatal("truncated value was stored despite rejection")
 	}
@@ -372,8 +362,8 @@ func TestConfigStatsHealth(t *testing.T) {
 		t.Fatalf("config %+v", cfg)
 	}
 
-	httpPut(t, c.HTTPAddrs[0], "s", "v")
-	httpGet(t, c.HTTPAddrs[0], "s")
+	binPut(t, c.Nodes[0], "s", "v")
+	binGet(t, c.Nodes[0], "s")
 	// The write may have been forwarded to its primary coordinator; the
 	// cluster-wide totals must account for exactly one of each.
 	var writes, reads int64

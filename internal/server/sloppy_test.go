@@ -6,32 +6,12 @@ package server
 // the airtightness of a crashed coordinator's hint replayer.
 
 import (
-	"pbs/internal/kvstore"
-
-	"bufio"
 	"fmt"
-	"net"
-	"net/http"
-	"strings"
 	"testing"
 	"time"
-)
 
-// httpPutStatus issues a PUT and returns the raw status code (for requests
-// expected to fail).
-func httpPutStatus(t *testing.T, base, key, value string) int {
-	t.Helper()
-	req, err := http.NewRequest(http.MethodPut, base+"/kv/"+key, strings.NewReader(value))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	return resp.StatusCode
-}
+	"pbs/internal/kvstore"
+)
 
 // TestSloppyFailoverWhenPrimaryCrashed: with the primary down, any other
 // node accepts the write, coordinates it as a takeover in a fresh seq
@@ -47,7 +27,7 @@ func TestSloppyFailoverWhenPrimaryCrashed(t *testing.T) {
 
 	keys := keysWithPrimary(t, c, 0, 8, "sloppy-")
 	// Control: strict-routing sanity before the fault.
-	pr := httpPut(t, c.HTTPAddrs[1], keys[0], "v0")
+	pr := binPut(t, c.Nodes[1], keys[0], "v0")
 	if pr.Seq != 1 || pr.Node != 0 {
 		t.Fatalf("pre-fault write coordinated as %+v, want primary 0 seq 1", pr)
 	}
@@ -57,7 +37,7 @@ func TestSloppyFailoverWhenPrimaryCrashed(t *testing.T) {
 	for i, k := range keys {
 		// Writes land on a non-primary node directly: with the primary
 		// crashed they must still succeed (vs. a guaranteed 503 before).
-		pr := httpPut(t, c.HTTPAddrs[1+i%2], k, "v1")
+		pr := binPut(t, c.Nodes[1+i%2], k, "v1")
 		if pr.Node == 0 {
 			t.Fatalf("crashed primary coordinated write for %q", k)
 		}
@@ -85,7 +65,7 @@ func TestSloppyFailoverWhenPrimaryCrashed(t *testing.T) {
 	// After the liveness TTL expires, routing snaps back to the primary,
 	// which continues the takeover epoch instead of forking a stale one.
 	time.Sleep(2 * livenessTTL)
-	pr = httpPut(t, c.HTTPAddrs[0], keys[0], "v2")
+	pr = binPut(t, c.Nodes[0], keys[0], "v2")
 	if pr.Node != 0 {
 		t.Fatalf("recovered primary did not coordinate, node %d did", pr.Node)
 	}
@@ -115,7 +95,7 @@ func TestSpareWritesCarryHints(t *testing.T) {
 	victim, spare := prefs[1], full[3]
 
 	c.Faults().Crash(victim)
-	pr := httpPut(t, c.HTTPAddrs[prefs[0]], key, "v")
+	pr := binPut(t, c.Nodes[prefs[0]], key, "v")
 	if pr.Node != prefs[0] {
 		t.Fatalf("write coordinated by node %d, want primary %d", pr.Node, prefs[0])
 	}
@@ -164,8 +144,8 @@ func TestNoLiveCoordinator503s(t *testing.T) {
 	}
 	c.Faults().Crash(prefs[0])
 	c.Faults().Crash(prefs[1])
-	if code := httpPutStatus(t, c.HTTPAddrs[2], key, "v"); code != http.StatusServiceUnavailable {
-		t.Fatalf("write with every preference replica down got %d, want 503", code)
+	if _, err := binPutErr(c.Nodes[2], key, "v"); clientCode(err) != CodeUnavailable {
+		t.Fatalf("write with every preference replica down got %v, want a retryable unavailability", err)
 	}
 }
 
@@ -185,9 +165,15 @@ func TestCrashedCoordinatorReplaysNothing(t *testing.T) {
 	keys := keysWithPrimary(t, c, 0, 24, "silent-")
 	c.Faults().Crash(victim)
 	for _, k := range keys {
-		httpPut(t, c.HTTPAddrs[0], k, "v")
+		binPut(t, c.Nodes[0], k, "v")
 	}
+	// A write is acked at W while its leg to the crashed replica may still
+	// be buffering the hint, so let the legs settle before the snapshot.
 	pendingBefore, _, _, _ := c.Nodes[0].handoff.stats()
+	for settle := time.Now().Add(5 * time.Second); pendingBefore < len(keys) && time.Now().Before(settle); {
+		time.Sleep(5 * time.Millisecond)
+		pendingBefore, _, _, _ = c.Nodes[0].handoff.stats()
+	}
 	if pendingBefore != len(keys) {
 		t.Fatalf("%d hints pending, want %d", pendingBefore, len(keys))
 	}
@@ -211,43 +197,6 @@ func TestCrashedCoordinatorReplaysNothing(t *testing.T) {
 	waitReplicaSeqs(t, c, victim, keys, 1, 5*time.Second)
 }
 
-// TestPutBodyErrorStatuses is the regression test for body-read error
-// handling: oversized values answer 413, while a client that disconnects
-// mid-body (or otherwise truncates it) answers 400 — previously every
-// read error was blamed on the 1 MiB cap.
-func TestPutBodyErrorStatuses(t *testing.T) {
-	c, err := StartLocal(1, Params{N: 1, R: 1, W: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	// Oversized body: 413 (pinned alongside TestPutRejectsOversizedValue).
-	big := strings.Repeat("x", maxValueBytes+1)
-	if code := httpPutStatus(t, c.HTTPAddrs[0], "big", big); code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized PUT got %d, want 413", code)
-	}
-
-	// Truncated body: declare 100 bytes, send 5, half-close. The server's
-	// body read fails with an unexpected EOF — a client problem, 400.
-	addr := strings.TrimPrefix(c.HTTPAddrs[0], "http://")
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	fmt.Fprintf(conn, "PUT /kv/trunc HTTP/1.1\r\nHost: pbs\r\nContent-Length: 100\r\n\r\nshort")
-	conn.(*net.TCPConn).CloseWrite()
-	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("truncated PUT got %s, want 400", resp.Status)
-	}
-}
-
 // TestRecoveredPrimaryCannotShadowFailoverWrites is the regression test
 // for stale-epoch coordination: a primary that recovers before the
 // failover hints drain must not be able to ACK a write that the failover
@@ -264,7 +213,7 @@ func TestRecoveredPrimaryCannotShadowFailoverWrites(t *testing.T) {
 
 	key := keysWithPrimary(t, c, 0, 1, "shadow-")[0]
 	c.Faults().Crash(0)
-	pr1 := httpPut(t, c.HTTPAddrs[1], key, "failover-value")
+	pr1 := binPut(t, c.Nodes[1], key, "failover-value")
 	if SeqEpoch(pr1.Seq) == 0 {
 		t.Fatal("failover write stayed in the primary's epoch 0")
 	}
@@ -273,15 +222,15 @@ func TestRecoveredPrimaryCannotShadowFailoverWrites(t *testing.T) {
 	// hint replay: its first attempt runs in the stale pre-crash epoch and
 	// must be REFUSED, not acked-and-shadowed.
 	c.Faults().Recover(0)
-	if code := httpPutStatus(t, c.HTTPAddrs[0], key, "lost-value"); code != http.StatusServiceUnavailable {
-		t.Fatalf("stale-epoch write got %d, want 503 (an ack here would be silently shadowed)", code)
+	if _, err := binPutErr(c.Nodes[0], key, "lost-value"); clientCode(err) != CodeQuorumFailed {
+		t.Fatalf("stale-epoch write got %v, want a quorum failure (an ack here would be silently shadowed)", err)
 	}
 	// The nack folded the failover seq back: the retry lands above it.
-	pr2 := httpPut(t, c.HTTPAddrs[0], key, "retry-value")
+	pr2 := binPut(t, c.Nodes[0], key, "retry-value")
 	if pr2.Seq <= pr1.Seq {
 		t.Fatalf("retry assigned seq %#x <= failover seq %#x", pr2.Seq, pr1.Seq)
 	}
-	gr := httpGet(t, c.HTTPAddrs[1], key)
+	gr := binGet(t, c.Nodes[1], key)
 	if gr.Value != "retry-value" || gr.Seq != pr2.Seq {
 		t.Fatalf("read %+v after retry, want retry-value at seq %#x", gr, pr2.Seq)
 	}
@@ -313,13 +262,13 @@ func TestQuorumFailureCountedOnce(t *testing.T) {
 	// quorum once and the router must relay that verdict, not re-count it.
 	c.Faults().Crash(prefs[1])
 	c.Faults().Crash(prefs[2])
-	if code := httpPutStatus(t, c.HTTPAddrs[3], key, "v"); code != http.StatusServiceUnavailable {
-		t.Fatalf("unreachable quorum got %d, want 503", code)
+	if _, err := binPutErr(c.Nodes[3], key, "v"); clientCode(err) != CodeQuorumFailed {
+		t.Fatalf("unreachable quorum got %v, want the primary's quorum failure", err)
 	}
 	if got := c.Stats().FailedOps; got != 1 {
 		t.Fatalf("one failed write counted as %d failed ops across the routing chain", got)
 	}
-	// The primary answered 503 but is alive: the router must not have
+	// The primary failed its quorum but is alive: the router must not have
 	// marked it dead — a write to a key it can commit must route to it.
 	if !c.Nodes[3].alive(c.Nodes[3].view(), prefs[0]) {
 		t.Fatal("live coordinator marked dead after a quorum failure")
@@ -353,5 +302,51 @@ func TestTakeoverEpochsNeverTie(t *testing.T) {
 	s0 := c.Nodes[0].nextSeq(key, false)
 	if e0 := SeqEpoch(s0); e0 <= e2 || e0%3 != 0 {
 		t.Fatalf("primary failback assigned epoch %d after folding epoch %d", e0, e2)
+	}
+}
+
+// TestSloppyForwardSkipsPartitionedCandidate pins sloppy routing behind the
+// fault seam: a router whose liveness cache still believes the partitioned
+// primary alive forwards to it, the fault layer cuts the forward, the
+// router marks the candidate dead, and the next live preference replica
+// coordinates the write as a takeover — the partitioned node coordinates
+// nothing.
+func TestSloppyForwardSkipsPartitionedCandidate(t *testing.T) {
+	c, err := StartLocal(4, Params{N: 3, R: 1, W: 2, Seed: 31, SloppyQuorum: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// A key off the router's preference list, so the router must forward.
+	const router = 3
+	var key string
+	var prefs []int
+	for i := 0; ; i++ {
+		key = fmt.Sprintf("sloppy-cut-%d", i)
+		prefs = c.Membership().PreferenceList(key, 3)
+		if prefs[0] != router && prefs[1] != router && prefs[2] != router {
+			break
+		}
+	}
+	cut, next := prefs[0], prefs[1]
+
+	c.Faults().Partition(cut)
+	// The partition began after the router's last probe: its cache still
+	// says the primary is alive, so only the forward itself can find out.
+	rn := c.Nodes[router]
+	rn.live.mark(cut, true)
+	pr := binPut(t, rn, key, "v")
+	if pr.Node != next {
+		t.Fatalf("write coordinated by node %d, want the next live preference replica %d", pr.Node, next)
+	}
+	if alive, ok := rn.live.cached(cut); !ok || alive {
+		t.Fatalf("router's liveness cache for the partitioned candidate: alive=%v cached=%v, want marked dead", alive, ok)
+	}
+	if got := c.Nodes[cut].coordWrites.Load(); got != 0 {
+		t.Fatalf("partitioned candidate coordinated %d writes, want 0", got)
+	}
+	if got := c.Nodes[next].failoverWrites.Load(); got != 1 {
+		t.Fatalf("next preference replica counted %d failover writes, want 1", got)
 	}
 }

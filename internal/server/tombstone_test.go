@@ -1,32 +1,18 @@
 package server
 
 import (
-	"encoding/json"
-	"io"
-	"net/http"
 	"testing"
 	"time"
 )
 
-// httpDelete deletes through a node's public API and decodes the response.
-func httpDelete(t *testing.T, base, key string) PutResponse {
+// binDelete deletes through a node's binary client protocol.
+func binDelete(t *testing.T, n *Node, key string) PutResponse {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodDelete, base+"/kv/"+key, nil)
+	bc := NewBinClient(n.InternalAddr())
+	defer bc.Close()
+	pr, _, err := bc.Delete(key)
 	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("DELETE %s: %s: %s", key, resp.Status, body)
-	}
-	var pr PutResponse
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-		t.Fatal(err)
+		t.Fatalf("DELETE %s: %v", key, err)
 	}
 	return pr
 }
@@ -42,16 +28,16 @@ func TestDeleteTombstone(t *testing.T) {
 	}
 	defer c.Close()
 
-	pr := httpPut(t, c.HTTPAddrs[0], "alpha", "one")
+	pr := binPut(t, c.Nodes[0], "alpha", "one")
 	if pr.Seq != 1 {
 		t.Fatalf("put seq %d, want 1", pr.Seq)
 	}
-	dr := httpDelete(t, c.HTTPAddrs[1], "alpha")
+	dr := binDelete(t, c.Nodes[1], "alpha")
 	if dr.Seq != 2 {
 		t.Fatalf("delete seq %d, want 2", dr.Seq)
 	}
-	for i, base := range c.HTTPAddrs {
-		gr := httpGet(t, base, "alpha")
+	for i, nd := range c.Nodes {
+		gr := binGet(t, nd, "alpha")
 		if gr.Found {
 			t.Fatalf("node %d still finds deleted key: %+v", i, gr)
 		}
@@ -61,16 +47,16 @@ func TestDeleteTombstone(t *testing.T) {
 	}
 
 	// Deleting a key that never existed still commits a tombstone write.
-	if dr := httpDelete(t, c.HTTPAddrs[2], "ghost"); dr.Seq == 0 {
+	if dr := binDelete(t, c.Nodes[2], "ghost"); dr.Seq == 0 {
 		t.Fatalf("delete of absent key got seq 0: %+v", dr)
 	}
 
 	// A put after the delete resurrects the key with a newer version.
-	pr = httpPut(t, c.HTTPAddrs[2], "alpha", "reborn")
+	pr = binPut(t, c.Nodes[2], "alpha", "reborn")
 	if pr.Seq != 3 {
 		t.Fatalf("resurrecting put seq %d, want 3", pr.Seq)
 	}
-	gr := httpGet(t, c.HTTPAddrs[0], "alpha")
+	gr := binGet(t, c.Nodes[0], "alpha")
 	if !gr.Found || gr.Value != "reborn" {
 		t.Fatalf("resurrected read %+v", gr)
 	}
@@ -93,12 +79,12 @@ func TestDeleteNoResurrectionAfterAntiEntropy(t *testing.T) {
 
 	const victim = 2
 	key := keysWithPrimary(t, c, 0, 1, "del-")[0]
-	httpPut(t, c.HTTPAddrs[0], key, "doomed")
+	binPut(t, c.Nodes[0], key, "doomed")
 	waitReplicaSeqs(t, c, victim, []string{key}, 1, 5*time.Second)
 
 	// The victim sleeps through the delete holding the live version.
 	c.Faults().Crash(victim)
-	dr := httpDelete(t, c.HTTPAddrs[0], key)
+	dr := binDelete(t, c.Nodes[0], key)
 	if dr.Seq != 2 {
 		t.Fatalf("delete seq %d, want 2", dr.Seq)
 	}
@@ -109,9 +95,9 @@ func TestDeleteNoResurrectionAfterAntiEntropy(t *testing.T) {
 
 	// With the stale replica converged, no coordinator may resurrect the
 	// key — including reads coordinated at the recovered victim itself.
-	for i, base := range c.HTTPAddrs {
+	for i, nd := range c.Nodes {
 		for attempt := 0; attempt < 5; attempt++ {
-			gr := httpGet(t, base, key)
+			gr := binGet(t, nd, key)
 			if gr.Found {
 				t.Fatalf("node %d resurrected deleted key: %+v", i, gr)
 			}

@@ -1,10 +1,12 @@
 package server
 
-// Replica-to-replica transport. The public key-value API is HTTP
-// (node.go); internal replication traffic (version propagation, replica
-// reads, read repair) uses a leaner length-prefixed binary protocol —
-// every coordinated operation fans out N internal RPCs, so the internal
-// path is the hot path.
+// Replica-to-replica transport. Internal replication traffic (version
+// propagation, replica reads, read repair) uses a length-prefixed binary
+// protocol on each node's internal port — every coordinated operation fans
+// out N internal RPCs, so the internal path is the hot path. The same port
+// serves the binary client protocol (clientproto.go), which is also how a
+// node forwards a write to the key's coordinator (peer.ForwardWrite); HTTP
+// is only the admin surface (node.go).
 //
 // Two wire formats share the port. v1 is the blocking protocol: one
 // request frame per RPC, one response frame back, at most one RPC in
@@ -272,12 +274,27 @@ func (n *Node) serveInternal(ln net.Listener) {
 		if err != nil {
 			return // listener closed
 		}
+		n.acceptedMu.Lock()
+		open := n.accepted != nil
+		if open {
+			n.accepted[conn] = struct{}{}
+		}
+		n.acceptedMu.Unlock()
+		if !open {
+			conn.Close() // accepted as Close ran
+			return
+		}
 		go n.serveConn(conn)
 	}
 }
 
 func (n *Node) serveConn(conn net.Conn) {
-	defer conn.Close()
+	defer func() {
+		conn.Close()
+		n.acceptedMu.Lock()
+		delete(n.accepted, conn)
+		n.acceptedMu.Unlock()
+	}()
 	br := bufio.NewReaderSize(conn, muxIOBuf)
 	bw := bufio.NewWriter(conn)
 	for {
@@ -531,7 +548,8 @@ type peerConn struct {
 
 // peer is the RPC client for one replica's internal endpoint. Data-plane
 // ops (Apply, ApplyHinted, GetVersion, Ping) ride a small fixed set of
-// multiplexed v2 connections (mux.go); control-plane ops use the v1 pool.
+// multiplexed v2 connections (mux.go); control-plane ops use the v1 pool;
+// forwarded client writes ride a binary client connection (ForwardWrite).
 type peer struct {
 	addr string
 	free chan *peerConn
@@ -539,6 +557,7 @@ type peer struct {
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{} // every live v1 conn, for Close
 	closed bool
+	bin    *BinClient // forwarded writes; made on first use
 
 	muxMu     sync.Mutex
 	muxes     [muxConnsPerPeer]*muxConn
@@ -951,15 +970,41 @@ func (p *peer) StreamRange(req streamRangeRequest) (streamRangeResponse, error) 
 	return decodeStreamRangeResponse(resp)
 }
 
+// ForwardWrite hands a client write to the peer as its coordinator. It
+// rides a client-protocol connection rather than the peer mux: a forward
+// waits on a whole quorum, and the peer mux's server workers also run the
+// replica applies that quorum waits on — two nodes forwarding to each
+// other over peer connections could fill each other's workers with
+// forwards whose legs then queue behind them. On a client connection a
+// forward waits only on replica ops, which never wait on another node.
+func (p *peer) ForwardWrite(key, value string, tombstone bool, fwdEpoch uint64) (PutResponse, error) {
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return PutResponse{}, errors.New("server: peer closed")
+	}
+	if p.bin == nil {
+		p.bin = NewBinClient(p.addr)
+	}
+	bc := p.bin
+	p.mu.Unlock()
+	pr, _, err := bc.write(key, value, tombstone, fwdEpoch)
+	return pr, err
+}
+
 // close tears down every live connection, failing in-flight mux calls.
 func (p *peer) close() {
 	p.mu.Lock()
 	p.closed = true
 	conns := p.conns
 	p.conns = make(map[net.Conn]struct{})
+	bc := p.bin
 	p.mu.Unlock()
 	for c := range conns {
 		c.Close()
+	}
+	if bc != nil {
+		bc.Close()
 	}
 	p.muxMu.Lock()
 	p.muxClosed = true

@@ -8,7 +8,6 @@ package smoke
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -20,6 +19,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"pbs/internal/server"
 )
 
 var nodeLineRE = regexp.MustCompile(`node (\d+): http=(\S+) internal=(\S+) ring-epoch=(\d+) members=(\d+)`)
@@ -87,44 +88,28 @@ func startServeNode(t *testing.T, ctx context.Context, bin string, args ...strin
 	}
 }
 
-// kvResponse is the subset of the server's PUT/GET payloads the smoke
+// kvResponse is the subset of the server's put/get answers the smoke
 // needs.
 type kvResponse struct {
-	Seq   uint64 `json:"seq"`
-	Found bool   `json:"found"`
-	Value string `json:"value"`
+	Seq   uint64
+	Found bool
+	Value string
 }
 
-func procPut(base, key, value string) (kvResponse, error) {
-	req, err := http.NewRequest(http.MethodPut, base+"/kv/"+key, strings.NewReader(value))
-	if err != nil {
-		return kvResponse{}, err
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return kvResponse{}, err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return kvResponse{}, fmt.Errorf("PUT %s: %s: %s", key, resp.Status, body)
-	}
-	var kv kvResponse
-	return kv, json.Unmarshal(body, &kv)
+// procPut and procGet drive one process directly over the binary client
+// protocol at its internal address — the smoke pins which process serves.
+func procPut(p *serveProc, key, value string) (kvResponse, error) {
+	bc := server.NewBinClient(p.internal)
+	defer bc.Close()
+	pr, _, err := bc.Put(key, value)
+	return kvResponse{Seq: pr.Seq}, err
 }
 
-func procGet(base, key string) (kvResponse, error) {
-	resp, err := http.Get(base + "/kv/" + key)
-	if err != nil {
-		return kvResponse{}, err
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return kvResponse{}, fmt.Errorf("GET %s: %s: %s", key, resp.Status, body)
-	}
-	var kv kvResponse
-	return kv, json.Unmarshal(body, &kv)
+func procGet(p *serveProc, key string) (kvResponse, error) {
+	bc := server.NewBinClient(p.internal)
+	defer bc.Close()
+	gr, _, err := bc.Get(key)
+	return kvResponse{Seq: gr.Seq, Found: gr.Found, Value: gr.Value}, err
 }
 
 // TestMultiProcessClusterSmoke is the CI deployment smoke: seed + two
@@ -150,10 +135,10 @@ func TestMultiProcessClusterSmoke(t *testing.T) {
 	j1 := startServeNode(t, ctx, bin, append([]string{"-join", seed.internal}, common...)...)
 
 	// Static smoke first: write through the seed, read through joiner 1.
-	if _, err := procPut(seed.httpAddr, "hello", "world"); err != nil {
+	if _, err := procPut(seed, "hello", "world"); err != nil {
 		t.Fatal(err)
 	}
-	if kv, err := procGet(j1.httpAddr, "hello"); err != nil || kv.Value != "world" {
+	if kv, err := procGet(j1, "hello"); err != nil || kv.Value != "world" {
 		t.Fatalf("cross-process read: %v %+v", err, kv)
 	}
 
@@ -167,7 +152,7 @@ func TestMultiProcessClusterSmoke(t *testing.T) {
 		stop     = make(chan struct{})
 		wg       sync.WaitGroup
 	)
-	bases := []string{seed.httpAddr, j1.httpAddr}
+	procs := []*serveProc{seed, j1}
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -179,7 +164,7 @@ func TestMultiProcessClusterSmoke(t *testing.T) {
 				default:
 				}
 				key := fmt.Sprintf("mp-%d-%d", w, i%24)
-				kv, err := procPut(bases[w%len(bases)], key, fmt.Sprintf("v-%d-%d", w, i))
+				kv, err := procPut(procs[w%len(procs)], key, fmt.Sprintf("v-%d-%d", w, i))
 				if err != nil {
 					failures.Add(1)
 				} else {
@@ -216,7 +201,7 @@ func TestMultiProcessClusterSmoke(t *testing.T) {
 	for {
 		lost := 0
 		for key, seq := range snapshot {
-			kv, err := procGet(j2.httpAddr, key)
+			kv, err := procGet(j2, key)
 			if err != nil || !kv.Found || kv.Seq < seq {
 				lost++
 			}

@@ -69,10 +69,10 @@ func TestMultiProcessPartitionHealSmoke(t *testing.T) {
 	j1 := startServeNode(t, ctx, bin, append([]string{"-join", seed.internal, "-leave"}, common...)...)
 
 	// Sanity: the three-member ring serves cross-process before any fault.
-	if _, err := procPut(seed.httpAddr, "part-smoke", "v1"); err != nil {
+	if _, err := procPut(seed, "part-smoke", "v1"); err != nil {
 		t.Fatal(err)
 	}
-	if kv, err := procGet(j1.httpAddr, "part-smoke"); err != nil || kv.Value != "v1" {
+	if kv, err := procGet(j1, "part-smoke"); err != nil || kv.Value != "v1" {
 		t.Fatalf("cross-process read: %v %+v", err, kv)
 	}
 
@@ -143,11 +143,11 @@ func TestMultiProcessPartitionHealSmoke(t *testing.T) {
 	}
 
 	// The healed member serves correctly under the shrunk ring.
-	pw, err := procPut(j2.httpAddr, "part-smoke-2", "v2")
+	pw, err := procPut(j2, "part-smoke-2", "v2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kv, err := procGet(seed.httpAddr, "part-smoke-2"); err != nil || kv.Seq < pw.Seq {
+	if kv, err := procGet(seed, "part-smoke-2"); err != nil || kv.Seq < pw.Seq {
 		t.Fatalf("read after heal: %v %+v, want seq >= %d", err, kv, pw.Seq)
 	}
 }

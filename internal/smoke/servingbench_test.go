@@ -2,15 +2,11 @@ package smoke
 
 // Loopback serving benchmark for the serving hot path. One process hosts
 // a 3-node in-memory cluster (N=3, R=2, W=2, no WARS model) and a
-// closed-loop client; each cell measures PUT or GET throughput,
-// client-observed p50/p99.9, and whole-process allocations per op at a
-// given in-flight concurrency. Every cell runs through both client front
-// ends — the HTTP+JSON API and the pipelined binary client protocol
-// (tagged frames straight into the same coordinators) — and the
-// binary-vs-HTTP ratio at 64 in flight is gated at ≥1.5× on multi-core
-// non-race runners: the number the binary front end exists to move.
-// Batched MPUT/MGET cells ride the binary protocol, and batch-64 MGET is
-// gated at ≥2× single-key binary GET throughput.
+// closed-loop client speaking the pipelined binary client protocol; each
+// cell measures PUT or GET throughput, client-observed p50/p99.9, and
+// whole-process allocations per op at a given in-flight concurrency.
+// Batched MPUT/MGET cells ride the same protocol, and batch-64 MGET is
+// gated at ≥2× single-key GET throughput on multi-core non-race runners.
 //
 // Alongside the end-to-end cells, the harness measures the data-plane
 // transport alone: raw internal-RPC throughput (replica applies and
@@ -37,12 +33,10 @@ import (
 	"pbs/internal/workload"
 )
 
-// servingRow is one (transport, proto, op, concurrency) cell in
-// BENCH_serving.json.
+// servingRow is one (proto, op, concurrency) cell in BENCH_serving.json.
 type servingRow struct {
-	Transport   string  `json:"transport"` // internal data plane: always "mux"
-	Proto       string  `json:"proto"`     // client front end: "http" or "binary"
-	Op          string  `json:"op"`        // "put", "get", "mput" or "mget"
+	Proto       string  `json:"proto"` // client protocol: always "binary"
+	Op          string  `json:"op"`    // "put", "get", "mput" or "mget"
 	Clients     int     `json:"clients"`
 	Pipeline    int     `json:"pipeline"`
 	InFlight    int     `json:"in_flight"`       // Clients × Pipeline
@@ -63,10 +57,11 @@ func servingCluster(t *testing.T) (*server.Cluster, *client.Client) {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	cl, err := client.Dial(c.HTTPAddrs[0])
+	cl, err := client.DialBinary(c.HTTPAddrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(cl.Close)
 	for i := 0; i < servingKeys; i++ {
 		if _, err := cl.Put(fmt.Sprintf("sv%d", i), "serving-bench-value-0123456789abcdef"); err != nil {
 			t.Fatal(err)
@@ -80,8 +75,8 @@ const servingKeys = 256
 // measureServing drives one closed-loop cell and reports its row.
 // AllocsPerOp counts whole-process mallocs (client and all three replicas
 // share the process), so it is a harness-level number: comparable across
-// front ends within one run, not an absolute per-RPC figure.
-func measureServing(t *testing.T, cl *client.Client, transport, proto, op string, clients, pipeline, batch int) servingRow {
+// cells within one run, not an absolute per-RPC figure.
+func measureServing(t *testing.T, cl *client.Client, op string, clients, pipeline, batch int) servingRow {
 	t.Helper()
 	readFrac := 0.0
 	if op == "get" || op == "mget" {
@@ -105,7 +100,7 @@ func measureServing(t *testing.T, cl *client.Client, transport, proto, op string
 	}
 	runtime.ReadMemStats(&memAfter)
 	if res.Errors > 0 {
-		t.Fatalf("%s/%s/%s at %d×%d: %d errors", transport, proto, op, clients, pipeline, res.Errors)
+		t.Fatalf("%s at %d×%d: %d errors", op, clients, pipeline, res.Errors)
 	}
 	snap := mon.Snapshot([]float64{0.50, 0.999})
 	lat := snap.WriteClientMs
@@ -113,7 +108,7 @@ func measureServing(t *testing.T, cl *client.Client, transport, proto, op string
 		lat = snap.ReadClientMs
 	}
 	row := servingRow{
-		Transport: transport, Proto: proto, Op: op,
+		Proto: "binary", Op: op,
 		Clients: clients, Pipeline: pipeline, InFlight: clients * pipeline,
 		Ops:       res.Ops,
 		OpsPerSec: res.Throughput,
@@ -132,7 +127,7 @@ func measureServing(t *testing.T, cl *client.Client, transport, proto, op string
 
 // TestServingBenchJSON emits BENCH_serving.json when SERVING_BENCH_OUT is
 // set (the CI serving-bench job) and, when the host can express it, checks
-// the binary-protocol, batching and allocation bars.
+// the batching and allocation bars.
 func TestServingBenchJSON(t *testing.T) {
 	out := os.Getenv("SERVING_BENCH_OUT")
 	if out == "" && testing.Short() {
@@ -143,57 +138,44 @@ func TestServingBenchJSON(t *testing.T) {
 	// flight) to exercise the client-side write-pipelining path.
 	levels := []struct{ clients, pipeline int }{{8, 1}, {64, 1}, {64, 4}}
 
-	rows := make([]servingRow, 0, 16)
+	rows := make([]servingRow, 0, 10)
 	rpcRows := make([]server.RPCBenchResult, 0, 2)
-	at64 := make(map[string]float64)      // "proto/op" → ops/s at 64 in flight
+	at64 := make(map[string]float64)      // op → ops/s at 64 in flight
 	batchAt64 := make(map[string]float64) // "op/batch" → batched keys/s at 64 in flight
-	binGetAllocs := 0.0                   // binary GET allocs/op at 64 in flight
+	getAllocs := 0.0                      // single-key GET allocs/op at 64 in flight
 	cluster, cl := servingCluster(t)
-	bcl, err := client.DialBinary(cluster.HTTPAddrs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(bcl.Close)
-	fronts := []struct {
-		proto string
-		cl    *client.Client
-	}{{"http", cl}, {"binary", bcl}}
-	for _, fe := range fronts {
-		for _, op := range []string{"put", "get"} {
-			for _, lv := range levels {
-				// Best of two rounds, like the raw RPC rows: scheduler noise
-				// on a shared host only ever slows a cell down, and the
-				// speedup gates divide one cell by another.
-				row := measureServing(t, fe.cl, "mux", fe.proto, op, lv.clients, lv.pipeline, 1)
-				if again := measureServing(t, fe.cl, "mux", fe.proto, op, lv.clients, lv.pipeline, 1); again.OpsPerSec > row.OpsPerSec {
-					row = again
-				}
-				rows = append(rows, row)
-				if row.InFlight == 64 {
-					at64[fe.proto+"/"+op] = row.OpsPerSec
-					if fe.proto == "binary" && op == "get" {
-						binGetAllocs = row.AllocsPerOp
-					}
-				}
-				t.Logf("%-6s %-3s %3d×%d  %9.0f ops/s  p50 %6.2fms  p99.9 %7.2fms  %6.1f allocs/op",
-					row.Proto, row.Op, row.Clients, row.Pipeline,
-					row.OpsPerSec, row.P50Ms, row.P999Ms, row.AllocsPerOp)
+	for _, op := range []string{"put", "get"} {
+		for _, lv := range levels {
+			// Best of two rounds, like the raw RPC rows: scheduler noise
+			// on a shared host only ever slows a cell down, and the
+			// speedup gate divides one cell by another.
+			row := measureServing(t, cl, op, lv.clients, lv.pipeline, 1)
+			if again := measureServing(t, cl, op, lv.clients, lv.pipeline, 1); again.OpsPerSec > row.OpsPerSec {
+				row = again
 			}
+			rows = append(rows, row)
+			if row.InFlight == 64 {
+				at64[op] = row.OpsPerSec
+				if op == "get" {
+					getAllocs = row.AllocsPerOp
+				}
+			}
+			t.Logf("%-3s %3d×%d  %9.0f ops/s  p50 %6.2fms  p99.9 %7.2fms  %6.1f allocs/op",
+				row.Op, row.Clients, row.Pipeline,
+				row.OpsPerSec, row.P50Ms, row.P999Ms, row.AllocsPerOp)
 		}
 	}
-	// Batched multi-key cells, binary protocol only (the HTTP front end
-	// decomposes MPut and the comparison would measure JSON, not
-	// batching). Throughput is keys per second: a batch of 64 keys that
-	// completes in one round trip counts 64 ops.
+	// Batched multi-key cells. Throughput is keys per second: a batch of
+	// 64 keys that completes in one round trip counts 64 ops.
 	for _, op := range []string{"mput", "mget"} {
 		for _, batch := range []int{8, 64} {
-			row := measureServing(t, bcl, "mux", "binary", op, 64, 1, batch)
-			if again := measureServing(t, bcl, "mux", "binary", op, 64, 1, batch); again.OpsPerSec > row.OpsPerSec {
+			row := measureServing(t, cl, op, 64, 1, batch)
+			if again := measureServing(t, cl, op, 64, 1, batch); again.OpsPerSec > row.OpsPerSec {
 				row = again
 			}
 			rows = append(rows, row)
 			batchAt64[op+"/"+fmt.Sprint(batch)] = row.OpsPerSec
-			t.Logf("binary %-4s %3d×%d b%-2d %9.0f keys/s  p50 %6.2fms  p99.9 %7.2fms  %6.1f allocs/key",
+			t.Logf("%-4s %3d×%d b%-2d %9.0f keys/s  p50 %6.2fms  p99.9 %7.2fms  %6.1f allocs/key",
 				row.Op, row.Clients, row.Pipeline, batch,
 				row.OpsPerSec, row.P50Ms, row.P999Ms, row.AllocsPerOp)
 		}
@@ -216,13 +198,10 @@ func TestServingBenchJSON(t *testing.T) {
 			best.Op, best.OpsPerSec, best.P50Micros, best.P999Micros, best.AllocsPerOp)
 	}
 
-	binPutSpeedup := at64["binary/put"] / at64["http/put"]
-	binGetSpeedup := at64["binary/get"] / at64["http/get"]
-	mgetSpeedup := batchAt64["mget/64"] / at64["binary/get"]
-	mputSpeedup := batchAt64["mput/64"] / at64["binary/put"]
-	t.Logf("binary/http client protocol speedup at 64 in flight: put %.2fx, get %.2fx (binary get %.1f allocs/op)",
-		binPutSpeedup, binGetSpeedup, binGetAllocs)
-	t.Logf("batched/single binary speedup at 64 in flight, batch 64: mget %.2fx, mput %.2fx", mgetSpeedup, mputSpeedup)
+	mgetSpeedup := batchAt64["mget/64"] / at64["get"]
+	mputSpeedup := batchAt64["mput/64"] / at64["put"]
+	t.Logf("single-key get at 64 in flight: %.1f allocs/op", getAllocs)
+	t.Logf("batched/single speedup at 64 in flight, batch 64: mget %.2fx, mput %.2fx", mgetSpeedup, mputSpeedup)
 
 	if out != "" {
 		payload := map[string]any{
@@ -230,15 +209,12 @@ func TestServingBenchJSON(t *testing.T) {
 			"cluster":                     map[string]int{"nodes": 3, "n": 3, "r": 2, "w": 2},
 			"rows":                        rows,
 			"rpc_rows":                    rpcRows,
-			"binary_put_speedup_at_64":    binPutSpeedup,
-			"binary_get_speedup_at_64":    binGetSpeedup,
-			"binary_get_allocs_per_op_64": binGetAllocs,
+			"binary_get_allocs_per_op_64": getAllocs,
 			"mget_speedup_at_64":          mgetSpeedup,
 			"mput_speedup_at_64":          mputSpeedup,
 			"gomaxprocs":                  runtime.GOMAXPROCS(0),
 			"race_instrumented":           raceEnabled,
 			"floor_enforced":              !raceEnabled && runtime.GOMAXPROCS(0) >= 2,
-			"binary_speedup_floor_x100":   150,
 			"mget_speedup_floor_x100":     200,
 			"binary_get_allocs_ceiling":   40,
 		}
@@ -259,15 +235,6 @@ func TestServingBenchJSON(t *testing.T) {
 		t.Logf("skipping floors: bench_out=%v race=%v GOMAXPROCS=%d", out != "", raceEnabled, runtime.GOMAXPROCS(0))
 		return
 	}
-	// The client-protocol bar: retiring HTTP+JSON from the serving hot path
-	// must buy ≥1.5× end-to-end throughput at 64 in-flight ops on the same
-	// cluster: the binary front end removes the HTTP serving cost instead of
-	// sharing it, so the ratio is meaningful end to end.
-	const binFloor = 1.5
-	if binPutSpeedup < binFloor || binGetSpeedup < binFloor {
-		t.Fatalf("binary client protocol speedup at 64 in flight below %.1fx: put %.2fx, get %.2fx",
-			binFloor, binPutSpeedup, binGetSpeedup)
-	}
 	// The batching bar: one 64-key MGET frame per coordinator per round trip
 	// must move ≥2× the keys per second of 64 single-key GET streams — the
 	// number the batched frames and pooled fan-out exist to buy.
@@ -279,8 +246,8 @@ func TestServingBenchJSON(t *testing.T) {
 	// The allocation bar for the single-key decode tightening + pooled
 	// read-state work: a whole-process (client + 3 replicas) malloc budget.
 	const allocCeiling = 40.0
-	if binGetAllocs >= allocCeiling {
-		t.Fatalf("binary single-key GET allocs/op at 64 in flight: %.1f, want < %.0f",
-			binGetAllocs, allocCeiling)
+	if getAllocs >= allocCeiling {
+		t.Fatalf("single-key GET allocs/op at 64 in flight: %.1f, want < %.0f",
+			getAllocs, allocCeiling)
 	}
 }

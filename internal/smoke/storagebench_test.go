@@ -4,7 +4,7 @@ package smoke
 // policies — the acceptance bar for group commit. Raw engine benchmarks
 // (internal/storage) can't hold a stable always/never ratio: fsync-never
 // runs at memory speed there, so the ratio collapses to disk latency
-// noise. Against a real loopback node the HTTP serving path floors both
+// noise. Against a real loopback node the client serving path floors both
 // policies, and group commit has to amortize the fsync across concurrent
 // writers to keep up — exactly the claim under test: -fsync always must
 // sustain at least half of -fsync never's write throughput.
@@ -37,10 +37,11 @@ func measureWriteThroughput(t *testing.T, policy string) float64 {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	cl, err := client.Dial(c.HTTPAddrs[0])
+	cl, err := client.DialBinary(c.HTTPAddrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer cl.Close()
 	res, err := client.RunLoad(cl, client.NewMonitor(), client.LoadOptions{
 		Clients:  32,
 		Duration: 2 * time.Second,

@@ -92,15 +92,13 @@ func (e *Engine) maybeCompactLocked() {
 	e.compacting = true
 	snapshot := append([]*sstable(nil), e.tables...)
 	gen := e.nextGenLocked()
-	gcAge := e.opts.TombstoneGCAge
-	now := e.lastNow
 	e.bg.Add(1)
-	go e.compact(snapshot, gen, gcAge, now)
+	go e.compact(snapshot, gen)
 }
 
 // compact merges snapshot newest-seq-wins into one table and swaps it in
 // for the snapshot prefix of e.tables.
-func (e *Engine) compact(snapshot []*sstable, gen uint64, gcAge, now float64) {
+func (e *Engine) compact(snapshot []*sstable, gen uint64) {
 	defer e.bg.Done()
 	merged := make(map[string]kvstore.Version)
 	for _, t := range snapshot { // oldest → newest; later records win
@@ -120,15 +118,9 @@ func (e *Engine) compact(snapshot []*sstable, gen uint64, gcAge, now float64) {
 	}
 	versions := make([]kvstore.Version, 0, len(merged))
 	for _, v := range merged {
-		// Tombstone GC (opt-in): a tombstone may be dropped only once it has
-		// aged past the anti-entropy horizon, and only when it is the newest
-		// record for its key here — newer tiers can hold only newer records,
-		// so dropping it cannot expose an older live version locally. The
-		// default (gcAge 0) keeps tombstones forever; see README for the
-		// resurrection caveat GC reintroduces.
-		if v.Tombstone && gcAge > 0 && now-v.WrittenAt > gcAge {
-			continue
-		}
+		// Tombstones are kept forever: dropping one while any replica still
+		// holds an older live version would let anti-entropy resurrect the
+		// delete.
 		versions = append(versions, v)
 	}
 	path := e.sstPath(gen)

@@ -43,12 +43,6 @@ type Options struct {
 	// CompactAt is the SSTable count that triggers background compaction
 	// (default 4).
 	CompactAt int
-	// TombstoneGCAge, when > 0, lets compaction drop a tombstone once it is
-	// older than this many simulated-time units AND is the newest record for
-	// its key in the merged snapshot. The default 0 keeps tombstones forever:
-	// dropping one while any replica still holds an older live version would
-	// let anti-entropy resurrect the delete.
-	TombstoneGCAge float64
 }
 
 func (o *Options) setDefaults() error {
@@ -95,8 +89,7 @@ type Engine struct {
 	frozen     *memtable // being flushed; immutable
 	frozenWAL  []string  // rotated-out WAL segments, deletable after a successful flush
 	tables     []*sstable
-	gen        uint64  // last allocated file generation
-	lastNow    float64 // most recent Apply timestamp (drives tombstone GC age)
+	gen        uint64 // last allocated file generation
 	flushing   bool
 	compacting bool
 	closed     bool
@@ -171,9 +164,6 @@ func (e *Engine) Apply(v kvstore.Version, now float64) bool {
 	if e.closed {
 		e.mu.Unlock()
 		return false
-	}
-	if now > e.lastNow {
-		e.lastNow = now
 	}
 	cur, ok := e.lookupMetaLocked(v.Key)
 	if ok && v.Seq <= cur.seq {

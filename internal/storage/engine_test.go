@@ -282,36 +282,6 @@ func TestEngineConcurrentApply(t *testing.T) {
 	}
 }
 
-func TestEngineTombstoneGC(t *testing.T) {
-	dir := t.TempDir()
-	e, err := Open(Options{Dir: dir, Fsync: FsyncNever, MemtableBytes: 1 << 10, CompactAt: 2, TombstoneGCAge: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	e.Apply(kvstore.Version{Key: "doomed", Seq: 1, Tombstone: true}, 0)
-	e.Apply(kvstore.Version{Key: "fresh", Seq: 1, Tombstone: true}, 99)
-	// Keep pushing data (flushes only trigger from the apply path) until a
-	// compaction runs, at a now far past the doomed tombstone's age but not
-	// the fresh one's.
-	deadline := time.Now().Add(10 * time.Second)
-	for i := 0; e.Metrics().Compactions == 0; i++ {
-		e.Apply(kvstore.Version{Key: fmt.Sprintf("fill%d", i%500), Seq: uint64(i + 2), Value: "xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx"}, 100)
-		if time.Now().After(deadline) {
-			t.Fatalf("no compaction: %+v", e.Metrics())
-		}
-	}
-	if _, found := e.Get("fresh"); !found {
-		t.Fatal("young tombstone dropped before GC age")
-	}
-	// The aged tombstone may legitimately still exist if it sat in a tier
-	// the compaction snapshot missed; only assert it is gone once the
-	// summary says the compacted tables no longer carry it.
-	if _, found := e.Get("doomed"); found {
-		t.Log("aged tombstone not yet collected (resident outside compacted snapshot)")
-	}
-}
-
 // dirEntries lists dir's file names.
 func dirEntries(t *testing.T, dir string) []string {
 	t.Helper()

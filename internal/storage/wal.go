@@ -14,6 +14,7 @@ package storage
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"os"
 	"sync"
 	"time"
@@ -58,6 +59,17 @@ type wal struct {
 	lastErr  error   // last flush/sync failure (cleared on success)
 	syncEWMA float64 // smoothed fsync duration (seconds), sizes the commit nap
 
+	// batchEst is the number of records a napping leader expects to
+	// gather: a decaying maximum of recent napped batch sizes (0 until the
+	// first nap, which runs in full). The nap ends early once that many
+	// records are staged: the stage that reaches napTarget (0 = no nap in
+	// progress) signals napWake. napTimer bounds the nap; the timer and the
+	// channel are reused across batches, so a nap allocates nothing.
+	batchEst  float64
+	napTarget int64
+	napWake   chan struct{}
+	napTimer  *time.Timer
+
 	appends int64 // records appended
 	syncs   int64 // fsync calls issued (appends/syncs = group size)
 	errs    int64 // staging, flush or sync failures
@@ -72,10 +84,11 @@ func openWAL(path, policy string) (*wal, error) {
 		return nil, fmt.Errorf("storage: open wal: %w", err)
 	}
 	w := &wal{
-		policy: policy,
-		f:      f,
-		bw:     bufio.NewWriter(f),
-		path:   path,
+		policy:  policy,
+		f:       f,
+		bw:      bufio.NewWriter(f),
+		path:    path,
+		napWake: make(chan struct{}, 1),
 	}
 	w.cond = sync.NewCond(&w.mu)
 	if policy == FsyncInterval {
@@ -103,6 +116,10 @@ func (w *wal) stage(frame []byte) walToken {
 	}
 	w.appends++
 	w.appended++
+	if w.napTarget > 0 && w.appended >= w.napTarget {
+		w.napTarget = 0
+		w.napWake <- struct{}{}
+	}
 	if w.policy != FsyncAlways {
 		if err := w.bw.Flush(); err != nil {
 			w.errs++
@@ -152,17 +169,52 @@ func (w *wal) commit(t walToken) error {
 // fsync-worth of time lets concurrent appenders stage into the batch,
 // trading at most 2x commit latency for a multiplied batch (and on a
 // fast-fsync host the nap is measured in microseconds and invisible).
+//
+// The nap ends early once a batch as large as recent ones has staged: a
+// closed loop of appenders re-stages about one batch per commit, so once
+// that batch is in, napping on only idles the platter and delays every
+// appender in it. Waking on the count rather than polling for a lull also
+// keeps a steady trickle of arrivals from stretching the nap to its cap.
 func (w *wal) syncBatchLocked() {
 	w.syncing = true
-	if nap := time.Duration(w.syncEWMA * float64(time.Second)); nap > 0 {
+	nap := time.Duration(w.syncEWMA * float64(time.Second))
+	if nap > 0 {
 		if nap > maxCommitNap {
 			nap = maxCommitNap
 		}
-		w.mu.Unlock()
-		time.Sleep(nap)
-		w.mu.Lock()
+		target := int64(math.MaxInt64)
+		if w.batchEst > 0 {
+			target = w.durable + int64(math.Ceil(w.batchEst))
+		}
+		if w.appended < target {
+			w.napTarget = target
+			if w.napTimer == nil {
+				w.napTimer = time.NewTimer(nap)
+			} else {
+				w.napTimer.Reset(nap)
+			}
+			w.mu.Unlock()
+			select {
+			case <-w.napWake:
+			case <-w.napTimer.C:
+			}
+			w.napTimer.Stop()
+			w.mu.Lock()
+			if w.napTarget == 0 {
+				// A stage reached the target as the timer fired: consume
+				// its wake so the next nap does not end at once.
+				select {
+				case <-w.napWake:
+				default:
+				}
+			}
+			w.napTarget = 0
+		}
 	}
 	batch := w.appended
+	if nap > 0 {
+		w.batchEst = max(float64(batch-w.durable), 0.9*w.batchEst)
+	}
 	err := w.bw.Flush()
 	f := w.f
 	w.mu.Unlock()
