@@ -23,7 +23,6 @@ import (
 	"pbs/internal/netsim"
 	"pbs/internal/ring"
 	"pbs/internal/rng"
-	"pbs/internal/vclock"
 )
 
 // Message kinds beyond the four WARS kinds.
@@ -372,7 +371,6 @@ func (c *Cluster) putFrom(coord int, key, value string, onCommit func(WriteResul
 		Key:   key,
 		Seq:   seq,
 		Value: value,
-		Clock: vclock.New().Tick(coord),
 	}
 	c.nextReqID++
 	id := c.nextReqID

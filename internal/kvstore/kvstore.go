@@ -1,14 +1,12 @@
 // Package kvstore is the per-replica versioned storage engine of the
-// Dynamo-style store. Each key holds its newest known version (versions are
-// totally ordered by sequence number, as the paper assumes via globally
-// coordinated ordering or vector clocks with commutative merges); the store
-// additionally tracks arrival timestamps so staleness experiments can
-// reconstruct when a replica learned of a version.
+// Dynamo-style store. Each key holds its newest known version. Versions are
+// totally ordered by sequence number alone: the paper assumes either
+// globally coordinated ordering or vector clocks with commutative merges,
+// and this store takes the first — the coordinator assigns Seq from a
+// per-key counter tagged with its failover epoch, so no causal metadata is
+// kept. The store additionally tracks arrival timestamps so staleness
+// experiments can reconstruct when a replica learned of a version.
 package kvstore
-
-import (
-	"pbs/internal/vclock"
-)
 
 // Version is one value version for a key.
 type Version struct {
@@ -18,8 +16,6 @@ type Version struct {
 	Seq uint64
 	// Value is the application payload.
 	Value string
-	// Clock is the optional causal context.
-	Clock vclock.VC
 	// WrittenAt is the simulated time at which this replica applied the
 	// version (set by the store on Apply).
 	WrittenAt float64
@@ -97,9 +93,6 @@ func (s *Store) Apply(v Version, now float64) bool {
 		return false
 	}
 	v.WrittenAt = now
-	if ok && cur.Clock != nil {
-		v.Clock = v.Clock.Merge(cur.Clock)
-	}
 	s.data[v.Key] = v
 	s.applied++
 	return true

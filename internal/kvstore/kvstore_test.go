@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"pbs/internal/rng"
-	"pbs/internal/vclock"
 )
 
 func TestApplyNewerWins(t *testing.T) {
@@ -41,18 +40,6 @@ func TestGetMissing(t *testing.T) {
 	}
 	if s.Seq("nope") != 0 {
 		t.Fatal("missing seq should be 0")
-	}
-}
-
-func TestClockMergeOnApply(t *testing.T) {
-	s := New()
-	c1 := vclock.New().Tick(1)
-	s.Apply(Version{Key: "k", Seq: 1, Clock: c1}, 0)
-	c2 := vclock.New().Tick(2)
-	s.Apply(Version{Key: "k", Seq: 2, Clock: c2}, 1)
-	v, _ := s.Get("k")
-	if v.Clock.Get(1) != 1 || v.Clock.Get(2) != 1 {
-		t.Fatalf("clock not merged: %v", v.Clock)
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"pbs/internal/kvstore"
-	"pbs/internal/vclock"
 )
 
 // maxBatchOps bounds one client batch.
@@ -245,7 +244,6 @@ func (n *Node) coordinateMPut(ops []BatchPutOp) []batchPutOut {
 			Seq:       seq,
 			Value:     ops[i].Value,
 			Tombstone: ops[i].Tombstone,
-			Clock:     vclock.VC{n.id: n.clockTicks.Add(1)},
 		}
 		prefs := n.prefs(v, ops[i].Key)
 		q := quorumW

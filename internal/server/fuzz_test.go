@@ -16,7 +16,6 @@ import (
 
 	"pbs/internal/kvstore"
 	"pbs/internal/ring"
-	"pbs/internal/vclock"
 )
 
 // frame builds one wire frame (tag, length prefix, payload).
@@ -55,7 +54,7 @@ func fuzzNode() *Node {
 		}
 		n.nrep.Store(2)
 		n.installMembership(m)
-		n.applyLocal(kvstore.Version{Key: "seeded", Seq: 3, Value: "v", Clock: vclock.VC{0: 1}})
+		n.applyLocal(kvstore.Version{Key: "seeded", Seq: 3, Value: "v"})
 		sharedFuzzNode = n
 	})
 	return sharedFuzzNode
@@ -63,7 +62,7 @@ func fuzzNode() *Node {
 
 func FuzzFrameDecoder(f *testing.F) {
 	// Well-formed frames for every opcode.
-	ver := kvstore.Version{Key: "k", Seq: 7, Value: "hello", Clock: vclock.VC{1: 4, 2: 9}}
+	ver := kvstore.Version{Key: "k", Seq: 7, Value: "hello"}
 	f.Add(frame(opApply, encodeVersion(nil, ver)))
 	f.Add(frame(opGet, appendString16(nil, "seeded")))
 	f.Add(frame(opTree, []byte{8}))
@@ -168,7 +167,7 @@ func FuzzTaggedFrameRoundTrip(f *testing.F) {
 // oversized length prefixes and garbage opcodes must all fail cleanly —
 // no panics, no unbounded allocation.
 func FuzzMuxStream(f *testing.F) {
-	ver := kvstore.Version{Key: "k", Seq: 7, Value: "hello", Clock: vclock.VC{1: 4}}
+	ver := kvstore.Version{Key: "k", Seq: 7, Value: "hello"}
 	two := append(taggedFrame(opApply, 1, encodeVersion(nil, ver)),
 		taggedFrame(opGet, 2, appendString16(nil, "seeded"))...)
 	f.Add(two)
@@ -466,7 +465,7 @@ func FuzzClientBatchFrameRoundTrip(f *testing.F) {
 // to an equivalent value.
 func FuzzVersionRoundTrip(f *testing.F) {
 	f.Add(encodeVersion(nil, kvstore.Version{Key: "k", Seq: 1, Value: "v"}))
-	f.Add(encodeVersion(nil, kvstore.Version{Key: "", Seq: 0, Value: "", Clock: vclock.VC{0: 0}}))
+	f.Add(encodeVersion(nil, kvstore.Version{Key: "", Seq: 0, Value: ""}))
 	f.Add([]byte{0, 1, 'x'})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := &decoder{b: data}
@@ -479,7 +478,7 @@ func FuzzVersionRoundTrip(f *testing.F) {
 		if d2.err != nil {
 			t.Fatalf("re-decode of re-encoded version failed: %v", d2.err)
 		}
-		if v.Key != v2.Key || v.Seq != v2.Seq || v.Value != v2.Value || v.Clock.Compare(v2.Clock) != vclock.Equal {
+		if v.Key != v2.Key || v.Seq != v2.Seq || v.Value != v2.Value {
 			t.Fatalf("round trip changed version: %+v vs %+v", v, v2)
 		}
 	})

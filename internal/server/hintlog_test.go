@@ -16,18 +16,15 @@ import (
 
 	"pbs/internal/kvstore"
 	"pbs/internal/rng"
-	"pbs/internal/vclock"
 )
 
-// randVersion builds a version with a non-trivial clock so the round trip
-// exercises the full codec.
+// randVersion builds a random version for the hint-log round trip.
 func randVersion(r *rng.RNG, key string) kvstore.Version {
 	seq := r.Uint64n(200) + 1
 	return kvstore.Version{
 		Key:   key,
 		Seq:   seq,
 		Value: fmt.Sprintf("v%d", seq),
-		Clock: vclock.VC{int(r.Uint64n(4)): seq},
 	}
 }
 
@@ -236,7 +233,7 @@ func FuzzHintLogReplay(f *testing.F) {
 		writeFrame(bw, tag, payload)
 		return buf.Bytes()
 	}
-	v1 := kvstore.Version{Key: "k", Seq: 3, Value: "v", Clock: vclock.VC{1: 3}}
+	v1 := kvstore.Version{Key: "k", Seq: 3, Value: "v"}
 	v2 := kvstore.Version{Key: "k", Seq: 5, Value: "w"}
 	f.Add(rec(hintRecStore, 2, v1))
 	f.Add(append(rec(hintRecStore, 2, v1), rec(hintRecClear, 2, v2)...))

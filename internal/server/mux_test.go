@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"pbs/internal/kvstore"
-	"pbs/internal/vclock"
 )
 
 // startStallMux is a server that completes the mux upgrade and then reads
@@ -181,7 +180,7 @@ func TestMuxConcurrentCallsNoAliasing(t *testing.T) {
 			for i := 0; i < opsPerWorker; i++ {
 				key := fmt.Sprintf("k-%d-%d", w, i)
 				val := strings.Repeat(fmt.Sprintf("v-%d-%d.", w, i), 1+i%7)
-				ver := kvstore.Version{Key: key, Seq: uint64(i + 1), Value: val, Clock: vclock.VC{0: uint64(i + 1)}}
+				ver := kvstore.Version{Key: key, Seq: uint64(i + 1), Value: val}
 				if _, _, err := p.Apply(ver); err != nil {
 					errCh <- fmt.Errorf("apply %s: %w", key, err)
 					return

@@ -1,8 +1,9 @@
 // Package server implements the live networked half of the PBS
 // reproduction: a real N-replica Dynamo-style key-value service assembled
 // from the repository's building blocks — internal/kvstore versioned
-// replica storage, internal/ring consistent-hash placement,
-// internal/vclock causal metadata — serving a binary client protocol
+// replica storage, internal/ring consistent-hash placement, versions
+// ordered by an epoch-tagged per-key sequence number (SeqEpoch) — serving
+// a binary client protocol
 // (clientproto.go) with coordinated partial-quorum reads and writes
 // (tunable N, R, W), send-to-all fan-out, optional read repair, an
 // asynchronous staleness detector (paper Section 4.3), and injectable
@@ -35,7 +36,6 @@ import (
 	"pbs/internal/gossip"
 	"pbs/internal/kvstore"
 	"pbs/internal/storage"
-	"pbs/internal/vclock"
 )
 
 // Params configures every node of a cluster.
@@ -192,15 +192,14 @@ type MemberInfo struct {
 
 // ConfigResponse is the payload of GET /config: everything a client needs
 // to route operations itself (Section 4.2's client-driven coordination).
-// Members carries the versioned ring view; Nodes/Addrs are kept as the
-// flattened form (members in ID order).
+// Members carries the versioned ring view (members in ID order); Nodes is
+// its length, which clients check against Members.
 type ConfigResponse struct {
-	Nodes  int      `json:"nodes"`
-	N      int      `json:"n"`
-	R      int      `json:"r"`
-	W      int      `json:"w"`
-	Vnodes int      `json:"vnodes"`
-	Addrs  []string `json:"addrs"`
+	Nodes  int `json:"nodes"`
+	N      int `json:"n"`
+	R      int `json:"r"`
+	W      int `json:"w"`
+	Vnodes int `json:"vnodes"`
 	// RingEpoch versions the member set; a client holding a lower epoch
 	// should refresh its view.
 	RingEpoch uint64       `json:"ring_epoch"`
@@ -234,18 +233,17 @@ type GetResponse struct {
 
 // StatsResponse is the payload of GET /stats.
 type StatsResponse struct {
-	Node          int    `json:"node"`
-	R             int    `json:"r"` // current read quorum (live-tunable)
-	W             int    `json:"w"` // current write quorum (live-tunable)
-	CoordReads    int64  `json:"coord_reads"`
-	CoordWrites   int64  `json:"coord_writes"`
-	FailedOps     int64  `json:"failed_ops"`
-	ReadRepairs   int64  `json:"read_repairs"`
-	DetectorFlags int64  `json:"detector_flags"`
-	Keys          int    `json:"keys"`
-	Applied       int64  `json:"applied"`
-	Ignored       int64  `json:"ignored"`
-	ClockTicks    uint64 `json:"clock_ticks"`
+	Node          int   `json:"node"`
+	R             int   `json:"r"` // current read quorum (live-tunable)
+	W             int   `json:"w"` // current write quorum (live-tunable)
+	CoordReads    int64 `json:"coord_reads"`
+	CoordWrites   int64 `json:"coord_writes"`
+	FailedOps     int64 `json:"failed_ops"`
+	ReadRepairs   int64 `json:"read_repairs"`
+	DetectorFlags int64 `json:"detector_flags"`
+	Keys          int   `json:"keys"`
+	Applied       int64 `json:"applied"`
+	Ignored       int64 `json:"ignored"`
 
 	// Hinted-handoff counters (zero unless Params.Handoff).
 	HintsPending  int   `json:"hints_pending"`
@@ -344,7 +342,6 @@ func (s *StatsResponse) Accumulate(o StatsResponse) {
 	s.Keys += o.Keys
 	s.Applied += o.Applied
 	s.Ignored += o.Ignored
-	s.ClockTicks += o.ClockTicks
 	s.HintsPending += o.HintsPending
 	s.HintsStored += o.HintsStored
 	s.HintsReplayed += o.HintsReplayed
@@ -452,8 +449,6 @@ type Node struct {
 	ae      aeStats
 	legs    *legSampler
 	stop    chan struct{} // closed on Close; stops background loops
-
-	clockTicks atomic.Uint64 // vector-clock component for coordinated writes
 
 	coordReads     atomic.Int64
 	coordWrites    atomic.Int64
@@ -774,7 +769,6 @@ func (n *Node) coordinatePutOp(v *memView, key, value string, tombstone, takeove
 		Seq:       seq,
 		Value:     value,
 		Tombstone: tombstone,
-		Clock:     vclock.VC{n.id: n.clockTicks.Add(1)},
 	}
 	prefs := n.prefs(v, key)
 	nReps := len(prefs)
@@ -1134,7 +1128,6 @@ func (n *Node) configLocal() (ConfigResponse, *opError) {
 		RingEpoch: v.m.Epoch(),
 	}
 	for _, mem := range members {
-		cfg.Addrs = append(cfg.Addrs, mem.HTTPAddr)
 		cfg.Members = append(cfg.Members, MemberInfo{ID: mem.ID, Addr: mem.HTTPAddr, Internal: mem.InternalAddr})
 	}
 	return cfg, nil
@@ -1166,7 +1159,6 @@ func (n *Node) statsLocal() StatsResponse {
 		Keys:           keys,
 		Applied:        applied,
 		Ignored:        ignored,
-		ClockTicks:     n.clockTicks.Load(),
 	}
 	if v := n.view(); v != nil {
 		st.RingEpoch = v.m.Epoch()

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"pbs/internal/kvstore"
-	"pbs/internal/vclock"
 )
 
 // RPCBenchResult is one raw-transport cell: conc concurrent callers
@@ -71,7 +70,6 @@ func (c *Cluster) BenchInternalRPC(read bool, conc int, d time.Duration) (RPCBen
 					v := kvstore.Version{
 						Key: key, Seq: uint64(i + 1),
 						Value: "serving-bench-value-0123456789abcdef",
-						Clock: vclock.VC{0: uint64(i + 1)},
 					}
 					_, _, err = p.Apply(v)
 				}

@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"pbs/internal/kvstore"
-	"pbs/internal/vclock"
 )
 
 const (
@@ -94,15 +93,6 @@ func appendString32(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func appendClock(b []byte, vc vclock.VC) []byte {
-	b = binary.BigEndian.AppendUint16(b, uint16(len(vc)))
-	for node, ctr := range vc {
-		b = binary.BigEndian.AppendUint32(b, uint32(node))
-		b = binary.BigEndian.AppendUint64(b, ctr)
-	}
-	return b
-}
-
 type decoder struct {
 	b   []byte
 	err error
@@ -153,27 +143,19 @@ func (d *decoder) u64() uint64 {
 func (d *decoder) string16() string { return string(d.take(int(d.u16()))) }
 func (d *decoder) string32() string { return string(d.take(int(d.u32()))) }
 
-func (d *decoder) clock() vclock.VC {
-	n := int(d.u16())
-	if n == 0 || d.err != nil {
-		return nil
-	}
-	vc := vclock.New()
-	for i := 0; i < n; i++ {
-		node := int(d.u32())
-		ctr := d.u64()
-		if d.err != nil {
-			return nil
-		}
-		vc[node] = ctr
-	}
-	return vc
-}
-
 // versionFlagTombstone marks a replicated delete in the wire format's
 // version flags byte.
 const versionFlagTombstone byte = 1 << 0
 
+// encodeVersion appends v in the version layout of the wire and the hint
+// logs:
+//
+//	u16 keyLen | key | u64 seq | u8 flags | u32 valueLen | value |
+//	u16 clockLen | (u32 node | u64 ctr)*
+//
+// Seq alone orders versions, so clockLen is always 0; decoders skip any
+// entries, which hint logs written when versions carried vector clocks
+// still hold.
 func encodeVersion(b []byte, v kvstore.Version) []byte {
 	b = appendString16(b, v.Key)
 	b = binary.BigEndian.AppendUint64(b, v.Seq)
@@ -183,8 +165,11 @@ func encodeVersion(b []byte, v kvstore.Version) []byte {
 	}
 	b = append(b, flags)
 	b = appendString32(b, v.Value)
-	return appendClock(b, v.Clock)
+	return binary.BigEndian.AppendUint16(b, 0) // clockLen
 }
+
+// skipClock consumes a version's clock entries without decoding them.
+func (d *decoder) skipClock() { d.take(12 * int(d.u16())) }
 
 func (d *decoder) version() kvstore.Version {
 	var v kvstore.Version
@@ -192,7 +177,7 @@ func (d *decoder) version() kvstore.Version {
 	v.Seq = d.u64()
 	v.Tombstone = d.u8()&versionFlagTombstone != 0
 	v.Value = d.string32()
-	v.Clock = d.clock()
+	d.skipClock()
 	return v
 }
 
@@ -213,7 +198,7 @@ func (d *decoder) versionForKey(key string) kvstore.Version {
 	v.Seq = d.u64()
 	v.Tombstone = d.u8()&versionFlagTombstone != 0
 	v.Value = d.string32()
-	v.Clock = d.clock()
+	d.skipClock()
 	return v
 }
 
@@ -738,7 +723,7 @@ func decodeApply(resp []byte) (applied bool, replicaSeq uint64, err error) {
 
 // versionSizeHint estimates v's encoded size, for pooled-buffer sizing.
 func versionSizeHint(v kvstore.Version) int {
-	return 32 + len(v.Key) + len(v.Value) + 12*len(v.Clock)
+	return 32 + len(v.Key) + len(v.Value)
 }
 
 // Apply replicates v to the peer, reporting whether the peer's state

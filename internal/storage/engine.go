@@ -141,11 +141,11 @@ func (e *Engine) nextGenLocked() uint64 {
 // hold older records.
 func (e *Engine) lookupMetaLocked(key string) (tableEntry, bool) {
 	if v, ok := e.mem.get(key); ok {
-		return tableEntry{seq: v.Seq, tombstone: v.Tombstone, writtenAt: v.WrittenAt, clock: v.Clock}, true
+		return tableEntry{seq: v.Seq, tombstone: v.Tombstone, writtenAt: v.WrittenAt}, true
 	}
 	if e.frozen != nil {
 		if v, ok := e.frozen.get(key); ok {
-			return tableEntry{seq: v.Seq, tombstone: v.Tombstone, writtenAt: v.WrittenAt, clock: v.Clock}, true
+			return tableEntry{seq: v.Seq, tombstone: v.Tombstone, writtenAt: v.WrittenAt}, true
 		}
 	}
 	for i := len(e.tables) - 1; i >= 0; i-- {
@@ -172,9 +172,6 @@ func (e *Engine) Apply(v kvstore.Version, now float64) bool {
 		return false
 	}
 	v.WrittenAt = now
-	if ok && cur.clock != nil {
-		v.Clock = v.Clock.Merge(cur.clock)
-	}
 	tok := e.wal.stage(encodeRecord(v))
 	e.mem.put(v)
 	e.applied++

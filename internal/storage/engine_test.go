@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"pbs/internal/kvstore"
-	"pbs/internal/vclock"
 )
 
 func openTestEngine(t *testing.T, opts Options) *Engine {
@@ -60,16 +59,6 @@ func TestEngineBasic(t *testing.T) {
 	}
 	if sum := e.Summary(); len(sum) != 1 || sum["a"] != 3 {
 		t.Fatalf("Summary = %v", sum)
-	}
-}
-
-func TestEngineClockMerge(t *testing.T) {
-	e := openTestEngine(t, Options{})
-	e.Apply(kvstore.Version{Key: "k", Seq: 1, Clock: vclock.New().Tick(1)}, 1.0)
-	e.Apply(kvstore.Version{Key: "k", Seq: 2, Clock: vclock.New().Tick(2)}, 2.0)
-	v, _ := e.Get("k")
-	if v.Clock.Get(1) != 1 || v.Clock.Get(2) != 1 {
-		t.Fatalf("clock not merged: %v", v.Clock)
 	}
 }
 

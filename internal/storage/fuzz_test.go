@@ -18,7 +18,6 @@ import (
 	"testing"
 
 	"pbs/internal/kvstore"
-	"pbs/internal/vclock"
 )
 
 // buildWAL frames n sequential records the way the engine writes them.
@@ -29,7 +28,6 @@ func buildWAL(n int) []byte {
 			Key:       fmt.Sprintf("key-%d", i),
 			Seq:       uint64(i + 1),
 			Value:     fmt.Sprintf("value-%d", i),
-			Clock:     vclock.New().Tick(i % 3),
 			WrittenAt: float64(i),
 			Tombstone: i%5 == 0,
 		})...)
@@ -40,12 +38,13 @@ func buildWAL(n int) []byte {
 func FuzzWALReplay(f *testing.F) {
 	full := buildWAL(8)
 	f.Add(full)
-	f.Add(full[:len(full)-3])            // torn tail
-	f.Add([]byte{})                      // empty segment
+	f.Add(full[:len(full)-3])                         // torn tail
+	f.Add([]byte{})                                   // empty segment
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}) // absurd length prefix
 	flipped := append([]byte(nil), full...)
 	flipped[len(flipped)/2] ^= 0x10
 	f.Add(flipped)
+	f.Add(legacySegment(f)) // written when versions carried vector clocks
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

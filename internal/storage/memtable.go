@@ -20,7 +20,7 @@ func newMemtable() *memtable {
 const memEntryOverhead = 64
 
 func versionBytes(v kvstore.Version) int64 {
-	return int64(len(v.Key)+len(v.Value)) + int64(len(v.Clock))*12 + memEntryOverhead
+	return int64(len(v.Key)+len(v.Value)) + memEntryOverhead
 }
 
 // put installs v unconditionally; the engine has already checked newness

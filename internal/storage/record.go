@@ -8,6 +8,10 @@ package storage
 //	payload: u16 keyLen | key | u64 seq | u8 flags | f64 writtenAt |
 //	         u32 valueLen | value | u16 clockLen | (u32 node | u64 ctr)*
 //
+// The version order is Seq alone, so writers emit clockLen 0. The field
+// stays because segments and tables written when every version carried a
+// vector clock hold entries there; the decoder skips them.
+//
 // The codec is deliberately separate from the replication transport's
 // (internal/server): wire frames carry no checksum because TCP already
 // does, while disk frames must survive torn writes and silent corruption.
@@ -22,7 +26,6 @@ import (
 	"math"
 
 	"pbs/internal/kvstore"
-	"pbs/internal/vclock"
 )
 
 const (
@@ -54,12 +57,7 @@ func encodePayload(dst []byte, v kvstore.Version) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v.WrittenAt))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(v.Value)))
 	dst = append(dst, v.Value...)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(v.Clock)))
-	for node, ctr := range v.Clock {
-		dst = binary.BigEndian.AppendUint32(dst, uint32(node))
-		dst = binary.BigEndian.AppendUint64(dst, ctr)
-	}
-	return dst
+	return binary.BigEndian.AppendUint16(dst, 0) // clockLen
 }
 
 // decodePayload parses one record payload. Trailing bytes are rejected:
@@ -103,15 +101,8 @@ func decodePayload(b []byte) (kvstore.Version, error) {
 	if err != nil {
 		return v, err
 	}
-	if n := int(binary.BigEndian.Uint16(cl)); n > 0 {
-		v.Clock = vclock.New()
-		for i := 0; i < n; i++ {
-			ent, err := take(12)
-			if err != nil {
-				return v, err
-			}
-			v.Clock[int(binary.BigEndian.Uint32(ent))] = binary.BigEndian.Uint64(ent[4:])
-		}
+	if _, err := take(12 * int(binary.BigEndian.Uint16(cl))); err != nil {
+		return v, err
 	}
 	if len(b) != 0 {
 		return v, errCorruptRecord
@@ -148,16 +139,28 @@ func readRecord(r *bufio.Reader) (v kvstore.Version, frameLen int, err error) {
 	if n > maxRecordBytes {
 		return v, 0, fmt.Errorf("%w: %d-byte payload exceeds limit", errCorruptRecord, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	frame := make([]byte, frameHeaderLen+int(n))
+	copy(frame, hdr[:])
+	if _, err := io.ReadFull(r, frame[frameHeaderLen:]); err != nil {
 		return v, 0, fmt.Errorf("%w: torn payload: %v", errCorruptRecord, err)
 	}
-	if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(hdr[4:]) {
-		return v, 0, fmt.Errorf("%w: checksum mismatch", errCorruptRecord)
-	}
-	v, err = decodePayload(payload)
+	v, err = decodeFrame(frame)
 	if err != nil {
 		return v, 0, err
 	}
-	return v, frameHeaderLen + int(n), nil
+	return v, len(frame), nil
+}
+
+// decodeFrame checks one whole frame — its length prefix must cover exactly
+// the rest of frame, and its CRC must match the payload — and decodes the
+// record. The version copies what it keeps, so frame may be reused.
+func decodeFrame(frame []byte) (kvstore.Version, error) {
+	if len(frame) < frameHeaderLen || int(binary.BigEndian.Uint32(frame)) != len(frame)-frameHeaderLen {
+		return kvstore.Version{}, fmt.Errorf("%w: frame length mismatch", errCorruptRecord)
+	}
+	payload := frame[frameHeaderLen:]
+	if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(frame[4:]) {
+		return kvstore.Version{}, fmt.Errorf("%w: checksum mismatch", errCorruptRecord)
+	}
+	return decodePayload(payload)
 }

@@ -3,13 +3,12 @@ package storage
 // Immutable sorted string tables. An SSTable is a key-sorted sequence of
 // CRC-framed records, written once (tmp file + fsync + atomic rename) and
 // never modified. Opening a table scans it sequentially and builds an
-// in-memory index of every key's metadata (seq, tombstone, clock, frame
-// offset) so Apply's newness check and Merkle summaries never touch disk;
-// only Get of a table-resident value issues a pread.
+// in-memory index of every key's metadata (seq, tombstone, frame offset)
+// so Apply's newness check and Merkle summaries never touch disk; only Get
+// of a table-resident value issues a pread.
 
 import (
 	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -17,7 +16,6 @@ import (
 	"sort"
 
 	"pbs/internal/kvstore"
-	"pbs/internal/vclock"
 )
 
 // tableEntry is one key's index record inside an SSTable.
@@ -25,7 +23,6 @@ type tableEntry struct {
 	seq       uint64
 	tombstone bool
 	writtenAt float64
-	clock     vclock.VC
 	off       int64 // frame offset within the file
 	length    int   // full frame length (header + payload)
 }
@@ -98,7 +95,6 @@ func openSSTable(path string, gen uint64) (*sstable, error) {
 			seq:       v.Seq,
 			tombstone: v.Tombstone,
 			writtenAt: v.WrittenAt,
-			clock:     v.Clock,
 			off:       off,
 			length:    n,
 		}
@@ -113,7 +109,7 @@ func (t *sstable) read(key string, ent tableEntry) (kvstore.Version, error) {
 	if _, err := t.f.ReadAt(frame, ent.off); err != nil {
 		return kvstore.Version{}, fmt.Errorf("storage: sstable read %s: %w", key, err)
 	}
-	v, _, err := readRecord(bufio.NewReaderSize(bytes.NewReader(frame), len(frame)))
+	v, err := decodeFrame(frame)
 	if err != nil {
 		return kvstore.Version{}, fmt.Errorf("storage: sstable read %s: %w", key, err)
 	}
