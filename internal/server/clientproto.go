@@ -1,17 +1,18 @@
 package server
 
-// Binary client protocol: the store's one client protocol, on the
-// tagged-frame v2 mux transport extended from peer-to-peer to
-// client-to-server. A client opens a TCP connection to a node's internal
-// address, sends a v1 opClientHello frame carrying the protocol version it
-// speaks, and — on an accepting reply — the connection upgrades to tagged
-// framing (tag|id|len|payload) with pipelined PUT/GET/DELETE/batch/config/
-// stats/WARS requests multiplexed over it, exactly the machinery peers use
-// (mux.go). Server-side, client ops dispatch into the coordinator entry
-// points (routeWriteOp, coordinateGetOp, coordinateMPut/MGet, configLocal,
-// statsLocal). A node forwarding a write to the key's coordinator speaks
-// this protocol too (peer.ForwardWrite), tagging the frame with its ring
-// epoch.
+// Binary client protocol: the store's one client protocol, and the
+// forward role's codec. A client opens a TCP connection to a node's
+// internal address and sends opClientHello carrying the protocol version
+// it speaks (transport.go); on an accepting reply the connection is a
+// client-role connection in tagged framing (tag|id|len|payload), with
+// pipelined PUT/GET/DELETE/batch/config/stats/WARS requests multiplexed
+// over it by the same machinery peers use (mux.go). Server-side, client
+// ops dispatch into the coordinator entry points (routeWriteOp,
+// coordinateGetOp, coordinateMPut/MGet, configLocal, statsLocal). A node
+// forwarding a write to the key's coordinator does not speak this role: it
+// sends opForwardWrite, tagged with its ring epoch, on a forward-role
+// connection (peer.ForwardWrite), and is answered in the same status
+// family.
 //
 // Every response payload is prefixed with the responding node's ring epoch:
 // clients compare it against their cached view and re-fetch membership on
@@ -21,41 +22,33 @@ package server
 // not an outage) and malformed requests (CodeBadRequest).
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"net"
-	"sync"
-	"sync/atomic"
-	"time"
 )
 
-// clientProtoVersion is negotiated by opClientHello; the server refuses
-// versions it does not speak and the connection stays v1, so a newer
-// client degrades loudly rather than misframing.
-const clientProtoVersion = 1
+// clientProtoVersion is the client hello's version; a node refuses
+// versions it does not speak, so a newer client fails loudly rather than
+// misframing.
+const clientProtoVersion byte = 1
 
-// Client-facing ops live above the peer op range (opMuxHello = 12).
-const (
-	opClientHello  = 13 // v1 frame: upgrade this connection to the client protocol
-	opClientPut    = 14 // key string16 | value string32 [| fwdEpoch u64]
-	opClientDelete = 15 // key string16 [| fwdEpoch u64]
-	opClientGet    = 16 // key string16
-	opClientConfig = 17 // empty
-	opClientStats  = 18 // empty
-	opClientWARS   = 19 // empty
-	// Batched ops: one frame carries a length-prefixed op list; the
-	// response carries one typed verdict per entry, index-aligned, so one
-	// key's failure never fails its batch (clientproto batch codecs below;
-	// coordination in batch.go).
-	opClientMPut = 20 // count u16 | (key string16 | flags u8 | value string32)*
-	opClientMGet = 21 // count u16 | (key string16)*
-)
+// Client request layouts (opcodes in transport.go):
+//
+//	opClientPut     key string16 | value string32
+//	opClientDelete  key string16
+//	opClientGet     key string16
+//	opClientConfig, opClientStats, opClientWARS: empty
+//	opClientMPut    count u16 | (key string16 | flags u8 | value string32)*
+//	opClientMGet    count u16 | (key string16)*
+//
+// A batched op's response carries one typed verdict per entry,
+// index-aligned, so one key's failure never fails its batch (batch codecs
+// below; coordination in batch.go).
 
-// batchFlagTombstone marks a delete inside an opClientMPut op list.
+// batchFlagTombstone marks a delete inside an opClientMPut op list and on
+// an opForwardWrite.
 const batchFlagTombstone byte = 1 << 0
 
 // Client response statuses, disjoint from the peer statuses (statusOK = 0,
@@ -90,32 +83,47 @@ func (e *ClientError) Retryable() bool { return e.Code == CodeUnavailable }
 // --- wire codecs ----------------------------------------------------------
 
 // appendClientWrite encodes an opClientPut (or, for a tombstone,
-// opClientDelete) request. A nonzero fwdEpoch marks the write as forwarded
-// by a node whose ring view is at that epoch; ordinary client writes omit
-// the field.
-func appendClientWrite(b []byte, key, value string, tombstone bool, fwdEpoch uint64) []byte {
+// opClientDelete) request.
+func appendClientWrite(b []byte, key, value string, tombstone bool) []byte {
 	b = appendString16(b, key)
 	if !tombstone {
 		b = appendString32(b, value)
-	}
-	if fwdEpoch != 0 {
-		b = binary.BigEndian.AppendUint64(b, fwdEpoch)
 	}
 	return b
 }
 
 // decodeClientWrite parses appendClientWrite's payload; ok is false on a
-// truncated or over-long frame.
-func decodeClientWrite(payload []byte, tombstone bool) (key, value string, fwdEpoch uint64, ok bool) {
+// truncated frame or trailing bytes.
+func decodeClientWrite(payload []byte, tombstone bool) (key, value string, ok bool) {
 	d := &decoder{b: payload}
 	key = d.string16()
 	if !tombstone {
 		value = d.string32()
 	}
-	if len(d.b) == 8 {
-		fwdEpoch = d.u64()
+	return key, value, d.err == nil && len(d.b) == 0
+}
+
+// appendForwardWrite encodes an opForwardWrite request: the forwarder's
+// ring epoch, then the write as one opClientMPut entry.
+func appendForwardWrite(b []byte, key, value string, tombstone bool, fwdEpoch uint64) []byte {
+	b = binary.BigEndian.AppendUint64(b, fwdEpoch)
+	b = appendString16(b, key)
+	var flags byte
+	if tombstone {
+		flags |= batchFlagTombstone
 	}
-	return key, value, fwdEpoch, d.err == nil && len(d.b) == 0
+	return appendString32(append(b, flags), value)
+}
+
+// decodeForwardWrite parses appendForwardWrite's payload; ok is false on a
+// truncated frame or trailing bytes.
+func decodeForwardWrite(payload []byte) (key, value string, tombstone bool, fwdEpoch uint64, ok bool) {
+	d := &decoder{b: payload}
+	fwdEpoch = d.u64()
+	key = d.string16()
+	tombstone = d.u8()&batchFlagTombstone != 0
+	value = d.string32()
+	return key, value, tombstone, fwdEpoch, d.err == nil && len(d.b) == 0
 }
 
 func appendClientError(b []byte, epoch uint64, code byte, msg string) []byte {
@@ -339,10 +347,9 @@ func decodeBatchKeys(d *decoder) ([]string, *opError) {
 	return keys, nil
 }
 
-// decodeClientFrame splits a client response into its ring-epoch prefix
-// and op-specific body. A statusClientErr frame comes back as a
-// *ClientError; any other status (a v1 statusErr from a server that does
-// not speak the client protocol) is a plain error.
+// decodeClientFrame splits a client or forward response into its
+// ring-epoch prefix and op-specific body. A statusClientErr frame comes
+// back as a *ClientError; any other status is a plain error.
 func decodeClientFrame(status byte, resp []byte) (epoch uint64, body []byte, err error) {
 	switch status {
 	case statusClientOK:
@@ -363,65 +370,79 @@ func decodeClientFrame(status byte, resp []byte) (epoch uint64, body []byte, err
 
 // --- server dispatch ------------------------------------------------------
 
-func clientOp(op byte) bool { return op >= opClientPut && op <= opClientMGet }
+// clientFail answers a client or forward request with a typed error frame.
+func clientFail(epoch uint64, buf []byte, oe *opError) (byte, []byte) {
+	return statusClientErr, appendClientError(buf[:0], epoch, oe.code, oe.msg)
+}
 
-// handleClientOp serves one client-protocol request. It runs on the mux
+// downRefusal is the typed retryable refusal a crashed or partitioned
+// replica answers client and forward requests with (tryForwardOp matches
+// its messages); nil when the replica is serving.
+func (n *Node) downRefusal() *opError {
+	if n.faults.Down(n.id) {
+		return errUnavailable(ErrReplicaDown.Error())
+	}
+	if n.faults.Partitioned(n.id) {
+		return errUnavailable(ErrPartitioned.Error())
+	}
+	return nil
+}
+
+// serveWrite routes one decoded client or forwarded write and encodes its
+// answer; fwdEpoch is 0 for a client's own write.
+func (n *Node) serveWrite(epoch uint64, buf []byte, key, value string, tombstone bool, fwdEpoch uint64) (byte, []byte) {
+	if len(value) > maxValueBytes {
+		return clientFail(epoch, buf, errBadRequest(errValueTooLarge))
+	}
+	pr, oe := n.routeWriteOp(key, value, tombstone, fwdEpoch)
+	if oe != nil {
+		return clientFail(epoch, buf, oe)
+	}
+	return statusClientOK, appendClientPutResponse(buf[:0], epoch, pr)
+}
+
+// handleClientOp is the client role's opcode table. It runs on the mux
 // worker pool (client ops block on quorums, so they never run inline in
 // the reader loop). buf is the pooled response scratch from serveMux.
 func (n *Node) handleClientOp(op byte, payload, buf []byte) (byte, []byte) {
 	epoch := n.RingEpoch()
-	fail := func(oe *opError) (byte, []byte) {
-		return statusClientErr, appendClientError(buf[:0], epoch, oe.code, oe.msg)
-	}
-	// A crashed or partitioned replica refuses client traffic with a typed
-	// retryable frame.
-	if n.faults.Down(n.id) {
-		return fail(errUnavailable(ErrReplicaDown.Error()))
-	}
-	if n.faults.Partitioned(n.id) {
-		return fail(errUnavailable(ErrPartitioned.Error()))
+	if oe := n.downRefusal(); oe != nil {
+		return clientFail(epoch, buf, oe)
 	}
 	d := &decoder{b: payload}
 	switch op {
 	case opClientPut, opClientDelete:
-		key, value, fwdEpoch, ok := decodeClientWrite(payload, op == opClientDelete)
+		key, value, ok := decodeClientWrite(payload, op == opClientDelete)
 		if !ok || key == "" {
-			return fail(errBadRequest("server: malformed client request"))
+			return clientFail(epoch, buf, errBadRequest("server: malformed client request"))
 		}
-		if len(value) > maxValueBytes {
-			return fail(errBadRequest(errValueTooLarge))
-		}
-		pr, oe := n.routeWriteOp(key, value, op == opClientDelete, fwdEpoch)
-		if oe != nil {
-			return fail(oe)
-		}
-		return statusClientOK, appendClientPutResponse(buf[:0], epoch, pr)
+		return n.serveWrite(epoch, buf, key, value, op == opClientDelete, 0)
 	case opClientGet:
 		key := d.string16()
 		if d.err != nil || key == "" {
-			return fail(errBadRequest("server: malformed client request"))
+			return clientFail(epoch, buf, errBadRequest("server: malformed client request"))
 		}
 		gr, oe := n.coordinateGetOp(key)
 		if oe != nil {
-			return fail(oe)
+			return clientFail(epoch, buf, oe)
 		}
 		return statusClientOK, appendClientGetResponse(buf[:0], epoch, gr)
 	case opClientMPut:
 		ops, oe := decodeBatchPutOps(d)
 		if oe != nil {
-			return fail(oe)
+			return clientFail(epoch, buf, oe)
 		}
 		return statusClientOK, appendClientMPutResponse(buf[:0], epoch, n.coordinateMPut(ops))
 	case opClientMGet:
 		keys, oe := decodeBatchKeys(d)
 		if oe != nil {
-			return fail(oe)
+			return clientFail(epoch, buf, oe)
 		}
 		return statusClientOK, appendClientMGetResponse(buf[:0], epoch, n.coordinateMGet(keys))
 	case opClientConfig:
 		cfg, oe := n.configLocal()
 		if oe != nil {
-			return fail(oe)
+			return clientFail(epoch, buf, oe)
 		}
 		return clientJSON(epoch, buf, cfg)
 	case opClientStats:
@@ -429,8 +450,27 @@ func (n *Node) handleClientOp(op byte, payload, buf []byte) (byte, []byte) {
 	case opClientWARS:
 		return clientJSON(epoch, buf, n.legs.snapshot(n.id))
 	default:
-		return fail(errBadRequest(fmt.Sprintf("server: unknown client op %d", op)))
+		return clientFail(epoch, buf, errBadRequest(fmt.Sprintf("server: op %d is not a client op", op)))
 	}
+}
+
+// handleForwardOp is the forward role's opcode table: one write another
+// node proxies here as the key's coordinator, tagged with that node's ring
+// epoch (routeWriteOp). It answers in the client status family with the
+// same typed refusals, so the forwarder relays the verdict as is.
+func (n *Node) handleForwardOp(op byte, payload, buf []byte) (byte, []byte) {
+	epoch := n.RingEpoch()
+	if oe := n.downRefusal(); oe != nil {
+		return clientFail(epoch, buf, oe)
+	}
+	if op != opForwardWrite {
+		return clientFail(epoch, buf, errBadRequest(fmt.Sprintf("server: op %d is not a forward op", op)))
+	}
+	key, value, tombstone, fwdEpoch, ok := decodeForwardWrite(payload)
+	if !ok || key == "" || fwdEpoch == 0 {
+		return clientFail(epoch, buf, errBadRequest("server: malformed forward request"))
+	}
+	return n.serveWrite(epoch, buf, key, value, tombstone, fwdEpoch)
 }
 
 // clientJSON answers a cold-path client op (config/stats/WARS) with an
@@ -448,122 +488,46 @@ func clientJSON(epoch uint64, buf []byte, v any) (byte, []byte) {
 
 // --- client connection ----------------------------------------------------
 
-// binConnsPerNode mirrors muxConnsPerPeer: two pipelined connections per
-// node spread head-of-line blocking without multiplying idle sockets.
-const binConnsPerNode = 2
-
 // BinClient is one node's end of the binary client protocol: a small pool
-// of upgraded connections with transparent redial. Calls pipeline —
+// of client-role connections with transparent redial. Calls pipeline —
 // many goroutines share one connection and the mux reader matches
 // responses by tag. A dead connection fails its in-flight calls exactly
 // once (mux teardown semantics); BinClient deliberately does NOT retry a
 // failed call — retry policy belongs to the ring-walking client above it.
 type BinClient struct {
-	addr string
-	rr   atomic.Uint32
-
-	mu     sync.Mutex
-	conns  [binConnsPerNode]*muxConn
-	closed bool
+	slots connSlots
 }
 
 // NewBinClient prepares a client for the node at addr (internal TCP
 // address, not the HTTP one). Connections are dialed lazily.
 func NewBinClient(addr string) *BinClient {
-	return &BinClient{addr: addr}
-}
-
-func (bc *BinClient) conn() (*muxConn, error) {
-	slot := int(bc.rr.Add(1)) % binConnsPerNode
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
-	if bc.closed {
-		return nil, errMuxClosed
-	}
-	if mc := bc.conns[slot]; mc != nil && !mc.isDead() {
-		return mc, nil
-	}
-	mc, err := dialBinConn(bc.addr)
-	if err != nil {
-		return nil, err
-	}
-	bc.conns[slot] = mc
-	return mc, nil
-}
-
-// dialBinConn opens a connection and upgrades it to the client protocol:
-// dialMux's shape, with the hello carrying the client protocol version
-// and the reply echoing {version, node ID, current ring epoch}.
-func dialBinConn(addr string) (*muxConn, error) {
-	c, err := net.DialTimeout("tcp", addr, rpcTimeout)
-	if err != nil {
-		return nil, err
-	}
-	bw := bufio.NewWriterSize(c, muxIOBuf)
-	br := bufio.NewReaderSize(c, muxIOBuf)
-	c.SetDeadline(time.Now().Add(rpcTimeout))
-	if err := writeFrame(bw, opClientHello, []byte{clientProtoVersion}); err != nil {
-		c.Close()
-		return nil, err
-	}
-	status, resp, err := readFrame(br)
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	if status != statusOK {
-		c.Close()
-		return nil, fmt.Errorf("server: client hello refused: %s", resp)
-	}
-	if len(resp) != 13 || resp[0] != clientProtoVersion {
-		c.Close()
-		return nil, errors.New("server: malformed client hello reply")
-	}
-	c.SetDeadline(time.Time{})
-	mc := &muxConn{
-		c:       c,
-		wch:     make(chan muxWrite, muxServerQueue),
-		done:    make(chan struct{}),
-		pending: make(map[uint64]*muxCall),
-	}
-	go mc.writeLoop(bw)
-	go mc.readLoop(br)
-	return mc, nil
-}
-
-// do runs one pipelined call: encode the request into a pooled buffer
-// (ownership passes to the connection's writer loop) and wait for the
-// tagged response. The response payload is pooled; callers must putBuf it
-// after decoding.
-func (bc *BinClient) do(op byte, sizeHint int, enc func(b []byte) []byte) (byte, []byte, error) {
-	mc, err := bc.conn()
-	if err != nil {
-		return 0, nil, err
-	}
-	return mc.call(op, enc(getBuf(sizeHint)[:0]))
+	return &BinClient{slots: connSlots{addr: addr, role: roleClient}}
 }
 
 // Put writes key=value through the node's coordinator. The returned epoch
 // is the node's ring epoch at response time (0 only on transport errors).
 func (bc *BinClient) Put(key, value string) (PutResponse, uint64, error) {
-	return bc.write(key, value, false, 0)
+	return bc.write(key, value, false)
 }
 
 // Delete writes a tombstone for key.
 func (bc *BinClient) Delete(key string) (PutResponse, uint64, error) {
-	return bc.write(key, "", true, 0)
+	return bc.write(key, "", true)
 }
 
-// write sends one put or delete frame. A nonzero fwdEpoch marks the write
-// as forwarded by a node whose ring view is at that epoch (ForwardWrite).
-func (bc *BinClient) write(key, value string, tombstone bool, fwdEpoch uint64) (PutResponse, uint64, error) {
-	op := byte(opClientPut)
+// write sends one put or delete frame.
+func (bc *BinClient) write(key, value string, tombstone bool) (PutResponse, uint64, error) {
+	op := opClientPut
 	if tombstone {
 		op = opClientDelete
 	}
-	st, resp, err := bc.do(op, 2+len(key)+4+len(value)+8, func(b []byte) []byte {
-		return appendClientWrite(b, key, value, tombstone, fwdEpoch)
-	})
+	return putAnswer(bc.slots.call(op, 6+len(key)+len(value), func(b []byte) []byte {
+		return appendClientWrite(b, key, value, tombstone)
+	}))
+}
+
+// putAnswer decodes the response to a put, delete or forwarded write.
+func putAnswer(st byte, resp []byte, err error) (PutResponse, uint64, error) {
 	if err != nil {
 		return PutResponse{}, 0, err
 	}
@@ -578,7 +542,7 @@ func (bc *BinClient) write(key, value string, tombstone bool, fwdEpoch uint64) (
 
 // Get reads key through the node's coordinator.
 func (bc *BinClient) Get(key string) (GetResponse, uint64, error) {
-	st, resp, err := bc.do(opClientGet, 2+len(key), func(b []byte) []byte {
+	st, resp, err := bc.slots.call(opClientGet, 2+len(key), func(b []byte) []byte {
 		return appendString16(b, key)
 	})
 	if err != nil {
@@ -608,7 +572,7 @@ func (bc *BinClient) MPut(ops []BatchPutOp) ([]BatchPutResult, uint64, error) {
 	for i := range ops {
 		hint += 7 + len(ops[i].Key) + len(ops[i].Value)
 	}
-	st, resp, err := bc.do(opClientMPut, hint, func(b []byte) []byte {
+	st, resp, err := bc.slots.call(opClientMPut, hint, func(b []byte) []byte {
 		b = binary.BigEndian.AppendUint16(b, uint16(len(ops)))
 		for i := range ops {
 			b = appendString16(b, ops[i].Key)
@@ -652,7 +616,7 @@ func (bc *BinClient) MGet(keys []string) ([]BatchGetResult, uint64, error) {
 	for _, k := range keys {
 		hint += 2 + len(k)
 	}
-	st, resp, err := bc.do(opClientMGet, hint, func(b []byte) []byte {
+	st, resp, err := bc.slots.call(opClientMGet, hint, func(b []byte) []byte {
 		b = binary.BigEndian.AppendUint16(b, uint16(len(keys)))
 		for _, k := range keys {
 			b = appendString16(b, k)
@@ -678,7 +642,7 @@ func (bc *BinClient) MGet(keys []string) ([]BatchGetResult, uint64, error) {
 }
 
 func (bc *BinClient) jsonOp(op byte, out any) (uint64, error) {
-	st, resp, err := bc.do(op, 0, func(b []byte) []byte { return b })
+	st, resp, err := bc.slots.call(op, 0, func(b []byte) []byte { return b })
 	if err != nil {
 		return 0, err
 	}
@@ -715,15 +679,4 @@ func (bc *BinClient) WARS() (WARSResponse, uint64, error) {
 }
 
 // Close tears down every connection; in-flight calls fail exactly once.
-func (bc *BinClient) Close() {
-	bc.mu.Lock()
-	bc.closed = true
-	conns := bc.conns
-	bc.conns = [binConnsPerNode]*muxConn{}
-	bc.mu.Unlock()
-	for _, mc := range conns {
-		if mc != nil {
-			mc.teardown(errMuxClosed)
-		}
-	}
-}
+func (bc *BinClient) Close() { bc.slots.close() }

@@ -9,7 +9,6 @@ package server
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -19,9 +18,9 @@ import (
 	"time"
 )
 
-// startStallClientServer completes the client-protocol upgrade and then
-// reads tagged frames forever without responding — calls against it only
-// complete through connection teardown.
+// startStallClientServer accepts the client hello and then reads tagged
+// frames forever without responding — calls against it only complete
+// through connection teardown.
 func startStallClientServer(t *testing.T) (addr string, received *atomic.Int64, killConns func()) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -45,12 +44,7 @@ func startStallClientServer(t *testing.T) (addr string, received *atomic.Int64, 
 				defer c.Close()
 				br := bufio.NewReader(c)
 				bw := bufio.NewWriter(c)
-				if op, _, err := readFrame(br); err != nil || op != opClientHello {
-					return
-				}
-				hello := append([]byte{clientProtoVersion}, 0, 0, 0, 0)
-				hello = binary.BigEndian.AppendUint64(hello, 1)
-				if err := writeFrame(bw, statusOK, hello); err != nil {
+				if !answerHello(br, bw, roleClient) {
 					return
 				}
 				for {
@@ -226,14 +220,14 @@ func TestBinClientRedialsAfterTeardown(t *testing.T) {
 	if _, _, err := bc.Put("k", "v1"); err != nil {
 		t.Fatalf("first put: %v", err)
 	}
-	bc.mu.Lock()
-	for _, mc := range bc.conns {
+	bc.slots.mu.Lock()
+	for _, mc := range bc.slots.conns {
 		if mc != nil {
 			mc.teardown(errMuxClosed)
 		}
 	}
-	bc.mu.Unlock()
-	for i := 0; i < 2*binConnsPerNode; i++ {
+	bc.slots.mu.Unlock()
+	for i := 0; i < 2*muxSlots; i++ {
 		if gr, _, err := bc.Get("k"); err != nil || !gr.Found {
 			t.Fatalf("get %d after teardown: found=%v err=%v", i, gr.Found, err)
 		}
@@ -258,7 +252,7 @@ func TestClosedNodeCutsClientConnections(t *testing.T) {
 		t.Fatalf("put: %v", err)
 	}
 	c.Nodes[0].Close()
-	for i := 0; i < 2*binConnsPerNode; i++ {
+	for i := 0; i < 2*muxSlots; i++ {
 		_, _, err := bc.Get("k")
 		if err == nil {
 			t.Fatalf("get %d: a closed node answered", i)
@@ -310,8 +304,9 @@ func TestBinClientFaultFrames(t *testing.T) {
 }
 
 // TestClientHelloVersionNegotiation: a hello with an unsupported version
-// is refused in v1 framing and the connection stays usable as v1 — the
-// degraded client fails loudly instead of misframing.
+// is refused in v1 framing — the degraded client fails loudly instead of
+// misframing — and the connection then serves only a hello: a peer op is
+// refused too, and a supported hello still opens the connection.
 func TestClientHelloVersionNegotiation(t *testing.T) {
 	c, err := StartLocal(1, Params{N: 1, R: 1, W: 1})
 	if err != nil {
@@ -336,18 +331,25 @@ func TestClientHelloVersionNegotiation(t *testing.T) {
 	if status != statusErr {
 		t.Fatalf("version 99 hello accepted: status=%d %q", status, resp)
 	}
-	// Still v1: a ping on the same connection answers.
+	// After a refused hello only a hello is served: a ping is refused.
 	if err := writeFrame(bw, opPing, nil); err != nil {
 		t.Fatal(err)
 	}
-	if status, _, err = readFrame(br); err != nil || status != statusOK {
-		t.Fatalf("v1 ping after refused hello: status=%d err=%v", status, err)
+	if status, resp, err = readFrame(br); err != nil || status != statusErr {
+		t.Fatalf("v1 ping after refused hello: status=%d %q err=%v, want refused", status, resp, err)
+	}
+	// A supported hello on the same connection is accepted.
+	if err := writeFrame(bw, opClientHello, []byte{clientProtoVersion}); err != nil {
+		t.Fatal(err)
+	}
+	if status, resp, err = readFrame(br); err != nil || status != statusOK || len(resp) != helloReplyLen {
+		t.Fatalf("hello after a refused one: status=%d %q err=%v", status, resp, err)
 	}
 
 	// An accepting hello reports the node ID and current ring epoch.
 	bc := NewBinClient(c.Nodes[0].selfInternal)
 	defer bc.Close()
 	if _, epoch, err := bc.Stats(); err != nil || epoch != 1 {
-		t.Fatalf("hello-upgraded stats: epoch=%d err=%v", epoch, err)
+		t.Fatalf("stats after an accepted hello: epoch=%d err=%v", epoch, err)
 	}
 }

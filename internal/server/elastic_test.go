@@ -174,10 +174,10 @@ func TestForwardedWriteFollowsNewerView(t *testing.T) {
 			key = k
 		}
 	}
-	bc := NewBinClient(n.InternalAddr())
-	defer bc.Close()
+	p := newPeer(n.InternalAddr())
+	defer p.close()
 	put := func(fwd uint64) error {
-		_, _, err := bc.write(key, "v", false, fwd)
+		_, err := p.ForwardWrite(key, "v", false, fwd)
 		return err
 	}
 	if err := put(epoch - 1); err != nil {

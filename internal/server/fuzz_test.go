@@ -1,10 +1,10 @@
 package server
 
-// Fuzz coverage for the internal replication transport: the frame decoder
-// and the RPC dispatcher sit on the hot path and read bytes from the
-// network, so malformed length prefixes, truncated or oversized payloads,
-// and unknown opcodes must all fail cleanly — no panics, no unbounded
-// allocation, no reads past the payload.
+// Fuzz coverage for the internal transport: the frame decoders and the
+// per-role opcode tables read bytes from the network, so malformed length
+// prefixes, truncated or oversized payloads, and opcodes of another role
+// must all fail cleanly — no panics, no unbounded allocation, no reads
+// past the payload, and never a status outside the role's family.
 
 import (
 	"bufio"
@@ -102,7 +102,7 @@ func FuzzFrameDecoder(f *testing.F) {
 			// A decoded frame must dispatch without panicking, whatever its
 			// opcode and payload.
 			n := fuzzNode()
-			status, resp := n.handleRPC(tag, payload)
+			status, resp := n.handlePeerOp(tag, payload, nil)
 			if status != statusOK && status != statusErr {
 				t.Fatalf("dispatcher returned unknown status %d", status)
 			}
@@ -115,12 +115,12 @@ func FuzzFrameDecoder(f *testing.F) {
 		// payload decoders see inputs the framing layer would reject.
 		if len(data) > 0 {
 			n := fuzzNode()
-			n.handleRPC(data[0], data[1:])
+			n.handlePeerOp(data[0], data[1:], nil)
 		}
 	})
 }
 
-// taggedFrame builds one v2 wire frame (tag, request id, length prefix,
+// taggedFrame builds one tagged wire frame (tag, request id, length prefix,
 // payload) for malformed-stream seeds.
 func taggedFrame(tag byte, id uint64, payload []byte) []byte {
 	out := make([]byte, taggedHdrLen, taggedHdrLen+len(payload))
@@ -130,7 +130,7 @@ func taggedFrame(tag byte, id uint64, payload []byte) []byte {
 	return append(out, payload...)
 }
 
-// FuzzTaggedFrameRoundTrip pins the v2 (multiplexed) frame codec: any
+// FuzzTaggedFrameRoundTrip pins the tagged (multiplexed) frame codec: any
 // (tag, id, payload) triple must survive an encode/decode round trip
 // bit-exactly, including the request id the mux layers route completions
 // by.
@@ -160,24 +160,28 @@ func FuzzTaggedFrameRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzMuxStream drives arbitrary bytes through the v2 reader loop the way
+// FuzzMuxStream drives arbitrary bytes through the tagged reader the way
 // the serving side consumes a connection: frames are decoded until the
-// stream fails, each decoded frame dispatched through handleRPCBuf with a
-// pooled response scratch. Malformed headers, truncated payloads,
-// oversized length prefixes and garbage opcodes must all fail cleanly —
-// no panics, no unbounded allocation.
+// stream fails, and each decoded frame is dispatched through every role's
+// opcode table with a pooled response scratch. Malformed headers,
+// truncated payloads, oversized length prefixes and opcodes of another
+// role must all fail cleanly — no panics, no unbounded allocation — and
+// each table must answer in its own status family: statusOK/statusErr on
+// the peer role, statusClientOK/statusClientErr on the client and forward
+// roles.
 func FuzzMuxStream(f *testing.F) {
 	ver := kvstore.Version{Key: "k", Seq: 7, Value: "hello"}
 	two := append(taggedFrame(opApply, 1, encodeVersion(nil, ver)),
 		taggedFrame(opGet, 2, appendString16(nil, "seeded"))...)
 	f.Add(two)
 	f.Add(taggedFrame(opPing, 9, nil))
-	f.Add(taggedFrame(opMuxHello, 3, []byte{muxVersion}))
+	f.Add(taggedFrame(opPeerHello, 3, []byte{peerProtoVersion}))
 	f.Add([]byte{opApply, 0, 0, 0, 0, 0})                                // truncated header
 	f.Add([]byte{opGet, 0, 0, 0, 0, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff}) // oversized length
 	f.Add(taggedFrame(opApply, 4, []byte{0, 5, 'a'}))                    // truncated version
 	f.Add(taggedFrame(99, 5, []byte("junk")))                            // unknown opcode
 	f.Add(taggedFrame(opClientPut, 6, appendString32(appendString16(nil, "k"), "v")))
+	f.Add(taggedFrame(opForwardWrite, 7, appendForwardWrite(nil, "seeded", "v", false, 1)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n := fuzzNode()
 		br := bufio.NewReader(bytes.NewReader(data))
@@ -189,22 +193,28 @@ func FuzzMuxStream(f *testing.F) {
 			if len(payload) > maxFrame {
 				t.Fatalf("stream decoder returned %d bytes, limit %d", len(payload), maxFrame)
 			}
-			out := getBuf(64)
-			status, resp := n.handleRPCBuf(tag, payload, out[:0])
-			if status != statusOK && status != statusErr && status != statusClientOK && status != statusClientErr {
-				t.Fatalf("dispatcher returned unknown status %d", status)
-			}
-			if status == statusErr && len(resp) == 0 {
-				t.Fatal("error status with empty message")
+			for r := range hellos {
+				out := getBuf(64)
+				status, resp := n.handlerFor(role(r))(tag, payload, out[:0])
+				okStatus, errStatus := byte(statusClientOK), byte(statusClientErr)
+				if role(r) == rolePeer {
+					okStatus, errStatus = statusOK, statusErr
+				}
+				if status != okStatus && status != errStatus {
+					t.Fatalf("role %d dispatcher returned status %d for op %d", r, status, tag)
+				}
+				if status == errStatus && len(resp) == 0 {
+					t.Fatalf("role %d: error status with empty message", r)
+				}
+				putBuf(out)
 			}
 			putBuf(payload)
-			putBuf(out)
 		}
 	})
 }
 
 // FuzzClientStream drives arbitrary bytes through the tagged reader the
-// way a server consumes an upgraded client connection: every decoded
+// way a server consumes a client-role connection: every decoded
 // frame dispatches through the client-op path. Malformed keys, truncated
 // values, garbage opcodes in the client range — all must produce a typed
 // client-status frame whose payload decodes (epoch prefix, error code +
@@ -229,12 +239,12 @@ func FuzzClientStream(f *testing.F) {
 	f.Add(taggedFrame(opClientMGet, 12, mgetReq))
 	f.Add(taggedFrame(opClientMGet, 13, binary.BigEndian.AppendUint16(nil, 0)))      // zero-op batch
 	f.Add(taggedFrame(opClientMPut, 14, binary.BigEndian.AppendUint16(nil, 0xffff))) // oversized count
-	// Forwarded writes carry the forwarder's ring epoch after the fields.
-	// The shared node sits at epoch 1: a same-epoch forward for a key it
-	// does not coordinate is refused as a loop, one it does coordinate runs.
-	f.Add(taggedFrame(opClientPut, 15, appendClientWrite(nil, "seeded", "v", false, 1)))
-	f.Add(taggedFrame(opClientDelete, 16, appendClientWrite(nil, "k", "", true, 1)))
-	f.Add(taggedFrame(opClientPut, 17, append(appendClientWrite(nil, "k", "v", false, 0), 1, 2, 3))) // trailing junk
+	// A client write with a forward epoch appended is refused as malformed:
+	// only the forward role carries an epoch.
+	epochTail := []byte{0, 0, 0, 0, 0, 0, 0, 1}
+	f.Add(taggedFrame(opClientPut, 15, append(appendClientWrite(nil, "seeded", "v", false), epochTail...)))
+	f.Add(taggedFrame(opClientDelete, 16, append(appendClientWrite(nil, "k", "", true), epochTail...)))
+	f.Add(taggedFrame(opClientPut, 17, append(appendClientWrite(nil, "k", "v", false), 1, 2, 3))) // trailing junk
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n := fuzzNode()
 		br := bufio.NewReader(bytes.NewReader(data))
@@ -294,22 +304,32 @@ func FuzzClientStream(f *testing.F) {
 func FuzzClientFrameRoundTrip(f *testing.F) {
 	f.Add(uint64(1), uint64(7), int64(12345), 1.5, int32(2), "value", true, byte(CodeUnavailable), "server: replica down", uint64(0))
 	f.Add(uint64(0), uint64(0), int64(-1), math.Inf(1), int32(-1), "", false, byte(0), "", uint64(0))
-	// Forwarded writes: the forwarder's ring epoch rides after the fields.
+	// Forwarded writes: the forwarder's ring epoch leads the forward frame.
 	f.Add(uint64(3), uint64(9), int64(1), 0.25, int32(1), "fwd-value", false, byte(0), "fwd-key", uint64(3))
 	f.Add(uint64(3), uint64(9), int64(1), 0.25, int32(1), "", true, byte(0), "fwd-key", uint64(1<<63))
 	f.Fuzz(func(t *testing.T, epoch, seq uint64, committed int64, coordMs float64, node int32, value string, found bool, code byte, msg string, fwdEpoch uint64) {
 		// Write requests: msg doubles as the key, found as the tombstone
-		// flag. Deletes carry no value on the wire.
+		// flag. Client deletes carry no value on the wire; a forwarded
+		// write carries its value and the forwarder's epoch.
 		if len(msg) <= 0xffff {
 			tombstone := found
 			wantValue := value
 			if tombstone {
 				wantValue = ""
 			}
-			req := appendClientWrite(nil, msg, value, tombstone, fwdEpoch)
-			k, v, e, ok := decodeClientWrite(req, tombstone)
-			if !ok || k != msg || v != wantValue || e != fwdEpoch {
-				t.Fatalf("write request round trip: %q %q %d ok=%v, want %q %q %d", k, v, e, ok, msg, wantValue, fwdEpoch)
+			req := appendClientWrite(nil, msg, value, tombstone)
+			k, v, ok := decodeClientWrite(req, tombstone)
+			if !ok || k != msg || v != wantValue {
+				t.Fatalf("write request round trip: %q %q ok=%v, want %q %q", k, v, ok, msg, wantValue)
+			}
+			if _, _, ok := decodeClientWrite(binary.BigEndian.AppendUint64(req, fwdEpoch), tombstone); ok {
+				t.Fatal("client write with a trailing epoch decoded")
+			}
+			freq := appendForwardWrite(nil, msg, value, tombstone, fwdEpoch)
+			k, v, tomb, e, ok := decodeForwardWrite(freq)
+			if !ok || k != msg || v != value || tomb != tombstone || e != fwdEpoch {
+				t.Fatalf("forward request round trip: %q %q %v %d ok=%v, want %q %q %v %d",
+					k, v, tomb, e, ok, msg, value, tombstone, fwdEpoch)
 			}
 		}
 
@@ -359,6 +379,7 @@ func FuzzClientFrameRoundTrip(f *testing.F) {
 		decodeClientPutBody(raw)
 		decodeClientGetBody(raw)
 		decodeClientWrite(raw, found)
+		decodeForwardWrite(raw)
 		decodeClientError(raw)
 		decodeClientFrame(code, raw)
 	})

@@ -1,22 +1,20 @@
 package server
 
-// Multiplexed data-plane transport (wire format v2). The v1 protocol
-// (transport.go) holds one pooled TCP connection per in-flight RPC for a
-// full blocking round trip; under high fan-out concurrency that either
-// serializes legs behind head-of-line round trips or dials a fresh
-// connection per overflow RPC. v2 extends the frame header with a request
-// ID so many RPCs share one connection:
+// Multiplexed transport: the framing every connection speaks once its hello
+// (transport.go) has fixed its role. The frame header carries a request ID
+// so many RPCs share one connection:
 //
 //	frame: tag(u8) | id(u64) | len(u32) | payload
 //
 // where tag is the opcode on a request and the status byte on a response,
-// and a response's id echoes its request's. Each connection runs one writer
-// loop (draining a submission channel, flushing only when it goes idle, so
-// concurrent legs batch into single syscalls) and one reader loop (matching
-// response ids against a pending-call table). A connection upgrades from v1
-// by sending an opMuxHello frame; the server answers with a v1 statusOK
-// frame and both sides switch to tagged framing, so v1-only peers keep
-// interoperating — the server speaks both, per connection.
+// and a response's id echoes its request's. Each client-side connection
+// runs one writer loop (draining a submission channel, flushing only when
+// it goes idle, so concurrent legs batch into single syscalls) and one
+// reader loop (matching response ids against a pending-call table). A
+// caller holds its connections in a connSlots: a small fixed set of one
+// role to one address, dialed lazily by dialRole, the one place a hello is
+// sent. The serving side (serveMux) runs one reader, one worker pool per
+// connection and one writer.
 //
 // Failure semantics the mux tests pin: any reader/writer error tears the
 // connection down and fails every in-flight call exactly once (each call is
@@ -35,19 +33,15 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
 const (
-	// opMuxHello upgrades a v1 connection to tagged framing. Its payload is
-	// one byte naming the mux protocol version.
-	opMuxHello byte = 12
-	muxVersion byte = 2
-
-	// muxConnsPerPeer is the fixed set of multiplexed connections a peer
-	// client fans its calls over (round robin). Two keeps a second pipe warm
-	// so one slow flush never gates every leg to that peer.
-	muxConnsPerPeer = 2
+	// muxSlots is the fixed set of connections a connSlots fans its calls
+	// over (round robin). Two keeps a second pipe warm so one slow flush
+	// never gates every call to that node.
+	muxSlots = 2
 
 	// muxIOBuf sizes the per-connection buffered reader/writer.
 	muxIOBuf = 64 << 10
@@ -74,7 +68,7 @@ var errMuxClosed = errors.New("server: mux connection closed")
 
 const taggedHdrLen = 13 // tag(1) + id(8) + len(4)
 
-// writeTaggedFrame appends one v2 frame to w without flushing — the writer
+// writeTaggedFrame appends one tagged frame to w without flushing — the writer
 // loops flush once their submission queue goes idle. The header goes out
 // byte by byte: handing a stack array to Write's []byte parameter makes it
 // escape (one malloc per frame), while WriteByte stays on the stack.
@@ -92,7 +86,7 @@ func writeTaggedFrame(w *bufio.Writer, tag byte, id uint64, payload []byte) erro
 	return err
 }
 
-// readTaggedFrame reads one v2 frame, returning its payload in a pooled
+// readTaggedFrame reads one tagged frame, returning its payload in a pooled
 // buffer the caller must putBuf after decoding. The header is parsed in
 // place via Peek/Discard — no escaping scratch array, no copy.
 func readTaggedFrame(r *bufio.Reader) (tag byte, id uint64, payload []byte, err error) {
@@ -155,27 +149,33 @@ type muxConn struct {
 	deadErr error
 }
 
-// dialMux opens a connection and upgrades it to tagged framing.
-func dialMux(addr string) (*muxConn, error) {
+// dialRole opens a connection to addr and sends the hello for role r; on
+// an accepting reply the connection switches to tagged framing.
+func dialRole(addr string, r role) (*muxConn, error) {
 	c, err := net.DialTimeout("tcp", addr, rpcTimeout)
 	if err != nil {
 		return nil, err
 	}
 	bw := bufio.NewWriterSize(c, muxIOBuf)
 	br := bufio.NewReaderSize(c, muxIOBuf)
+	h := hellos[r]
 	c.SetDeadline(time.Now().Add(rpcTimeout))
-	if err := writeFrame(bw, opMuxHello, []byte{muxVersion}); err != nil {
-		c.Close()
-		return nil, err
+	err = writeFrame(bw, h.op, []byte{h.version})
+	var status byte
+	var resp []byte
+	if err == nil {
+		status, resp, err = readFrame(br)
 	}
-	status, resp, err := readFrame(br)
+	switch {
+	case err != nil:
+	case status != statusOK:
+		err = fmt.Errorf("server: hello refused: %s", resp)
+	case len(resp) != helloReplyLen || resp[0] != h.version:
+		err = errors.New("server: malformed hello reply")
+	}
 	if err != nil {
 		c.Close()
 		return nil, err
-	}
-	if status != statusOK {
-		c.Close()
-		return nil, fmt.Errorf("server: mux hello refused: %s", resp)
 	}
 	c.SetDeadline(time.Time{})
 	mc := &muxConn{
@@ -187,6 +187,65 @@ func dialMux(addr string) (*muxConn, error) {
 	go mc.writeLoop(bw)
 	go mc.readLoop(br)
 	return mc, nil
+}
+
+// connSlots holds the connections of one role to one address: muxSlots of
+// them, dialed lazily, picked round robin, and redialed when found dead.
+// A peer has one per role it dials (peer, forward); a BinClient has one
+// for the client role.
+type connSlots struct {
+	addr string
+	role role
+	rr   atomic.Uint32
+
+	mu     sync.Mutex
+	conns  [muxSlots]*muxConn
+	closed bool
+}
+
+// conn returns the live connection for this call's slot, dialing (or
+// redialing a dead slot) lazily.
+func (s *connSlots) conn() (*muxConn, error) {
+	slot := int(s.rr.Add(1)) % muxSlots
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, errMuxClosed
+	}
+	if mc := s.conns[slot]; mc != nil && !mc.isDead() {
+		return mc, nil
+	}
+	mc, err := dialRole(s.addr, s.role)
+	if err != nil {
+		return nil, err
+	}
+	s.conns[slot] = mc
+	return mc, nil
+}
+
+// call runs one pipelined call without retry: enc encodes the request into
+// a pooled buffer (ownership passes to the connection's writer loop), and
+// the pooled response payload is the caller's to putBuf after decoding.
+func (s *connSlots) call(op byte, sizeHint int, enc func(b []byte) []byte) (byte, []byte, error) {
+	mc, err := s.conn()
+	if err != nil {
+		return 0, nil, err
+	}
+	return mc.call(op, enc(getBuf(sizeHint)[:0]))
+}
+
+// close tears down every connection; in-flight calls fail exactly once.
+func (s *connSlots) close() {
+	s.mu.Lock()
+	s.closed = true
+	conns := s.conns
+	s.conns = [muxSlots]*muxConn{}
+	s.mu.Unlock()
+	for _, mc := range conns {
+		if mc != nil {
+			mc.teardown(errMuxClosed)
+		}
+	}
 }
 
 func (mc *muxConn) isDead() bool {
@@ -352,11 +411,14 @@ type muxDone struct {
 	buf     []byte
 }
 
-// serveMux runs the v2 protocol on an upgraded server connection: one
-// reader (this goroutine), a worker pool dispatching handleRPC, and one
-// writer batching tagged responses. It returns when the connection dies;
-// in-flight handlers drain through the worker pool first.
-func (n *Node) serveMux(conn net.Conn, br *bufio.Reader) {
+// serveMux serves a connection of role r once its hello is accepted: one
+// reader (this goroutine), a worker pool dispatching the role's opcode
+// table, and one writer batching tagged responses. The pool belongs to the
+// connection, so one role's blocking ops never occupy another
+// connection's workers. It returns when the connection dies; in-flight
+// handlers drain through the worker pool first.
+func (n *Node) serveMux(conn net.Conn, br *bufio.Reader, r role) {
+	handle := n.handlerFor(r)
 	reqs := make(chan muxTask, muxServerQueue)
 	resps := make(chan muxDone, muxServerQueue)
 
@@ -367,7 +429,7 @@ func (n *Node) serveMux(conn net.Conn, br *bufio.Reader) {
 			defer wg.Done()
 			for t := range reqs {
 				buf := getBuf(64)
-				status, resp := n.handleRPCBuf(t.op, t.payload, buf[:0])
+				status, resp := handle(t.op, t.payload, buf[:0])
 				putBuf(t.payload)
 				resps <- muxDone{status: status, id: t.id, payload: resp, buf: buf}
 			}
@@ -384,19 +446,21 @@ func (n *Node) serveMux(conn net.Conn, br *bufio.Reader) {
 	// batch); against the in-memory store it is a microsecond of mutex work
 	// and can ride the inline path with the reads.
 	inMemApply := n.params.DataDir == ""
+	peerRole := r == rolePeer
 	for {
 		op, id, payload, err := readTaggedFrame(br)
 		if err != nil {
 			break
 		}
-		// Ops that never block on storage are handled inline by the reader
-		// instead of paying two channel hops and a worker wakeup — reads are
-		// the serving path's highest-rate op. Anything that can block
-		// (durable applies, hinted handoff, range streams) goes to the pool.
-		if op == opGet || op == opPing || op == opGetBatch ||
-			(inMemApply && (op == opApply || op == opApplyBatch)) {
+		// Peer ops that never block on storage are handled inline by the
+		// reader instead of paying two channel hops and a worker wakeup —
+		// reads are the serving path's highest-rate op. Anything that can
+		// block (durable applies, hinted handoff, the control plane, every
+		// client and forward op) goes to the pool.
+		if peerRole && (op == opGet || op == opPing || op == opGetBatch ||
+			(inMemApply && (op == opApply || op == opApplyBatch))) {
 			buf := getBuf(64)
-			status, resp := n.handleRPCBuf(op, payload, buf[:0])
+			status, resp := handle(op, payload, buf[:0])
 			putBuf(payload)
 			resps <- muxDone{status: status, id: id, payload: resp, buf: buf}
 			continue

@@ -1,15 +1,16 @@
 package server
 
-// v2 (multiplexed) transport failure-mode coverage: a peer that dies with
-// RPCs in flight must fail every one of them exactly once (no hang, no
-// double completion); pooled payload buffers must never alias across
-// concurrent calls (this file runs under -race in CI); a torn-down mux
-// connection must be transparently redialed like a stale v1 pooled conn;
-// and the fault controller's per-leg drop/delay injection must keep
-// working on the persistent-worker fan-out path.
+// Multiplexed transport failure-mode coverage: a peer that dies with RPCs
+// in flight must fail every one of them exactly once (no hang, no double
+// completion); pooled payload buffers must never alias across concurrent
+// calls (this file runs under -race in CI); a torn-down mux connection
+// must be transparently redialed; and the fault controller's per-leg
+// drop/delay injection must keep working on the persistent-worker fan-out
+// path.
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"strings"
@@ -21,7 +22,20 @@ import (
 	"pbs/internal/kvstore"
 )
 
-// startStallMux is a server that completes the mux upgrade and then reads
+// answerHello reads one hello frame for role r and accepts it the way a
+// node does (version, node ID 0, ring epoch 1); false if the frame is not
+// that hello or the connection failed.
+func answerHello(br *bufio.Reader, bw *bufio.Writer, r role) bool {
+	op, payload, err := readFrame(br)
+	if err != nil || op != hellos[r].op || len(payload) != 1 {
+		return false
+	}
+	reply := append([]byte{payload[0]}, 0, 0, 0, 0)
+	reply = binary.BigEndian.AppendUint64(reply, 1)
+	return writeFrame(bw, statusOK, reply) == nil
+}
+
+// startStallMux is a server that completes the peer hello and then reads
 // tagged request frames forever without ever responding — in-flight calls
 // against it only complete through connection teardown.
 func startStallMux(t *testing.T) (addr string, received *atomic.Int64, killConns func()) {
@@ -47,10 +61,7 @@ func startStallMux(t *testing.T) (addr string, received *atomic.Int64, killConns
 				defer c.Close()
 				br := bufio.NewReader(c)
 				bw := bufio.NewWriter(c)
-				if op, _, err := readFrame(br); err != nil || op != opMuxHello {
-					return
-				}
-				if err := writeFrame(bw, statusOK, []byte{muxVersion}); err != nil {
+				if !answerHello(br, bw, rolePeer) {
 					return
 				}
 				for {
@@ -81,9 +92,9 @@ func startStallMux(t *testing.T) (addr string, received *atomic.Int64, killConns
 // hang).
 func TestMuxTeardownFailsInFlightExactlyOnce(t *testing.T) {
 	addr, received, killConns := startStallMux(t)
-	mc, err := dialMux(addr)
+	mc, err := dialRole(addr, rolePeer)
 	if err != nil {
-		t.Fatalf("dialMux: %v", err)
+		t.Fatalf("dialRole: %v", err)
 	}
 	defer mc.teardown(errMuxClosed)
 
@@ -126,8 +137,8 @@ func TestMuxTeardownFailsInFlightExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestMuxPeerRedialsTornDownConn pins the mux counterpart of the v1
-// stale-pooled-conn retry: a connection torn down underneath the peer
+// TestMuxPeerRedialsTornDownConn pins the redial half of the stale
+// connection contract: a connection torn down underneath the peer
 // (idle timeout, server restart) must be transparently replaced on the
 // next RPC, not surface as a replica failure.
 func TestMuxPeerRedialsTornDownConn(t *testing.T) {
@@ -142,14 +153,14 @@ func TestMuxPeerRedialsTornDownConn(t *testing.T) {
 	if err := p.Ping(); err != nil {
 		t.Fatalf("first ping: %v", err)
 	}
-	p.muxMu.Lock()
-	for _, mc := range p.muxes {
+	p.legs.mu.Lock()
+	for _, mc := range p.legs.conns {
 		if mc != nil {
 			mc.teardown(errMuxClosed)
 		}
 	}
-	p.muxMu.Unlock()
-	for i := 0; i < 2*muxConnsPerPeer; i++ {
+	p.legs.mu.Unlock()
+	for i := 0; i < 2*muxSlots; i++ {
 		if err := p.Ping(); err != nil {
 			t.Fatalf("ping %d after teardown: %v", i, err)
 		}

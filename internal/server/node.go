@@ -968,8 +968,8 @@ func (n *Node) tryForwardOp(v *memView, cand int, key, value string, tombstone b
 	}
 	switch ce.Code {
 	case CodeUnavailable:
-		// A crashed or partitioned candidate refuses client frames with
-		// exactly these messages (handleClientOp).
+		// A crashed or partitioned candidate refuses forwards with exactly
+		// these messages (downRefusal).
 		if ce.Msg == ErrReplicaDown.Error() || ce.Msg == ErrPartitioned.Error() {
 			n.live.markDead(cand)
 			return PutResponse{}, nil, forwardUnreachable

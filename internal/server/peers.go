@@ -4,10 +4,13 @@ package server
 // (transport.go). Coordinators never talk to a *peer (the TCP RPC client)
 // directly: every node-to-node hop — write forwarding, write fan-out,
 // replica reads, read repair, hinted-handoff replay, anti-entropy
-// exchange — goes through a Peer, and StartLocal interposes a fault layer
-// (faults.go) between the coordinator and the transport. The fault-free
-// path adds one interface dispatch and a nil check per RPC, preserving the
-// WARS measurement semantics the conformance suite pins.
+// exchange, gossip and membership — goes through a Peer, and StartLocal
+// interposes a fault layer (faults.go) between the coordinator and the
+// transport. Behind the seam a peer holds connections of two roles to its
+// replica: peer-role connections carry every method but ForwardWrite,
+// forward-role connections carry ForwardWrite. The fault-free path adds
+// one interface dispatch and a nil check per RPC, preserving the WARS
+// measurement semantics the conformance suite pins.
 
 import "pbs/internal/kvstore"
 
@@ -55,8 +58,8 @@ type Peer interface {
 	// wire format) to the peer's acceptor and returns its reply.
 	ConfigRPC(payload []byte) ([]byte, error)
 	// ForwardWrite hands a client write to the peer as its coordinator
-	// (Section 4.2's proxying), tagged with the forwarder's ring epoch
-	// fwdEpoch. The peer's typed verdict comes back as a *ClientError;
+	// (Section 4.2's proxying) on a forward-role connection, tagged with
+	// the forwarder's ring epoch fwdEpoch. The peer's typed verdict comes back as a *ClientError;
 	// any other error means the peer was not reached.
 	ForwardWrite(key, value string, tombstone bool, fwdEpoch uint64) (PutResponse, error)
 }

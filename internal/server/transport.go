@@ -1,27 +1,28 @@
 package server
 
-// Replica-to-replica transport. Internal replication traffic (version
-// propagation, replica reads, read repair) uses a length-prefixed binary
-// protocol on each node's internal port — every coordinated operation fans
-// out N internal RPCs, so the internal path is the hot path. The same port
-// serves the binary client protocol (clientproto.go), which is also how a
-// node forwards a write to the key's coordinator (peer.ForwardWrite); HTTP
-// is only the admin surface (node.go).
-//
-// Two wire formats share the port. v1 is the blocking protocol: one
-// request frame per RPC, one response frame back, at most one RPC in
-// flight per connection, concurrency from a free-list pool of connections
-// per peer.
+// Node-to-node transport, and the dispatch of every connection on a node's
+// internal port. A connection opens with one hello in v1 framing
 //
 //	request:  op(u8)     | len(u32) | payload
 //	response: status(u8) | len(u32) | payload (error text when status != 0)
 //
-// v2 (mux.go) extends the header with a request ID and multiplexes many
-// in-flight RPCs over a small fixed set of connections per peer; a
-// connection upgrades from v1 with an opMuxHello frame. Data-plane ops
-// (Apply, ApplyHinted, GetVersion, Ping) default to v2; control-plane ops
-// (membership, gossip, consensus, anti-entropy, range streaming) are not
-// hot and stay on the v1 pool.
+// and that hello fixes the connection's role for its lifetime:
+//
+//   - peer (opPeerHello): everything one node asks of another's replica —
+//     the data legs (apply, hinted apply, get, ping and their batched
+//     forms) and the control plane (Merkle trees and buckets, join,
+//     membership, gossip, the config log, range streaming);
+//   - client (opClientHello, clientproto.go): client requests into the
+//     coordinator;
+//   - forward (opForwardHello): a write one node proxies to the key's
+//     coordinator (Section 4.2), tagged with the forwarder's ring epoch.
+//
+// After the hello every role speaks the tagged, multiplexed framing of
+// mux.go, and each role dispatches only its own opcode table: an opcode of
+// another role is refused at once (statusErr on a peer connection,
+// CodeBadRequest on a client or forward one), and until a hello is
+// accepted nothing but a hello is served. HTTP is only the admin surface
+// (node.go).
 
 import (
 	"bufio"
@@ -30,40 +31,64 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pbs/internal/kvstore"
 )
 
+// Opcodes, one table per role. The hellos are the only v1 frames; each
+// carries the protocol version of the role it opens.
 const (
+	opPeerHello    byte = 12 // peerProtoVersion u8
+	opClientHello  byte = 13 // clientProtoVersion u8
+	opForwardHello byte = 24 // peerProtoVersion u8
+
+	// Peer role: replica data legs.
 	opApply     byte = 1
 	opGet       byte = 2
-	opTree      byte = 3
-	opBucket    byte = 4
 	opPing      byte = 5
 	opApplyHint byte = 6
-	// Elastic-membership control plane (bootstrap.go): opJoin asks a seed
-	// member for an ID assignment and the current membership; opMembership
-	// pushes/pulls the versioned membership (ring flips and gossip);
-	// opStreamRange streams the versions of the key ranges a joining (or
-	// catching-up) node owns under a prospective membership.
+	// Batched legs: one frame carries one coordinator's whole share of a
+	// multi-key batch for one peer — a length-prefixed version list for
+	// opApplyBatch, a key list for opGetBatch — answered per entry,
+	// index-aligned.
+	opApplyBatch byte = 22
+	opGetBatch   byte = 23
+	// Peer role: control plane. opTree and opBucket serve Merkle
+	// anti-entropy; opJoin asks a seed member for an ID assignment and the
+	// current membership; opMembership pushes/pulls the versioned
+	// membership (ring flips); opStreamRange streams the versions of the
+	// key ranges a joining (or catching-up) node owns under a prospective
+	// membership; opGossip exchanges heartbeat/epoch tables plus the
+	// sender's membership (gossip.go, internal/gossip); opConfigLog carries
+	// the ring-config consensus protocol (internal/configlog).
+	opTree        byte = 3
+	opBucket      byte = 4
 	opJoin        byte = 7
 	opMembership  byte = 8
 	opStreamRange byte = 9
-	// opGossip exchanges heartbeat/epoch tables plus the sender's full
-	// membership (gossip.go, internal/gossip); opConfigLog carries the
-	// ring-config consensus protocol (internal/configlog) — prepare, accept,
-	// and decide messages arbitrating membership epochs.
-	opGossip    byte = 10
-	opConfigLog byte = 11
-	// Batched data-plane ops (12 is opMuxHello, 13–21 the client protocol):
-	// one frame carries one coordinator's whole share of a multi-key batch
-	// for one peer — a length-prefixed version list for opApplyBatch, a key
-	// list for opGetBatch — answered per entry, index-aligned.
-	opApplyBatch byte = 22
-	opGetBatch   byte = 23
+	opGossip      byte = 10
+	opConfigLog   byte = 11
+
+	// Client role (clientproto.go has the payload layouts).
+	opClientPut    byte = 14
+	opClientDelete byte = 15
+	opClientGet    byte = 16
+	opClientConfig byte = 17
+	opClientStats  byte = 18
+	opClientWARS   byte = 19
+	opClientMPut   byte = 20
+	opClientMGet   byte = 21
+
+	// Forward role: fwdEpoch u64 | key string16 | flags u8 | value string32.
+	opForwardWrite byte = 25
+)
+
+const (
+	// peerProtoVersion is the peer and forward hellos' version. It changes
+	// with either role's opcode table or payload layouts, so nodes that
+	// disagree fail at the hello rather than on their first mismatched op.
+	peerProtoVersion byte = 3
 
 	statusOK  byte = 0
 	statusErr byte = 1
@@ -71,9 +96,6 @@ const (
 	// maxFrame bounds a payload so a corrupt length prefix cannot trigger a
 	// huge allocation.
 	maxFrame = 16 << 20
-
-	// peerPoolSize caps the idle connections kept per peer.
-	peerPoolSize = 64
 
 	// rpcTimeout bounds one internal round trip. Injected WARS delays are
 	// served on the coordinator before the RPC starts and after it returns,
@@ -252,6 +274,58 @@ func (n *Node) applyResponse(v kvstore.Version, buf []byte) []byte {
 
 // --- server side -------------------------------------------------------
 
+// role is what a connection's hello fixes: the opcode table that serves
+// the connection (handlerFor).
+type role uint8
+
+const (
+	rolePeer role = iota
+	roleClient
+	roleForward
+)
+
+// hellos maps each role to the hello that opens a connection of it.
+var hellos = [...]struct{ op, version byte }{
+	rolePeer:    {opPeerHello, peerProtoVersion},
+	roleClient:  {opClientHello, clientProtoVersion},
+	roleForward: {opForwardHello, peerProtoVersion},
+}
+
+const (
+	// helloReplyLen is the length of an accepted hello's reply: version u8
+	// | node ID u32 | ring epoch u64 — who answered, and how fresh its view
+	// is.
+	helloReplyLen = 13
+	// maxHelloFrame bounds a payload read before a connection's role is
+	// fixed.
+	maxHelloFrame = 64
+)
+
+// helloRole returns the role a v1 frame asks for, or why it is refused.
+func helloRole(op byte, payload []byte) (role, error) {
+	for r, h := range hellos {
+		if op != h.op {
+			continue
+		}
+		if len(payload) != 1 || payload[0] != h.version {
+			return 0, fmt.Errorf("server: unsupported protocol version %v in hello %d", payload, op)
+		}
+		return role(r), nil
+	}
+	return 0, fmt.Errorf("server: op %d before a hello: only a hello opens a connection", op)
+}
+
+// handlerFor returns the opcode table that serves connections of role r.
+func (n *Node) handlerFor(r role) func(op byte, payload, buf []byte) (status byte, resp []byte) {
+	switch r {
+	case roleClient:
+		return n.handleClientOp
+	case roleForward:
+		return n.handleForwardOp
+	}
+	return n.handlePeerOp
+}
+
 // serveInternal accepts internal connections until the listener closes.
 func (n *Node) serveInternal(ln net.Listener) {
 	for {
@@ -273,6 +347,11 @@ func (n *Node) serveInternal(ln net.Listener) {
 	}
 }
 
+// serveConn reads v1 frames until one is an accepted hello, then serves
+// the role it names for the rest of the connection. Any other frame, or a
+// hello for a version this node does not speak, is refused in v1 framing
+// and the connection waits for another hello — a client that does not
+// speak this node's protocol fails loudly instead of misframing.
 func (n *Node) serveConn(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -283,71 +362,42 @@ func (n *Node) serveConn(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, muxIOBuf)
 	bw := bufio.NewWriter(conn)
 	for {
+		// A hello is a few bytes: a connection announcing a bigger frame
+		// before its role is fixed is dropped before the payload is read.
+		if hdr, err := br.Peek(5); err != nil || binary.BigEndian.Uint32(hdr[1:]) > maxHelloFrame {
+			return
+		}
 		op, payload, err := readFrame(br)
 		if err != nil {
 			return // peer closed or broken connection
 		}
-		if op == opMuxHello {
-			// Upgrade to tagged framing (wire format v2): acknowledge in v1,
-			// then hand the connection — and whatever the buffered reader
-			// already holds — to the multiplexed serve loop.
-			if len(payload) != 1 || payload[0] != muxVersion {
-				if err := writeFrame(bw, statusErr, []byte("server: unsupported mux version")); err != nil {
-					return
-				}
-				continue
-			}
-			if err := writeFrame(bw, statusOK, []byte{muxVersion}); err != nil {
+		r, err := helloRole(op, payload)
+		if err != nil {
+			if err := writeFrame(bw, statusErr, []byte(err.Error())); err != nil {
 				return
 			}
-			n.serveMux(conn, br)
+			continue
+		}
+		reply := append(make([]byte, 0, helloReplyLen), payload[0])
+		reply = binary.BigEndian.AppendUint32(reply, uint32(n.id))
+		reply = binary.BigEndian.AppendUint64(reply, n.RingEpoch())
+		if err := writeFrame(bw, statusOK, reply); err != nil {
 			return
 		}
-		if op == opClientHello {
-			// Client-protocol upgrade: same v2 machinery, but the hello reply
-			// carries {version, node ID, ring epoch} so the client learns who
-			// answered and how fresh its routing view is before the first op.
-			if len(payload) != 1 || payload[0] != clientProtoVersion {
-				if err := writeFrame(bw, statusErr, []byte("server: unsupported client protocol version")); err != nil {
-					return
-				}
-				continue
-			}
-			hello := make([]byte, 0, 13)
-			hello = append(hello, clientProtoVersion)
-			hello = binary.BigEndian.AppendUint32(hello, uint32(n.id))
-			hello = binary.BigEndian.AppendUint64(hello, n.RingEpoch())
-			if err := writeFrame(bw, statusOK, hello); err != nil {
-				return
-			}
-			n.serveMux(conn, br)
-			return
-		}
-		status, resp := n.handleRPC(op, payload)
-		if err := writeFrame(bw, status, resp); err != nil {
-			return
-		}
+		// Hand the connection — and whatever the buffered reader already
+		// holds — to the multiplexed serve loop.
+		n.serveMux(conn, br, r)
+		return
 	}
 }
 
-// handleRPC dispatches one internal request against local replica state.
-func (n *Node) handleRPC(op byte, payload []byte) (status byte, resp []byte) {
-	return n.handleRPCBuf(op, payload, nil)
-}
-
-// handleRPCBuf is handleRPC with a caller-provided response scratch (the
-// mux serve loop passes a pooled buffer; hot-path ops append their
-// response to it, cold ops ignore it). Crashed replicas refuse every
-// request: fault injection interposes on the sender side (peers.go), and
-// this server-side check keeps the crash airtight for callers that reach
-// the TCP endpoint directly.
-func (n *Node) handleRPCBuf(op byte, payload, buf []byte) (status byte, resp []byte) {
-	if clientOp(op) {
-		// Client-protocol ops answer in the client status family and carry
-		// their own fault handling (typed retryable frames, not bare
-		// statusErr), so they branch before the peer-path fault checks.
-		return n.handleClientOp(op, payload, buf)
-	}
+// handlePeerOp is the peer role's opcode table: one request against local
+// replica state, with a caller-provided response scratch (hot-path ops
+// append their response to it, cold ops ignore it). Crashed replicas
+// refuse every request: fault injection interposes on the sender side
+// (peers.go), and this server-side check keeps the crash airtight for
+// callers that reach the TCP endpoint directly.
+func (n *Node) handlePeerOp(op byte, payload, buf []byte) (status byte, resp []byte) {
 	if n.faults.Down(n.id) {
 		return statusErr, []byte(ErrReplicaDown.Error())
 	}
@@ -518,79 +568,40 @@ func (n *Node) handleRPCBuf(op byte, payload, buf []byte) (status byte, resp []b
 		}
 		return statusOK, resp
 	default:
-		return statusErr, []byte(fmt.Sprintf("server: unknown op %d", op))
+		return statusErr, []byte(fmt.Sprintf("server: op %d is not a peer op", op))
 	}
 }
 
-// --- client side (peer pool) -------------------------------------------
+// --- client side -------------------------------------------------------
 
-// peerConn is one pooled connection with its buffered reader/writer.
-type peerConn struct {
-	c  net.Conn
-	br *bufio.Reader
-	bw *bufio.Writer
-}
-
-// peer is the RPC client for one replica's internal endpoint. Data-plane
-// ops (Apply, ApplyHinted, GetVersion, Ping) ride a small fixed set of
-// multiplexed v2 connections (mux.go); control-plane ops use the v1 pool;
-// forwarded client writes ride a binary client connection (ForwardWrite).
+// peer is the RPC client for one replica's internal endpoint: legs and
+// control messages ride its peer-role connections (muxRPC), forwarded
+// writes its forward-role connections (ForwardWrite).
 type peer struct {
-	addr string
-	free chan *peerConn
-
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{} // every live v1 conn, for Close
-	closed bool
-	bin    *BinClient // forwarded writes; made on first use
-
-	muxMu     sync.Mutex
-	muxes     [muxConnsPerPeer]*muxConn
-	muxClosed bool
-	muxRR     atomic.Uint32
+	legs connSlots
+	fwd  connSlots
 }
 
 func newPeer(addr string) *peer {
 	return &peer{
-		addr:  addr,
-		free:  make(chan *peerConn, peerPoolSize),
-		conns: make(map[net.Conn]struct{}),
+		legs: connSlots{addr: addr, role: rolePeer},
+		fwd:  connSlots{addr: addr, role: roleForward},
 	}
 }
 
-// muxConnFor returns the live mux connection for this call's round-robin
-// slot, dialing (or redialing a dead slot) lazily.
-func (p *peer) muxConnFor() (*muxConn, error) {
-	slot := int(p.muxRR.Add(1)) % muxConnsPerPeer
-	p.muxMu.Lock()
-	defer p.muxMu.Unlock()
-	if p.muxClosed {
-		return nil, errors.New("server: peer closed")
-	}
-	if mc := p.muxes[slot]; mc != nil && !mc.isDead() {
-		return mc, nil
-	}
-	mc, err := dialMux(p.addr)
-	if err != nil {
-		return nil, err
-	}
-	p.muxes[slot] = mc
-	return mc, nil
-}
-
-// muxRPC performs one multiplexed round trip, returning a pooled response
+// muxRPC performs one peer-role round trip, returning a pooled response
 // payload the caller must putBuf after decoding. enc appends the request
 // payload to a pooled buffer (nil sends an empty payload); it may run
 // twice: a call that fails on an established connection gets one retry on
 // a fresh one — the connection may have idled into a teardown or died
-// mid-restart, and every RPC in the protocol is idempotent (the same
-// policy as the v1 pool's stale-connection retry). The enqueued buffer is
-// owned by the connection's writer loop, so the retry re-encodes rather
-// than resends.
+// mid-restart without the reader noticing yet, and every peer op is
+// idempotent. A failed dial is not retried: that failure is real. The
+// enqueued buffer is owned by the connection's writer loop, so the retry
+// re-encodes rather than resends.
 func (p *peer) muxRPC(op byte, sizeHint int, enc func([]byte) []byte) ([]byte, error) {
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
-		mc, err := p.muxConnFor()
+		mc, err := p.legs.conn()
 		if err != nil {
 			if lastErr != nil {
 				return nil, lastErr
@@ -607,7 +618,7 @@ func (p *peer) muxRPC(op byte, sizeHint int, enc func([]byte) []byte) ([]byte, e
 			continue
 		}
 		if status != statusOK {
-			err = fmt.Errorf("server: peer %s: %s", p.addr, resp)
+			err = fmt.Errorf("server: peer %s: %s", p.legs.addr, resp)
 			putBuf(resp)
 			return nil, err
 		}
@@ -616,97 +627,11 @@ func (p *peer) muxRPC(op byte, sizeHint int, enc func([]byte) []byte) ([]byte, e
 	return nil, lastErr
 }
 
-// get returns a connection, preferring the free list; pooled reports
-// whether the connection idled there (and so may have died unnoticed).
-func (p *peer) get() (pc *peerConn, pooled bool, err error) {
-	select {
-	case pc := <-p.free:
-		return pc, true, nil
-	default:
-	}
-	pc, err = p.dial()
-	return pc, false, err
-}
-
-// dial opens a fresh connection and registers it for Close.
-func (p *peer) dial() (*peerConn, error) {
-	c, err := net.DialTimeout("tcp", p.addr, rpcTimeout)
-	if err != nil {
-		return nil, err
-	}
-	pc := &peerConn{c: c, br: bufio.NewReader(c), bw: bufio.NewWriter(c)}
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		c.Close()
-		return nil, errors.New("server: peer closed")
-	}
-	p.conns[c] = struct{}{}
-	p.mu.Unlock()
-	return pc, nil
-}
-
-func (p *peer) put(pc *peerConn) {
-	select {
-	case p.free <- pc:
-	default:
-		p.retire(pc)
-	}
-}
-
-// retire closes a connection and forgets it, so the live-conn set stays
-// bounded over the node's lifetime.
-func (p *peer) retire(pc *peerConn) {
-	pc.c.Close()
-	p.mu.Lock()
-	delete(p.conns, pc.c)
-	p.mu.Unlock()
-}
-
-// roundTrip performs one request/response exchange on pc, retiring the
-// connection on any transport error and returning it to the pool otherwise.
-func (p *peer) roundTrip(pc *peerConn, op byte, payload []byte) (status byte, resp []byte, err error) {
-	pc.c.SetDeadline(time.Now().Add(rpcTimeout))
-	if err := writeFrame(pc.bw, op, payload); err != nil {
-		p.retire(pc)
-		return 0, nil, err
-	}
-	status, resp, err = readFrame(pc.br)
-	if err != nil {
-		p.retire(pc)
-		return 0, nil, err
-	}
-	p.put(pc)
-	return status, resp, nil
-}
-
-// rpc performs one round trip. A connection that went stale while idling in
-// the free list (the peer paused or restarted, an idle timeout fired) only
-// reveals itself at our write or first read — without a retry that surfaces
-// as a spurious replica failure right after the peer recovered, inflating
-// failedOps and triggering needless hints. Every RPC in the protocol is
-// idempotent, so one retry on a fresh connection is always safe; failures
-// on a freshly dialed connection are real and are not retried.
-func (p *peer) rpc(op byte, payload []byte) ([]byte, error) {
-	pc, pooled, err := p.get()
-	if err != nil {
-		return nil, err
-	}
-	status, resp, err := p.roundTrip(pc, op, payload)
-	if err != nil && pooled {
-		pc, derr := p.dial()
-		if derr != nil {
-			return nil, derr
-		}
-		status, resp, err = p.roundTrip(pc, op, payload)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if status != statusOK {
-		return nil, fmt.Errorf("server: peer %s: %s", p.addr, resp)
-	}
-	return resp, nil
+// ctrlRPC is muxRPC for the control plane: payload is copied into the
+// request (the caller keeps its slice; the writer loop repools what it
+// sends), and the response is the caller's to keep — it is never repooled.
+func (p *peer) ctrlRPC(op byte, payload []byte) ([]byte, error) {
+	return p.muxRPC(op, len(payload), func(b []byte) []byte { return append(b, payload...) })
 }
 
 // decodeApply parses an apply answer: applied flag + the peer's current
@@ -745,7 +670,7 @@ func (p *peer) Apply(v kvstore.Version) (applied bool, replicaSeq uint64, err er
 // replica (target) the write was intended for.
 func (p *peer) ApplyHinted(v kvstore.Version, target int) (applied bool, replicaSeq uint64, err error) {
 	// The wire payload is exactly a hint-log record: one format, one
-	// encoder (hintlog.go), decoded by handleRPC and replayHints alike.
+	// encoder (hintlog.go), decoded by handlePeerOp and replayHints alike.
 	resp, err := p.muxRPC(opApplyHint, 4+versionSizeHint(v), func(b []byte) []byte {
 		return appendHintRecord(b, target, v)
 	})
@@ -861,7 +786,7 @@ func (p *peer) GetVersionBatch(keys []string) ([]kvstore.Version, []bool, error)
 // MerkleNodes fetches the peer's Merkle content summary at the given
 // depth.
 func (p *peer) MerkleNodes(depth int) ([]uint64, error) {
-	resp, err := p.rpc(opTree, []byte{byte(depth)})
+	resp, err := p.ctrlRPC(opTree, []byte{byte(depth)})
 	if err != nil {
 		return nil, err
 	}
@@ -887,7 +812,7 @@ func (p *peer) BucketVersions(depth int, buckets []int) ([]kvstore.Version, erro
 	for _, b := range buckets {
 		req = binary.BigEndian.AppendUint32(req, uint32(b))
 	}
-	resp, err := p.rpc(opBucket, req)
+	resp, err := p.ctrlRPC(opBucket, req)
 	if err != nil {
 		return nil, err
 	}
@@ -915,7 +840,7 @@ func (p *peer) BucketVersions(depth int, buckets []int) ([]kvstore.Version, erro
 // peer's current encoded membership.
 func (p *peer) Join(httpAddr, internalAddr string) (id int, membership []byte, err error) {
 	req := appendString16(appendString16(nil, httpAddr), internalAddr)
-	resp, err := p.rpc(opJoin, req)
+	resp, err := p.ctrlRPC(opJoin, req)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -930,75 +855,50 @@ func (p *peer) Join(httpAddr, internalAddr string) (id int, membership []byte, e
 // ExchangeMembership pushes an encoded membership (nil = pull only) and
 // returns the peer's current membership encoding.
 func (p *peer) ExchangeMembership(push []byte) ([]byte, error) {
-	return p.rpc(opMembership, push)
+	return p.ctrlRPC(opMembership, push)
 }
 
 // Gossip pushes an encoded gossip message (membership + entry table) and
 // returns the peer's own message, so one exchange converges both sides.
 func (p *peer) Gossip(push []byte) ([]byte, error) {
-	return p.rpc(opGossip, push)
+	return p.ctrlRPC(opGossip, push)
 }
 
 // ConfigRPC carries one ring-config consensus message (configlog wire
 // format) to the peer's acceptor and returns its reply.
 func (p *peer) ConfigRPC(payload []byte) ([]byte, error) {
-	return p.rpc(opConfigLog, payload)
+	return p.ctrlRPC(opConfigLog, payload)
 }
 
 // StreamRange pulls one page of the peer's versions for the key ranges the
 // requester owns under a prospective membership (see handleStreamRange).
+// Pages are bounded by streamPageBytes, well under maxFrame.
 func (p *peer) StreamRange(req streamRangeRequest) (streamRangeResponse, error) {
-	resp, err := p.rpc(opStreamRange, req.encode())
+	resp, err := p.ctrlRPC(opStreamRange, req.encode())
 	if err != nil {
 		return streamRangeResponse{}, err
 	}
 	return decodeStreamRangeResponse(resp)
 }
 
-// ForwardWrite hands a client write to the peer as its coordinator. It
-// rides a client-protocol connection rather than the peer mux: a forward
-// waits on a whole quorum, and the peer mux's server workers also run the
+// ForwardWrite hands a client write to the peer as its coordinator, over a
+// forward-role connection rather than the peer role's: a forward waits on
+// a whole quorum, and a peer connection's server workers also run the
 // replica applies that quorum waits on — two nodes forwarding to each
 // other over peer connections could fill each other's workers with
-// forwards whose legs then queue behind them. On a client connection a
-// forward waits only on replica ops, which never wait on another node.
+// forwards whose legs then queue behind them. Worker pools are per
+// connection (serveMux), so forwards wait only on replica legs, which
+// never wait on another node. A failed forward is not retried: unlike a
+// replica leg, a repeated write is a second version.
 func (p *peer) ForwardWrite(key, value string, tombstone bool, fwdEpoch uint64) (PutResponse, error) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return PutResponse{}, errors.New("server: peer closed")
-	}
-	if p.bin == nil {
-		p.bin = NewBinClient(p.addr)
-	}
-	bc := p.bin
-	p.mu.Unlock()
-	pr, _, err := bc.write(key, value, tombstone, fwdEpoch)
+	pr, _, err := putAnswer(p.fwd.call(opForwardWrite, 15+len(key)+len(value), func(b []byte) []byte {
+		return appendForwardWrite(b, key, value, tombstone, fwdEpoch)
+	}))
 	return pr, err
 }
 
-// close tears down every live connection, failing in-flight mux calls.
+// close tears down every live connection, failing in-flight calls.
 func (p *peer) close() {
-	p.mu.Lock()
-	p.closed = true
-	conns := p.conns
-	p.conns = make(map[net.Conn]struct{})
-	bc := p.bin
-	p.mu.Unlock()
-	for c := range conns {
-		c.Close()
-	}
-	if bc != nil {
-		bc.Close()
-	}
-	p.muxMu.Lock()
-	p.muxClosed = true
-	muxes := p.muxes
-	p.muxes = [muxConnsPerPeer]*muxConn{}
-	p.muxMu.Unlock()
-	for _, mc := range muxes {
-		if mc != nil {
-			mc.teardown(errMuxClosed)
-		}
-	}
+	p.legs.close()
+	p.fwd.close()
 }

@@ -1,27 +1,30 @@
 package server
 
-// v1 (pooled-connection) transport client regression coverage: a pooled
-// connection that died while idling in the free list (the replica paused,
-// restarted, or an idle timeout fired) must not surface as a replica
-// failure — the RPC retries once on a fresh connection. Failures on
-// freshly dialed connections are real and must still propagate. The v1
-// pool is the control-plane carrier (membership, gossip, config log,
-// anti-entropy), so these tests drive it directly with p.rpc: frameEcho
-// speaks only v1. The v2 mux transport's failure modes are covered in
-// mux_test.go.
+// Stale-connection coverage for muxRPC, the one path every peer op takes
+// (data legs and the control plane alike): a connection that died under
+// an RPC (the replica paused, restarted, or an idle timeout fired) must
+// not surface as a replica failure — the RPC retries once on a fresh
+// connection. Failures with no live replica behind them must still
+// propagate. frameEcho speaks just enough of the peer role to answer
+// pings; the mux's own failure modes are covered in mux_test.go.
 
 import (
 	"bufio"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// frameEcho is a minimal protocol server: it answers every request frame
-// with statusOK and tracks accepted connections so tests can kill them.
+// frameEcho is a minimal peer-role server: it accepts the peer hello and
+// answers every tagged request with statusOK, tracking accepted
+// connections so tests can kill them. While dropNext is set, the next
+// request it reads closes its connection unanswered instead.
 type frameEcho struct {
-	ln net.Listener
+	ln       net.Listener
+	requests atomic.Int64
+	dropNext atomic.Bool
 
 	mu    sync.Mutex
 	conns []net.Conn
@@ -48,11 +51,20 @@ func startFrameEcho(t *testing.T) *frameEcho {
 				defer c.Close()
 				br := bufio.NewReader(c)
 				bw := bufio.NewWriter(c)
+				if !answerHello(br, bw, rolePeer) {
+					return
+				}
 				for {
-					if _, _, err := readFrame(br); err != nil {
+					_, id, payload, err := readTaggedFrame(br)
+					if err != nil {
 						return
 					}
-					if err := writeFrame(bw, statusOK, []byte{1}); err != nil {
+					putBuf(payload)
+					e.requests.Add(1)
+					if e.dropNext.CompareAndSwap(true, false) {
+						return
+					}
+					if writeTaggedFrame(bw, statusOK, id, []byte{1}) != nil || bw.Flush() != nil {
 						return
 					}
 				}
@@ -63,7 +75,7 @@ func startFrameEcho(t *testing.T) *frameEcho {
 }
 
 // killConns closes every accepted connection, simulating a replica
-// restart: the client's pooled connections are now dead on the far side.
+// restart: the client's connections are now dead on the far side.
 func (e *frameEcho) killConns() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -78,19 +90,29 @@ func TestStalePooledConnRetriesOnFreshConn(t *testing.T) {
 	p := newPeer(e.ln.Addr().String())
 	defer p.close()
 
-	// Populate the pool, then kill the server side of the idle connection.
-	if _, err := p.rpc(opPing, nil); err != nil {
+	// Open a connection, then kill the server side of it while it idles.
+	if err := p.Ping(); err != nil {
 		t.Fatalf("first rpc: %v", err)
 	}
 	e.killConns()
 	time.Sleep(50 * time.Millisecond) // let the FIN/RST reach the client
-
-	// Without the retry this surfaced as a spurious replica failure (EOF
-	// or EPIPE on the stale pooled conn) right after the replica was back.
-	for i := 0; i < 3; i++ {
-		if _, err := p.rpc(opPing, nil); err != nil {
+	for i := 0; i < 2*muxSlots; i++ {
+		if err := p.Ping(); err != nil {
 			t.Fatalf("rpc %d after server-side conn reset: %v", i, err)
 		}
+	}
+
+	// A connection that dies under the call itself — the request went out,
+	// no answer comes back — is what the retry is for: without it this
+	// surfaced as a spurious replica failure right after the replica was
+	// back.
+	before := e.requests.Load()
+	e.dropNext.Store(true)
+	if err := p.Ping(); err != nil {
+		t.Fatalf("rpc whose connection died under it: %v", err)
+	}
+	if got := e.requests.Load() - before; got != 2 {
+		t.Fatalf("server saw %d requests for one rpc, want 2 (the lost one and its retry)", got)
 	}
 }
 
@@ -99,16 +121,16 @@ func TestDownPeerStillFails(t *testing.T) {
 	addr := e.ln.Addr().String()
 	p := newPeer(addr)
 	defer p.close()
-	if _, err := p.rpc(opPing, nil); err != nil {
+	if err := p.Ping(); err != nil {
 		t.Fatalf("first rpc: %v", err)
 	}
 
 	// A genuinely dead peer (listener gone, conns dead) must still error:
-	// the stale-pool retry dials fresh, fails, and propagates the failure.
+	// the retry dials fresh, fails, and propagates the failure.
 	e.ln.Close()
 	e.killConns()
 	time.Sleep(50 * time.Millisecond)
-	if _, err := p.rpc(opPing, nil); err == nil {
+	if err := p.Ping(); err == nil {
 		t.Fatal("rpc to a dead peer succeeded")
 	}
 }
