@@ -1,9 +1,8 @@
 // Command benchdiff compares two BENCH_serving.json artifacts — the
 // committed baseline and a fresh run — and prints a GitHub-flavored
 // markdown delta table per row, keyed by (proto, op, clients, pipeline,
-// batch) for the end-to-end cells and op for the raw RPC cells. CI appends the output to the job summary so a perf
-// regression (or win) is visible on every run without downloading
-// artifacts.
+// batch). CI appends the output to the job summary so a perf regression (or
+// win) is visible on every run without downloading artifacts.
 //
 // Usage: benchdiff OLD.json NEW.json
 //
@@ -31,16 +30,8 @@ type servingRow struct {
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
-// rpcRow mirrors the raw internal-RPC cells.
-type rpcRow struct {
-	Op          string  `json:"op"`
-	OpsPerSec   float64 `json:"ops_per_sec"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-}
-
 type benchFile struct {
-	Rows    []servingRow `json:"rows"`
-	RPCRows []rpcRow     `json:"rpc_rows"`
+	Rows []servingRow `json:"rows"`
 }
 
 func load(path string) (benchFile, error) {
@@ -126,24 +117,5 @@ func main() {
 	sort.Strings(removed)
 	for _, k := range removed {
 		fmt.Printf("| %s *(removed)* | %.0f | — | — | — | — | — | — | — |\n", k, oldRows[k].OpsPerSec)
-	}
-
-	oldRPC := make(map[string]rpcRow, len(oldBF.RPCRows))
-	for _, r := range oldBF.RPCRows {
-		oldRPC[r.Op] = r
-	}
-	fmt.Println()
-	fmt.Println("| raw rpc | ops/s old | ops/s new | Δ ops/s | allocs old | allocs new |")
-	fmt.Println("|---|---|---|---|---|---|")
-	for _, nr := range newBF.RPCRows {
-		k := nr.Op
-		or, ok := oldRPC[k]
-		if !ok {
-			fmt.Printf("| %s *(new)* | — | %.0f | — | — | %.1f |\n", k, nr.OpsPerSec, nr.AllocsPerOp)
-			continue
-		}
-		fmt.Printf("| %s | %.0f | %.0f | %s | %.1f | %.1f |\n",
-			k, or.OpsPerSec, nr.OpsPerSec, delta(or.OpsPerSec, nr.OpsPerSec, true),
-			or.AllocsPerOp, nr.AllocsPerOp)
 	}
 }

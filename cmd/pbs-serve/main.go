@@ -14,7 +14,10 @@
 // The cluster can additionally run degraded: -fail scripts fault
 // injection (crashed/paused replicas, dropped or delayed internal RPCs),
 // -handoff and -anti-entropy enable the recovery subsystems that converge
-// replicas after faults, and -tune-sla runs the monitor-fed tuner that
+// replicas after faults, -sloppy adds sloppy quorums with hinted spare
+// writes, -data-dir makes each node's data and pending hints durable in one
+// group-commit WAL per node (-fsync sets its policy), and -tune-sla runs
+// the monitor-fed tuner that
 // fits the measured WARS legs online and recommends (or, with
 // -tune-apply, applies) the cheapest (R, W) meeting a staleness SLA —
 // Section 6's dynamic configuration, live.
@@ -128,12 +131,6 @@ func fatalf(format string, args ...any) {
 // until SIGINT/SIGTERM; with -leave it drains out of the ring (a committed
 // leave through the config log) before shutting down.
 func runSingleNode(p server.Params, listen, internal, join, advertise, failSpec string, leave bool) {
-	p.SetDefaults() // resolve implied flags (-sloppy => handoff) before the hint-dir check
-	if p.Handoff && p.HintDir != "" {
-		if err := os.MkdirAll(p.HintDir, 0o755); err != nil {
-			fatalf("%v", err)
-		}
-	}
 	var schedule []server.FaultEvent
 	if failSpec != "" {
 		var err error
@@ -156,7 +153,7 @@ func runSingleNode(p server.Params, listen, internal, join, advertise, failSpec 
 	fmt.Printf("pbs-serve: single node (%s) N=%d R=%d W=%d model=%s scale=%g sloppy=%v\n",
 		mode, p.N, p.R, p.W, p.Model.Name, p.Scale, p.SloppyQuorum)
 	if p.DataDir != "" {
-		fmt.Printf("  durable storage: %s (fsync=%s)\n", p.DataDir, p.Fsync)
+		fmt.Printf("  durable storage and hints: %s (fsync=%s)\n", p.DataDir, p.Fsync)
 	}
 	nd, err := server.StartNode(server.NodeConfig{
 		Params:            p,
@@ -224,10 +221,8 @@ func main() {
 	failSpec := flag.String("fail", "", `scripted fault schedule, e.g. "2s crash 1; 5s recover 1; 0s drop 2 0.3"`)
 	handoff := flag.Bool("handoff", false, "enable hinted handoff (buffer writes for unreachable replicas, replay on recovery)")
 	sloppy := flag.Bool("sloppy", false, "enable sloppy quorums (coordinator failover past a down primary, hinted spare-replica writes counting toward W; implies -handoff)")
-	hintDir := flag.String("hint-dir", "", "directory for durable per-node hint logs (replayed on start; empty = in-memory hints)")
-	hintFsync := flag.String("hint-fsync", "always", "hint-log fsync policy: always, interval or never")
-	dataDir := flag.String("data-dir", "", "directory for durable per-node storage engines (group-commit WAL + SSTables, replayed on restart; empty = in-memory stores)")
-	fsyncPolicy := flag.String("fsync", "always", "storage WAL fsync policy: always (group commit), interval or never")
+	dataDir := flag.String("data-dir", "", "directory for durable per-node storage engines (group-commit WAL + SSTables holding data and pending hints, replayed on restart; empty = in-memory stores and hints)")
+	fsyncPolicy := flag.String("fsync", "always", "storage WAL fsync policy for data and hints: always (group commit), interval or never")
 	memtableBytes := flag.Int64("memtable-bytes", 0, "memtable size in bytes that triggers an SSTable flush (0 = engine default)")
 	antiEntropy := flag.Bool("anti-entropy", false, "enable background Merkle anti-entropy between replicas")
 	tuneSLA := flag.String("tune-sla", "", `run the dynamic-configuration tuner against this SLA, e.g. "t=100,p=0.99" or "k=2,t=10ms,p=99.9"`)
@@ -256,8 +251,8 @@ func main() {
 			N: *n, R: *r, W: *w,
 			ReadRepair: *readRepair,
 			Handoff:    *handoff, AntiEntropy: *antiEntropy,
-			SloppyQuorum: *sloppy, HintDir: *hintDir, HintFsync: *hintFsync,
-			DataDir: *dataDir, Fsync: *fsyncPolicy, MemtableBytes: *memtableBytes,
+			SloppyQuorum: *sloppy,
+			DataDir:      *dataDir, Fsync: *fsyncPolicy, MemtableBytes: *memtableBytes,
 			WARSSampling: true,
 			Model:        &model, Scale: *scale,
 			Seed:           *seed,
@@ -291,8 +286,8 @@ func main() {
 		N: *n, R: *r, W: *w,
 		ReadRepair: *readRepair,
 		Handoff:    *handoff, AntiEntropy: *antiEntropy,
-		SloppyQuorum: *sloppy, HintDir: *hintDir, HintFsync: *hintFsync,
-		DataDir: *dataDir, Fsync: *fsyncPolicy, MemtableBytes: *memtableBytes,
+		SloppyQuorum: *sloppy,
+		DataDir:      *dataDir, Fsync: *fsyncPolicy, MemtableBytes: *memtableBytes,
 		WARSSampling: true, // /wars is part of the CLI surface; the tuner feeds on it
 		Model:        &model, Scale: *scale,
 		Seed:           *seed,
@@ -306,11 +301,8 @@ func main() {
 	fmt.Printf("pbs-serve: live PBS cluster on loopback\n")
 	fmt.Printf("  replicas=%d N=%d R=%d W=%d model=%s scale=%g read-repair=%v handoff=%v anti-entropy=%v sloppy=%v\n",
 		*replicas, *n, *r, *w, model.Name, *scale, *readRepair, *handoff || *sloppy, *antiEntropy, *sloppy)
-	if *hintDir != "" {
-		fmt.Printf("  durable hints: %s\n", *hintDir)
-	}
 	if *dataDir != "" {
-		fmt.Printf("  durable storage: %s (fsync=%s)\n", *dataDir, *fsyncPolicy)
+		fmt.Printf("  durable storage and hints: %s (fsync=%s)\n", *dataDir, *fsyncPolicy)
 	}
 	for i, addr := range cluster.HTTPAddrs {
 		fmt.Printf("  node %d: %s\n", i, addr)
@@ -519,8 +511,8 @@ live:
 		ft.AddRow("hinted handoff: hints stored", fmt.Sprintf("%d", agg.HintsStored))
 		ft.AddRow("hinted handoff: hints replayed", fmt.Sprintf("%d", agg.HintsReplayed))
 		ft.AddRow("hinted handoff: hints pending", fmt.Sprintf("%d", agg.HintsPending))
-		if *hintDir != "" {
-			ft.AddRow("hinted handoff: hints restored from log", fmt.Sprintf("%d", agg.HintsRestored))
+		if *dataDir != "" {
+			ft.AddRow("hinted handoff: hints restored from WAL", fmt.Sprintf("%d", agg.HintsRestored))
 		}
 		ft.AddRow("anti-entropy: rounds", fmt.Sprintf("%d", agg.AERounds))
 		ft.AddRow("anti-entropy: versions pulled", fmt.Sprintf("%d", agg.AEPulled))

@@ -6,7 +6,7 @@ package conformance
 // back at its old member ID from its own WAL/SSTables rather than a full
 // re-stream, and — once handoff and anti-entropy reconverge it — leave
 // the cluster's measured t-visibility inside the fault-free prediction
-// band. Two scenarios:
+// band. Three scenarios:
 //
 //   - TestKillReplayDurability: a single-node cluster (no quorum to mask
 //     a hole) is killed mid-write-load and restarted on the same data
@@ -20,6 +20,12 @@ package conformance
 //     keys from disk (delta pull, not a full re-stream), reconverge on
 //     every acknowledged write, and land the post-restart probe
 //     campaign inside the fault-free RMSE band.
+//
+//   - TestKillReplayHints: a four-process sloppy cluster without
+//     anti-entropy, so hints are the only repair path. A spare holding
+//     hints for a down replica is SIGKILLed and restarted: its WAL must
+//     restore every pending hint, and once the replica is back the hints
+//     must drain to it.
 
 import (
 	"bufio"
@@ -39,6 +45,7 @@ import (
 	"time"
 
 	"pbs/internal/client"
+	"pbs/internal/ring"
 	"pbs/internal/rng"
 	"pbs/internal/server"
 	"pbs/internal/wars"
@@ -546,5 +553,146 @@ func TestKillReplayConverge(t *testing.T) {
 	}
 	if best > faultCurveLimit() {
 		t.Errorf("post-restart t-visibility RMSE %.4f outside the fault-free band %.4f", best, faultCurveLimit())
+	}
+}
+
+// krMembership rebuilds a node's current ring view from its /config, so a
+// scenario can pick keys by preference list the way the cluster routes
+// them.
+func krMembership(t *testing.T, base string) *ring.Membership {
+	t.Helper()
+	resp, err := http.Get(base + "/config")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var cfg server.ConfigResponse
+	if err := json.NewDecoder(resp.Body).Decode(&cfg); err != nil {
+		t.Fatal(err)
+	}
+	members := make([]ring.Member, len(cfg.Members))
+	for i, m := range cfg.Members {
+		members[i] = ring.Member{ID: m.ID, HTTPAddr: m.Addr, InternalAddr: m.Internal}
+	}
+	params := server.Params{}
+	params.SetDefaults()
+	m, err := ring.NewMembership(members, params.Vnodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestKillReplayHints SIGKILLs the spare holding a down replica's hints.
+// Four pbs-serve processes run sloppy quorums at W = N on durable engines
+// under -fsync always, with anti-entropy off. One preference replica (the
+// target) is killed, and keys it replicates are written while it is down,
+// so each write commits through the one spare beyond their preference
+// list, which logs a hint for the target. The spare is then SIGKILLed —
+// no shutdown path runs — and restarted on its ports and data dir: its
+// WAL replay must restore at least the hints pending before the kill.
+// Finally the target comes back, and the spare's hints must drain to it,
+// leaving the target holding every acknowledged version.
+func TestKillReplayHints(t *testing.T) {
+	if testing.Short() {
+		t.Skip("process kill-replay scenario skipped in -short mode")
+	}
+	bin := krBuildServe(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
+	defer cancel()
+
+	dataDir := t.TempDir()
+	common := []string{
+		"-n", "3", "-r", "1", "-w", "3", "-sloppy",
+		"-data-dir", dataDir, "-fsync", "always",
+		"-model", "validation", "-scale", "0.02", "-seed", "29",
+	}
+	seed := krStart(t, ctx, bin, true, common...)
+	joinArgs := func(ports []string) []string {
+		return append([]string{"-join", seed.internal, "-listen", ports[0], "-internal", ports[1]}, common...)
+	}
+	krStart(t, ctx, bin, true, append([]string{"-join", seed.internal}, common...)...)
+	targetArgs := joinArgs(krReservePorts(t, 2))
+	target := krStart(t, ctx, bin, false, targetArgs...)
+	spareArgs := joinArgs(krReservePorts(t, 2))
+	spare := krStart(t, ctx, bin, false, spareArgs...)
+	defer func() { target.kill(); spare.kill() }()
+
+	// Keys the target replicates but does not coordinate, whose one spare
+	// (the fourth node in ring order) is the spare process.
+	m := krMembership(t, seed.httpAddr)
+	if m.Size() != 4 {
+		t.Fatalf("cluster has %d members, want 4", m.Size())
+	}
+	var targetID, spareID int
+	fmt.Sscan(target.id, &targetID)
+	fmt.Sscan(spare.id, &spareID)
+	const hinted = 24
+	var keys []string
+	for i := 0; len(keys) < hinted; i++ {
+		key := fmt.Sprintf("krh-%d", i)
+		full := m.PreferenceList(key, 4)
+		if full[0] != targetID && (full[1] == targetID || full[2] == targetID) && full[3] == spareID {
+			keys = append(keys, key)
+		}
+	}
+
+	c, err := client.DialBinary(seed.httpAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	keysBefore := krStats(t, target.httpAddr).Keys
+	target.kill()
+
+	acked := make(map[string]uint64, len(keys))
+	for _, key := range keys {
+		res, err := c.Put(key, "v-"+key)
+		if err != nil {
+			t.Fatalf("write %s with the target down: %v", key, err)
+		}
+		acked[key] = res.Seq
+	}
+	pending := krStats(t, spare.httpAddr).HintsPending
+	if pending < hinted {
+		t.Fatalf("spare holds %d pending hints after %d spare writes", pending, hinted)
+	}
+
+	spare.kill()
+	spare = krStart(t, ctx, bin, false, spareArgs...)
+	if id := spare.id; id != fmt.Sprint(spareID) {
+		t.Fatalf("spare restarted as member %s, want %d", id, spareID)
+	}
+	if st := krStats(t, spare.httpAddr); st.HintsRestored < int64(pending) {
+		t.Fatalf("spare restored %d hints from its WAL after SIGKILL, want at least the %d pending before it",
+			st.HintsRestored, pending)
+	}
+
+	target = krStart(t, ctx, bin, false, targetArgs...)
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		sp, tg := krStats(t, spare.httpAddr), krStats(t, target.httpAddr)
+		if sp.HintsPending == 0 && tg.Keys >= keysBefore+hinted {
+			if sp.HintsDropped != 0 {
+				t.Fatalf("spare dropped %d hints instead of delivering them", sp.HintsDropped)
+			}
+			t.Logf("kill-replay hints: %d pending before the kill, %d restored, %d delivered; target holds %d keys",
+				pending, sp.HintsRestored, sp.HintsReplayed, tg.Keys)
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("after the target returned: spare has %d hints pending, target holds %d keys (want %d)",
+				sp.HintsPending, tg.Keys, keysBefore+hinted)
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
+	for key, seq := range acked {
+		kv, err := krGet(target.internal, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := krCheckAck(key, krAck{seq: seq}, kv); err != nil {
+			t.Error(err)
+		}
 	}
 }

@@ -145,10 +145,11 @@ func TestSloppyQuorumFailoverConformance(t *testing.T) {
 	}
 }
 
-// TestDurableHintsSurviveRestart pins the -hint-dir guarantee: a cluster
-// accumulates hints for a crashed replica, every coordinator restarts
-// (cluster torn down and rebuilt over the same hint directory), and the
-// restored hints drain to the replica — zero pending hints lost.
+// TestDurableHintsSurviveRestart pins the -data-dir hint guarantee: a
+// cluster accumulates hints for a crashed replica, every coordinator
+// restarts (cluster torn down and rebuilt over the same data directory,
+// whose storage-engine WALs carry the hints), and the restored hints
+// drain to the replica — zero pending hints lost.
 func TestDurableHintsSurviveRestart(t *testing.T) {
 	const (
 		nodes  = 3
@@ -158,7 +159,7 @@ func TestDurableHintsSurviveRestart(t *testing.T) {
 	params := server.Params{
 		N: 3, R: 1, W: 2, Seed: 23,
 		SloppyQuorum: true, HandoffInterval: 50 * time.Millisecond,
-		HintDir: dir,
+		DataDir: dir,
 	}
 
 	cl1, err := server.StartLocal(nodes, params)
@@ -174,7 +175,7 @@ func TestDurableHintsSurviveRestart(t *testing.T) {
 	cl1.Faults().Crash(victim)
 	writeAll(t, c1, keys)
 	// A write is acked at W while its leg to the crashed replica may still
-	// be buffering the hint (a durable log append), so let the legs settle
+	// be buffering the hint (a durable WAL append), so let the legs settle
 	// before snapshotting the count the restart must restore.
 	settle := time.Now().Add(5 * time.Second)
 	for cl1.HintsPending() < len(keys) && time.Now().Before(settle) {
@@ -192,8 +193,8 @@ func TestDurableHintsSurviveRestart(t *testing.T) {
 		}
 		wantSeqs[k] = gr.Seq
 	}
-	// Restart every coordinator mid-outage: stores are in-memory and reset,
-	// but the hint logs survive.
+	// Restart every coordinator mid-outage: each node's engine replays its
+	// WAL, hints included.
 	cl1.Close()
 
 	cl2, err := server.StartLocal(nodes, params)

@@ -64,6 +64,25 @@ type Engine interface {
 	Versions() []Version
 	// Stats reports applied/ignored counters.
 	Stats() (applied, ignored int64)
+
+	// StoreHint buffers v as a pending hinted-handoff write for target
+	// (Hints.Store). A durable engine persists the hint per its fsync
+	// policy before returning.
+	StoreHint(target int, v Version)
+	// ApplyHinted is a sloppy-quorum spare's write: StoreHint, then Apply.
+	// A durable engine makes both durable together (one group commit) —
+	// the hint even when the apply is ignored as not newer.
+	ApplyHinted(target int, v Version, now float64) bool
+	// ClearHint removes target's hint for v.Key once v was delivered,
+	// unless a newer hint arrived meanwhile (Hints.Clear).
+	ClearHint(target int, v Version)
+	// DropHintTarget discards every hint for a target that left the
+	// cluster (Hints.DropTarget).
+	DropHintTarget(target int)
+	// Hints returns a copy of the pending hint set.
+	Hints() map[int]map[string]Version
+	// HintStats reports the hinted-handoff counters.
+	HintStats() HintStats
 }
 
 // Store is a single replica's key-value state. It is not safe for

@@ -7,14 +7,18 @@ import "sync"
 // data directory is configured. The lock discipline mirrors what the node
 // layer used to do with its own storeMu, moved behind the Engine seam so
 // durable engines can manage their own locking (and release it while
-// waiting on a group fsync).
+// waiting on a group fsync). The pending hint set lives in memory under a
+// lock of its own, so hint bookkeeping never contends with the data path.
 type Synced struct {
 	mu sync.Mutex
 	s  *Store
+
+	hmu   sync.Mutex
+	hints *Hints
 }
 
 // NewSynced returns an empty concurrency-safe store.
-func NewSynced() *Synced { return &Synced{s: New()} }
+func NewSynced() *Synced { return &Synced{s: New(), hints: NewHints()} }
 
 // Apply installs v if newer (see Store.Apply).
 func (s *Synced) Apply(v Version, now float64) bool {
@@ -71,4 +75,45 @@ func (s *Synced) Stats() (applied, ignored int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.s.Stats()
+}
+
+// StoreHint buffers a hint for target (see Hints.Store).
+func (s *Synced) StoreHint(target int, v Version) {
+	s.hmu.Lock()
+	defer s.hmu.Unlock()
+	s.hints.Store(target, v)
+}
+
+// ApplyHinted buffers a hint for target, then applies v.
+func (s *Synced) ApplyHinted(target int, v Version, now float64) bool {
+	s.StoreHint(target, v)
+	return s.Apply(v, now)
+}
+
+// ClearHint removes a delivered hint (see Hints.Clear).
+func (s *Synced) ClearHint(target int, v Version) {
+	s.hmu.Lock()
+	defer s.hmu.Unlock()
+	s.hints.Clear(target, v)
+}
+
+// DropHintTarget discards a departed target's hints.
+func (s *Synced) DropHintTarget(target int) {
+	s.hmu.Lock()
+	defer s.hmu.Unlock()
+	s.hints.DropTarget(target)
+}
+
+// Hints returns a copy of the pending hint set.
+func (s *Synced) Hints() map[int]map[string]Version {
+	s.hmu.Lock()
+	defer s.hmu.Unlock()
+	return s.hints.Snapshot()
+}
+
+// HintStats reports the hint counters.
+func (s *Synced) HintStats() HintStats {
+	s.hmu.Lock()
+	defer s.hmu.Unlock()
+	return s.hints.Stats()
 }

@@ -136,24 +136,10 @@ func newNode(id int, p Params, faults *Faults, seeds *rng.RNG) (*Node, error) {
 	n.gossip = gossip.New(id)
 	n.cfglog = configlog.New(n.onConfigDecided)
 	n.cfgDigests = make(map[uint64]uint64)
-	if p.Handoff {
-		n.handoff = newHandoff()
-	}
 	if p.WARSSampling {
 		n.legs = newLegSampler(seeds.Uint64())
 	}
 	return n, nil
-}
-
-// attachDurableHints replaces the node's in-memory hint buffer with one
-// backed by the log at path (Params.HintDir layouts use hints-<id>.log).
-func (n *Node) attachDurableHints(path string) error {
-	h, err := newDurableHandoff(path, n.params.HintFsync)
-	if err != nil {
-		return err
-	}
-	n.handoff = h
-	return nil
 }
 
 // start wires the listeners and background services.
@@ -174,8 +160,8 @@ func (n *Node) start(httpLn, internalLn net.Listener) {
 }
 
 // Close tears the node down: background services, HTTP server, internal
-// listener and every connection it accepted, hint log, and pooled peer
-// connections. Idempotent.
+// listener and every connection it accepted, storage engine, and pooled
+// peer connections. Idempotent.
 func (n *Node) Close() {
 	n.closeOnce.Do(func() {
 		n.closed.Store(true)
@@ -192,9 +178,6 @@ func (n *Node) Close() {
 		n.acceptedMu.Unlock()
 		for c := range conns {
 			c.Close()
-		}
-		if n.handoff != nil {
-			n.handoff.closeLog()
 		}
 		if e, ok := n.store.(*storage.Engine); ok {
 			e.Close()
@@ -272,11 +255,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 			return nil, err
 		}
 		n.selfHTTP, n.selfInternal = httpAddr, internalAddr
-		if p.Handoff && p.HintDir != "" {
-			if err := n.attachDurableHints(filepath.Join(p.HintDir, fmt.Sprintf("hints-%d.log", n.id))); err != nil {
-				return nil, err
-			}
-		}
 		// The seed configuration is slot 1 of the config log: every
 		// membership a node ever holds flows through a decided slot, so the
 		// digest pinned per epoch always traces back to a decision.
@@ -301,11 +279,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		return nil, err
 	}
 	n.selfHTTP, n.selfInternal = httpAddr, internalAddr
-	if p.Handoff && p.HintDir != "" {
-		if err := n.attachDurableHints(filepath.Join(p.HintDir, fmt.Sprintf("hints-%d.log", n.id))); err != nil {
-			return nil, err
-		}
-	}
 	// Install the pre-join membership first: the node can serve (proxying
 	// to the real owners) and answer internal RPCs while it catches up,
 	// but no coordinator routes replicas to it until the flip.

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"path/filepath"
 	"sync"
 
 	"pbs/internal/kvstore"
@@ -65,11 +64,6 @@ func StartLocal(nodes int, p Params) (*Cluster, error) {
 	p.setDefaults()
 	if err := p.validate(nodes); err != nil {
 		return nil, err
-	}
-	if p.Handoff && p.HintDir != "" {
-		if err := os.MkdirAll(p.HintDir, 0o755); err != nil {
-			return nil, fmt.Errorf("server: hint dir: %w", err)
-		}
 	}
 	if p.DataDir != "" {
 		if err := os.MkdirAll(p.DataDir, 0o755); err != nil {
@@ -116,13 +110,6 @@ func StartLocal(nodes int, p Params) (*Cluster, error) {
 			return nil, err
 		}
 		n.selfHTTP, n.selfInternal = members[i].HTTPAddr, members[i].InternalAddr
-		if p.Handoff && p.HintDir != "" {
-			if err := n.attachDurableHints(filepath.Join(p.HintDir, fmt.Sprintf("hints-%d.log", i))); err != nil {
-				c.Close()
-				closeAll()
-				return nil, err
-			}
-		}
 		// The bootstrap configuration is slot 1 of every node's config log
 		// (RecordDecide installs it), matching the single-seed path.
 		n.cfglog.RecordDecide(1, ring.EncodeMembership(membership))
@@ -292,10 +279,7 @@ func (c *Cluster) ReplicaSeq(node int, key string) uint64 {
 func (c *Cluster) HintsPending() int {
 	total := 0
 	for _, n := range c.Nodes {
-		if n.handoff != nil {
-			pending, _, _, _ := n.handoff.stats()
-			total += pending
-		}
+		total += n.store.HintStats().Pending
 	}
 	return total
 }

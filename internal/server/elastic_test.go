@@ -1,20 +1,15 @@
 package server
 
 // Tests for elastic membership: live joins with key-range streaming, the
-// ring flip, drained leaves, the read-side spare fallback, and the
-// hint-log fsync policies.
+// ring flip, drained leaves, and the read-side spare fallback.
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"pbs/internal/kvstore"
 )
 
 // TestJoinStreamsRangesAndFlips grows a loaded 3-node cluster by one
@@ -265,101 +260,4 @@ func TestReadSpareFallback(t *testing.T) {
 	if got := c.Stats().SpareReads; got < 1 {
 		t.Fatalf("SpareReads = %d after a spare-answered read", got)
 	}
-}
-
-// TestHintFsyncPolicies checks the policy knob end to end: all three
-// policies accept appends and survive a clean reopen; an unknown policy is
-// rejected at validation.
-func TestHintFsyncPolicies(t *testing.T) {
-	for _, policy := range []string{HintFsyncAlways, HintFsyncInterval, HintFsyncNever} {
-		t.Run(policy, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "hints.log")
-			h, err := newDurableHandoff(path, policy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 50; i++ {
-				h.store(1, kvstore.Version{Key: fmt.Sprintf("k%d", i), Seq: uint64(i + 1), Value: "v"})
-			}
-			h.closeLog()
-			h2, err := newDurableHandoff(path, policy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pending, _, _, _ := h2.stats()
-			if pending != 50 {
-				t.Fatalf("policy %s: %d hints survived reopen, want 50", policy, pending)
-			}
-			h2.closeLog()
-		})
-	}
-
-	p := Params{N: 1, R: 1, W: 1, HintFsync: "sometimes"}
-	p.setDefaults()
-	if err := p.validateElastic(); err == nil {
-		t.Fatal("unknown fsync policy must be rejected")
-	}
-}
-
-// TestHintLogIntervalReplaysCleanPrefix is the crash-durability property of
-// the interval policy: whatever byte prefix of the log survives a crash
-// (torn tail included), replay reconstructs exactly the fold of the
-// decodable record prefix — never garbage, never a partial record.
-func TestHintLogIntervalReplaysCleanPrefix(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "hints.log")
-	h, err := newDurableHandoff(path, HintFsyncInterval)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const records = 64
-	for i := 0; i < records; i++ {
-		h.store(i%3, kvstore.Version{Key: fmt.Sprintf("k%d", i%7), Seq: uint64(i + 1), Value: "v"})
-	}
-	h.closeLog()
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Simulate crashes at every truncation point of the surviving
-	// prefix: replay must equal the fold of the records wholly contained
-	// in the prefix, which is itself a prefix of the full fold.
-	for cut := 0; cut <= len(full); cut += 13 {
-		pending := replayHintBytes(t, full[:cut])
-		for target, kh := range pending {
-			for key, v := range kh {
-				fullSet := replayHintBytes(t, full)
-				fv, ok := fullSet[target][key]
-				if !ok || fv.Seq < v.Seq {
-					t.Fatalf("cut %d: replayed (%d, %q, seq %d) not subsumed by the full fold", cut, target, key, v.Seq)
-				}
-			}
-		}
-	}
-	// The whole file folds to the expected newest-per-(target,key) set.
-	fullSet := replayHintBytes(t, full)
-	n := 0
-	for _, kh := range fullSet {
-		n += len(kh)
-	}
-	if n == 0 {
-		t.Fatal("full replay recovered nothing")
-	}
-}
-
-func replayHintBytes(t *testing.T, b []byte) map[int]map[string]kvstore.Version {
-	t.Helper()
-	f, err := os.CreateTemp(t.TempDir(), "prefix")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(b); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Seek(0, 0); err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	pending, _ := replayHints(f)
-	return pending
 }

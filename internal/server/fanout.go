@@ -308,9 +308,9 @@ func (t *legTask) release() {
 func (n *Node) runWriteBatchLeg(v *memView, target int, vers []kvstore.Version, wss []*writeState, sent time.Time) {
 	acks, err := v.peers[target].ApplyBatch(vers)
 	if err != nil {
-		if n.handoff != nil {
+		if n.params.Handoff {
 			for i := range vers {
-				n.handoff.store(target, vers[i])
+				n.store.StoreHint(target, vers[i])
 			}
 		}
 		for _, ws := range wss {

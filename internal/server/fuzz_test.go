@@ -40,7 +40,7 @@ var (
 func fuzzNode() *Node {
 	fuzzNodeOnce.Do(func() {
 		n := &Node{
-			store:        kvstore.New(),
+			store:        kvstore.NewSynced(),
 			pendingJoins: make(map[string]int),
 			stop:         make(chan struct{}),
 			live:         newLiveness(),
@@ -69,7 +69,7 @@ func FuzzFrameDecoder(f *testing.F) {
 	bucketReq := []byte{6, 0, 2, 0, 0, 0, 1, 0, 0, 0, 5}
 	f.Add(frame(opBucket, bucketReq))
 	f.Add(frame(opPing, nil))
-	f.Add(frame(opApplyHint, encodeHintRecord(1, ver)))
+	f.Add(frame(opApplyHint, appendHintedApply(nil, 1, ver)))
 	f.Add(frame(opJoin, appendString16(appendString16(nil, "http://c"), "c:1")))
 	f.Add(frame(opMembership, nil))
 	f.Add(frame(opMembership, ring.EncodeMembership(fuzzNode().Membership())))
@@ -134,12 +134,28 @@ func taggedFrame(tag byte, id uint64, payload []byte) []byte {
 // (tag, id, payload) triple must survive an encode/decode round trip
 // bit-exactly, including the request id the mux layers route completions
 // by.
+//
+// The payload is the fuzzed pattern repeated to a fuzzed length. The
+// codec's coverage depends on payload length (pooled-buffer size classes,
+// bufio's direct-write path), and Go's minimizer shrinks an interesting
+// []byte by trying its sub-slices — quadratic in its length — so a fuzzed
+// payload of a few KiB would keep the worker minimizing, not fuzzing, for
+// the rest of a short run. An integer length is never minimized; the
+// pattern is, and no coverage depends on it.
 func FuzzTaggedFrameRoundTrip(f *testing.F) {
-	f.Add(opApply, uint64(1), encodeVersion(nil, kvstore.Version{Key: "k", Seq: 7, Value: "v"}))
-	f.Add(opPing, uint64(0), []byte{})
-	f.Add(byte(255), ^uint64(0), bytes.Repeat([]byte{0xab}, 1024))
-	f.Add(statusOK, uint64(1<<40), []byte{1})
-	f.Fuzz(func(t *testing.T, tag byte, id uint64, payload []byte) {
+	ver := encodeVersion(nil, kvstore.Version{Key: "k", Seq: 7, Value: "v"})
+	f.Add(opApply, uint64(1), uint32(len(ver)), ver)
+	f.Add(opPing, uint64(0), uint32(0), []byte{})
+	f.Add(byte(255), ^uint64(0), uint32(1024), []byte{0xab})
+	f.Add(statusOK, uint64(1<<40), uint32(1), []byte{1})
+	f.Fuzz(func(t *testing.T, tag byte, id uint64, size uint32, pattern []byte) {
+		// Up to 512 KiB: past the largest pooled class below the top one.
+		payload := make([]byte, size%(512<<10))
+		if len(pattern) > 0 {
+			for n := copy(payload, pattern); n < len(payload); n *= 2 {
+				copy(payload[n:], payload[:n])
+			}
+		}
 		var buf bytes.Buffer
 		bw := bufio.NewWriter(&buf)
 		if err := writeTaggedFrame(bw, tag, id, payload); err != nil {

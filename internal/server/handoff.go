@@ -3,10 +3,10 @@ package server
 // Hinted handoff (Dynamo Section 4.6, paper Section 2.1's "anti-entropy"
 // companion): when a coordinator's write fan-out to a replica fails, the
 // coordinator buffers the version as a hint and a background replayer
-// redelivers it once the replica is reachable again. Hints are keyed by
-// (target replica, key) and keep only the newest version per key — the
-// store's apply rule is idempotent and last-writer-wins, so replaying the
-// newest version subsumes every older missed write for that key.
+// redelivers it once the replica is reachable again. The pending set —
+// newest version per (target replica, key) — lives in the node's storage
+// engine (kvstore.Hints), so it is exactly as durable as the node's data:
+// logged to the engine's WAL under -data-dir, in memory otherwise.
 
 import (
 	"sync"
@@ -15,164 +15,8 @@ import (
 	"pbs/internal/kvstore"
 )
 
-const (
-	// defaultHandoffInterval paces replay attempts.
-	defaultHandoffInterval = 250 * time.Millisecond
-	// maxHintsPerNode bounds one coordinator's hint memory across all
-	// targets; new hints beyond the cap are dropped (and counted).
-	maxHintsPerNode = 1 << 16
-)
-
-// handoff is one coordinator's hint buffer plus replay bookkeeping. When
-// a hint log is attached (Params.HintDir), every buffer mutation is also
-// appended to the log, and the buffer is preloaded from the log on start.
-type handoff struct {
-	mu      sync.Mutex
-	hints   map[int]map[string]kvstore.Version // target -> key -> newest missed version
-	pending int
-	log     *hintLog // nil: in-memory only
-
-	stored, replayed, dropped int64
-	restored                  int64 // hints reloaded from the log at start
-	truncated                 int64 // 1 when the log replay stopped at a torn/unknown record
-}
-
-func newHandoff() *handoff {
-	return &handoff{hints: make(map[int]map[string]kvstore.Version)}
-}
-
-// newDurableHandoff opens (replaying and compacting) the hint log at path
-// under the given fsync policy and returns a handoff buffer preloaded with
-// every hint that was pending when the previous process stopped.
-func newDurableHandoff(path, fsyncPolicy string) (*handoff, error) {
-	log, pending, truncated, err := openHintLog(path, fsyncPolicy)
-	if err != nil {
-		return nil, err
-	}
-	h := &handoff{hints: pending, log: log}
-	for _, kh := range pending {
-		h.pending += len(kh)
-	}
-	h.restored = int64(h.pending)
-	h.stored = h.restored
-	if truncated {
-		// The replay stopped before the end of the log (torn tail after a
-		// crash, or records from a future version). The clean prefix above
-		// is intact and replayed; the discarded suffix is surfaced as a
-		// counter so operators see it in /stats instead of nothing.
-		h.truncated = 1
-	}
-	return h, nil
-}
-
-// store buffers a missed write for later redelivery to target.
-func (h *handoff) store(target int, v kvstore.Version) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	kh := h.hints[target]
-	if kh == nil {
-		kh = make(map[string]kvstore.Version)
-		h.hints[target] = kh
-	}
-	cur, ok := kh[v.Key]
-	if ok && !v.Newer(cur) {
-		return // an equal-or-newer hint is already buffered
-	}
-	if !ok {
-		if h.pending >= maxHintsPerNode {
-			h.dropped++
-			return
-		}
-		h.pending++
-		// stored counts distinct buffered (target, key) hints — a newer
-		// version superseding a buffered hint is not new work to deliver,
-		// and counting it would break the delivery invariant
-		// replayed + anti-entropy pulls >= stored.
-		h.stored++
-	}
-	kh[v.Key] = v
-	h.log.append(hintRecStore, target, v)
-}
-
-// snapshot returns the targets with pending hints and a copy of each
-// target's hint set.
-func (h *handoff) snapshot() map[int]map[string]kvstore.Version {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make(map[int]map[string]kvstore.Version, len(h.hints))
-	for target, kh := range h.hints {
-		if len(kh) == 0 {
-			continue
-		}
-		cp := make(map[string]kvstore.Version, len(kh))
-		for k, v := range kh {
-			cp[k] = v
-		}
-		out[target] = cp
-	}
-	return out
-}
-
-// clear removes a delivered hint, unless a newer hint for the key arrived
-// while the replay was in flight.
-func (h *handoff) clear(target int, v kvstore.Version) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	kh := h.hints[target]
-	cur, ok := kh[v.Key]
-	if !ok || cur.Newer(v) {
-		return
-	}
-	delete(kh, v.Key)
-	h.pending--
-	h.replayed++
-	h.log.append(hintRecClear, target, v)
-}
-
-// dropTarget discards every pending hint for a target that left the
-// cluster (its ranges were drained to the new owners), counting them as
-// dropped.
-func (h *handoff) dropTarget(target int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	kh := h.hints[target]
-	if len(kh) == 0 {
-		return
-	}
-	for _, v := range kh {
-		h.pending--
-		h.dropped++
-		h.log.append(hintRecClear, target, v)
-	}
-	delete(h.hints, target)
-}
-
-// stats returns the handoff counters.
-func (h *handoff) stats() (pending int, stored, replayed, dropped int64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.pending, h.stored, h.replayed, h.dropped
-}
-
-// restoredCount returns how many hints were reloaded from the log at start.
-func (h *handoff) restoredCount() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.restored
-}
-
-// truncatedCount reports whether (1) the start-time log replay stopped at a
-// torn or unknown record instead of a clean end-of-log.
-func (h *handoff) truncatedCount() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.truncated
-}
-
-// closeLog flushes and closes the hint log, if one is attached.
-func (h *handoff) closeLog() {
-	h.log.close()
-}
+// defaultHandoffInterval paces replay attempts.
+const defaultHandoffInterval = 250 * time.Millisecond
 
 // runHandoff is the background replayer: every interval it attempts to
 // redeliver each target's pending hints, stopping a target's round at the
@@ -198,12 +42,12 @@ func (n *Node) runHandoff(interval time.Duration) {
 			continue // a crashed coordinator replays nothing
 		}
 		view := n.view()
-		for target, kh := range n.handoff.snapshot() {
+		for target, kh := range n.store.Hints() {
 			peer, member := view.peers[target]
 			if !member {
 				// The target left the ring: its ranges were drained to new
 				// owners, so these hints have nowhere useful to go.
-				n.handoff.dropTarget(target)
+				n.store.DropHintTarget(target)
 				continue
 			}
 			mu.Lock()
@@ -234,7 +78,7 @@ func (n *Node) runHandoff(interval time.Duration) {
 					if _, _, err := p.Apply(v); err != nil {
 						return // target still unreachable; retry next round
 					}
-					n.handoff.clear(target, v)
+					n.store.ClearHint(target, v)
 				}
 			}(target, peer, kh)
 		}

@@ -19,7 +19,7 @@ import (
 // detachedNode builds a node with storage and counters only — no
 // listeners, no background services — for white-box membership tests.
 func detachedNode() *Node {
-	return &Node{store: kvstore.New(), pendingJoins: make(map[string]int)}
+	return &Node{store: kvstore.NewSynced(), pendingJoins: make(map[string]int)}
 }
 
 func mustMembership(t *testing.T, members []ring.Member) *ring.Membership {

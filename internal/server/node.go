@@ -62,30 +62,20 @@ type Params struct {
 	// live nodes remain anywhere on the ring. Implies Handoff (the spares'
 	// hints need the replay machinery).
 	SloppyQuorum bool
-	// HintDir makes hint buffers durable: each node appends its hints to
-	// an append-only log in this directory (hints-<id>.log) and replays it
-	// on start, so a coordinator restart loses no pending hints. Empty
-	// means in-memory hints only.
-	HintDir string
-	// HintFsync is the hint-log durability policy: "always" fsyncs after
-	// every append (survives power loss, the default), "interval" fsyncs on
-	// a background ticker (bounded-loss, near in-memory append latency),
-	// "never" only flushes to the OS (survives process crashes, not power
-	// loss). Ignored without HintDir.
-	HintFsync string
 	// HandoffInterval paces hint replay (zero means 250ms).
 	HandoffInterval time.Duration
 	// DataDir enables the durable storage engine (internal/storage): each
 	// node persists its replica state under DataDir/node-<id> — a
 	// group-commit WAL in front of a memtable that flushes to SSTables — and
 	// recovers it on restart, replaying the clean WAL prefix past any torn
-	// tail. Empty means in-memory storage only (state dies with the
-	// process, as before).
+	// tail. The pending hinted-handoff set rides the same WAL, so a restart
+	// loses no pending hint either. Empty means in-memory storage and hints
+	// (state dies with the process).
 	DataDir string
-	// Fsync is the storage engine's WAL durability policy, sharing the hint
-	// log's vocabulary: "always" group-commits an fsync before every ack
-	// (the default), "interval" fsyncs on a 100ms ticker, "never" flushes to
-	// the OS only. Ignored without DataDir.
+	// Fsync is the storage engine's WAL durability policy, for data and
+	// hints alike: "always" group-commits an fsync before every ack and
+	// every stored hint (the default), "interval" fsyncs on a 100ms
+	// ticker, "never" flushes to the OS only. Ignored without DataDir.
 	Fsync string
 	// MemtableBytes is the storage engine's memtable flush threshold (zero
 	// means 4 MiB). Ignored without DataDir.
@@ -139,9 +129,6 @@ func (p *Params) setDefaults() {
 	if p.SloppyQuorum {
 		p.Handoff = true
 	}
-	if p.HintFsync == "" {
-		p.HintFsync = HintFsyncAlways
-	}
 	if p.Fsync == "" {
 		p.Fsync = storage.FsyncAlways
 	}
@@ -169,12 +156,6 @@ func (p Params) validateElastic() error {
 	}
 	if p.MerkleDepth < 0 || p.MerkleDepth > maxMerkleDepth {
 		return fmt.Errorf("server: merkle depth %d outside [1, %d] (0 selects the default)", p.MerkleDepth, maxMerkleDepth)
-	}
-	switch p.HintFsync {
-	case HintFsyncAlways, HintFsyncInterval, HintFsyncNever:
-	default:
-		return fmt.Errorf("server: hint fsync policy %q (want %s, %s or %s)",
-			p.HintFsync, HintFsyncAlways, HintFsyncInterval, HintFsyncNever)
 	}
 	if p.Fsync != "" && !storage.ValidPolicy(p.Fsync) {
 		return fmt.Errorf("server: fsync policy %q (want %s, %s or %s)",
@@ -250,8 +231,8 @@ type StatsResponse struct {
 	HintsStored   int64 `json:"hints_stored"`
 	HintsReplayed int64 `json:"hints_replayed"`
 	HintsDropped  int64 `json:"hints_dropped"`
-	// HintsRestored counts hints reloaded from the durable hint log at
-	// node start (zero unless Params.HintDir).
+	// HintsRestored counts hints recovered from the storage engine's WAL
+	// at node start (zero unless Params.DataDir).
 	HintsRestored int64 `json:"hints_restored"`
 
 	// Sloppy-quorum counters (zero unless Params.SloppyQuorum).
@@ -283,10 +264,6 @@ type StatsResponse struct {
 	ConfigDecides int64 `json:"config_decides"`
 	ConfigRejects int64 `json:"config_rejects"`
 
-	// HintsTruncated is 1 when the start-time hint-log replay stopped at a
-	// torn or unknown record (the clean prefix was still replayed).
-	HintsTruncated int64 `json:"hints_truncated"`
-
 	// Anti-entropy counters (zero unless Params.AntiEntropy).
 	AERounds  int64 `json:"ae_rounds"`
 	AEFailed  int64 `json:"ae_failed"`
@@ -304,6 +281,10 @@ type StatsResponse struct {
 	WALAppends       int64 `json:"wal_appends"`
 	WALSyncs         int64 `json:"wal_syncs"`
 	WALErrs          int64 `json:"wal_errs"`
+	// WALTruncated is 1 when the start-time WAL replay stopped before a
+	// segment's end at a torn or undecodable record, data or hint (the
+	// clean prefix was still replayed).
+	WALTruncated int64 `json:"wal_truncated"`
 }
 
 // Sequence numbers carry a per-key epoch in their high bits: a failover
@@ -359,7 +340,6 @@ func (s *StatsResponse) Accumulate(o StatsResponse) {
 	s.GossipInstalls += o.GossipInstalls
 	s.ConfigDecides += o.ConfigDecides
 	s.ConfigRejects += o.ConfigRejects
-	s.HintsTruncated += o.HintsTruncated
 	s.AERounds += o.AERounds
 	s.AEFailed += o.AEFailed
 	s.AEBuckets += o.AEBuckets
@@ -372,6 +352,7 @@ func (s *StatsResponse) Accumulate(o StatsResponse) {
 	s.WALAppends += o.WALAppends
 	s.WALSyncs += o.WALSyncs
 	s.WALErrs += o.WALErrs
+	s.WALTruncated += o.WALTruncated
 }
 
 // keyEntry serializes version-number assignment for one key at its
@@ -443,12 +424,11 @@ type Node struct {
 	// queue binds to one member forever.
 	legQueues sync.Map
 
-	faults  *Faults
-	live    *liveness // peer reachability cache (sloppy-quorum routing)
-	handoff *handoff  // nil unless Params.Handoff
-	ae      aeStats
-	legs    *legSampler
-	stop    chan struct{} // closed on Close; stops background loops
+	faults *Faults
+	live   *liveness // peer reachability cache (sloppy-quorum routing)
+	ae     aeStats
+	legs   *legSampler
+	stop   chan struct{} // closed on Close; stops background loops
 
 	coordReads     atomic.Int64
 	coordWrites    atomic.Int64
@@ -877,8 +857,8 @@ func (n *Node) foldSeq(key string, seq uint64) {
 func (n *Node) deliverWrite(v *memView, target int, ver kvstore.Version, spares *sparePicker) bool {
 	if spares == nil {
 		applied, replicaSeq, err := v.peers[target].Apply(ver)
-		if err != nil && n.handoff != nil {
-			n.handoff.store(target, ver)
+		if err != nil && n.params.Handoff {
+			n.store.StoreHint(target, ver)
 		}
 		return err == nil && n.ackable(ver, applied, replicaSeq)
 	}
@@ -908,8 +888,8 @@ func (n *Node) deliverWrite(v *memView, target int, ver kvstore.Version, spares 
 			n.live.markDead(s)
 		}
 	}
-	if n.handoff != nil {
-		n.handoff.store(target, ver)
+	if n.params.Handoff {
+		n.store.StoreHint(target, ver)
 	}
 	return false
 }
@@ -1163,11 +1143,9 @@ func (n *Node) statsLocal() StatsResponse {
 	if v := n.view(); v != nil {
 		st.RingEpoch = v.m.Epoch()
 	}
-	if n.handoff != nil {
-		st.HintsPending, st.HintsStored, st.HintsReplayed, st.HintsDropped = n.handoff.stats()
-		st.HintsRestored = n.handoff.restoredCount()
-		st.HintsTruncated = n.handoff.truncatedCount()
-	}
+	hs := n.store.HintStats()
+	st.HintsPending, st.HintsStored, st.HintsReplayed, st.HintsDropped, st.HintsRestored =
+		hs.Pending, hs.Stored, hs.Replayed, hs.Dropped, hs.Restored
 	st.AERounds, st.AEFailed, st.AEBuckets, st.AEPulled, st.AEPushed = n.ae.snapshot()
 	if e, ok := n.store.(*storage.Engine); ok {
 		m := e.Metrics()
@@ -1178,6 +1156,7 @@ func (n *Node) statsLocal() StatsResponse {
 		st.WALAppends = m.WALAppends
 		st.WALSyncs = m.WALSyncs
 		st.WALErrs = m.WALErrs
+		st.WALTruncated = m.WALTruncated
 	}
 	return st
 }

@@ -52,7 +52,7 @@ func TestRoleRefusal(t *testing.T) {
 		{"forward-tagged client put", roleClient, opClientPut, append(appendClientWrite(nil, key, "v", false), epochTail...)},
 		{"forward-tagged client delete", roleClient, opClientDelete, append(appendClientWrite(nil, key, "", true), epochTail...)},
 		{"replica apply on a client connection", roleClient, opApply, encodeVersion(nil, shadow)},
-		{"hinted apply on a client connection", roleClient, opApplyHint, appendHintRecord(nil, 1, shadow)},
+		{"hinted apply on a client connection", roleClient, opApplyHint, appendHintedApply(nil, 1, shadow)},
 		{"forwarded write on a client connection", roleClient, opForwardWrite, appendForwardWrite(nil, key, "v", false, n.RingEpoch()+1)},
 		{"client put on a peer connection", rolePeer, opClientPut, appendClientWrite(nil, key, "v", false)},
 		{"forwarded write on a peer connection", rolePeer, opForwardWrite, appendForwardWrite(nil, key, "v", false, n.RingEpoch())},

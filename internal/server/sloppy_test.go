@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"pbs/internal/kvstore"
+	"pbs/internal/storage"
 )
 
 // TestSloppyFailoverWhenPrimaryCrashed: with the primary down, any other
@@ -107,7 +108,7 @@ func TestSpareWritesCarryHints(t *testing.T) {
 	if got := c.ReplicaSeq(spare, key); got != pr.Seq {
 		t.Fatalf("spare %d stores seq %d, want %d", spare, got, pr.Seq)
 	}
-	pending, _, _, _ := c.Nodes[spare].handoff.stats()
+	pending := c.Nodes[spare].store.HintStats().Pending
 	if pending == 0 {
 		t.Fatalf("spare %d buffered no hint for the dead replica", spare)
 	}
@@ -121,6 +122,45 @@ func TestSpareWritesCarryHints(t *testing.T) {
 			t.Fatalf("%d hints still pending after recovery", c.HintsPending())
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestSloppySpareWriteIsOneGroupCommit pins what a durable spare write
+// costs: the spare stages the hint and the data record in its one WAL and
+// makes both durable with a single group commit — two appends, at most
+// one fsync — before it acks. W = N, so a write returns only after the
+// spare's leg did.
+func TestSloppySpareWriteIsOneGroupCommit(t *testing.T) {
+	c, err := StartLocal(4, Params{N: 3, R: 1, W: 3, Seed: 5, SloppyQuorum: true,
+		DataDir: t.TempDir(), Fsync: storage.FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const victim = 1
+	c.Faults().Crash(victim)
+	m := c.Nodes[0].Membership()
+	for i, writes := 0, 0; writes < 16; i++ {
+		key := fmt.Sprintf("gc-%d", i)
+		prefs := m.PreferenceList(key, 3)
+		if prefs[0] == victim || (prefs[1] != victim && prefs[2] != victim) {
+			continue // only keys the victim replicates and does not coordinate
+		}
+		spare := m.PreferenceList(key, 4)[3]
+		before := c.Nodes[spare].statsLocal()
+		binPut(t, c.Nodes[prefs[0]], key, "v")
+		after := c.Nodes[spare].statsLocal()
+		if d := after.WALAppends - before.WALAppends; d != 2 {
+			t.Fatalf("spare write %q: spare %d staged %d WAL records, want 2 (data + hint)", key, spare, d)
+		}
+		if d := after.WALSyncs - before.WALSyncs; d > 1 {
+			t.Fatalf("spare write %q: spare %d issued %d fsyncs, want at most 1", key, spare, d)
+		}
+		if after.HintsPending != before.HintsPending+1 {
+			t.Fatalf("spare write %q: spare %d holds %d hints, want %d", key, spare, after.HintsPending, before.HintsPending+1)
+		}
+		writes++
 	}
 }
 
@@ -169,10 +209,10 @@ func TestCrashedCoordinatorReplaysNothing(t *testing.T) {
 	}
 	// A write is acked at W while its leg to the crashed replica may still
 	// be buffering the hint, so let the legs settle before the snapshot.
-	pendingBefore, _, _, _ := c.Nodes[0].handoff.stats()
+	pendingBefore := c.Nodes[0].store.HintStats().Pending
 	for settle := time.Now().Add(5 * time.Second); pendingBefore < len(keys) && time.Now().Before(settle); {
 		time.Sleep(5 * time.Millisecond)
-		pendingBefore, _, _, _ = c.Nodes[0].handoff.stats()
+		pendingBefore = c.Nodes[0].store.HintStats().Pending
 	}
 	if pendingBefore != len(keys) {
 		t.Fatalf("%d hints pending, want %d", pendingBefore, len(keys))
@@ -188,7 +228,7 @@ func TestCrashedCoordinatorReplaysNothing(t *testing.T) {
 			t.Fatalf("crashed coordinator delivered %q (seq %d) to the recovered replica", k, got)
 		}
 	}
-	if pending, _, _, _ := c.Nodes[0].handoff.stats(); pending != pendingBefore {
+	if pending := c.Nodes[0].store.HintStats().Pending; pending != pendingBefore {
 		t.Fatalf("crashed coordinator drained hints: %d -> %d pending", pendingBefore, pending)
 	}
 

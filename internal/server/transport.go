@@ -169,15 +169,13 @@ func (d *decoder) string32() string { return string(d.take(int(d.u32()))) }
 // version flags byte.
 const versionFlagTombstone byte = 1 << 0
 
-// encodeVersion appends v in the version layout of the wire and the hint
-// logs:
+// encodeVersion appends v in the wire's version layout:
 //
 //	u16 keyLen | key | u64 seq | u8 flags | u32 valueLen | value |
 //	u16 clockLen | (u32 node | u64 ctr)*
 //
 // Seq alone orders versions, so clockLen is always 0; decoders skip any
-// entries, which hint logs written when versions carried vector clocks
-// still hold.
+// entries, as peers from when versions carried vector clocks sent them.
 func encodeVersion(b []byte, v kvstore.Version) []byte {
 	b = appendString16(b, v.Key)
 	b = binary.BigEndian.AppendUint64(b, v.Seq)
@@ -255,16 +253,14 @@ func readFrame(r *bufio.Reader) (tag byte, payload []byte, err error) {
 	return hdr[0], payload, nil
 }
 
-// applyResponse installs a replicated version and encodes the apply
-// answer into buf (hot path: a pooled scratch; nil allocates): whether
-// local state changed, plus the replica's now-current seq for the key. The
-// seq lets a coordinator detect that its write was ignored in favor of a
-// *higher-epoch* version — the signature of a recovered primary
-// coordinating in a stale epoch — and refuse to count the leg toward W
-// (see deliverWrite).
-func (n *Node) applyResponse(v kvstore.Version, buf []byte) []byte {
-	applied := n.applyLocal(v)
-	cur, _ := n.getLocal(v.Key)
+// applyResponse encodes the answer to an apply of key into buf (hot path:
+// a pooled scratch; nil allocates): whether local state changed, plus the
+// replica's now-current seq for the key. The seq lets a coordinator detect
+// that its write was ignored in favor of a *higher-epoch* version — the
+// signature of a recovered primary coordinating in a stale epoch — and
+// refuse to count the leg toward W (see deliverWrite).
+func (n *Node) applyResponse(key string, applied bool, buf []byte) []byte {
+	cur, _ := n.getLocal(key)
 	out := append(buf, 0)
 	if applied {
 		out[len(out)-1] = 1
@@ -414,7 +410,7 @@ func (n *Node) handlePeerOp(op byte, payload, buf []byte) (status byte, resp []b
 		if d.err != nil {
 			return statusErr, []byte(d.err.Error())
 		}
-		return statusOK, n.applyResponse(v, buf)
+		return statusOK, n.applyResponse(v.Key, n.applyLocal(v), buf)
 	case opPing:
 		// Liveness probe: reaching this point proves the replica is up
 		// (crashed replicas were already refused above).
@@ -423,7 +419,8 @@ func (n *Node) handlePeerOp(op byte, payload, buf []byte) (status byte, resp []b
 		// A sloppy-quorum spare write: install the version locally and
 		// remember which preference-list replica it was intended for, so
 		// this node's handoff replayer delivers it once the target
-		// recovers (Dynamo Section 4.6).
+		// recovers (Dynamo Section 4.6). The engine makes the hint and the
+		// version durable together before the spare answers.
 		target := int(int32(d.u32()))
 		v := d.version()
 		if d.err != nil {
@@ -432,11 +429,13 @@ func (n *Node) handlePeerOp(op byte, payload, buf []byte) (status byte, resp []b
 		if mv := n.view(); mv == nil || !mv.m.Contains(target) {
 			return statusErr, []byte(fmt.Sprintf("server: hint target %d is not a cluster member", target))
 		}
-		resp := n.applyResponse(v, buf)
-		if n.handoff != nil {
-			n.handoff.store(target, v)
+		var applied bool
+		if n.params.Handoff {
+			applied = n.store.ApplyHinted(target, v, n.nowMs())
+		} else {
+			applied = n.applyLocal(v)
 		}
-		return statusOK, resp
+		return statusOK, n.applyResponse(v.Key, applied, buf)
 	case opGet:
 		key := d.string16()
 		if d.err != nil {
@@ -459,7 +458,7 @@ func (n *Node) handlePeerOp(op byte, payload, buf []byte) (status byte, resp []b
 			if d.err != nil {
 				return statusErr, []byte(d.err.Error())
 			}
-			out = n.applyResponse(v, out)
+			out = n.applyResponse(v.Key, n.applyLocal(v), out)
 		}
 		return statusOK, out
 	case opGetBatch:
@@ -669,10 +668,8 @@ func (p *peer) Apply(v kvstore.Version) (applied bool, replicaSeq uint64, err er
 // peer installs it locally and buffers a hint naming the preference-list
 // replica (target) the write was intended for.
 func (p *peer) ApplyHinted(v kvstore.Version, target int) (applied bool, replicaSeq uint64, err error) {
-	// The wire payload is exactly a hint-log record: one format, one
-	// encoder (hintlog.go), decoded by handlePeerOp and replayHints alike.
 	resp, err := p.muxRPC(opApplyHint, 4+versionSizeHint(v), func(b []byte) []byte {
-		return appendHintRecord(b, target, v)
+		return appendHintedApply(b, target, v)
 	})
 	if err != nil {
 		return false, 0, err
@@ -680,6 +677,12 @@ func (p *peer) ApplyHinted(v kvstore.Version, target int) (applied bool, replica
 	applied, replicaSeq, err = decodeApply(resp)
 	putBuf(resp)
 	return applied, replicaSeq, err
+}
+
+// appendHintedApply appends an opApplyHint payload: the target replica
+// (u32) the spare write stands in for, then the version.
+func appendHintedApply(b []byte, target int, v kvstore.Version) []byte {
+	return encodeVersion(binary.BigEndian.AppendUint32(b, uint32(target)), v)
 }
 
 // Ping probes the peer's liveness with an empty round trip.

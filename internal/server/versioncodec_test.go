@@ -8,8 +8,8 @@ import (
 )
 
 // Versions in the wire layout used while every version carried a vector
-// clock (also the hint-log record body), each with a two-entry clock list
-// after the value. Decoders skip the entries.
+// clock, each with a two-entry clock list after the value. Decoders skip
+// the entries.
 var legacyWireVersions = []struct {
 	name string
 	hex  string
@@ -47,9 +47,14 @@ func TestLegacyClockLayout(t *testing.T) {
 			if v := d.versionForKey(tc.want.Key); d.err != nil || v != tc.want || len(d.b) != 0 {
 				t.Fatalf("versionForKey = %+v (err %v, %d bytes left), want %+v", v, d.err, len(d.b), tc.want)
 			}
-			rec := append([]byte{0, 0, 0, 2}, b...)
-			if target, v, err := decodeHintRecord(rec); err != nil || target != 2 || v != tc.want {
-				t.Fatalf("decodeHintRecord = %d, %+v, %v; want 2, %+v", target, v, err, tc.want)
+			// An opApplyHint payload is a u32 target, then one version.
+			hinted := func(b []byte) (int, kvstore.Version, error) {
+				d := &decoder{b: append([]byte{0, 0, 0, 2}, b...)}
+				target := int(d.u32())
+				return target, d.version(), d.err
+			}
+			if target, v, err := hinted(b); err != nil || target != 2 || v != tc.want {
+				t.Fatalf("hinted apply = %d, %+v, %v; want 2, %+v", target, v, err, tc.want)
 			}
 
 			// The count still says two entries but only one is present.
@@ -62,8 +67,8 @@ func TestLegacyClockLayout(t *testing.T) {
 			if d.versionForKey(tc.want.Key); d.err == nil {
 				t.Fatal("versionForKey accepted a short clock entry list")
 			}
-			if _, _, err := decodeHintRecord(rec[:len(rec)-12]); err == nil {
-				t.Fatal("decodeHintRecord accepted a short clock entry list")
+			if _, _, err := hinted(short); err == nil {
+				t.Fatal("hinted apply accepted a short clock entry list")
 			}
 		})
 	}

@@ -50,7 +50,7 @@ type servingRow struct {
 
 // servingCluster boots the 3-node loopback cluster and pre-populates the
 // keyspace so GET cells read real versions.
-func servingCluster(t *testing.T) (*server.Cluster, *client.Client) {
+func servingCluster(t *testing.T) *client.Client {
 	t.Helper()
 	c, err := server.StartLocal(3, server.Params{N: 3, R: 2, W: 2, Seed: 17})
 	if err != nil {
@@ -67,7 +67,7 @@ func servingCluster(t *testing.T) (*server.Cluster, *client.Client) {
 			t.Fatal(err)
 		}
 	}
-	return c, cl
+	return cl
 }
 
 const servingKeys = 256
@@ -139,16 +139,15 @@ func TestServingBenchJSON(t *testing.T) {
 	levels := []struct{ clients, pipeline int }{{8, 1}, {64, 1}, {64, 4}}
 
 	rows := make([]servingRow, 0, 10)
-	rpcRows := make([]server.RPCBenchResult, 0, 2)
 	at64 := make(map[string]float64)      // op → ops/s at 64 in flight
 	batchAt64 := make(map[string]float64) // "op/batch" → batched keys/s at 64 in flight
 	getAllocs := 0.0                      // single-key GET allocs/op at 64 in flight
-	cluster, cl := servingCluster(t)
+	cl := servingCluster(t)
 	for _, op := range []string{"put", "get"} {
 		for _, lv := range levels {
-			// Best of two rounds, like the raw RPC rows: scheduler noise
-			// on a shared host only ever slows a cell down, and the
-			// speedup gate divides one cell by another.
+			// Best of two rounds: scheduler noise on a shared host only
+			// ever slows a cell down, and the speedup gate divides one
+			// cell by another.
 			row := measureServing(t, cl, op, lv.clients, lv.pipeline, 1)
 			if again := measureServing(t, cl, op, lv.clients, lv.pipeline, 1); again.OpsPerSec > row.OpsPerSec {
 				row = again
@@ -180,24 +179,6 @@ func TestServingBenchJSON(t *testing.T) {
 				row.OpsPerSec, row.P50Ms, row.P999Ms, row.AllocsPerOp)
 		}
 	}
-	// Raw transport cells: best of two rounds per op (noise only ever
-	// slows a run down), 64 concurrent callers.
-	for _, read := range []bool{false, true} {
-		var best server.RPCBenchResult
-		for round := 0; round < 2; round++ {
-			r, err := cluster.BenchInternalRPC(read, 64, 1200*time.Millisecond)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.OpsPerSec > best.OpsPerSec {
-				best = r
-			}
-		}
-		rpcRows = append(rpcRows, best)
-		t.Logf("rpc-%-5s ×64  %9.0f ops/s  p50 %5.0fµs  p99.9 %6.0fµs  %5.1f allocs/op",
-			best.Op, best.OpsPerSec, best.P50Micros, best.P999Micros, best.AllocsPerOp)
-	}
-
 	mgetSpeedup := batchAt64["mget/64"] / at64["get"]
 	mputSpeedup := batchAt64["mput/64"] / at64["put"]
 	t.Logf("single-key get at 64 in flight: %.1f allocs/op", getAllocs)
@@ -208,7 +189,6 @@ func TestServingBenchJSON(t *testing.T) {
 			"bench":                       "serving-loopback",
 			"cluster":                     map[string]int{"nodes": 3, "n": 3, "r": 2, "w": 2},
 			"rows":                        rows,
-			"rpc_rows":                    rpcRows,
 			"binary_get_allocs_per_op_64": getAllocs,
 			"mget_speedup_at_64":          mgetSpeedup,
 			"mput_speedup_at_64":          mputSpeedup,

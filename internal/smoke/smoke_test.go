@@ -2,7 +2,6 @@ package smoke
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -39,7 +38,7 @@ type smokeCase struct {
 	want []string
 }
 
-func smokeCases() []smokeCase {
+func smokeCases(tmp string) []smokeCase {
 	return []smokeCase{
 		// cmd/pbs: every subcommand.
 		{name: "pbs-kstaleness", pkg: "pbs/cmd/pbs",
@@ -94,16 +93,16 @@ func smokeCases() []smokeCase {
 
 		// cmd/pbs-serve: sloppy quorums with durable hints — a scripted
 		// primary crash while writes keep flowing through failover
-		// coordinators and hinted spares.
+		// coordinators and hinted spares, whose hints ride each node's
+		// storage-engine WAL.
 		{name: "pbs-serve-sloppy", pkg: "pbs/cmd/pbs-serve",
 			args: []string{"-duration", "3s", "-rate", "300", "-clients", "4", "-epochs", "0",
 				"-trials", "10000", "-model", "validation", "-replicas", "4", "-n", "3",
 				"-r", "1", "-w", "2", "-fail", "500ms crash 0; 2s recover 0",
-				"-sloppy", "-hint-fsync", "interval",
-				"-hint-dir", filepath.Join(os.TempDir(), fmt.Sprintf("pbs-smoke-hints-%d", os.Getpid()))},
-			want: []string{"sloppy=true", "durable hints:",
+				"-sloppy", "-data-dir", filepath.Join(tmp, "pbs-serve-sloppy"), "-fsync", "interval"},
+			want: []string{"sloppy=true", "durable storage and hints:",
 				"sloppy quorum: failover writes", "sloppy quorum: spare writes",
-				"hints restored from log", "fault events"}},
+				"hints restored from WAL", "fault events"}},
 
 		// cmd/pbs-serve: the dynamic-configuration tuner retunes a
 		// mis-deployed strict quorum under a loose ⟨k, t⟩ SLA (the spec
@@ -135,7 +134,7 @@ func TestBinariesSmoke(t *testing.T) {
 		t.Skip("go toolchain not available")
 	}
 	root := moduleRoot(t)
-	for _, tc := range smokeCases() {
+	for _, tc := range smokeCases(t.TempDir()) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()

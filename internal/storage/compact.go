@@ -7,7 +7,8 @@ package storage
 // correspond exactly to the rotated-out segment, and a background goroutine
 // writes the frozen set to a new SSTable. Only after the table is durable
 // are the covered WAL segments deleted — a crash mid-flush just replays
-// them.
+// them. The new segment opens with the pending hint set, durable before
+// any append, so the deleted segments take no pending hint with them.
 //
 // Compaction: when enough tables accumulate, a background merge folds a
 // snapshot of them newest-seq-wins into one table and swaps it in. Tables
@@ -25,7 +26,9 @@ func (e *Engine) maybeFlushLocked() {
 		return
 	}
 	newSeg := e.walPath(e.nextGenLocked())
-	old, err := e.wal.rotate(newSeg)
+	e.hmu.Lock()
+	old, err := e.wal.rotate(newSeg, e.hintSeedLocked())
+	e.hmu.Unlock()
 	if err != nil {
 		// Can't open a new segment; keep appending to the old one and retry
 		// at the next threshold crossing.

@@ -14,6 +14,10 @@
 // record because Apply only ever admits strictly newer sequence numbers.
 // Deletes are tombstone versions that flow through this pipeline — and
 // through replication, handoff and anti-entropy — like any other write.
+//
+// Hints: the node's pending hinted-handoff set (kvstore.Hints) lives in
+// memory under its own lock and is logged to the same WAL as the data, so
+// one fsync policy and one replay cover both (see wal.go).
 package storage
 
 import (
@@ -75,11 +79,16 @@ type Metrics struct {
 	WALAppends  int64 // records staged to the WAL
 	WALSyncs    int64 // fsyncs issued (appends/syncs = mean group-commit size)
 	WALErrs     int64 // WAL staging/flush/sync failures
+	// WALTruncated is 1 when recovery stopped replaying a segment before
+	// its end (a torn tail after a crash, or a record this build cannot
+	// decode); the clean prefix before it was replayed.
+	WALTruncated int64
 }
 
 // Engine is the durable kvstore.Engine. Safe for concurrent use; the
 // internal lock is never held across an fsync (group commit handles
-// durability waits) or a flush/compaction's file I/O.
+// durability waits) or a flush/compaction's file I/O. Lock order:
+// mu, then hmu, then the WAL's own lock.
 type Engine struct {
 	opts Options
 
@@ -97,10 +106,17 @@ type Engine struct {
 	// waits for them, so no file is written or removed after it returns.
 	bg sync.WaitGroup
 
+	// hmu guards hints and orders hint records in the WAL: a hint change
+	// is staged while hmu is held, and a rotation seeds the new segment
+	// from the set under hmu.
+	hmu   sync.Mutex
+	hints *kvstore.Hints
+
 	applied, ignored, overread int64
 	recovered                  int64
 	flushes, flushErrs         int64
 	compactions                int64
+	walTruncated               int64
 }
 
 var _ kvstore.Engine = (*Engine)(nil)
@@ -115,7 +131,7 @@ func Open(opts Options) (*Engine, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
-	e := &Engine{opts: opts, mem: newMemtable()}
+	e := &Engine{opts: opts, mem: newMemtable(), hints: kvstore.NewHints()}
 	if err := e.recover(); err != nil {
 		return nil, err
 	}
@@ -165,23 +181,124 @@ func (e *Engine) Apply(v kvstore.Version, now float64) bool {
 		e.mu.Unlock()
 		return false
 	}
+	tok, applied := e.applyLocked(v, now)
+	e.mu.Unlock()
+	// Durability wait happens outside e.mu: this is what lets a batch of
+	// concurrent Apply calls ride one fsync.
+	if applied {
+		e.wal.commit(tok)
+	}
+	return applied
+}
+
+// applyLocked stages v if it is newer than the merged view. Caller holds
+// e.mu and commits the returned token after releasing it.
+func (e *Engine) applyLocked(v kvstore.Version, now float64) (walToken, bool) {
 	cur, ok := e.lookupMetaLocked(v.Key)
 	if ok && v.Seq <= cur.seq {
 		e.ignored++
-		e.mu.Unlock()
-		return false
+		return walToken{}, false
 	}
 	v.WrittenAt = now
 	tok := e.wal.stage(encodeRecord(v))
 	e.mem.put(v)
 	e.applied++
 	e.maybeFlushLocked()
-	wal := e.wal
+	return tok, true
+}
+
+// ApplyHinted stages a spare's hint for target before its data record, so
+// one group commit makes both durable; the hint is committed even when
+// the apply is ignored as not newer.
+func (e *Engine) ApplyHinted(target int, v kvstore.Version, now float64) bool {
+	e.mu.Lock()
+	if e.closed {
+		e.mu.Unlock()
+		return false
+	}
+	e.hmu.Lock()
+	tok, hinted := e.stageHintLocked(flagHintStore, target, v)
+	e.hmu.Unlock()
+	dtok, applied := e.applyLocked(v, now)
 	e.mu.Unlock()
-	// Durability wait happens outside e.mu: this is what lets a batch of
-	// concurrent Apply calls ride one fsync.
-	wal.commit(tok)
-	return true
+	switch {
+	case applied:
+		e.wal.commit(dtok) // staged after the hint, so its commit covers both
+	case hinted:
+		e.wal.commit(tok)
+	}
+	return applied
+}
+
+// stageHintLocked folds one hint change into the pending set and, when
+// the set changed, stages its record. Caller holds e.hmu.
+func (e *Engine) stageHintLocked(kind byte, target int, v kvstore.Version) (walToken, bool) {
+	var changed bool
+	if kind == flagHintStore {
+		changed = e.hints.Store(target, v)
+	} else {
+		changed = e.hints.Clear(target, v)
+	}
+	if !changed {
+		return walToken{}, false
+	}
+	return e.wal.stage(encodeHintRecord(kind, target, v)), true
+}
+
+// StoreHint buffers a hint for target, durable per the fsync policy
+// before it returns.
+func (e *Engine) StoreHint(target int, v kvstore.Version) {
+	e.hmu.Lock()
+	tok, ok := e.stageHintLocked(flagHintStore, target, v)
+	e.hmu.Unlock()
+	if ok {
+		e.wal.commit(tok)
+	}
+}
+
+// ClearHint removes a delivered hint. The clear is staged but not waited
+// for: losing it to a crash only redelivers a hint, which the replica's
+// apply rule ignores.
+func (e *Engine) ClearHint(target int, v kvstore.Version) {
+	e.hmu.Lock()
+	defer e.hmu.Unlock()
+	e.stageHintLocked(flagHintClear, target, v)
+}
+
+// DropHintTarget discards a departed target's hints, logging a clear for
+// each.
+func (e *Engine) DropHintTarget(target int) {
+	e.hmu.Lock()
+	defer e.hmu.Unlock()
+	for _, v := range e.hints.DropTarget(target) {
+		e.wal.stage(encodeHintRecord(flagHintClear, target, v))
+	}
+}
+
+// Hints returns a copy of the pending hint set.
+func (e *Engine) Hints() map[int]map[string]kvstore.Version {
+	e.hmu.Lock()
+	defer e.hmu.Unlock()
+	return e.hints.Snapshot()
+}
+
+// HintStats reports the hint counters.
+func (e *Engine) HintStats() kvstore.HintStats {
+	e.hmu.Lock()
+	defer e.hmu.Unlock()
+	return e.hints.Stats()
+}
+
+// hintSeedLocked frames the pending hint set as store records — the seed
+// of a fresh WAL segment. Nil when no hint is pending, so a rotation
+// without hints does no extra work. Caller holds e.hmu.
+func (e *Engine) hintSeedLocked() []byte {
+	var seed, payload []byte
+	e.hints.Range(func(target int, v kvstore.Version) {
+		payload = encodePayload(payload[:0], v, flagHintStore, target)
+		seed = appendFrame(seed, payload)
+	})
+	return seed
 }
 
 // Get returns the newest record for key (live or tombstone).
@@ -314,14 +431,15 @@ func (e *Engine) Metrics() Metrics {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return Metrics{
-		Recovered:   e.recovered,
-		Flushes:     e.flushes,
-		FlushErrs:   e.flushErrs,
-		Compactions: e.compactions,
-		SSTables:    len(e.tables),
-		WALAppends:  appends,
-		WALSyncs:    syncs,
-		WALErrs:     walErrs,
+		Recovered:    e.recovered,
+		Flushes:      e.flushes,
+		FlushErrs:    e.flushErrs,
+		Compactions:  e.compactions,
+		SSTables:     len(e.tables),
+		WALAppends:   appends,
+		WALSyncs:     syncs,
+		WALErrs:      walErrs,
+		WALTruncated: e.walTruncated,
 	}
 }
 

@@ -102,8 +102,8 @@ func TestEngineRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer r.Close()
-			if r.Metrics().Recovered != 100 {
-				t.Fatalf("recovered %d keys, want 100", r.Metrics().Recovered)
+			if m := r.Metrics(); m.Recovered != 100 || m.WALTruncated != 0 {
+				t.Fatalf("recovered %d keys (WALTruncated %d), want 100 from a clean log", m.Recovered, m.WALTruncated)
 			}
 			for i := 0; i < 100; i++ {
 				key := fmt.Sprintf("k%d", i)
@@ -161,6 +161,9 @@ func TestEngineTornTailRecovery(t *testing.T) {
 	n := int(r.Metrics().Recovered)
 	if n < 48 || n > 49 {
 		t.Fatalf("recovered %d keys from torn log, want 48", n)
+	}
+	if m := r.Metrics(); m.WALTruncated != 1 {
+		t.Fatalf("WALTruncated = %d after a torn data record, want 1", m.WALTruncated)
 	}
 	for i := 0; i < n; i++ {
 		if _, found := r.Get(fmt.Sprintf("k%d", i)); !found {

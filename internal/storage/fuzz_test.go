@@ -1,10 +1,11 @@
 package storage
 
 // FuzzWALReplay feeds arbitrary bytes to the engine as a WAL segment:
-// truncated tails, bit flips, garbage headers. Recovery must never panic
-// and must always recover a clean prefix — every record it does recover
-// decodes to a well-formed version, and a valid untampered log recovers
-// fully.
+// truncated tails, bit flips, garbage headers, data and hint records
+// interleaved. Recovery must never panic and must always recover a clean
+// prefix — the data it recovers is the newest-per-key fold of the decodable
+// records, the hints it recovers are the reference fold of their stores and
+// clears, and a valid untampered log recovers fully.
 
 import (
 	"bufio"
@@ -35,6 +36,33 @@ func buildWAL(n int) []byte {
 	return out
 }
 
+// buildMixedWAL interleaves data and hint records the way a spare's log
+// holds them — each hint staged before its data record, some hints later
+// superseded or cleared — and ends with a hint record.
+func buildMixedWAL() []byte {
+	var out []byte
+	for i := 0; i < 8; i++ {
+		v := kvstore.Version{
+			Key:       fmt.Sprintf("key-%d", i%3),
+			Seq:       uint64(i + 1),
+			Value:     fmt.Sprintf("value-%d", i),
+			Tombstone: i%4 == 3,
+		}
+		out = append(out, encodeHintRecord(flagHintStore, i%2, v)...)
+		out = append(out, encodeRecord(v)...)
+		if i%3 == 2 {
+			out = append(out, encodeHintRecord(flagHintClear, i%2, v)...)
+		}
+	}
+	return append(out, encodeHintRecord(flagHintStore, 5, kvstore.Version{Key: "tail", Seq: 9, Value: "t"})...)
+}
+
+// hintID names one pending hint in the reference fold.
+type hintID struct {
+	target int
+	key    string
+}
+
 func FuzzWALReplay(f *testing.F) {
 	full := buildWAL(8)
 	f.Add(full)
@@ -45,6 +73,11 @@ func FuzzWALReplay(f *testing.F) {
 	flipped[len(flipped)/2] ^= 0x10
 	f.Add(flipped)
 	f.Add(legacySegment(f)) // written when versions carried vector clocks
+	mixed := buildMixedWAL()
+	f.Add(mixed)
+	f.Add(mixed[:len(mixed)-3]) // torn hint record
+	hv := kvstore.Version{Key: "h", Seq: 4, Value: "x"}
+	f.Add(append(encodeHintRecord(flagHintClear, 2, hv), encodeHintRecord(flagHintStore, 2, hv)...)) // clear before its store
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
@@ -60,17 +93,45 @@ func FuzzWALReplay(f *testing.F) {
 		defer e.Close()
 
 		// Independently decode the clean prefix; the engine must have
-		// recovered exactly its newest-per-key fold.
+		// recovered exactly its newest-per-key data fold and its hint fold:
+		// a store keeps the newest version per (target, key), a clear drops
+		// the pending hint unless it is newer than the cleared version.
 		want := make(map[string]kvstore.Version)
+		wantHints := make(map[hintID]kvstore.Version)
 		br := bufio.NewReader(bytes.NewReader(data))
 		for {
-			v, _, err := readRecord(br)
+			rec, _, err := readRecord(br)
 			if errors.Is(err, io.EOF) || err != nil {
 				break
 			}
-			if cur, ok := want[v.Key]; !ok || v.Seq > cur.Seq {
-				want[v.Key] = v
+			v, id := rec.Version, hintID{rec.target, rec.Key}
+			switch cur, ok := wantHints[id]; rec.kind {
+			case flagHintStore:
+				if !ok || v.Seq > cur.Seq {
+					wantHints[id] = v
+				}
+			case flagHintClear:
+				if ok && cur.Seq <= v.Seq {
+					delete(wantHints, id)
+				}
+			default:
+				if cur, ok := want[v.Key]; !ok || v.Seq > cur.Seq {
+					want[v.Key] = v
+				}
 			}
+		}
+		gotHints := 0
+		for target, kh := range e.Hints() {
+			for key, gv := range kh {
+				gotHints++
+				wv, ok := wantHints[hintID{target, key}]
+				if !ok || gv.Key != key || gv.Seq != wv.Seq || gv.Value != wv.Value || gv.Tombstone != wv.Tombstone {
+					t.Fatalf("recovered hint (%d, %q) = %+v, reference fold has %+v (present=%v)", target, key, gv, wv, ok)
+				}
+			}
+		}
+		if gotHints != len(wantHints) || e.HintStats().Pending != gotHints {
+			t.Fatalf("recovered %d hints (%d pending), reference fold holds %d", gotHints, e.HintStats().Pending, len(wantHints))
 		}
 		if got := e.Len(); got != len(want) {
 			t.Fatalf("recovered %d keys, clean prefix holds %d", got, len(want))
@@ -103,7 +164,8 @@ func FuzzRecordRoundTrip(f *testing.F) {
 		}
 		in := kvstore.Version{Key: key, Value: value, Seq: seq, Tombstone: tomb, WrittenAt: at}
 		frame := encodeRecord(in)
-		out, n, err := readRecord(bufio.NewReader(bytes.NewReader(frame)))
+		rec, n, err := readRecord(bufio.NewReader(bytes.NewReader(frame)))
+		out := rec.Version
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}

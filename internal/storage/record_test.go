@@ -63,11 +63,11 @@ func TestLegacyClockLayout(t *testing.T) {
 	for _, tc := range legacyFrames {
 		t.Run(tc.name, func(t *testing.T) {
 			frame := mustHex(t, tc.hex)
-			v, n, err := readRecord(bufio.NewReader(bytes.NewReader(frame)))
+			rec, n, err := readRecord(bufio.NewReader(bytes.NewReader(frame)))
 			if err != nil {
 				t.Fatalf("readRecord: %v", err)
 			}
-			if v != tc.want || n != len(frame) {
+			if v := rec.Version; v != tc.want || rec.kind != 0 || n != len(frame) {
 				t.Fatalf("readRecord = %+v (%d of %d bytes), want %+v", v, n, len(frame), tc.want)
 			}
 

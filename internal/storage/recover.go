@@ -5,10 +5,12 @@ package storage
 // SSTables in generation order, and replays WAL segments in generation
 // order — stopping at the first torn or corrupt record, so the clean
 // prefix is authoritative and a torn tail costs only the records past it
-// (which were never acked durable under FsyncAlways). Recovered WAL
-// records are flushed straight to a fresh SSTable and the old segments
-// deleted, restoring the steady-state invariant of a single live WAL
-// segment that mirrors the memtable.
+// (which were never acked durable under FsyncAlways). Hint records fold
+// into the pending hint set through the same kvstore.Hints fold the live
+// path uses. Recovered data records are flushed straight to a fresh
+// SSTable, a new segment is seeded with the recovered hints, and only then
+// are the old segments deleted, restoring the steady-state invariant of a
+// single live WAL segment that mirrors the memtable and the hint set.
 
 import (
 	"bufio"
@@ -38,8 +40,9 @@ func parseGen(name, prefix, suffix string) (uint64, bool) {
 }
 
 // replayWAL reads a segment's clean prefix into the recovery memtable,
-// newest-seq-wins against both the memtable and the already-loaded tables.
-// It never fails on corruption: the clean prefix is the answer.
+// newest-seq-wins against both the memtable and the already-loaded tables,
+// and its hint records into the hint set. It never fails on corruption:
+// the clean prefix is the answer, and the stop is counted in walTruncated.
 func (e *Engine) replayWAL(path string, mem *memtable) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -48,14 +51,24 @@ func (e *Engine) replayWAL(path string, mem *memtable) error {
 	defer f.Close()
 	br := bufio.NewReader(f)
 	for {
-		v, _, err := readRecord(br)
+		rec, _, err := readRecord(br)
 		if errors.Is(err, io.EOF) {
 			return nil
 		}
 		if err != nil {
 			// Torn or bit-flipped tail: everything before it is intact, and
 			// the damaged suffix was never acknowledged as durable.
+			e.walTruncated = 1
 			return nil
+		}
+		v := rec.Version
+		switch rec.kind {
+		case flagHintStore:
+			e.hints.Store(rec.target, v)
+			continue
+		case flagHintClear:
+			e.hints.Clear(rec.target, v)
+			continue
 		}
 		if cur, ok := mem.get(v.Key); ok && v.Seq <= cur.Seq {
 			continue
@@ -140,15 +153,15 @@ func (e *Engine) recover() error {
 		}
 		e.tables = append(e.tables, t)
 	}
-	for _, gen := range walGens {
-		removeFile(e.walPath(gen))
-	}
-
-	w, err := openWAL(e.walPath(e.nextGenLocked()), e.opts.Fsync)
+	e.hints.MarkRestored()
+	w, err := openWAL(e.walPath(e.nextGenLocked()), e.opts.Fsync, e.hintSeedLocked())
 	if err != nil {
 		return err
 	}
 	e.wal = w
+	for _, gen := range walGens {
+		removeFile(e.walPath(gen))
+	}
 	e.recovered = int64(len(e.ownersLocked()))
 	return nil
 }

@@ -47,7 +47,7 @@ func writeSSTable(path string, versions []kvstore.Version) error {
 	bw := bufio.NewWriter(f)
 	var buf []byte
 	for _, v := range versions {
-		buf = encodePayload(buf[:0], v)
+		buf = encodePayload(buf[:0], v, 0, 0)
 		if _, err := bw.Write(appendFrame(nil, buf)); err != nil {
 			f.Close()
 			os.Remove(tmp)
@@ -109,25 +109,25 @@ func (t *sstable) read(key string, ent tableEntry) (kvstore.Version, error) {
 	if _, err := t.f.ReadAt(frame, ent.off); err != nil {
 		return kvstore.Version{}, fmt.Errorf("storage: sstable read %s: %w", key, err)
 	}
-	v, err := decodeFrame(frame)
+	rec, err := decodeFrame(frame)
 	if err != nil {
 		return kvstore.Version{}, fmt.Errorf("storage: sstable read %s: %w", key, err)
 	}
-	return v, nil
+	return rec.Version, nil
 }
 
 // iterate streams every record in file order (key-sorted).
 func (t *sstable) iterate(f func(kvstore.Version) error) error {
 	br := bufio.NewReader(io.NewSectionReader(t.f, 0, 1<<62))
 	for {
-		v, _, err := readRecord(br)
+		rec, _, err := readRecord(br)
 		if errors.Is(err, io.EOF) {
 			return nil
 		}
 		if err != nil {
 			return err
 		}
-		if err := f(v); err != nil {
+		if err := f(rec.Version); err != nil {
 			return err
 		}
 	}

@@ -8,8 +8,13 @@ package storage
 // every appender that arrived while the previous one was on the platter —
 // the classic group-commit trade that keeps fsync-per-ack throughput within
 // a small factor of fsync-never. "interval" syncs on a background ticker
-// (same 100ms cadence as the hint log) and "never" leaves persistence to
-// the OS page cache.
+// (every 100ms) and "never" leaves persistence to the OS page cache.
+//
+// The log carries a node's pending hinted-handoff set as well as its data:
+// hint stores and clears are flagged records in the same frames (see
+// record.go), so a spare's write and its hint ride one group commit. Every
+// segment opens with the pending set at its creation (the seed), so
+// deleting a flushed segment never loses a pending hint.
 
 import (
 	"bufio"
@@ -20,11 +25,18 @@ import (
 	"time"
 )
 
-// Fsync policies, sharing the hint log's vocabulary (-hint-fsync).
+// Fsync policies (pbs-serve -fsync). Data and hint records share the log,
+// so each policy governs both.
 const (
-	FsyncAlways   = "always"
+	// FsyncAlways group-commits an fsync before every acked write and every
+	// stored hint returns (the default).
+	FsyncAlways = "always"
+	// FsyncInterval fsyncs on a 100ms background ticker: a power loss
+	// costs at most the last interval, a process crash nothing.
 	FsyncInterval = "interval"
-	FsyncNever    = "never"
+	// FsyncNever only flushes to the OS: records survive a process crash,
+	// not a power loss.
+	FsyncNever = "never"
 )
 
 // walSyncInterval paces the background fsync under FsyncInterval.
@@ -78,8 +90,28 @@ type wal struct {
 	done chan struct{}
 }
 
-func openWAL(path, policy string) (*wal, error) {
+// createSegment creates a fresh segment at path holding seed (framed
+// records, possibly none) and makes the seed durable, policy permitting,
+// before anything else is appended.
+func createSegment(path, policy string, seed []byte) (*os.File, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
+	if err != nil || len(seed) == 0 {
+		return f, err
+	}
+	_, err = f.Write(seed)
+	if err == nil && policy != FsyncNever {
+		err = f.Sync()
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(path)
+		return nil, err
+	}
+	return f, nil
+}
+
+func openWAL(path, policy string, seed []byte) (*wal, error) {
+	f, err := createSegment(path, policy, seed)
 	if err != nil {
 		return nil, fmt.Errorf("storage: open wal: %w", err)
 	}
@@ -133,8 +165,8 @@ func (w *wal) stage(frame []byte) walToken {
 // FsyncAlways the first waiter per batch becomes the leader: it flushes and
 // fsyncs everything staged so far with the lock released, then wakes the
 // batch. Failed batches still advance the durable watermark — the engine
-// stays available and surfaces the error through counters, the same stance
-// the hint log takes on append failures.
+// stays available and surfaces the error through counters: a broken log
+// degrades durability, not availability.
 func (w *wal) commit(t walToken) error {
 	if w.policy != FsyncAlways {
 		return nil
@@ -276,10 +308,11 @@ func (w *wal) runIntervalSync() {
 }
 
 // rotate makes the current segment fully durable, switches appends to a
-// fresh segment at newPath, and returns the old segment's path (now frozen:
-// its contents are exactly the frozen memtable being flushed).
-func (w *wal) rotate(newPath string) (oldPath string, err error) {
-	f, err := os.OpenFile(newPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND|os.O_EXCL, 0o644)
+// fresh segment at newPath that opens with seed, and returns the old
+// segment's path (now frozen: its data records are exactly the frozen
+// memtable being flushed).
+func (w *wal) rotate(newPath string, seed []byte) (oldPath string, err error) {
+	f, err := createSegment(newPath, w.policy, seed)
 	if err != nil {
 		return "", fmt.Errorf("storage: rotate wal: %w", err)
 	}
