@@ -8,8 +8,12 @@
 // side by side with the wars Monte Carlo prediction — the live-cluster
 // counterpart of the pbs calculator.
 //
-// The load generator and probes speak the pipelined binary client
-// protocol, bootstrapping their view from a node's HTTP /config.
+// -scale stretches the latency model's time axis once; the stretched model
+// is both what the prediction simulates and what the replicas inject.
+// -batch 1 (the default) drives single-key operations per -read-fraction;
+// -batch k > 1 drives multi-get and multi-put batches of k keys each,
+// drawn per -zipf. The load generator and probes speak the pipelined
+// binary client protocol, bootstrapping their view from a node's /config.
 //
 // The cluster can additionally run degraded: -fail scripts fault
 // injection (crashed/paused replicas, dropped or delayed internal RPCs),
@@ -17,10 +21,12 @@
 // replicas after faults, -sloppy adds sloppy quorums with hinted spare
 // writes, -data-dir makes each node's data and pending hints durable in one
 // group-commit WAL per node (-fsync sets its policy), and -tune-sla runs
-// the monitor-fed tuner that
-// fits the measured WARS legs online and recommends (or, with
-// -tune-apply, applies) the cheapest (R, W) meeting a staleness SLA —
-// Section 6's dynamic configuration, live.
+// the monitor-fed tuner that fits the measured WARS legs online every
+// -interval and recommends (or, with -tune-apply, applies) the cheapest
+// (R, W) meeting a staleness SLA — Section 6's dynamic configuration, live.
+//
+// -node (or -join) runs one node per process instead, for multi-process
+// and multi-host clusters; -advertise names the host peers dial.
 //
 // Examples:
 //
@@ -29,11 +35,14 @@
 //	pbs-serve -duration 8s -fail "2s crash 2; 5s recover 2" \
 //	          -handoff -anti-entropy
 //	pbs-serve -duration 10s -r 3 -w 3 -tune-sla "t=100,p=0.99" -tune-apply
+//	pbs-serve -batch 8 -zipf 0.99 -duration 5s
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"os/signal"
@@ -119,6 +128,25 @@ func latencyModel(name string) (dist.LatencyModel, bool) {
 	return dist.ModelByName(name)
 }
 
+// checkFlags rejects out-of-range numeric flag values before any model is
+// built or node started: each would otherwise panic (in dist.NewScaled,
+// the workload samplers or time.NewTicker) or die after the cluster is up.
+func checkFlags(scale float64, keys int, readFraction float64, interval time.Duration, batch int) error {
+	switch {
+	case !(scale > 0) || math.IsInf(scale, 1):
+		return fmt.Errorf("-scale must be a positive finite factor, got %g", scale)
+	case keys < 1:
+		return fmt.Errorf("-keys must be at least 1, got %d", keys)
+	case !(readFraction >= 0 && readFraction <= 1):
+		return fmt.Errorf("-read-fraction must be in [0, 1], got %g", readFraction)
+	case interval <= 0:
+		return fmt.Errorf("-interval must be positive, got %v", interval)
+	case batch < 1:
+		return errors.New("-batch must be at least 1")
+	}
+	return nil
+}
+
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "pbs-serve: "+format+"\n", args...)
 	os.Exit(1)
@@ -130,7 +158,7 @@ func fatalf(format string, args ...any) {
 // fresh single-node cluster other processes can -join. The process serves
 // until SIGINT/SIGTERM; with -leave it drains out of the ring (a committed
 // leave through the config log) before shutting down.
-func runSingleNode(p server.Params, listen, internal, join, advertise, failSpec string, leave bool) {
+func runSingleNode(p server.Params, scale float64, listen, internal, join, advertise, failSpec string, leave bool) {
 	var schedule []server.FaultEvent
 	if failSpec != "" {
 		var err error
@@ -151,18 +179,16 @@ func runSingleNode(p server.Params, listen, internal, join, advertise, failSpec 
 		mode = "join " + join
 	}
 	fmt.Printf("pbs-serve: single node (%s) N=%d R=%d W=%d model=%s scale=%g sloppy=%v\n",
-		mode, p.N, p.R, p.W, p.Model.Name, p.Scale, p.SloppyQuorum)
+		mode, p.N, p.R, p.W, p.Model.Name, scale, p.SloppyQuorum)
 	if p.DataDir != "" {
 		fmt.Printf("  durable storage and hints: %s (fsync=%s)\n", p.DataDir, p.Fsync)
 	}
 	nd, err := server.StartNode(server.NodeConfig{
-		Params:            p,
-		HTTPListener:      httpLn,
-		InternalListener:  internalLn,
-		JoinAddr:          join,
-		Seed:              p.Seed,
-		AdvertiseHTTP:     advertise,
-		AdvertiseInternal: advertise,
+		Params:           p,
+		HTTPListener:     httpLn,
+		InternalListener: internalLn,
+		JoinAddr:         join,
+		Advertise:        advertise,
 	})
 	if err != nil {
 		fatalf("%v", err)
@@ -206,7 +232,7 @@ func main() {
 	r := flag.Int("r", 1, "read quorum size R")
 	w := flag.Int("w", 1, "write quorum size W")
 	modelName := flag.String("model", "lnkd-disk", "latency model: lnkd-ssd, lnkd-disk, ymmr, validation")
-	scale := flag.Float64("scale", 1, "latency time-scale factor (stretch injected delays)")
+	scale := flag.Float64("scale", 1, "latency time-scale factor: stretches the model once, for the prediction and the injected delays alike")
 	readRepair := flag.Bool("read-repair", false, "enable read repair")
 	rate := flag.Float64("rate", 2000, "load generator target ops/s (0 = closed loop)")
 	clients := flag.Int("clients", 16, "concurrent load-generator workers")
@@ -216,7 +242,7 @@ func main() {
 	readFraction := flag.Float64("read-fraction", 0.8, "read fraction of the workload")
 	epochs := flag.Int("epochs", 200, "t-visibility probe epochs (0 = skip probing)")
 	trials := flag.Int("trials", 100000, "Monte Carlo trials for the prediction")
-	interval := flag.Duration("interval", 2*time.Second, "live snapshot interval")
+	interval := flag.Duration("interval", 2*time.Second, "live snapshot and tuner round interval")
 	seed := flag.Uint64("seed", 1, "random seed")
 	failSpec := flag.String("fail", "", `scripted fault schedule, e.g. "2s crash 1; 5s recover 1; 0s drop 2 0.3"`)
 	handoff := flag.Bool("handoff", false, "enable hinted handoff (buffer writes for unreachable replicas, replay on recovery)")
@@ -226,38 +252,40 @@ func main() {
 	memtableBytes := flag.Int64("memtable-bytes", 0, "memtable size in bytes that triggers an SSTable flush (0 = engine default)")
 	antiEntropy := flag.Bool("anti-entropy", false, "enable background Merkle anti-entropy between replicas")
 	tuneSLA := flag.String("tune-sla", "", `run the dynamic-configuration tuner against this SLA, e.g. "t=100,p=0.99" or "k=2,t=10ms,p=99.9"`)
-	tuneInterval := flag.Duration("tune-interval", 3*time.Second, "tuner round interval")
 	tuneApply := flag.Bool("tune-apply", false, "apply the tuner's recommended configuration to the live cluster")
 	tuneMaxN := flag.Int("tune-max-n", 0, "let the tuner sweep the replication factor N up to this bound (0 = keep N fixed); with -tune-apply the cluster grows nodes as needed")
 	nodeMode := flag.Bool("node", false, "run a single node instead of a whole loopback cluster (implied by -join)")
 	listenAddr := flag.String("listen", "127.0.0.1:0", "single-node mode: HTTP admin listen address (/config, /stats, /wars, /healthz)")
 	internalAddr := flag.String("internal", "127.0.0.1:0", "single-node mode: internal listen address (binary client protocol and replication transport)")
 	joinAddr := flag.String("join", "", "single-node mode: internal address of any member of a running cluster to join")
-	advertise := flag.String("advertise", "", "single-node mode: address peers should dial instead of the bound listen address (host or host:port; a bare host keeps each listener's bound port)")
+	advertise := flag.String("advertise", "", "single-node mode: host peers and clients should dial instead of the bound one, for both listeners (each keeps its bound port)")
 	leave := flag.Bool("leave", false, "single-node mode: drain and leave the ring (a committed config-log leave) on SIGINT/SIGTERM instead of just shutting down")
 	gossipInterval := flag.Duration("gossip-interval", 0, "anti-entropy membership gossip interval (0 = server default)")
-	workloadName := flag.String("workload", "mixed", "load shape: mixed (single-key ops per -read-fraction) or mget-zipf (Zipf hot-key multi-get batches of -batch keys, writes batched too)")
-	batchSize := flag.Int("batch", 8, "keys per batched operation for -workload mget-zipf")
+	batchSize := flag.Int("batch", 1, "keys per operation: 1 = single-key reads and writes per -read-fraction, more = multi-get/multi-put batches over the keys -zipf picks")
 	flag.Parse()
 
+	if err := checkFlags(*scale, *keys, *readFraction, *interval, *batchSize); err != nil {
+		fatalf("%v", err)
+	}
 	model, ok := latencyModel(*modelName)
 	if !ok {
 		fatalf("unknown model %q (want lnkd-ssd, lnkd-disk, ymmr or validation)", *modelName)
 	}
-	scaled := dist.ScaleModel(model, *scale)
+	model = dist.ScaleModel(model, *scale)
+	params := server.Params{
+		N: *n, R: *r, W: *w,
+		ReadRepair: *readRepair,
+		Handoff:    *handoff, AntiEntropy: *antiEntropy,
+		SloppyQuorum: *sloppy,
+		DataDir:      *dataDir, Fsync: *fsyncPolicy, MemtableBytes: *memtableBytes,
+		WARSSampling:   true, // /wars is part of the CLI surface; the tuner feeds on it
+		Model:          &model,
+		Seed:           *seed,
+		GossipInterval: *gossipInterval,
+	}
 
 	if *nodeMode || *joinAddr != "" {
-		runSingleNode(server.Params{
-			N: *n, R: *r, W: *w,
-			ReadRepair: *readRepair,
-			Handoff:    *handoff, AntiEntropy: *antiEntropy,
-			SloppyQuorum: *sloppy,
-			DataDir:      *dataDir, Fsync: *fsyncPolicy, MemtableBytes: *memtableBytes,
-			WARSSampling: true,
-			Model:        &model, Scale: *scale,
-			Seed:           *seed,
-			GossipInterval: *gossipInterval,
-		}, *listenAddr, *internalAddr, *joinAddr, *advertise, *failSpec, *leave)
+		runSingleNode(params, *scale, *listenAddr, *internalAddr, *joinAddr, *advertise, *failSpec, *leave)
 		return
 	}
 
@@ -277,22 +305,12 @@ func main() {
 	}
 
 	// Prediction first: the table the live cluster has to live up to.
-	pred, err := wars.Simulate(wars.NewIID(*n, scaled), wars.Config{R: *r, W: *w}, *trials, rng.New(*seed))
+	pred, err := wars.Simulate(wars.NewIID(*n, model), wars.Config{R: *r, W: *w}, *trials, rng.New(*seed))
 	if err != nil {
 		fatalf("%v", err)
 	}
 
-	cluster, err := server.StartLocal(*replicas, server.Params{
-		N: *n, R: *r, W: *w,
-		ReadRepair: *readRepair,
-		Handoff:    *handoff, AntiEntropy: *antiEntropy,
-		SloppyQuorum: *sloppy,
-		DataDir:      *dataDir, Fsync: *fsyncPolicy, MemtableBytes: *memtableBytes,
-		WARSSampling: true, // /wars is part of the CLI surface; the tuner feeds on it
-		Model:        &model, Scale: *scale,
-		Seed:           *seed,
-		GossipInterval: *gossipInterval,
-	})
+	cluster, err := server.StartLocal(*replicas, params)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -328,31 +346,14 @@ func main() {
 	}
 	defer c.Close()
 
-	loadBatch := 1
-	switch *workloadName {
-	case "mixed":
-	case "mget-zipf":
-		// The batched hot-key workload needs skewed popularity to mean
-		// anything; force a Zipf chooser even when -zipf was zeroed out.
-		if *zipf <= 0 {
-			*zipf = 0.99
-		}
-		if *batchSize < 1 {
-			fatalf("-batch must be at least 1")
-		}
-		loadBatch = *batchSize
-	default:
-		fatalf("unknown -workload %q (want mixed or mget-zipf)", *workloadName)
-	}
-
 	var chooser workload.KeyChooser
 	if *zipf > 0 {
 		chooser = workload.NewZipfKeys(*keys, *zipf, "key-")
 	} else {
 		chooser = workload.NewUniformKeys(*keys, "key-")
 	}
-	if loadBatch > 1 {
-		fmt.Printf("  workload: mget-zipf (batch=%d, zipf=%g)\n", loadBatch, *zipf)
+	if *batchSize > 1 {
+		fmt.Printf("  workload: batches of %d keys (zipf=%g)\n", *batchSize, *zipf)
 	}
 
 	// Load generator + live monitor in the background.
@@ -366,7 +367,7 @@ func main() {
 		loadRes, err = client.RunLoad(c, mon, client.LoadOptions{
 			Clients: *clients, Rate: *rate, Duration: *duration,
 			Keys: chooser, Mix: workload.NewMix(*readFraction), Seed: *seed,
-			BatchSize: loadBatch,
+			BatchSize: *batchSize,
 		})
 		if err != nil {
 			fatalf("load generator: %v", err)
@@ -449,7 +450,7 @@ func main() {
 				return cluster.SetConfig(nn, r, w)
 			}
 		}
-		go tn.Run(*tuneInterval, done)
+		go tn.Run(*interval, done)
 	}
 	qs := []float64{0.5, 0.95, 0.999}
 	start := time.Now()
@@ -540,7 +541,7 @@ live:
 			cr, cw := cluster.Quorums()
 			fmt.Printf("  live cluster quorums now R=%d W=%d (apply=%v)\n", cr, cw, *tuneApply)
 		} else {
-			fmt.Printf("tuner: no recommendation produced (run longer or lower -tune-interval)\n")
+			fmt.Printf("tuner: no recommendation produced (run longer or lower -interval)\n")
 		}
 	}
 

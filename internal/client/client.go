@@ -57,8 +57,8 @@ type clientView struct {
 // buildView validates a config and compiles the routing view. Every
 // member must advertise the internal address the client protocol dials.
 func buildView(cfg server.ConfigResponse) (*clientView, error) {
-	if cfg.Nodes < 1 || len(cfg.Members) != cfg.Nodes {
-		return nil, fmt.Errorf("client: bad config: %d nodes, %d members", cfg.Nodes, len(cfg.Members))
+	if len(cfg.Members) == 0 {
+		return nil, errors.New("client: bad config: no members")
 	}
 	if cfg.Vnodes < 1 {
 		return nil, fmt.Errorf("client: bad config: %d vnodes", cfg.Vnodes)
@@ -67,7 +67,7 @@ func buildView(cfg server.ConfigResponse) (*clientView, error) {
 		epoch:  cfg.RingEpoch,
 		n:      cfg.N,
 		vnodes: cfg.Vnodes,
-		byID:   make(map[int]server.MemberInfo, cfg.Nodes),
+		byID:   make(map[int]server.MemberInfo, len(cfg.Members)),
 	}
 	for _, m := range cfg.Members {
 		// Validate before ring construction: NewWithIDs panics on

@@ -173,22 +173,22 @@ func TestRunLoadOpenLoop(t *testing.T) {
 	}
 }
 
-// TestRunLoadPipelined pins the write-pipelining knob: with a latency
-// model making every op sleep ~15 ms on the coordinator, a closed loop
-// is round-trip-bound, so Pipeline=8 must complete several times the ops
-// of the strict (Pipeline=1) loop in the same wall-clock window. The
-// sleep-bound workload keeps this robust even on a loaded single core.
-func TestRunLoadPipelined(t *testing.T) {
+// TestRunLoadClientsOverlap pins that Clients is the in-flight
+// concurrency: with a latency model making every op sleep ~15 ms on the
+// coordinator, a closed loop is round-trip-bound, so 8 clients must
+// complete several times the ops of one client in the same wall-clock
+// window. The sleep-bound workload keeps this robust even on a loaded
+// single core.
+func TestRunLoadClientsOverlap(t *testing.T) {
 	leg := dist.NewUniform(15, 16)
 	_, c := startCluster(t, 1, server.Params{N: 1, R: 1, W: 1, Seed: 9, Model: &dist.LatencyModel{
 		Name: "fixed-15ms", W: leg, A: leg, R: leg, S: leg,
 	}})
-	run := func(pipeline int) int64 {
+	run := func(clients int) int64 {
 		t.Helper()
 		mon := NewMonitor()
 		res, err := RunLoad(c, mon, LoadOptions{
-			Clients:  1,
-			Pipeline: pipeline,
+			Clients:  clients,
 			Duration: 1200 * time.Millisecond,
 			Keys:     workload.NewUniformKeys(16, "p"),
 			Mix:      workload.NewMix(0.5),
@@ -198,15 +198,15 @@ func TestRunLoadPipelined(t *testing.T) {
 			t.Fatal(err)
 		}
 		if res.Errors != 0 {
-			t.Fatalf("pipeline=%d: %d errors", pipeline, res.Errors)
+			t.Fatalf("clients=%d: %d errors", clients, res.Errors)
 		}
 		return res.Ops
 	}
 	serial := run(1)
-	pipelined := run(8)
-	t.Logf("ops in 1.2s: serial=%d pipelined(8)=%d", serial, pipelined)
-	if pipelined < 3*serial {
-		t.Fatalf("Pipeline=8 completed %d ops vs %d serial: pipelining is not keeping requests in flight", pipelined, serial)
+	overlapped := run(8)
+	t.Logf("ops in 1.2s: clients(1)=%d clients(8)=%d", serial, overlapped)
+	if overlapped < 3*serial {
+		t.Fatalf("Clients=8 completed %d ops vs %d for one client: requests are not kept in flight together", overlapped, serial)
 	}
 }
 
@@ -326,5 +326,34 @@ func TestThroughputSmoke(t *testing.T) {
 	t.Logf("loopback throughput: %.0f ops/s (floor %.0f)", best, floor)
 	if best < floor {
 		t.Fatalf("load generator sustained only %.0f ops/s, need %.0f", best, floor)
+	}
+}
+
+// TestBuildViewRejectsBadConfig pins the checks a /config payload from the
+// network must pass before the client builds its ring from it.
+func TestBuildViewRejectsBadConfig(t *testing.T) {
+	m := func(id int, internal string) server.MemberInfo {
+		return server.MemberInfo{ID: id, Addr: "http://h", Internal: internal}
+	}
+	cases := []struct {
+		name string
+		cfg  server.ConfigResponse
+		ok   bool
+	}{
+		{"valid", server.ConfigResponse{N: 2, Vnodes: 8, Members: []server.MemberInfo{m(0, "a:1"), m(3, "b:1")}}, true},
+		{"no-members", server.ConfigResponse{N: 1, Vnodes: 8}, false},
+		{"no-vnodes", server.ConfigResponse{N: 1, Members: []server.MemberInfo{m(0, "a:1")}}, false},
+		{"negative-id", server.ConfigResponse{N: 1, Vnodes: 8, Members: []server.MemberInfo{m(-1, "a:1")}}, false},
+		{"duplicate-id", server.ConfigResponse{N: 1, Vnodes: 8, Members: []server.MemberInfo{m(2, "a:1"), m(2, "b:1")}}, false},
+		{"no-internal", server.ConfigResponse{N: 1, Vnodes: 8, Members: []server.MemberInfo{m(0, "")}}, false},
+	}
+	for _, tc := range cases {
+		v, err := buildView(tc.cfg)
+		if tc.ok && (err != nil || len(v.members) != len(tc.cfg.Members)) {
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }

@@ -21,14 +21,10 @@ import (
 
 // LoadOptions configures a load-generation run.
 type LoadOptions struct {
-	// Clients is the number of concurrent workers (default 16).
+	// Clients is the number of concurrent workers (default 16), each
+	// keeping one request in flight: the total in-flight concurrency. The
+	// workers share one Client, whose connections pipeline their requests.
 	Clients int
-	// Pipeline is how many requests each worker keeps in flight at once
-	// (default 1, the strict closed loop). Higher values model clients
-	// that pipeline writes instead of waiting out each round trip: the
-	// generator issues K concurrent requests per worker session, so
-	// total in-flight concurrency is Clients × Pipeline.
-	Pipeline int
 	// Rate is the target aggregate throughput in operations per second.
 	// Zero runs closed-loop: every worker issues its next operation as soon
 	// as the previous one completes.
@@ -56,9 +52,6 @@ type LoadOptions struct {
 func (o *LoadOptions) setDefaults() error {
 	if o.Clients <= 0 {
 		o.Clients = 16
-	}
-	if o.Pipeline <= 0 {
-		o.Pipeline = 1
 	}
 	if o.Keys == nil {
 		return errors.New("client: load options need a key chooser")
@@ -107,7 +100,7 @@ func RunLoad(c *Client, mon *Monitor, opt LoadOptions) (LoadResult, error) {
 	// fire back-to-back.
 	var tokens chan struct{}
 	if opt.Rate > 0 {
-		tokens = make(chan struct{}, 4*opt.Clients*opt.Pipeline)
+		tokens = make(chan struct{}, 4*opt.Clients)
 		arrival := workload.NewPoisson(opt.Rate)
 		go func() {
 			defer close(tokens)
@@ -133,10 +126,8 @@ func RunLoad(c *Client, mon *Monitor, opt LoadOptions) (LoadResult, error) {
 
 	start := time.Now()
 	var wg sync.WaitGroup
-	// Each worker session keeps Pipeline requests in flight: one issuer
-	// goroutine per pipeline slot, each with its own sampling stream (slot
-	// index w*Pipeline+k, so Pipeline=1 reproduces the historical streams).
-	for w := 0; w < opt.Clients*opt.Pipeline; w++ {
+	// One issuer goroutine per worker, each with its own sampling stream.
+	for w := 0; w < opt.Clients; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()

@@ -286,7 +286,7 @@ func runScenario(t *testing.T, sc scenario, readOv, writeOv []float64) (ops int6
 	ts := stats.Linspace(0, tmax, 12)
 
 	cl, err := server.StartLocal(sc.nodes, server.Params{
-		N: sc.n, R: sc.r, W: sc.w, Model: &sc.model, Scale: sc.scale, Seed: 7,
+		N: sc.n, R: sc.r, W: sc.w, Model: &model, Seed: 7,
 	})
 	if err != nil {
 		t.Fatal(err)

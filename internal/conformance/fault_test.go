@@ -148,7 +148,7 @@ func TestFaultRecoveryConformance(t *testing.T) {
 
 	t.Run("no-repair-stays-stale", func(t *testing.T) {
 		cl, err := server.StartLocal(faultNodes, server.Params{
-			N: 3, R: 1, W: 1, Model: &model, Scale: 1, Seed: 7,
+			N: 3, R: 1, W: 1, Model: &model, Seed: 7,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -159,7 +159,7 @@ func TestFaultRecoveryConformance(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		keys := survivorKeys(t, cl.Params.Vnodes, faultKeys, "nr-")
+		keys := survivorKeys(t, cl.Membership().Vnodes(), faultKeys, "nr-")
 		cl.Faults().Crash(faultVictim)
 		writeAll(t, c, keys)
 		cl.Faults().Recover(faultVictim)
@@ -187,9 +187,9 @@ func TestFaultRecoveryConformance(t *testing.T) {
 
 	t.Run("handoff-anti-entropy-reconverge", func(t *testing.T) {
 		cl, err := server.StartLocal(faultNodes, server.Params{
-			N: 3, R: 1, W: 1, Model: &model, Scale: 1, Seed: 7,
+			N: 3, R: 1, W: 1, Model: &model, Seed: 7,
 			Handoff: true, HandoffInterval: 100 * time.Millisecond,
-			AntiEntropy: true, AntiEntropyInterval: 250 * time.Millisecond, MerkleDepth: 8,
+			AntiEntropy: true, AntiEntropyInterval: 250 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -210,7 +210,7 @@ func TestFaultRecoveryConformance(t *testing.T) {
 		}
 
 		// Scripted crash; writes continue against the survivors.
-		keys := survivorKeys(t, cl.Params.Vnodes, faultKeys, "fr-")
+		keys := survivorKeys(t, cl.Membership().Vnodes(), faultKeys, "fr-")
 		cl.Faults().Crash(faultVictim)
 		writeAll(t, c, keys)
 		if cl.HintsPending() == 0 {
@@ -285,7 +285,7 @@ func TestTunerConformance(t *testing.T) {
 	// Start deliberately mis-deployed on a strict quorum: the SLA below is
 	// loose enough that partial quorums win, so the tuner must retune.
 	cl, err := server.StartLocal(3, server.Params{
-		N: 3, R: 3, W: 3, Model: &model, Scale: 1, Seed: 13,
+		N: 3, R: 3, W: 3, Model: &model, Seed: 13,
 		WARSSampling: true,
 	})
 	if err != nil {

@@ -30,7 +30,7 @@ func TestJoinConformance(t *testing.T) {
 	}
 
 	cl, err := server.StartLocal(3, server.Params{
-		N: 3, R: 1, W: 1, Model: &model, Scale: 1, Seed: 29,
+		N: 3, R: 1, W: 1, Model: &model, Seed: 29,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -574,9 +574,7 @@ func krMembership(t *testing.T, base string) *ring.Membership {
 	for i, m := range cfg.Members {
 		members[i] = ring.Member{ID: m.ID, HTTPAddr: m.Addr, InternalAddr: m.Internal}
 	}
-	params := server.Params{}
-	params.SetDefaults()
-	m, err := ring.NewMembership(members, params.Vnodes)
+	m, err := ring.NewMembership(members, cfg.Vnodes)
 	if err != nil {
 		t.Fatal(err)
 	}

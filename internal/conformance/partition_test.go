@@ -143,13 +143,14 @@ func TestConcurrentJoinConformance(t *testing.T) {
 		wg.Add(1)
 		go func(i int, httpLn, internalLn net.Listener) {
 			defer wg.Done()
+			p := c.Params
+			p.Seed = uint64(47 + i)
 			n, err := server.StartNode(server.NodeConfig{
-				Params:           c.Params,
+				Params:           p,
 				HTTPListener:     httpLn,
 				InternalListener: internalLn,
 				JoinAddr:         c.Nodes[i].InternalAddr(), // different seeds
 				Faults:           c.Faults(),
-				Seed:             uint64(47 + i),
 			})
 			results[i] = result{node: n, err: err}
 		}(i, httpLn, internalLn)

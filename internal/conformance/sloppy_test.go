@@ -60,7 +60,7 @@ func TestSloppyQuorumFailoverConformance(t *testing.T) {
 	}
 
 	cl, err := server.StartLocal(nodes, server.Params{
-		N: n, R: r, W: wq, Model: &model, Scale: 1, Seed: 19,
+		N: n, R: r, W: wq, Model: &model, Seed: 19,
 		SloppyQuorum: true, HandoffInterval: 100 * time.Millisecond,
 	})
 	if err != nil {
@@ -83,7 +83,7 @@ func TestSloppyQuorumFailoverConformance(t *testing.T) {
 	// The headline: crash the primary of every key under test, keep
 	// writing. writeAll fails the test on ANY client-visible write failure
 	// (before sloppy quorums: 100% of these writes 503ed).
-	keys := victimKeys(t, nodes, cl.Params.Vnodes, victim, faultKeys, "sq-")
+	keys := victimKeys(t, nodes, cl.Membership().Vnodes(), victim, faultKeys, "sq-")
 	cl.Faults().Crash(victim)
 	writeAll(t, c, keys)
 
@@ -171,7 +171,7 @@ func TestDurableHintsSurviveRestart(t *testing.T) {
 		cl1.Close()
 		t.Fatal(err)
 	}
-	keys := victimKeys(t, nodes, cl1.Params.Vnodes, victim, 64, "dur-")
+	keys := victimKeys(t, nodes, cl1.Membership().Vnodes(), victim, 64, "dur-")
 	cl1.Faults().Crash(victim)
 	writeAll(t, c1, keys)
 	// A write is acked at W while its leg to the crashed replica may still

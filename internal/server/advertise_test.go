@@ -10,10 +10,10 @@ import (
 
 func TestAdvertisedAddress(t *testing.T) {
 	cases := []struct{ bound, override, want string }{
-		{"127.0.0.1:8080", "", "127.0.0.1:8080"},             // no override: bound wins
-		{"127.0.0.1:8080", "10.0.0.5", "10.0.0.5:8080"},      // bare host keeps the bound port
-		{"127.0.0.1:8080", "10.0.0.5:9999", "10.0.0.5:9999"}, // full host:port replaces both
+		{"127.0.0.1:8080", "", "127.0.0.1:8080"},        // no override: bound wins
+		{"127.0.0.1:8080", "10.0.0.5", "10.0.0.5:8080"}, // the host keeps the bound port
 		{"0.0.0.0:7000", "db1.example.com", "db1.example.com:7000"},
+		{"127.0.0.1:8080", "::1", "[::1]:8080"},
 	}
 	for _, c := range cases {
 		if got := advertised(c.bound, c.override); got != c.want {
@@ -23,7 +23,8 @@ func TestAdvertisedAddress(t *testing.T) {
 }
 
 // TestAdvertiseFlagReachesRing boots a seed node advertising "localhost"
-// instead of its bound 127.0.0.1 address and checks the advertised form is
+// instead of its bound 127.0.0.1 address (after refusing a host:port
+// value) and checks the advertised form is
 // what enters the ring: /config reports it, a joiner learns it, and the
 // cluster still serves (localhost resolves, so peers can dial it).
 func TestAdvertiseFlagReachesRing(t *testing.T) {
@@ -35,12 +36,21 @@ func TestAdvertiseFlagReachesRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One advertised value serves both listeners, so a port in it could be
+	// right for one of them at most.
+	if _, err := StartNode(NodeConfig{
+		Params:           Params{N: 1, R: 1, W: 1},
+		HTTPListener:     httpLn,
+		InternalListener: internalLn,
+		Advertise:        "localhost:9",
+	}); err == nil {
+		t.Fatal("advertise with a port accepted")
+	}
 	seed, err := StartNode(NodeConfig{
-		Params:            Params{N: 1, R: 1, W: 1, Seed: 51},
-		HTTPListener:      httpLn,
-		InternalListener:  internalLn,
-		AdvertiseHTTP:     "localhost",
-		AdvertiseInternal: "localhost",
+		Params:           Params{N: 1, R: 1, W: 1, Seed: 51},
+		HTTPListener:     httpLn,
+		InternalListener: internalLn,
+		Advertise:        "localhost",
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -22,8 +22,8 @@ import (
 const (
 	// defaultAntiEntropyInterval paces exchange rounds.
 	defaultAntiEntropyInterval = time.Second
-	// defaultMerkleDepth is the summary-tree depth (2^depth buckets).
-	defaultMerkleDepth = 10
+	// merkleDepth is the summary-tree depth (2^depth buckets).
+	merkleDepth = 10
 	// maxMerkleDepth bounds the depth a replica will serve over RPC.
 	maxMerkleDepth = 16
 	// maxBucketsPerRound bounds one round's reconciliation work so a badly
@@ -92,17 +92,17 @@ func (n *Node) localBucketVersions(depth int, buckets []int) []kvstore.Version {
 // most maxBucketsPerRound divergent buckets in both directions: one tree
 // fetch, one batched bucket fetch, then pushes for whatever the partner is
 // behind on.
-func (n *Node) exchangeWith(v *memView, partner, depth int) error {
-	remoteNodes, err := v.peers[partner].MerkleNodes(depth)
+func (n *Node) exchangeWith(v *memView, partner int) error {
+	remoteNodes, err := v.peers[partner].MerkleNodes(merkleDepth)
 	if err != nil {
 		return err
 	}
-	remote, err := merkle.FromNodes(depth, remoteNodes)
+	remote, err := merkle.FromNodes(merkleDepth, remoteNodes)
 	if err != nil {
 		return err
 	}
 	summary := n.localSummary()
-	local := merkle.Build(summary, depth)
+	local := merkle.Build(summary, merkleDepth)
 	buckets, _ := merkle.Diff(local, remote)
 	if len(buckets) == 0 {
 		return nil
@@ -111,7 +111,7 @@ func (n *Node) exchangeWith(v *memView, partner, depth int) error {
 		buckets = buckets[:maxBucketsPerRound]
 	}
 
-	remoteVers, err := v.peers[partner].BucketVersions(depth, buckets)
+	remoteVers, err := v.peers[partner].BucketVersions(merkleDepth, buckets)
 	if err != nil {
 		return err
 	}
@@ -139,7 +139,7 @@ func (n *Node) exchangeWith(v *memView, partner, depth int) error {
 		wanted[b] = true
 	}
 	for k, seq := range summary {
-		if !wanted[merkle.Bucket(k, depth)] || seq <= remoteSeq[k] {
+		if !wanted[merkle.Bucket(k, merkleDepth)] || seq <= remoteSeq[k] {
 			continue
 		}
 		lv, ok := n.getLocal(k)
@@ -178,12 +178,9 @@ func nextPartner(v *memView, self, prev int) int {
 
 // runAntiEntropy is the background exchange loop: every interval, one round
 // against the next member in round-robin ID order under the current view.
-func (n *Node) runAntiEntropy(interval time.Duration, depth int) {
+func (n *Node) runAntiEntropy(interval time.Duration) {
 	if interval <= 0 {
 		interval = defaultAntiEntropyInterval
-	}
-	if depth <= 0 {
-		depth = defaultMerkleDepth
 	}
 	t := time.NewTicker(interval)
 	defer t.Stop()
@@ -206,7 +203,7 @@ func (n *Node) runAntiEntropy(interval time.Duration, depth int) {
 		n.ae.mu.Lock()
 		n.ae.rounds++
 		n.ae.mu.Unlock()
-		if err := n.exchangeWith(v, partner, depth); err != nil {
+		if err := n.exchangeWith(v, partner); err != nil {
 			n.ae.mu.Lock()
 			n.ae.failed++
 			n.ae.mu.Unlock()

@@ -72,30 +72,27 @@ const (
 // NodeConfig configures one standalone node (cmd/pbs-serve -join, or
 // Cluster.AddNode).
 type NodeConfig struct {
-	// Params mirror the cluster-wide parameters. N may exceed the current
-	// member count; the effective replication factor clamps until enough
-	// nodes join.
+	// Params mirror the cluster-wide parameters; Params.Seed drives the
+	// node's latency-injection and leg-sampling randomness. N may exceed
+	// the current member count; the effective replication factor clamps
+	// until enough nodes join.
 	Params Params
 	// HTTPListener and InternalListener must already be bound; the node
 	// takes ownership.
 	HTTPListener, InternalListener net.Listener
 	// JoinAddr is the internal (replication transport) address of any
 	// current cluster member. Empty starts a fresh single-node cluster
-	// (the seed) with member ID SeedID.
+	// (the seed, member 0).
 	JoinAddr string
-	// SeedID is the member ID of a seed node (ignored when joining).
-	SeedID int
 	// Faults optionally shares a fault controller (in-process test
 	// clusters); nil gives the node a private idle controller.
 	Faults *Faults
-	// Seed drives latency-injection and leg-sampling randomness.
-	Seed uint64
-	// AdvertiseHTTP and AdvertiseInternal override the addresses this node
-	// publishes to peers and clients (ring membership, /config, join
-	// handshakes). A multi-host node typically binds 0.0.0.0 but must
-	// advertise a host its peers can dial; empty falls back to the bound
-	// listener addresses.
-	AdvertiseHTTP, AdvertiseInternal string
+	// Advertise is the host this node publishes to peers and clients for
+	// both listeners (ring membership, /config, join handshakes); each
+	// listener keeps its bound port. A multi-host node typically binds
+	// 0.0.0.0 but must advertise a host its peers can dial; empty
+	// publishes the bound addresses.
+	Advertise string
 }
 
 // newNode builds the common core of a node (storage, injector, counters)
@@ -121,7 +118,7 @@ func newNode(id int, p Params, faults *Faults, seeds *rng.RNG) (*Node, error) {
 	n := &Node{
 		id:           id,
 		params:       p,
-		inj:          newInjector(p.Model, p.Scale, seeds.Uint64()),
+		inj:          newInjector(p.Model, seeds.Uint64()),
 		epoch:        time.Now(),
 		store:        store,
 		faults:       faults,
@@ -152,11 +149,9 @@ func (n *Node) start(httpLn, internalLn net.Listener) {
 		go n.runHandoff(n.params.HandoffInterval)
 	}
 	if n.params.AntiEntropy {
-		go n.runAntiEntropy(n.params.AntiEntropyInterval, n.params.MerkleDepth)
+		go n.runAntiEntropy(n.params.AntiEntropyInterval)
 	}
-	if !n.params.DisableGossip {
-		go n.runGossip(n.params.GossipInterval)
-	}
+	go n.runGossip(n.params.GossipInterval)
 }
 
 // Close tears the node down: background services, HTTP server, internal
@@ -232,11 +227,14 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	}
 	// Published addresses default to the bound ones; -advertise swaps in a
 	// peer-dialable host (multi-host deployments binding 0.0.0.0) while
-	// keeping the actual bound port.
-	httpAddr := "http://" + advertised(cfg.HTTPListener.Addr().String(), cfg.AdvertiseHTTP)
-	internalAddr := advertised(cfg.InternalListener.Addr().String(), cfg.AdvertiseInternal)
+	// keeping each listener's bound port.
+	if _, _, err := net.SplitHostPort(cfg.Advertise); err == nil {
+		return nil, fmt.Errorf("server: advertise %q: want a host without a port (each listener keeps its bound port)", cfg.Advertise)
+	}
+	httpAddr := "http://" + advertised(cfg.HTTPListener.Addr().String(), cfg.Advertise)
+	internalAddr := advertised(cfg.InternalListener.Addr().String(), cfg.Advertise)
 
-	seeds := rng.New(cfg.Seed)
+	seeds := rng.New(p.Seed)
 	faults := cfg.Faults
 	if faults == nil {
 		faults = NewFaults(seeds.Uint64())
@@ -245,12 +243,12 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	if cfg.JoinAddr == "" {
 		// Seed: a single-member cluster at epoch 1.
 		m, err := ring.NewMembership([]ring.Member{{
-			ID: cfg.SeedID, HTTPAddr: httpAddr, InternalAddr: internalAddr,
-		}}, p.Vnodes)
+			ID: 0, HTTPAddr: httpAddr, InternalAddr: internalAddr,
+		}}, ringVnodes)
 		if err != nil {
 			return nil, err
 		}
-		n, err := newNode(cfg.SeedID, p, faults, seeds)
+		n, err := newNode(0, p, faults, seeds)
 		if err != nil {
 			return nil, err
 		}
@@ -292,21 +290,18 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 }
 
 // advertised resolves the address a node publishes for one listener: the
-// bound address unless an advertise override is given. An override without
-// a port (a bare host) keeps the bound port — the common case where only
-// the host is unroutable, e.g. a bind to 0.0.0.0 with OS-assigned ports.
-func advertised(bound, override string) string {
-	if override == "" {
+// bound address, or the advertised host on the bound port — the common case
+// where only the host is unroutable, e.g. a bind to 0.0.0.0 with
+// OS-assigned ports.
+func advertised(bound, host string) string {
+	if host == "" {
 		return bound
-	}
-	if _, _, err := net.SplitHostPort(override); err == nil {
-		return override
 	}
 	_, port, err := net.SplitHostPort(bound)
 	if err != nil {
-		return override
+		return host
 	}
-	return net.JoinHostPort(override, port)
+	return net.JoinHostPort(host, port)
 }
 
 // self returns this node's member record.

@@ -93,7 +93,7 @@ func StartLocal(nodes int, p Params) (*Cluster, error) {
 			InternalAddr: internalLns[i].Addr().String(),
 		}
 	}
-	membership, err := ring.NewMembership(members, p.Vnodes)
+	membership, err := ring.NewMembership(members, ringVnodes)
 	if err != nil {
 		closeAll()
 		return nil, err
@@ -212,13 +212,13 @@ func (c *Cluster) AddNode() (*Node, error) {
 	p := c.Params
 	p.N = c.Replication()
 	p.R, p.W = c.Quorums()
+	p.Seed = seed
 	n, err := StartNode(NodeConfig{
 		Params:           p,
 		HTTPListener:     httpLn,
 		InternalListener: internalLn,
 		JoinAddr:         seedAddr,
 		Faults:           c.faults,
-		Seed:             seed,
 	})
 	if err != nil {
 		httpLn.Close()

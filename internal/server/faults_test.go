@@ -225,7 +225,7 @@ func TestHandoffKeepsNewestVersionPerKey(t *testing.T) {
 func TestAntiEntropyConvergesDivergentReplica(t *testing.T) {
 	c, err := StartLocal(3, Params{
 		N: 3, R: 1, W: 1, Seed: 24,
-		AntiEntropy: true, AntiEntropyInterval: 30 * time.Millisecond, MerkleDepth: 6,
+		AntiEntropy: true, AntiEntropyInterval: 30 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +258,7 @@ func TestAntiEntropyConvergesDivergentReplica(t *testing.T) {
 func TestAntiEntropyRepairsCrashWithoutHandoff(t *testing.T) {
 	c, err := StartLocal(3, Params{
 		N: 3, R: 1, W: 1, Seed: 25,
-		AntiEntropy: true, AntiEntropyInterval: 30 * time.Millisecond, MerkleDepth: 6,
+		AntiEntropy: true, AntiEntropyInterval: 30 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

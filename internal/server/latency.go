@@ -29,15 +29,14 @@ type injector struct {
 	r  *rng.RNG
 }
 
-// newInjector builds an injector for the scaled model. Returns nil when
-// model is nil (no injected latency — the configuration used for raw
-// throughput benchmarks).
-func newInjector(model *dist.LatencyModel, scale float64, seed uint64) *injector {
+// newInjector builds an injector for the model. Returns nil when model is
+// nil (no injected latency — the configuration used for raw throughput
+// benchmarks).
+func newInjector(model *dist.LatencyModel, seed uint64) *injector {
 	if model == nil {
 		return nil
 	}
-	m := dist.ScaleModel(*model, scale)
-	return &injector{model: m, r: rng.New(seed)}
+	return &injector{model: *model, r: rng.New(seed)}
 }
 
 // writeLeg samples one replica's write-propagation (pre) and ack (post)

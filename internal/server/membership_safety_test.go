@@ -198,13 +198,14 @@ func TestGossipRestoresSeqFloorAcrossRestart(t *testing.T) {
 		}
 		return true
 	})
+	p := c.Params
+	p.Seed = 202
 	restarted, err := StartNode(NodeConfig{
-		Params:           c.Params,
+		Params:           p,
 		HTTPListener:     httpLn,
 		InternalListener: internalLn,
 		JoinAddr:         c.Nodes[3].InternalAddr(),
 		Faults:           c.Faults(),
-		Seed:             202,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -86,46 +86,28 @@ type Params struct {
 	// AntiEntropyInterval paces exchange rounds (zero means 1s).
 	AntiEntropyInterval time.Duration
 	// GossipInterval paces membership-gossip rounds (gossip.go; zero means
-	// 250ms). Gossip runs on every node by default: it is the dissemination
-	// layer that re-converges partitioned or restarted members onto the
-	// current ring and carries seq-epoch observations between coordinators.
+	// 250ms). Gossip runs on every node: it is the dissemination layer that
+	// re-converges partitioned or restarted members onto the current ring
+	// and carries seq-epoch observations between coordinators.
 	GossipInterval time.Duration
-	// DisableGossip turns the gossip loop off — for tests that need a
-	// membership view to stay deliberately stale.
-	DisableGossip bool
-	// MerkleDepth is the anti-entropy summary-tree depth (zero means 10).
-	MerkleDepth int
 	// WARSSampling records per-replica WARS leg latencies into bounded
 	// reservoirs served at GET /wars — the measurement feed for the
 	// dynamic-configuration tuner. Off by default: sampling costs two
 	// clock reads and a mutex per fan-out leg on the hot path.
 	WARSSampling bool
 	// Model injects per-replica WARS delays drawn from this latency model
-	// into every coordinated operation. Nil injects nothing.
+	// into every coordinated operation, as given: a caller that stretches
+	// the time axis passes the dist.ScaleModel result, the same model its
+	// prediction uses. Nil injects nothing.
 	Model *dist.LatencyModel
-	// Scale stretches the model's time axis (see dist.ScaleModel). Zero
-	// means 1.
-	Scale float64
-	// Vnodes is the number of virtual nodes per physical node on the ring
-	// (zero means 64).
-	Vnodes int
 	// Seed seeds latency-injection sampling.
 	Seed uint64
 }
 
-// SetDefaults resolves zero values and implied settings (SloppyQuorum
-// implies Handoff) in place — exported for callers that need the
-// effective configuration before handing Params to StartNode/StartLocal
-// (which apply it themselves; it is idempotent).
-func (p *Params) SetDefaults() { p.setDefaults() }
+// ringVnodes is the number of virtual nodes per physical node on the ring.
+const ringVnodes = 64
 
 func (p *Params) setDefaults() {
-	if p.Scale == 0 {
-		p.Scale = 1
-	}
-	if p.Vnodes == 0 {
-		p.Vnodes = 64
-	}
 	if p.SloppyQuorum {
 		p.Handoff = true
 	}
@@ -154,9 +136,6 @@ func (p Params) validateElastic() error {
 	if p.R < 1 || p.R > p.N || p.W < 1 || p.W > p.N {
 		return fmt.Errorf("server: quorums R=%d W=%d outside [1, N=%d]", p.R, p.W, p.N)
 	}
-	if p.MerkleDepth < 0 || p.MerkleDepth > maxMerkleDepth {
-		return fmt.Errorf("server: merkle depth %d outside [1, %d] (0 selects the default)", p.MerkleDepth, maxMerkleDepth)
-	}
 	if p.Fsync != "" && !storage.ValidPolicy(p.Fsync) {
 		return fmt.Errorf("server: fsync policy %q (want %s, %s or %s)",
 			p.Fsync, storage.FsyncAlways, storage.FsyncInterval, storage.FsyncNever)
@@ -173,10 +152,8 @@ type MemberInfo struct {
 
 // ConfigResponse is the payload of GET /config: everything a client needs
 // to route operations itself (Section 4.2's client-driven coordination).
-// Members carries the versioned ring view (members in ID order); Nodes is
-// its length, which clients check against Members.
+// Members carries the versioned ring view (members in ID order).
 type ConfigResponse struct {
-	Nodes  int `json:"nodes"`
 	N      int `json:"n"`
 	R      int `json:"r"`
 	W      int `json:"w"`
@@ -1100,7 +1077,6 @@ func (n *Node) configLocal() (ConfigResponse, *opError) {
 	}
 	members := v.m.Members()
 	cfg := ConfigResponse{
-		Nodes:     len(members),
 		N:         int(n.nrep.Load()),
 		R:         int(n.rq.Load()),
 		W:         int(n.wq.Load()),

@@ -358,7 +358,7 @@ func TestConfigStatsHealth(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if cfg.Nodes != 4 || cfg.N != 3 || cfg.R != 2 || cfg.W != 1 || len(cfg.Members) != 4 {
+	if cfg.N != 3 || cfg.R != 2 || cfg.W != 1 || len(cfg.Members) != 4 {
 		t.Fatalf("config %+v", cfg)
 	}
 

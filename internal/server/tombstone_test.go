@@ -70,7 +70,7 @@ func TestDeleteTombstone(t *testing.T) {
 func TestDeleteNoResurrectionAfterAntiEntropy(t *testing.T) {
 	c, err := StartLocal(3, Params{
 		N: 3, R: 1, W: 1, Seed: 42,
-		AntiEntropy: true, AntiEntropyInterval: 30 * time.Millisecond, MerkleDepth: 6,
+		AntiEntropy: true, AntiEntropyInterval: 30 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,8 +9,6 @@ import (
 	"bufio"
 	"context"
 	"fmt"
-	"io"
-	"net/http"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -216,13 +214,8 @@ func TestMultiProcessClusterSmoke(t *testing.T) {
 	}
 
 	// The joiner reports the full ring.
-	resp, err := http.Get(j2.httpAddr + "/config")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(body), `"nodes":3`) {
-		t.Fatalf("joiner config after scripted join: %s", body)
+	var cv configView
+	if err := fetchJSON(j2.httpAddr, "/config", &cv); err != nil || len(cv.Members) != 3 {
+		t.Fatalf("joiner config after scripted join: %d members (%v)", len(cv.Members), err)
 	}
 }

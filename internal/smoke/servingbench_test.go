@@ -87,8 +87,7 @@ func measureServing(t *testing.T, cl *client.Client, op string, clients, pipelin
 	runtime.GC()
 	runtime.ReadMemStats(&memBefore)
 	res, err := client.RunLoad(cl, mon, client.LoadOptions{
-		Clients:   clients,
-		Pipeline:  pipeline,
+		Clients:   clients * pipeline,
 		Duration:  1200 * time.Millisecond,
 		Keys:      workload.NewUniformKeys(servingKeys, "sv"),
 		Mix:       workload.NewMix(readFrac),

@@ -104,6 +104,14 @@ func smokeCases(tmp string) []smokeCase {
 				"sloppy quorum: failover writes", "sloppy quorum: spare writes",
 				"hints restored from WAL", "fault events"}},
 
+		// cmd/pbs-serve: the batched workload — multi-get and multi-put
+		// frames of 8 Zipf-picked keys each.
+		{name: "pbs-serve-batch", pkg: "pbs/cmd/pbs-serve",
+			args: []string{"-duration", "2s", "-rate", "800", "-clients", "4", "-epochs", "0",
+				"-trials", "10000", "-model", "validation", "-r", "1", "-w", "2",
+				"-batch", "8", "-zipf", "0.99"},
+			want: []string{"workload: batches of 8 keys (zipf=0.99)", "load generator:"}},
+
 		// cmd/pbs-serve: the dynamic-configuration tuner retunes a
 		// mis-deployed strict quorum under a loose ⟨k, t⟩ SLA (the spec
 		// exercises the k=, ms-suffix and percent forms).
@@ -111,7 +119,7 @@ func smokeCases(tmp string) []smokeCase {
 			args: []string{"-duration", "6s", "-rate", "0", "-clients", "8", "-epochs", "0",
 				"-trials", "20000", "-model", "validation", "-r", "3", "-w", "3",
 				"-read-fraction", "0.5", "-tune-sla", "k=2,t=100ms,p=90",
-				"-tune-interval", "1500ms", "-tune-apply"},
+				"-interval", "1500ms", "-tune-apply"},
 			want: []string{"[tuner] recommended N=3", "applying N=3 R=", "tuner: final recommendation",
 				"live cluster quorums now"}},
 

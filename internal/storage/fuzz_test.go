@@ -1,8 +1,8 @@
 package storage
 
-// FuzzWALReplay feeds arbitrary bytes to the engine as a WAL segment:
-// truncated tails, bit flips, garbage headers, data and hint records
-// interleaved. Recovery must never panic and must always recover a clean
+// FuzzWALReplay feeds damaged WAL segments to recovery: truncated tails,
+// bit flips, garbage appended, data and hint records interleaved.
+// Recovery must never panic and must always recover a clean
 // prefix — the data it recovers is the newest-per-key fold of the decodable
 // records, the hints it recovers are the reference fold of their stores and
 // clears, and a valid untampered log recovers fully.
@@ -10,9 +10,7 @@ package storage
 import (
 	"bufio"
 	"bytes"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -63,94 +61,142 @@ type hintID struct {
 	key    string
 }
 
-func FuzzWALReplay(f *testing.F) {
+// walSeeds are FuzzWALReplay's seeds, in order.
+func walSeeds(tb testing.TB) [][]byte {
 	full := buildWAL(8)
-	f.Add(full)
-	f.Add(full[:len(full)-3])                         // torn tail
-	f.Add([]byte{})                                   // empty segment
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}) // absurd length prefix
 	flipped := append([]byte(nil), full...)
 	flipped[len(flipped)/2] ^= 0x10
-	f.Add(flipped)
-	f.Add(legacySegment(f)) // written when versions carried vector clocks
 	mixed := buildMixedWAL()
-	f.Add(mixed)
-	f.Add(mixed[:len(mixed)-3]) // torn hint record
 	hv := kvstore.Version{Key: "h", Seq: 4, Value: "x"}
-	f.Add(append(encodeHintRecord(flagHintClear, 2, hv), encodeHintRecord(flagHintStore, 2, hv)...)) // clear before its store
+	return [][]byte{
+		full,
+		full[:len(full)-3],                   // torn tail
+		{},                                   // empty segment
+		{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}, // absurd length prefix
+		flipped,                              // bit flip mid-log
+		legacySegment(tb),                    // written when versions carried vector clocks
+		mixed,                                // data and hint records interleaved
+		mixed[:len(mixed)-3],                 // torn hint record
+		append(encodeHintRecord(flagHintClear, 2, hv), encodeHintRecord(flagHintStore, 2, hv)...), // clear before its store
+	}
+}
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		// Plant the fuzzed bytes as an existing WAL segment, as if a crash
-		// left it behind.
-		if err := os.WriteFile(filepath.Join(dir, "wal-0000000000000001.log"), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		e, err := Open(Options{Dir: dir, Fsync: FsyncNever})
+// checkRecovered compares what recovery made of a segment holding data
+// against an independent decode of its clean prefix: the data must be its
+// newest-per-key fold, and the hints its reference fold — a store keeps
+// the newest version per (target, key), a clear drops the pending hint
+// unless it is newer than the cleared version.
+func checkRecovered(t *testing.T, data []byte, keys int, get func(string) (kvstore.Version, bool),
+	hints map[int]map[string]kvstore.Version, pending int) {
+	t.Helper()
+	want := make(map[string]kvstore.Version)
+	wantHints := make(map[hintID]kvstore.Version)
+	br := bufio.NewReader(bytes.NewReader(data))
+	for {
+		rec, _, err := readRecord(br)
 		if err != nil {
-			t.Fatalf("Open on fuzzed WAL: %v", err)
+			break
 		}
-		defer e.Close()
+		v, id := rec.Version, hintID{rec.target, rec.Key}
+		switch cur, ok := wantHints[id]; rec.kind {
+		case flagHintStore:
+			if !ok || v.Seq > cur.Seq {
+				wantHints[id] = v
+			}
+		case flagHintClear:
+			if ok && cur.Seq <= v.Seq {
+				delete(wantHints, id)
+			}
+		default:
+			if cur, ok := want[v.Key]; !ok || v.Seq > cur.Seq {
+				want[v.Key] = v
+			}
+		}
+	}
+	gotHints := 0
+	for target, kh := range hints {
+		for key, gv := range kh {
+			gotHints++
+			wv, ok := wantHints[hintID{target, key}]
+			if !ok || gv.Key != key || gv.Seq != wv.Seq || gv.Value != wv.Value || gv.Tombstone != wv.Tombstone {
+				t.Fatalf("recovered hint (%d, %q) = %+v, reference fold has %+v (present=%v)", target, key, gv, wv, ok)
+			}
+		}
+	}
+	if gotHints != len(wantHints) || pending != gotHints {
+		t.Fatalf("recovered %d hints (%d pending), reference fold holds %d", gotHints, pending, len(wantHints))
+	}
+	if keys != len(want) {
+		t.Fatalf("recovered %d keys, clean prefix holds %d", keys, len(want))
+	}
+	for key, wv := range want {
+		gv, found := get(key)
+		if !found || gv.Seq != wv.Seq || gv.Value != wv.Value || gv.Tombstone != wv.Tombstone {
+			t.Fatalf("recovered %q = %+v, want %+v (found=%v)", key, gv, wv, found)
+		}
+	}
+}
 
-		// Independently decode the clean prefix; the engine must have
-		// recovered exactly its newest-per-key data fold and its hint fold:
-		// a store keeps the newest version per (target, key), a clear drops
-		// the pending hint unless it is newer than the cleared version.
-		want := make(map[string]kvstore.Version)
-		wantHints := make(map[hintID]kvstore.Version)
-		br := bufio.NewReader(bytes.NewReader(data))
-		for {
-			rec, _, err := readRecord(br)
-			if errors.Is(err, io.EOF) || err != nil {
-				break
-			}
-			v, id := rec.Version, hintID{rec.target, rec.Key}
-			switch cur, ok := wantHints[id]; rec.kind {
-			case flagHintStore:
-				if !ok || v.Seq > cur.Seq {
-					wantHints[id] = v
-				}
-			case flagHintClear:
-				if ok && cur.Seq <= v.Seq {
-					delete(wantHints, id)
-				}
-			default:
-				if cur, ok := want[v.Key]; !ok || v.Seq > cur.Seq {
-					want[v.Key] = v
-				}
-			}
+// FuzzWALReplay replays a fuzzed segment through the fold recovery runs on
+// every segment, in memory. The segment is one of the seeds (base, modulo
+// their count) cut to its first cut bytes, with the byte at flip (modulo
+// the cut length) XORed by mask, then followed by tail; the nine seeds are
+// each seed whole. The fuzzer minimizes every new interesting input by
+// re-running it once per candidate sub-slice of its []byte arguments,
+// quadratic in their length, so only the short tail is a []byte, and an
+// exec costs microseconds rather than a full Open's milliseconds (temp
+// dir, segment file, SSTable flush): with kilobyte segments and Open per
+// exec, one minimization outlasts a 20 s run. TestWALReplaySeedsThroughOpen
+// runs the seeds through Open itself.
+func FuzzWALReplay(f *testing.F) {
+	seeds := walSeeds(f)
+	for i, seed := range seeds {
+		f.Add(uint8(i), uint32(len(seed)), uint32(0), uint8(0), []byte{})
+	}
+	f.Fuzz(func(t *testing.T, base uint8, cut, flip uint32, mask uint8, tail []byte) {
+		seed := seeds[int(base)%len(seeds)]
+		data := append([]byte(nil), seed[:min(int(cut), len(seed))]...)
+		if len(data) > 0 {
+			data[int(flip)%len(data)] ^= mask
 		}
-		gotHints := 0
-		for target, kh := range e.Hints() {
-			for key, gv := range kh {
-				gotHints++
-				wv, ok := wantHints[hintID{target, key}]
-				if !ok || gv.Key != key || gv.Seq != wv.Seq || gv.Value != wv.Value || gv.Tombstone != wv.Tombstone {
-					t.Fatalf("recovered hint (%d, %q) = %+v, reference fold has %+v (present=%v)", target, key, gv, wv, ok)
-				}
-			}
-		}
-		if gotHints != len(wantHints) || e.HintStats().Pending != gotHints {
-			t.Fatalf("recovered %d hints (%d pending), reference fold holds %d", gotHints, e.HintStats().Pending, len(wantHints))
-		}
-		if got := e.Len(); got != len(want) {
-			t.Fatalf("recovered %d keys, clean prefix holds %d", got, len(want))
-		}
-		for key, wv := range want {
-			gv, found := e.Get(key)
-			if !found || gv.Seq != wv.Seq || gv.Value != wv.Value || gv.Tombstone != wv.Tombstone {
-				t.Fatalf("recovered %q = %+v, want %+v (found=%v)", key, gv, wv, found)
-			}
-		}
+		data = append(data, tail...)
 
-		// The engine must keep working after recovery. The fuzzed log may
-		// already hold "post" at an arbitrary seq, so write one past it.
-		if next := e.Seq("post") + 1; next != 0 {
-			if ok := e.Apply(kvstore.Version{Key: "post", Seq: next, Value: "alive"}, 1); !ok {
-				t.Fatal("apply after fuzzed recovery rejected")
-			}
-		}
+		e := &Engine{hints: kvstore.NewHints()}
+		mem := newMemtable()
+		e.replay(bufio.NewReader(bytes.NewReader(data)), mem)
+		checkRecovered(t, data, len(mem.data), func(key string) (kvstore.Version, bool) {
+			v, ok := mem.data[key]
+			return v, ok
+		}, e.hints.Snapshot(), e.hints.Stats().Pending)
 	})
+}
+
+// TestWALReplaySeedsThroughOpen plants every FuzzWALReplay seed as an
+// existing WAL segment, as if a crash left it behind, and opens the engine
+// on it: recovery must keep the clean prefix through the SSTable flush and
+// the seeded segment, and the engine must keep working after it.
+func TestWALReplaySeedsThroughOpen(t *testing.T) {
+	for i, data := range walSeeds(t) {
+		t.Run(fmt.Sprintf("seed#%d", i), func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, "wal-0000000000000001.log"), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			e, err := Open(Options{Dir: dir, Fsync: FsyncNever})
+			if err != nil {
+				t.Fatalf("Open on seeded WAL: %v", err)
+			}
+			defer e.Close()
+			checkRecovered(t, data, e.Len(), e.Get, e.Hints(), e.HintStats().Pending)
+			// The log may already hold "post" at an arbitrary seq, so write
+			// one past it.
+			if next := e.Seq("post") + 1; next != 0 {
+				if ok := e.Apply(kvstore.Version{Key: "post", Seq: next, Value: "alive"}, 1); !ok {
+					t.Fatal("apply after recovery rejected")
+				}
+			}
+		})
+	}
 }
 
 // FuzzRecordRoundTrip pins the disk codec: every version survives an

@@ -49,17 +49,23 @@ func (e *Engine) replayWAL(path string, mem *memtable) error {
 		return fmt.Errorf("storage: replay wal: %w", err)
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
+	e.replay(bufio.NewReader(f), mem)
+	return nil
+}
+
+// replay folds one segment's records into mem and the hint set, up to the
+// first record that is torn or fails its checks.
+func (e *Engine) replay(br *bufio.Reader, mem *memtable) {
 	for {
 		rec, _, err := readRecord(br)
 		if errors.Is(err, io.EOF) {
-			return nil
+			return
 		}
 		if err != nil {
 			// Torn or bit-flipped tail: everything before it is intact, and
 			// the damaged suffix was never acknowledged as durable.
 			e.walTruncated = 1
-			return nil
+			return
 		}
 		v := rec.Version
 		switch rec.kind {
