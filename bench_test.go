@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"pbs"
+	"pbs/internal/dist"
 	"pbs/internal/experiments"
 )
 
@@ -104,6 +105,20 @@ func BenchmarkPredictorBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := pbs.NewPredictor(sc, pbs.Quorum{R: 1, W: 1},
 			pbs.WithSeed(uint64(i+1)), pbs.WithTrials(10000)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPredictorBuild1M builds the predictor perfbench's
+// lnkd-disk-partial workload prices in its set-up: LNKD-DISK stretched ×4,
+// N=3 R=W=1, 1M trials, default parallelism.
+func BenchmarkPredictorBuild1M(b *testing.B) {
+	sc := pbs.IIDScenario(3, dist.ScaleModel(pbs.LNKDDISK(), 4))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := pbs.NewPredictor(sc, pbs.Quorum{R: 1, W: 1},
+			pbs.WithSeed(uint64(i+1)), pbs.WithTrials(1_000_000)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -106,8 +106,11 @@ func finite(v float64) float64 {
 	return v
 }
 
+// Sample is the inverse-CDF draw Xm·u^(−1/α), computed as Xm·exp(log(u)/−α):
+// the same value as Quantile(1−u) to within rounding, at a fraction of
+// math.Pow's cost (every Table 3 mixture draws its body from here).
 func (p Pareto) Sample(r *rng.RNG) float64 {
-	return finite(p.Xm * math.Pow(r.Float64Open(), -1/p.Alpha))
+	return finite(p.Xm * math.Exp(math.Log(r.Float64Open())/-p.Alpha))
 }
 func (p Pareto) Mean() float64 {
 	if p.Alpha <= 1 {

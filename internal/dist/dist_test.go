@@ -56,6 +56,40 @@ func TestSampleMeansMatchAnalytic(t *testing.T) {
 	}
 }
 
+// TestParetoSampleIsInverseCDF pins Pareto.Sample to the inverse-CDF draw
+// from the same uniform: for a cloned generator, Sample equals
+// Quantile(1-u) to within rounding at the Table 3 shapes, and a shape far
+// below 1, whose draws overflow float64, clamps to math.MaxFloat64.
+func TestParetoSampleIsInverseCDF(t *testing.T) {
+	for _, alpha := range []float64{0.5, 1.51, 3.35, 10} {
+		p := NewPareto(1.05, alpha)
+		r := rng.New(7)
+		for i := 0; i < 20000; i++ {
+			clone := *r
+			u := clone.Float64Open()
+			want := p.Quantile(1 - u)
+			if got := p.Sample(r); math.Abs(got-want) > 1e-12*want {
+				t.Fatalf("alpha=%v u=%v: Sample = %v, Quantile(1-u) = %v", alpha, u, got, want)
+			}
+		}
+	}
+	p := NewPareto(1, 1e-3)
+	r := rng.New(11)
+	clamped := 0
+	for i := 0; i < 1000; i++ {
+		v := p.Sample(r)
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			t.Fatalf("alpha=1e-3: sample %d is %v", i, v)
+		}
+		if v == math.MaxFloat64 {
+			clamped++
+		}
+	}
+	if clamped == 0 {
+		t.Fatal("alpha=1e-3: no draw overflowed to the math.MaxFloat64 clamp")
+	}
+}
+
 func TestQuantileInvertsCDF(t *testing.T) {
 	cases := []Dist{
 		NewExponential(1.66),

@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"pbs/internal/rng"
@@ -217,28 +216,20 @@ func simulateShard(sc Scenario, cfgs []Config, runs []*Run, s, trials int, r *rn
 	}
 }
 
-// sortRuns sorts every run's sample arrays, fanning the independent sorts
-// out across workers.
+// sortRuns sorts every run's three sample arrays, fanning the independent
+// sorts out across workers even for a single configuration.
 func sortRuns(runs []*Run, workers int) {
-	if len(runs) == 1 || workers <= 1 {
-		for _, run := range runs {
-			sort.Float64s(run.thresholds)
-			sort.Float64s(run.readLat)
-			sort.Float64s(run.writeLat)
-		}
-		return
-	}
-	jobs := make(chan []float64)
-	var wg sync.WaitGroup
 	if max := 3 * len(runs); workers > max {
 		workers = max
 	}
+	jobs := make(chan []float64)
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for xs := range jobs {
-				sort.Float64s(xs)
+				sortFloat64s(xs)
 			}
 		}()
 	}

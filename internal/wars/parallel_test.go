@@ -30,11 +30,13 @@ func sameRun(t *testing.T, label string, a, b *Run) {
 
 // TestSimulateWorkersDeterministic verifies the tentpole guarantee: for a
 // fixed seed, every parallelism level produces bit-identical output. The
-// trial count intentionally spans multiple shards with a ragged tail.
+// trial count spans many shards with a ragged tail and is large enough for
+// the radix sort to split buckets below its top digit, and the engine still
+// allocates per shard, never per trial.
 func TestSimulateWorkersDeterministic(t *testing.T) {
 	sc := NewIID(5, expModel(10, 2))
 	cfg := Config{R: 2, W: 2}
-	const trials = 3*shardTrials + 17
+	const trials = 64*shardTrials + 17
 
 	mk := func(workers int) *Run {
 		run, err := SimulateWorkers(sc, cfg, trials, rng.New(321), workers)
@@ -46,6 +48,10 @@ func TestSimulateWorkersDeterministic(t *testing.T) {
 	serial := mk(1)
 	for _, workers := range []int{2, 4, runtime.GOMAXPROCS(0)} {
 		sameRun(t, "workers", serial, mk(workers))
+	}
+	const shards = (trials + shardTrials - 1) / shardTrials
+	if allocs := testing.AllocsPerRun(2, func() { mk(2) }); allocs > 2*shards {
+		t.Fatalf("%v allocations for %d trials in %d shards: the engine allocates per trial", allocs, trials, shards)
 	}
 }
 

@@ -232,14 +232,19 @@ func (run *Run) TVisibility(p float64) float64 {
 	if p > 1 {
 		panic("wars: probability must be at most 1")
 	}
-	idx := int(p*float64(len(run.thresholds))) - 1
-	if idx < 0 {
-		idx = 0
+	// k is the fewest trials whose share reaches p, computed in
+	// PConsistent's own arithmetic (k/n >= p) so that
+	// PConsistent(TVisibility(p)) >= p holds exactly: ceil(p·n) can land
+	// one off either way when p·n is not exact in floating point.
+	n := len(run.thresholds)
+	k := int(math.Ceil(p * float64(n)))
+	for k > 1 && float64(k-1)/float64(n) >= p {
+		k--
 	}
-	if p == 1 {
-		idx = len(run.thresholds) - 1
+	for k < n && float64(k)/float64(n) < p {
+		k++
 	}
-	v := run.thresholds[idx]
+	v := run.thresholds[k-1]
 	if v < 0 {
 		return 0
 	}

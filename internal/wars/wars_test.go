@@ -245,13 +245,34 @@ func TestTVisibilityEdges(t *testing.T) {
 	run.TVisibility(1.5)
 }
 
+// TestTVisibilityQuantileConsistency pins TVisibility as the smallest
+// threshold whose PConsistent reaches p: on a simulated run, and on runs
+// with thresholds 1..n, where p·n is rarely an integer (n=3, p=0.5 must
+// give 2/3, not 1/3; n=7, p=0.9 must give 7/7, not 6/7).
 func TestTVisibilityQuantileConsistency(t *testing.T) {
+	ps := []float64{0.5, 0.9, 0.99, 0.999, 0.9995}
 	run := mustSimulate(t, NewIID(3, expModel(10, 2)), Config{R: 1, W: 1}, 100000, 29)
-	for _, p := range []float64{0.5, 0.9, 0.99, 0.999} {
-		tv := run.TVisibility(p)
-		got := run.PConsistent(tv)
-		if got < p-0.005 {
-			t.Fatalf("PConsistent(TVisibility(%v)) = %v", p, got)
+	for _, p := range ps {
+		if got := run.PConsistent(run.TVisibility(p)); got < p {
+			t.Fatalf("simulated: PConsistent(TVisibility(%v)) = %v", p, got)
+		}
+	}
+	for _, n := range []int{1, 2, 3, 7, 1000, 100000} {
+		th := make([]float64, n)
+		for i := range th {
+			th[i] = float64(i + 1)
+		}
+		run := &Run{thresholds: th}
+		for _, p := range ps {
+			tv := run.TVisibility(p)
+			if got := run.PConsistent(tv); got < p {
+				t.Errorf("n=%d: PConsistent(TVisibility(%v)) = %v < p", n, p, got)
+			}
+			if tv > 1 {
+				if prev := run.PConsistent(tv - 1); prev >= p {
+					t.Errorf("n=%d p=%v: TVisibility = %v, but the previous threshold already reaches %v", n, p, tv, prev)
+				}
+			}
 		}
 	}
 }
