@@ -100,13 +100,38 @@ func scenarios() []scenario {
 	}
 }
 
-// calibrate measures the harness's per-operation overhead distribution: a
-// single-replica cluster with known point-mass delays (d ms on every leg,
-// so every operation costs exactly 2d plus overhead) is driven at the same
-// client concurrency as the scenarios; whatever latency exceeds 2d is
-// harness overhead (client protocol, RPC, goroutine scheduling, timer
-// granularity), measured over the same client the scenarios use.
-func calibrate(t *testing.T) (readOv, writeOv []float64) {
+// shape is the part of a scenario the harness overhead depends on: how
+// many legs an operation fans out to and how many it waits for. The
+// coordinator's own leg is served in process while every other leg
+// crosses the wire, so the overhead is an order statistic over a mix of
+// the two that only the scenario's own node count and N/R/W reproduce.
+type shape struct{ nodes, n, r, w int }
+
+// overhead is one shape's calibrated per-operation overhead samples (ms).
+type overhead struct{ read, write []float64 }
+
+// calibrations caches calibrate per shape within one test, so each
+// distinct shape is calibrated once, just before its first scenario.
+type calibrations map[shape]overhead
+
+func (c calibrations) forScenario(t *testing.T, sc scenario) overhead {
+	t.Helper()
+	k := shape{nodes: sc.nodes, n: sc.n, r: sc.r, w: sc.w}
+	ov, ok := c[k]
+	if !ok {
+		ov = calibrate(t, k)
+		c[k] = ov
+	}
+	return ov
+}
+
+// calibrate measures the harness's per-operation overhead distribution on
+// a cluster of the given shape with known point-mass delays (d ms on
+// every leg, so every operation costs exactly 2d plus overhead), driven at
+// the same client concurrency as the scenarios; whatever latency exceeds
+// 2d is harness overhead (client protocol, RPC, goroutine scheduling,
+// timer granularity), measured over the same client the scenarios use.
+func calibrate(t *testing.T, sh shape) overhead {
 	t.Helper()
 	const d = 5.0
 	pt := dist.LatencyModel{
@@ -114,7 +139,7 @@ func calibrate(t *testing.T) (readOv, writeOv []float64) {
 		W:    dist.Point{V: d}, A: dist.Point{V: d},
 		R: dist.Point{V: d}, S: dist.Point{V: d},
 	}
-	cl, err := server.StartLocal(1, server.Params{N: 1, R: 1, W: 1, Model: &pt, Seed: 1})
+	cl, err := server.StartLocal(sh.nodes, server.Params{N: sh.n, R: sh.r, W: sh.w, Model: &pt, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,10 +164,11 @@ func calibrate(t *testing.T) (readOv, writeOv []float64) {
 		}
 		return out
 	}
-	readOv, writeOv = toOverhead(read), toOverhead(write)
-	t.Logf("calibration: median per-op overhead read %.3f ms, write %.3f ms",
-		stats.Quantiles(readOv, []float64{0.5})[0], stats.Quantiles(writeOv, []float64{0.5})[0])
-	return readOv, writeOv
+	ov := overhead{read: toOverhead(read), write: toOverhead(write)}
+	t.Logf("calibration (%d nodes, N=%d R=%d W=%d): median per-op overhead read %.3f ms, write %.3f ms",
+		sh.nodes, sh.n, sh.r, sh.w,
+		stats.Quantiles(ov.read, []float64{0.5})[0], stats.Quantiles(ov.write, []float64{0.5})[0])
+	return ov
 }
 
 // convolveQuantiles composes predicted latency samples with the measured
@@ -194,12 +220,12 @@ func fmt3(xs []float64) []string {
 // Monte Carlo prediction. Scenarios run sequentially so the shared
 // machine's scheduler noise stays bounded.
 func TestLiveConformance(t *testing.T) {
-	readOv, writeOv := calibrate(t)
+	cal := calibrations{}
 	var totalOps int64
 	for _, sc := range scenarios() {
 		sc := sc
 		t.Run(sc.name, func(t *testing.T) {
-			totalOps += runScenario(t, sc, readOv, writeOv)
+			totalOps += runScenario(t, sc, cal)
 		})
 	}
 	// The acceptance bar is >= 10k operations across >= 4 scenarios; the
@@ -219,7 +245,7 @@ func TestLiveConformance(t *testing.T) {
 // with the ring the nodes coordinate by would send writes to
 // non-coordinators, whose forward hop shows up here as latency drift.
 func TestBinaryClientConformance(t *testing.T) {
-	readOv, writeOv := calibrate(t)
+	cal := calibrations{}
 	picked := map[string]bool{
 		"val-exp20-10-N3-R1W1-readheavy":      true,
 		"prod-lnkd-disk-N3-R1W2-readheavy":    true,
@@ -234,7 +260,7 @@ func TestBinaryClientConformance(t *testing.T) {
 		sc.seed = sc.nodes - 1
 		ran++
 		t.Run(sc.name, func(t *testing.T) {
-			runScenario(t, sc, readOv, writeOv)
+			runScenario(t, sc, cal)
 		})
 	}
 	if ran != len(picked) {
@@ -252,7 +278,7 @@ func TestBinaryClientConformance(t *testing.T) {
 // the same RMSE band, and the strict-quorum cell must still read zero
 // staleness through the batch path.
 func TestBatchedClientConformance(t *testing.T) {
-	readOv, writeOv := calibrate(t)
+	cal := calibrations{}
 	picked := map[string]bool{
 		"val-exp20-10-N3-R1W1-readheavy":      true,
 		"prod-ymmr-N5-R3W3-writeheavy-strict": true,
@@ -266,7 +292,7 @@ func TestBatchedClientConformance(t *testing.T) {
 		sc.batch = 8
 		ran++
 		t.Run(sc.name+"-batch8", func(t *testing.T) {
-			runScenario(t, sc, readOv, writeOv)
+			runScenario(t, sc, cal)
 		})
 	}
 	if ran != len(picked) {
@@ -274,7 +300,8 @@ func TestBatchedClientConformance(t *testing.T) {
 	}
 }
 
-func runScenario(t *testing.T, sc scenario, readOv, writeOv []float64) (ops int64) {
+func runScenario(t *testing.T, sc scenario, cal calibrations) (ops int64) {
+	ov := cal.forScenario(t, sc)
 	model := dist.ScaleModel(sc.model, sc.scale)
 	pred, err := wars.Simulate(wars.NewIID(sc.n, model), wars.Config{R: sc.r, W: sc.w},
 		predictionTrials, rng.New(101))
@@ -346,8 +373,8 @@ func runScenario(t *testing.T, sc scenario, readOv, writeOv []float64) (ops int6
 	wqs := adaptiveQs(len(obsWrite))
 	or := stats.Quantiles(obsRead, rqs)
 	ow := stats.Quantiles(obsWrite, wqs)
-	pr := convolveQuantiles(pred.ReadLatencies(), readOv, rqs, 11)
-	pw := convolveQuantiles(pred.WriteLatencies(), writeOv, wqs, 12)
+	pr := convolveQuantiles(pred.ReadLatencies(), ov.read, rqs, 11)
+	pw := convolveQuantiles(pred.WriteLatencies(), ov.write, wqs, 12)
 	readN, err := stats.NRMSE(pr, or)
 	if err != nil {
 		t.Fatal(err)

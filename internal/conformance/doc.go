@@ -25,8 +25,11 @@
 //     own validation used exponential models.
 //
 // Because the suite measures a real system under a real scheduler, it
-// calibrates the harness's per-operation overhead once (a single-replica
-// cluster with point-mass delays, where any latency beyond the known
-// injected delay is overhead) and composes that overhead distribution with
-// the WARS predictions before comparing.
+// calibrates the harness's per-operation overhead (a cluster with
+// point-mass delays, where any latency beyond the known injected delay is
+// overhead) and composes that overhead distribution with the WARS
+// predictions before comparing. Calibration runs once per cluster shape
+// (node count and N/R/W): a coordinator serves its own replica leg in
+// process and the others over the wire, so the overhead of waiting for
+// R or W of N legs depends on that mix.
 package conformance

@@ -45,6 +45,10 @@ type Engine interface {
 	// local state changed. A durable engine does not return until v is
 	// persisted per its fsync policy.
 	Apply(v Version, now float64) bool
+	// ApplyBatch applies vers in order as Apply would, setting applied[i]
+	// (len(applied) >= len(vers)) to whether vers[i] changed local state.
+	// A durable engine makes the whole batch durable with one commit wait.
+	ApplyBatch(vers []Version, now float64, applied []bool)
 	// Get returns the current version for the key. The boolean reports
 	// whether any record (live or tombstone) exists; callers that care
 	// about visibility must additionally check Version.Tombstone.

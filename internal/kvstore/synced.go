@@ -27,6 +27,15 @@ func (s *Synced) Apply(v Version, now float64) bool {
 	return s.s.Apply(v, now)
 }
 
+// ApplyBatch applies vers in order under one lock hold (see Engine).
+func (s *Synced) ApplyBatch(vers []Version, now float64, applied []bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, v := range vers {
+		applied[i] = s.s.Apply(v, now)
+	}
+}
+
 // Get returns the current version for the key (see Store.Get).
 func (s *Synced) Get(key string) (Version, bool) {
 	s.mu.Lock()

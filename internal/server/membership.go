@@ -31,7 +31,8 @@ import (
 type memView struct {
 	m *ring.Membership
 	// peers maps member ID to its fault-wrapped internal RPC client (self
-	// included — a coordinator fans out to itself over the transport too).
+	// included — a coordinator fans out to itself through the same fault
+	// layer and codec, its data legs served in process).
 	peers map[int]Peer
 }
 
@@ -63,9 +64,14 @@ func (n *Node) prefs(v *memView, key string) []int {
 }
 
 // mkPeer builds the fault-wrapped RPC client for one member as seen from
-// this node.
+// this node. The client for this node itself serves its data legs in
+// process through handlePeerOp; its control plane still rides the mux.
 func (n *Node) mkPeer(to int, internalAddr string) Peer {
-	return &faultPeer{f: n.faults, from: n.id, to: to, next: newPeer(internalAddr)}
+	p := newPeer(internalAddr)
+	if to == n.id {
+		p.local = n.handlePeerOp
+	}
+	return &faultPeer{f: n.faults, from: n.id, to: to, next: p}
 }
 
 // closePeer tears down one member's pooled connections.

@@ -8,9 +8,14 @@ package server
 // interposes a fault layer (faults.go) between the coordinator and the
 // transport. Behind the seam a peer holds connections of two roles to its
 // replica: peer-role connections carry every method but ForwardWrite,
-// forward-role connections carry ForwardWrite. The fault-free path adds
-// one interface dispatch and a nil check per RPC, preserving the WARS
-// measurement semantics the conformance suite pins.
+// forward-role connections carry ForwardWrite. The peer a node builds for
+// itself serves its own replica legs (Apply, ApplyHinted, GetVersion,
+// Ping and the batched forms) in process instead: still behind the fault
+// layer, still encoded, served by handlePeerOp and decoded with the same
+// codec, but without a socket round trip to itself; its control-plane
+// methods keep the mux. The fault-free path adds one interface dispatch
+// and a nil check per RPC, preserving the WARS measurement semantics the
+// conformance suite pins.
 
 import "pbs/internal/kvstore"
 

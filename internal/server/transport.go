@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
 	"time"
 
 	"pbs/internal/kvstore"
@@ -268,6 +269,22 @@ func (n *Node) applyResponse(key string, applied bool, buf []byte) []byte {
 	return binary.BigEndian.AppendUint64(out, cur.Seq)
 }
 
+// applyBatchScratch is the reusable decode space of one batched apply.
+type applyBatchScratch struct {
+	vers    []kvstore.Version
+	applied []bool
+}
+
+var applyBatchPool = sync.Pool{New: func() any { return new(applyBatchScratch) }}
+
+// release drops the decoded versions (so the pool pins no values) and
+// repools the scratch.
+func (sc *applyBatchScratch) release() {
+	clear(sc.vers)
+	sc.vers = sc.vers[:0]
+	applyBatchPool.Put(sc)
+}
+
 // --- server side -------------------------------------------------------
 
 // role is what a connection's hello fixes: the opcode table that serves
@@ -392,8 +409,13 @@ func (n *Node) serveConn(conn net.Conn) {
 // append their response to it, cold ops ignore it). Crashed replicas
 // refuse every request: fault injection interposes on the sender side
 // (peers.go), and this server-side check keeps the crash airtight for
-// callers that reach the TCP endpoint directly.
+// callers that reach the TCP endpoint directly. A closed node refuses too:
+// Close cuts its connections, and this check does the same for the legs
+// its own coordinator serves in process (peer.local).
 func (n *Node) handlePeerOp(op byte, payload, buf []byte) (status byte, resp []byte) {
+	if n.closed.Load() {
+		return statusErr, []byte("server: node closed")
+	}
 	if n.faults.Down(n.id) {
 		return statusErr, []byte(ErrReplicaDown.Error())
 	}
@@ -448,17 +470,25 @@ func (n *Node) handlePeerOp(op byte, payload, buf []byte) (status byte, resp []b
 		}
 		return statusOK, encodeVersion(out, v)
 	case opApplyBatch:
+		// The whole batch goes to the engine at once, so a durable replica
+		// makes it durable with one group commit rather than one per version.
 		count := int(d.u16())
 		if d.err != nil || count == 0 || count > maxBatchOps {
 			return statusErr, []byte("server: malformed batch apply")
 		}
-		out := buf
+		sc := applyBatchPool.Get().(*applyBatchScratch)
+		defer sc.release()
 		for i := 0; i < count; i++ {
-			v := d.version()
-			if d.err != nil {
-				return statusErr, []byte(d.err.Error())
-			}
-			out = n.applyResponse(v.Key, n.applyLocal(v), out)
+			sc.vers = append(sc.vers, d.version())
+		}
+		if d.err != nil {
+			return statusErr, []byte(d.err.Error())
+		}
+		sc.applied = append(sc.applied[:0], make([]bool, count)...)
+		n.store.ApplyBatch(sc.vers, n.nowMs(), sc.applied)
+		out := buf
+		for i, v := range sc.vers {
+			out = n.applyResponse(v.Key, sc.applied[i], out)
 		}
 		return statusOK, out
 	case opGetBatch:
@@ -579,6 +609,11 @@ func (n *Node) handlePeerOp(op byte, payload, buf []byte) (status byte, resp []b
 type peer struct {
 	legs connSlots
 	fwd  connSlots
+	// local is set only on the peer a node builds for itself (mkPeer): its
+	// own opcode table, which serves the coordinator's own replica legs
+	// (legOp) in process — encoded, served and decoded as over the wire,
+	// without the socket round trip to itself.
+	local func(op byte, payload, buf []byte) (status byte, resp []byte)
 }
 
 func newPeer(addr string) *peer {
@@ -596,8 +631,12 @@ func newPeer(addr string) *peer {
 // mid-restart without the reader noticing yet, and every peer op is
 // idempotent. A failed dial is not retried: that failure is real. The
 // enqueued buffer is owned by the connection's writer loop, so the retry
-// re-encodes rather than resends.
+// re-encodes rather than resends. On a node's own peer, data legs skip the
+// connection and are served in process (localRPC).
 func (p *peer) muxRPC(op byte, sizeHint int, enc func([]byte) []byte) ([]byte, error) {
+	if p.local != nil && legOp(op) {
+		return p.localRPC(op, sizeHint, enc)
+	}
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		mc, err := p.legs.conn()
@@ -624,6 +663,38 @@ func (p *peer) muxRPC(op byte, sizeHint int, enc func([]byte) []byte) ([]byte, e
 		return resp, nil
 	}
 	return nil, lastErr
+}
+
+// legOp reports whether op is a replica data leg: an op that only reads
+// or writes local replica state, never waits on another node or on a lock
+// its caller may hold, and so may be served in the caller's goroutine.
+// The control plane (Merkle, join, membership, gossip, the config log,
+// range streaming) is not.
+func legOp(op byte) bool {
+	switch op {
+	case opApply, opApplyHint, opGet, opApplyBatch, opGetBatch, opPing:
+		return true
+	}
+	return false
+}
+
+// localRPC is muxRPC for a node's own replica leg: the request is encoded
+// into a pooled buffer, served by the local opcode table into another, and
+// returned for the caller's usual decode and putBuf.
+func (p *peer) localRPC(op byte, sizeHint int, enc func([]byte) []byte) ([]byte, error) {
+	var payload []byte
+	if enc != nil {
+		payload = enc(getBuf(sizeHint)[:0])
+	}
+	buf := getBuf(64)
+	status, resp := p.local(op, payload, buf[:0])
+	putBuf(payload)
+	if status != statusOK {
+		err := fmt.Errorf("server: peer %s: %s", p.legs.addr, resp)
+		putBuf(buf)
+		return nil, err
+	}
+	return resp, nil
 }
 
 // ctrlRPC is muxRPC for the control plane: payload is copied into the

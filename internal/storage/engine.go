@@ -9,9 +9,11 @@
 //
 // Write path: Apply checks newness against the merged view, stages the
 // record to the WAL, updates the memtable, then (outside the engine lock)
-// waits for the WAL commit per the fsync policy. Read path: memtable →
-// frozen memtable → SSTables newest-first; the first hit is the newest
-// record because Apply only ever admits strictly newer sequence numbers.
+// waits for the WAL commit per the fsync policy; ApplyBatch stages a whole
+// replica batch leg the same way and waits for one commit. Read path:
+// memtable → frozen memtable → SSTables newest-first; the first hit is the
+// newest record because Apply only ever admits strictly newer sequence
+// numbers.
 // Deletes are tombstone versions that flow through this pipeline — and
 // through replication, handoff and anti-entropy — like any other write.
 //
@@ -189,6 +191,31 @@ func (e *Engine) Apply(v kvstore.Version, now float64) bool {
 		e.wal.commit(tok)
 	}
 	return applied
+}
+
+// ApplyBatch stages every version of vers under one engine lock hold, then
+// waits for one group commit: tokens are monotonic across WAL rotations,
+// so committing the highest staged one covers the whole batch. A failed
+// token has nothing to wait for, so it must not stand in for the others.
+func (e *Engine) ApplyBatch(vers []kvstore.Version, now float64, applied []bool) {
+	e.mu.Lock()
+	if e.closed {
+		e.mu.Unlock()
+		clear(applied[:len(vers)])
+		return
+	}
+	var last walToken
+	for i, v := range vers {
+		tok, ok := e.applyLocked(v, now)
+		applied[i] = ok
+		if ok && !tok.failed {
+			last = tok
+		}
+	}
+	e.mu.Unlock()
+	if last.n > 0 {
+		e.wal.commit(last)
+	}
 }
 
 // applyLocked stages v if it is newer than the merged view. Caller holds

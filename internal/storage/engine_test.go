@@ -327,3 +327,69 @@ func TestEngineCloseReopenDuringBackgroundWork(t *testing.T) {
 		}
 	}
 }
+
+// TestEngineApplyBatchOneGroupCommit: a 64-version batch on a fresh
+// FsyncAlways engine costs exactly one fsync, answers per version exactly
+// as sequential Apply does (stale duplicates included), and survives
+// close and reopen.
+func TestEngineApplyBatchOneGroupCommit(t *testing.T) {
+	dir := t.TempDir()
+	e, err := Open(Options{Dir: dir, Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqRef := kvstore.NewSynced()
+	var pre []kvstore.Version
+	for i := 0; i < 8; i++ {
+		pre = append(pre, kvstore.Version{Key: fmt.Sprintf("k%d", i), Seq: 10, Value: "old"})
+	}
+	for _, v := range pre {
+		e.Apply(v, 0)
+		seqRef.Apply(v, 0)
+	}
+	vers := make([]kvstore.Version, 64)
+	for i := range vers {
+		// k0..k7 already hold seq 10: even ones get a stale seq 5, odd ones
+		// a newer seq 20; the batch also repeats k40 (stale second copy)
+		// and writes k41 as a tombstone.
+		seq := uint64(20)
+		if i < 8 && i%2 == 0 {
+			seq = 5
+		}
+		vers[i] = kvstore.Version{Key: fmt.Sprintf("k%d", i), Seq: seq, Value: fmt.Sprintf("v%d", i)}
+	}
+	vers[40] = kvstore.Version{Key: "k40", Seq: 30, Value: "v40"}
+	vers[63] = kvstore.Version{Key: "k40", Seq: 25, Value: "stale"}
+	vers[41].Tombstone = true
+	vers[41].Value = ""
+
+	before := e.Metrics().WALSyncs
+	applied := make([]bool, len(vers))
+	e.ApplyBatch(vers, 1, applied)
+	if got := e.Metrics().WALSyncs - before; got != 1 {
+		t.Errorf("64-version batch cost %d fsyncs, want 1", got)
+	}
+	for i, v := range vers {
+		if want := seqRef.Apply(v, 1); applied[i] != want {
+			t.Errorf("batch entry %d (%s seq %d): applied %v, sequential Apply %v", i, v.Key, v.Seq, applied[i], want)
+		}
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := Open(Options{Dir: dir, Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for _, want := range seqRef.Versions() {
+		got, found := r.Get(want.Key)
+		if !found || got.Seq != want.Seq || got.Value != want.Value || got.Tombstone != want.Tombstone {
+			t.Errorf("after reopen %s = %+v (found %v), want %+v", want.Key, got, found, want)
+		}
+	}
+	if n := r.Len(); n != seqRef.Len() {
+		t.Errorf("reopened engine holds %d keys, want %d", n, seqRef.Len())
+	}
+}
