@@ -53,6 +53,10 @@ type Engine interface {
 	// whether any record (live or tombstone) exists; callers that care
 	// about visibility must additionally check Version.Tombstone.
 	Get(key string) (Version, bool)
+	// GetBytes is Get for a key held as bytes — a frame being decoded. The
+	// lookup does not copy the key; on a miss the zero Version is returned,
+	// Key included.
+	GetBytes(key []byte) (Version, bool)
 	// Seq returns the current sequence number for the key (0 when the key
 	// is unknown).
 	Seq(key string) uint64
@@ -130,6 +134,16 @@ func (s *Store) Get(key string) (Version, bool) {
 		return Version{Key: key}, false
 	}
 	return v, true
+}
+
+// GetBytes is Get for a key held as bytes: the map lookup does not copy
+// the key, and a miss returns the zero Version.
+func (s *Store) GetBytes(key []byte) (Version, bool) {
+	v, ok := s.data[string(key)]
+	if !ok {
+		s.overread++
+	}
+	return v, ok
 }
 
 // Seq returns the replica's current sequence number for the key (0 when

@@ -43,6 +43,13 @@ func (s *Synced) Get(key string) (Version, bool) {
 	return s.s.Get(key)
 }
 
+// GetBytes is Get for a key held as bytes (see Store.GetBytes).
+func (s *Synced) GetBytes(key []byte) (Version, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.s.GetBytes(key)
+}
+
 // Seq returns the current sequence number for the key.
 func (s *Synced) Seq(key string) uint64 {
 	s.mu.Lock()

@@ -167,6 +167,12 @@ func (m *Membership) PreferenceList(key string, n int) []int {
 	return m.ring.PreferenceList(key, n)
 }
 
+// AppendPreferenceList appends the first n distinct member IDs clockwise
+// from circle position h (a key's Hash) to dst (Ring.AppendPreferenceList).
+func (m *Membership) AppendPreferenceList(dst []int, h uint64, n int) []int {
+	return m.ring.AppendPreferenceList(dst, h, n)
+}
+
 // Coordinator returns the key's primary coordinator under this view.
 func (m *Membership) Coordinator(key string) int {
 	return m.ring.Coordinator(key)

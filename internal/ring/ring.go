@@ -8,8 +8,9 @@ package ring
 
 import (
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sort"
+	"strconv"
 )
 
 // vnode is one virtual point on the circle.
@@ -63,8 +64,14 @@ func NewWithIDs(ids []int, vnodesPerNode int) *Ring {
 			panic(fmt.Sprintf("ring: duplicate node id %d", id))
 		}
 		seen[id] = true
+		// The vnode name "node-<id>#vnode-<v>" is built in a stack buffer:
+		// a ring is rebuilt for every membership a node absorbs, gossip
+		// included, and a heap string per vnode was most of that cost.
+		var name [64]byte
+		prefix := strconv.AppendInt(append(name[:0], "node-"...), int64(id), 10)
+		prefix = append(prefix, "#vnode-"...)
 		for v := 0; v < vnodesPerNode; v++ {
-			h := hashString(fmt.Sprintf("node-%d#vnode-%d", id, v))
+			h := Hash(strconv.AppendInt(prefix, int64(v), 10))
 			r.points = append(r.points, vnode{hash: h, node: id})
 		}
 	}
@@ -80,14 +87,21 @@ func NewWithIDs(ids []int, vnodesPerNode int) *Ring {
 // Nodes returns the number of physical nodes.
 func (r *Ring) Nodes() int { return r.nodes }
 
-// hashString hashes a key onto the circle: FNV-1a followed by a SplitMix64
+// Hash places a key on the circle: FNV-1a followed by a SplitMix64
 // finalizer. Raw FNV-1a clusters badly on short, similar strings (e.g.
 // "node-1#vnode-2"), which skews arc ownership; the avalanche step restores
-// uniformity.
-func hashString(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	z := h.Sum64()
+// uniformity. A key held as bytes (a frame being decoded) hashes to the
+// same point as its string, without a copy.
+func Hash[K ~string | ~[]byte](key K) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	z := uint64(offset64)
+	for i := 0; i < len(key); i++ {
+		z ^= uint64(key[i])
+		z *= prime64
+	}
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
@@ -96,30 +110,37 @@ func hashString(s string) uint64 {
 // PreferenceList returns the first n distinct physical nodes clockwise from
 // the key's position. It panics if n exceeds the number of physical nodes.
 func (r *Ring) PreferenceList(key string, n int) []int {
+	return r.AppendPreferenceList(nil, Hash(key), n)
+}
+
+// AppendPreferenceList appends the first n distinct physical nodes
+// clockwise from circle position h (a key's Hash) to dst and returns the
+// extended slice; with room for n in dst it allocates nothing, which is
+// how the serving path asks once per operation. It panics if n exceeds
+// the number of physical nodes.
+func (r *Ring) AppendPreferenceList(dst []int, h uint64, n int) []int {
 	if n > r.nodes {
 		panic("ring: preference list larger than cluster")
 	}
 	if n < 1 {
 		panic("ring: preference list must have at least one node")
 	}
-	h := hashString(key)
+	base := len(dst)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]int, 0, n)
-	seen := make(map[int]bool, n)
-	for i := 0; len(out) < n; i++ {
+	for i := 0; len(dst)-base < n; i++ {
 		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.node] {
-			seen[p.node] = true
-			out = append(out, p.node)
+		if !slices.Contains(dst[base:], p.node) {
+			dst = append(dst, p.node)
 		}
 	}
-	return out
+	return dst
 }
 
 // Coordinator returns the first node in the key's preference list, the
 // node Dynamo designates to establish version ordering for the key.
 func (r *Ring) Coordinator(key string) int {
-	return r.PreferenceList(key, 1)[0]
+	var one [1]int
+	return r.AppendPreferenceList(one[:0], Hash(key), 1)[0]
 }
 
 // LoadBalance measures ownership balance: it hashes `samples` synthetic keys

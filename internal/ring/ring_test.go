@@ -2,6 +2,9 @@ package ring
 
 import (
 	"fmt"
+	"hash/fnv"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -119,5 +122,61 @@ func TestSingleNodeRing(t *testing.T) {
 	}
 	if got := r.PreferenceList("x", 1); len(got) != 1 || got[0] != 0 {
 		t.Fatal("single node preference list")
+	}
+}
+
+// TestVnodePointsMatchSprintfNames pins the circle to its original
+// construction: every vnode sits at the FNV-1a + SplitMix64 hash of the
+// name fmt.Sprintf("node-%d#vnode-%d", id, v), whatever the ID set, so
+// building names in a stack buffer moved no point and no key.
+func TestVnodePointsMatchSprintfNames(t *testing.T) {
+	ref := func(s string) uint64 {
+		h := fnv.New64a()
+		h.Write([]byte(s))
+		z := h.Sum64()
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		return z ^ (z >> 31)
+	}
+	for _, ids := range [][]int{{0}, {0, 1, 2}, {4, 17, 9}, {1 << 20, 3, 1<<31 - 1}, {0, 1, 2, 3, 4, 5, 6, 7}} {
+		for _, vnodes := range []int{1, 16, 64} {
+			r := NewWithIDs(ids, vnodes)
+			want := make([]vnode, 0, len(ids)*vnodes)
+			for _, id := range ids {
+				for v := 0; v < vnodes; v++ {
+					want = append(want, vnode{hash: ref(fmt.Sprintf("node-%d#vnode-%d", id, v)), node: id})
+				}
+			}
+			sort.Slice(want, func(i, j int) bool {
+				if want[i].hash != want[j].hash {
+					return want[i].hash < want[j].hash
+				}
+				return want[i].node < want[j].node
+			})
+			if !slices.Equal(r.points, want) {
+				t.Fatalf("ids %v vnodes %d: ring points differ from the Sprintf construction", ids, vnodes)
+			}
+		}
+	}
+	if Hash("node-1#vnode-2") != Hash([]byte("node-1#vnode-2")) || Hash("k") != ref("k") {
+		t.Fatal("Hash disagrees between string and bytes or with FNV-1a + SplitMix64")
+	}
+}
+
+// TestAppendPreferenceListAllocs: with room in the caller's scratch, the
+// preference list and the coordinator cost no allocation, and the appended
+// list equals PreferenceList's.
+func TestAppendPreferenceListAllocs(t *testing.T) {
+	r := New(5, 64)
+	key := []byte("user:42")
+	var buf [8]int
+	if got, want := r.AppendPreferenceList(buf[:0], Hash(key), 3), r.PreferenceList(string(key), 3); !slices.Equal(got, want) {
+		t.Fatalf("AppendPreferenceList = %v, PreferenceList = %v", got, want)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		r.AppendPreferenceList(buf[:0], Hash(key), 5)
+		r.Coordinator("user:42")
+	}); a != 0 {
+		t.Fatalf("AppendPreferenceList + Coordinator: %.1f allocs, want 0", a)
 	}
 }

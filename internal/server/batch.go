@@ -14,11 +14,13 @@ package server
 // twin.
 
 import (
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"pbs/internal/kvstore"
+	"pbs/internal/ring"
 )
 
 // maxBatchOps bounds one client batch.
@@ -36,16 +38,11 @@ type BatchPutOp struct {
 	Tombstone bool
 }
 
-// batchPutOut / batchGetOut carry one key's outcome in front-end-neutral
-// form (same split as the single-key entry points): exactly one of the
-// response and the typed error is set.
+// batchPutOut carries one write's outcome in front-end-neutral form (same
+// split as the single-key entry points): exactly one of the response and
+// the typed error is set.
 type batchPutOut struct {
 	pr PutResponse
-	oe *opError
-}
-
-type batchGetOut struct {
-	gr GetResponse
 	oe *opError
 }
 
@@ -96,51 +93,38 @@ func batchLegFor(legs *[]*legTask, n *Node, v *memView, id int, read bool) *legT
 	return t
 }
 
-// coordinateMGet answers a batched read: one entry per key, in input
-// order, each carrying either a GetResponse or its own typed failure (one
-// key's quorum failure does not fail the batch).
-func (n *Node) coordinateMGet(keys []string) []batchGetOut {
-	outs := make([]batchGetOut, len(keys))
-	todo := make([]int, 0, len(keys))
-	for i, key := range keys {
-		if key == "" {
-			outs[i].oe = errBadRequest("server: empty key")
-			continue
-		}
-		todo = append(todo, i)
-	}
+// coordinateMGet answers a batched read, appending to dst the count and
+// one verdict per key, in input order (the opClientMGet response body):
+// each a client GET body or the key's own typed failure (one key's quorum
+// failure does not fail the batch). keys may alias the client's request
+// frame: each key's read state keeps its own copy.
+func (n *Node) coordinateMGet(keys [][]byte, dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(keys)))
 	v := n.view()
-	if v == nil {
-		oe := errUnavailable("server: node has no membership yet")
-		for _, i := range todo {
-			outs[i].oe = oe
-		}
-		return outs
-	}
-	n.coordReads.Add(int64(len(todo)))
 	quorumR := int(n.rq.Load())
 	start := time.Now()
 	rss := make([]*readState, len(keys))
 	var legs []*legTask
-	for _, i := range todo {
-		prefs := n.prefs(v, keys[i])
-		q := quorumR
-		if q > len(prefs) {
-			q = len(prefs)
+	var pbuf [maxStackPrefs]int
+	for i, key := range keys {
+		if len(key) == 0 || v == nil {
+			continue
 		}
-		rs := n.newReadState(v, q, len(prefs))
+		n.coordReads.Add(1)
+		prefs := n.prefs(pbuf[:0], v, ring.Hash(key))
+		rs := n.newReadState(v, key, min(quorumR, len(prefs)), len(prefs))
 		rss[i] = rs
 		var spares *sparePicker
 		if n.params.SloppyQuorum {
-			spares = n.sparePicker(v, keys[i])
+			spares = n.sparePicker(v, string(key))
 		}
 		for _, id := range prefs {
 			if pre, post := n.inj.readLeg(); pre > 0 || post > 0 || spares != nil {
-				n.submitReadLeg(v, id, keys[i], spares, rs, pre, post)
+				n.submitReadLeg(v, id, spares, rs, pre, post)
 				continue
 			}
 			t := batchLegFor(&legs, n, v, id, true)
-			t.bkeys = append(t.bkeys, keys[i])
+			t.bkeys = append(t.bkeys, rs.key)
 			t.brs = append(t.brs, rs)
 		}
 	}
@@ -150,37 +134,27 @@ func (n *Node) coordinateMGet(keys []string) []batchGetOut {
 	// Harvest verdicts in input order. The waits overlap (every leg is
 	// already in flight), so the walk costs the slowest key, not the sum;
 	// each key's latency ends at its own quorum signal.
-	for _, i := range todo {
-		rs := rss[i]
+	for i, rs := range rss {
+		switch {
+		case len(keys[i]) == 0:
+			dst = appendVerdictErr(dst, errBadRequest("server: empty key"))
+			continue
+		case v == nil:
+			dst = appendVerdictErr(dst, errUnavailable("server: node has no membership yet"))
+			continue
+		}
 		<-rs.waiter
-		answered := rs.signaledAt
-		best, found, ok, finalizeNow := rs.answer()
+		out, ok, finalizeNow := rs.answer(append(dst, 0), durationMs(rs.signaledAt.Sub(start)))
 		if !ok {
 			n.failedOps.Add(1)
-			outs[i].oe = errQuorumFailed("server: read quorum not reached")
+			dst = appendVerdictErr(dst, errQuorumFailed("server: read quorum not reached"))
 			rs.release()
 			continue
 		}
-		outs[i].gr = GetResponse{
-			Found:   found && !best.Tombstone,
-			Seq:     best.Seq,
-			Value:   best.Value,
-			CoordMs: durationMs(answered.Sub(start)),
-			Node:    n.id,
-		}
-		if finalizeNow {
-			if n.params.ReadRepair {
-				go func(rs *readState) {
-					rs.finalize()
-					rs.release()
-				}(rs)
-			} else {
-				rs.finalize()
-				rs.release()
-			}
-		}
+		dst = out
+		rs.finish(finalizeNow)
 	}
-	return outs
+	return dst
 }
 
 // coordinateMPut answers a batched write: one entry per op, in input
@@ -237,6 +211,7 @@ func (n *Node) coordinateMPut(ops []BatchPutOp) []batchPutOut {
 	start := time.Now()
 	wss := make([]*writeState, len(ops))
 	var legs []*legTask
+	var pbuf [maxStackPrefs]int
 	for _, i := range local {
 		seq := n.nextSeq(ops[i].Key, false)
 		ver := kvstore.Version{
@@ -245,7 +220,7 @@ func (n *Node) coordinateMPut(ops []BatchPutOp) []batchPutOut {
 			Value:     ops[i].Value,
 			Tombstone: ops[i].Tombstone,
 		}
-		prefs := n.prefs(v, ops[i].Key)
+		prefs := n.prefs(pbuf[:0], v, ring.Hash(ops[i].Key))
 		q := quorumW
 		if q > len(prefs) {
 			q = len(prefs)

@@ -165,17 +165,21 @@ func decodeClientPutBody(body []byte) (PutResponse, error) {
 
 const clientGetFlagFound = 1
 
-func appendClientGetResponse(b []byte, epoch uint64, gr GetResponse) []byte {
-	b = binary.BigEndian.AppendUint64(b, epoch)
+// appendClientGetBody appends the op-specific body of a get response —
+// flags u8 | seq u64 | coordMs f64 | node u32 | value string32 — the body
+// of an opClientGet answer and of each successful opClientMGet verdict.
+// The coordinator appends it straight from the winning replica's answer
+// (readState.answer).
+func appendClientGetBody(b []byte, found bool, seq uint64, coordMs float64, node int, value []byte) []byte {
 	var flags byte
-	if gr.Found {
+	if found {
 		flags |= clientGetFlagFound
 	}
 	b = append(b, flags)
-	b = binary.BigEndian.AppendUint64(b, gr.Seq)
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(gr.CoordMs))
-	b = binary.BigEndian.AppendUint32(b, uint32(gr.Node))
-	return appendString32(b, gr.Value)
+	b = binary.BigEndian.AppendUint64(b, seq)
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(coordMs))
+	b = binary.BigEndian.AppendUint32(b, uint32(node))
+	return appendString32(b, value)
 }
 
 func decodeClientGetBody(body []byte) (GetResponse, error) {
@@ -214,13 +218,18 @@ type BatchGetResult struct {
 	Err  *ClientError
 }
 
+// appendVerdictErr appends a failed batch entry: its code as the verdict,
+// then its message.
+func appendVerdictErr(b []byte, oe *opError) []byte {
+	return appendString16(append(b, oe.code), oe.msg)
+}
+
 func appendClientMPutResponse(b []byte, epoch uint64, outs []batchPutOut) []byte {
 	b = binary.BigEndian.AppendUint64(b, epoch)
 	b = binary.BigEndian.AppendUint16(b, uint16(len(outs)))
 	for i := range outs {
 		if oe := outs[i].oe; oe != nil {
-			b = append(b, oe.code)
-			b = appendString16(b, oe.msg)
+			b = appendVerdictErr(b, oe)
 			continue
 		}
 		pr := outs[i].pr
@@ -257,30 +266,6 @@ func decodeClientMPutBody(body []byte) ([]BatchPutResult, error) {
 		return nil, fmt.Errorf("server: malformed batch put response: %w", d.err)
 	}
 	return outs, nil
-}
-
-func appendClientMGetResponse(b []byte, epoch uint64, outs []batchGetOut) []byte {
-	b = binary.BigEndian.AppendUint64(b, epoch)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(outs)))
-	for i := range outs {
-		if oe := outs[i].oe; oe != nil {
-			b = append(b, oe.code)
-			b = appendString16(b, oe.msg)
-			continue
-		}
-		gr := outs[i].gr
-		b = append(b, 0)
-		var flags byte
-		if gr.Found {
-			flags |= clientGetFlagFound
-		}
-		b = append(b, flags)
-		b = binary.BigEndian.AppendUint64(b, gr.Seq)
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(gr.CoordMs))
-		b = binary.BigEndian.AppendUint32(b, uint32(gr.Node))
-		b = appendString32(b, gr.Value)
-	}
-	return b
 }
 
 func decodeClientMGetBody(body []byte) ([]BatchGetResult, error) {
@@ -332,14 +317,15 @@ func decodeBatchPutOps(d *decoder) ([]BatchPutOp, *opError) {
 	return ops, nil
 }
 
-func decodeBatchKeys(d *decoder) ([]string, *opError) {
+// decodeBatchKeys parses an opClientMGet payload; the keys alias it.
+func decodeBatchKeys(d *decoder) ([][]byte, *opError) {
 	count := int(d.u16())
 	if d.err != nil || count == 0 || count > maxBatchOps {
 		return nil, errBadRequest("server: malformed batch request")
 	}
-	keys := make([]string, count)
+	keys := make([][]byte, count)
 	for i := range keys {
-		keys[i] = d.string16()
+		keys[i] = d.bytes16()
 	}
 	if d.err != nil {
 		return nil, errBadRequest("server: malformed batch request")
@@ -418,15 +404,16 @@ func (n *Node) handleClientOp(op byte, payload, buf []byte) (byte, []byte) {
 		}
 		return n.serveWrite(epoch, buf, key, value, op == opClientDelete, 0)
 	case opClientGet:
-		key := d.string16()
-		if d.err != nil || key == "" {
+		// The key stays in the request frame, which outlives this call.
+		key := d.bytes16()
+		if d.err != nil || len(key) == 0 {
 			return clientFail(epoch, buf, errBadRequest("server: malformed client request"))
 		}
-		gr, oe := n.coordinateGetOp(key)
+		out, oe := n.coordinateGetOp(key, binary.BigEndian.AppendUint64(buf[:0], epoch))
 		if oe != nil {
 			return clientFail(epoch, buf, oe)
 		}
-		return statusClientOK, appendClientGetResponse(buf[:0], epoch, gr)
+		return statusClientOK, out
 	case opClientMPut:
 		ops, oe := decodeBatchPutOps(d)
 		if oe != nil {
@@ -438,7 +425,7 @@ func (n *Node) handleClientOp(op byte, payload, buf []byte) (byte, []byte) {
 		if oe != nil {
 			return clientFail(epoch, buf, oe)
 		}
-		return statusClientOK, appendClientMGetResponse(buf[:0], epoch, n.coordinateMGet(keys))
+		return statusClientOK, n.coordinateMGet(keys, binary.BigEndian.AppendUint64(buf[:0], epoch))
 	case opClientConfig:
 		cfg, oe := n.configLocal()
 		if oe != nil {

@@ -26,6 +26,7 @@ package server
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -152,12 +153,12 @@ func (n *Node) submitWriteLeg(v *memView, target int, ver kvstore.Version, spare
 	n.submitLeg(target, t)
 }
 
-// submitReadLeg sends one single-key read leg to target with its injected
-// R/S delays and sloppy-quorum spares.
-func (n *Node) submitReadLeg(v *memView, target int, key string, spares *sparePicker, rs *readState, pre, post time.Duration) {
+// submitReadLeg sends one single-key read leg for rs's key to target with
+// its injected R/S delays and sloppy-quorum spares.
+func (n *Node) submitReadLeg(v *memView, target int, spares *sparePicker, rs *readState, pre, post time.Duration) {
 	t := newLegTask()
 	t.n, t.view, t.target, t.read = n, v, target, true
-	t.key, t.spares, t.rs = key, spares, rs
+	t.spares, t.rs = spares, rs
 	t.pre, t.post = pre, post
 	n.submitLeg(target, t)
 }
@@ -177,16 +178,17 @@ type legTask struct {
 	// Write legs.
 	ver kvstore.Version
 	ws  *writeState
-	// Read legs.
-	key string
-	rs  *readState
+	// Read legs: the key is rs.key.
+	rs *readState
 
 	// Batched legs (coordinateMGet/coordinateMPut): index-aligned per-key
-	// slices, capacity preserved across pool cycles.
-	bvers []kvstore.Version
-	bws   []*writeState
-	bkeys []string
-	brs   []*readState
+	// slices, capacity preserved across pool cycles. bkeys alias each read
+	// state's own key; bresps is the answers' scratch.
+	bvers  []kvstore.Version
+	bws    []*writeState
+	bkeys  [][]byte
+	brs    []*readState
+	bresps []readResp
 
 	spares *sparePicker
 
@@ -194,7 +196,8 @@ type legTask struct {
 	// post holds its outcome back after (A or S). timer serves both; it is
 	// made on a task's first delay and kept across pool cycles, so
 	// un-injected tasks never carry one. waited marks pre as served, done
-	// that the RPC ran and its outcome (ok or rr) awaits delivery.
+	// that the RPC ran and its outcome (ok or rr) awaits delivery; rr owns
+	// its answer's buffer until deliver hands it to the read state.
 	pre, post time.Duration
 	timer     *time.Timer
 	waited    bool
@@ -241,7 +244,8 @@ func (t *legTask) run() {
 	var ok bool
 	switch {
 	case t.batch && t.read:
-		n.runReadBatchLeg(t.view, t.target, t.bkeys, t.brs, sent)
+		t.bresps = slices.Grow(t.bresps[:0], len(t.bkeys))[:len(t.bkeys)]
+		n.runReadBatchLeg(t.view, t.target, t.bkeys, t.brs, t.bresps, sent)
 		t.release()
 		return
 	case t.batch:
@@ -249,7 +253,7 @@ func (t *legTask) run() {
 		t.release()
 		return
 	case t.read:
-		t.rr = n.readReplica(t.view, t.target, t.key, t.spares)
+		t.rr = n.readReplica(t.view, t.target, t.rs.key, t.spares)
 		ok = t.rr.err == nil
 	default:
 		t.ok = n.deliverWrite(t.view, t.target, t.ver, t.spares)
@@ -278,24 +282,19 @@ func (t *legTask) deliver() {
 }
 
 // release clears the task and returns it to the pool, zeroing the batch
-// slices' elements (they hold strings and pooled state pointers) while
-// keeping their capacity — the per-peer grouping buffers are the batch
-// path's hottest allocation — and keeping the timer.
+// slices' elements (they hold strings, keys and pooled state pointers)
+// while keeping their capacity — the per-peer grouping buffers are the
+// batch path's hottest allocation — and keeping the timer. Every answer
+// buffer has moved to its read state by now (deliver, runReadBatchLeg), so
+// none is released here.
 func (t *legTask) release() {
-	for i := range t.bvers {
-		t.bvers[i] = kvstore.Version{}
-	}
-	for i := range t.bws {
-		t.bws[i] = nil
-	}
-	for i := range t.bkeys {
-		t.bkeys[i] = ""
-	}
-	for i := range t.brs {
-		t.brs[i] = nil
-	}
-	bvers, bws, bkeys, brs := t.bvers[:0], t.bws[:0], t.bkeys[:0], t.brs[:0]
-	*t = legTask{bvers: bvers, bws: bws, bkeys: bkeys, brs: brs, timer: t.timer}
+	clear(t.bvers)
+	clear(t.bws)
+	clear(t.bkeys)
+	clear(t.brs)
+	clear(t.bresps)
+	bvers, bws, bkeys, brs, bresps := t.bvers[:0], t.bws[:0], t.bkeys[:0], t.brs[:0], t.bresps[:0]
+	*t = legTask{bvers: bvers, bws: bws, bkeys: bkeys, brs: brs, bresps: bresps, timer: t.timer}
 	legTaskPool.Put(t)
 }
 
@@ -328,12 +327,14 @@ func (n *Node) runWriteBatchLeg(v *memView, target int, vers []kvstore.Version, 
 }
 
 // runReadBatchLeg performs one peer's share of a batched read fan-out as a
-// single GetVersionBatch round trip, distributing per-key responses to
-// each key's shared read state. A transport failure completes every key's
-// leg with the error (each key's quorum accounting stays independent).
-func (n *Node) runReadBatchLeg(v *memView, target int, keys []string, rss []*readState, sent time.Time) {
-	vs, found, err := v.peers[target].GetVersionBatch(keys)
-	if err != nil {
+// single GetVersionBatch round trip into out, handing each key's answer —
+// and its buffer — to the key's read state. A transport failure completes
+// every key's leg with the error (each key's quorum accounting stays
+// independent). Every answer is decoded before the first is handed over:
+// a completed read state may be released at once, and keys alias the
+// states' own keys.
+func (n *Node) runReadBatchLeg(v *memView, target int, keys [][]byte, rss []*readState, out []readResp, sent time.Time) {
+	if err := v.peers[target].GetVersionBatch(keys, out); err != nil {
 		for _, rs := range rss {
 			rs.complete(readResp{node: target, err: err})
 		}
@@ -343,11 +344,35 @@ func (n *Node) runReadBatchLeg(v *memView, target int, keys []string, rss []*rea
 		n.legs.observeLeg(true, durationMs(time.Since(sent)), 0)
 	}
 	for i, rs := range rss {
-		rs.complete(readResp{node: target, v: vs[i], found: found[i]})
+		out[i].node = target
+		rs.complete(out[i])
+		out[i] = readResp{}
 	}
 }
 
 // --- coordinated-read state ---------------------------------------------
+
+// readResp is one replica's answer during a coordinated read: what the
+// quorum logic compares (seq, found, tombstone) and the replica's value,
+// left where it arrived — value aliases buf, the pooled frame of a remote
+// or self leg (or, on a batch leg, a pooled copy of the key's share). A
+// readResp owns buf: a leg hands it to its read state with complete, and
+// readState.release repools it.
+type readResp struct {
+	node      int
+	seq       uint64
+	found     bool
+	tombstone bool
+	value     []byte
+	buf       []byte
+	err       error
+}
+
+// version decodes the answer into a Version for key; only read repair
+// needs one, so only read repair pays for the copies.
+func (r *readResp) version(key []byte) kvstore.Version {
+	return kvstore.Version{Key: string(key), Seq: r.seq, Value: string(r.value), Tombstone: r.tombstone}
+}
 
 // readState collects one coordinated read's fan-out responses. It replaces
 // the v1 response channel + background finishRead goroutine with a single
@@ -358,9 +383,16 @@ func (n *Node) runReadBatchLeg(v *memView, target int, keys []string, rss []*rea
 // last leg has landed and the handler has answered — executed by whichever
 // of the two gets there last, so no goroutine is spawned on the common
 // R < N hot path.
+//
+// Buffer ownership: the state owns a pooled copy of its key (legs send it;
+// the client frame it came from is repooled when the handler returns) and
+// every recorded answer's buffer. release repools all of them, so nothing
+// may read a value once the read can be released — which is why answer
+// copies the winner out before it marks the read answered.
 type readState struct {
 	n    *Node
 	view *memView
+	key  []byte
 
 	quorum, total int
 	waiter        chan struct{}
@@ -374,7 +406,10 @@ type readState struct {
 	signaled  bool
 	answered  bool
 	finalized bool
-	returned  kvstore.Version
+	// winner indexes the answer the handler returned in resps (-1 when no
+	// replica had the key); returned is its seq (0 then).
+	winner   int
+	returned uint64
 }
 
 // readStatePool recycles read states across coordinated reads. The waiter
@@ -385,9 +420,10 @@ var readStatePool = sync.Pool{New: func() any {
 	return &readState{waiter: make(chan struct{}, 1)}
 }}
 
-func (n *Node) newReadState(v *memView, quorum, total int) *readState {
+func (n *Node) newReadState(v *memView, key []byte, quorum, total int) *readState {
 	rs := readStatePool.Get().(*readState)
 	rs.n, rs.view = n, v
+	rs.key = append(getBuf(len(key))[:0], key...)
 	rs.quorum, rs.total = quorum, total
 	if cap(rs.resps) < total {
 		rs.resps = make([]readResp, 0, total)
@@ -395,27 +431,29 @@ func (n *Node) newReadState(v *memView, quorum, total int) *readState {
 	return rs
 }
 
-// release returns the state to the pool. Callers must guarantee no leg can
-// still touch rs: either every leg has completed (don == total — the
-// failed-read and last-leg-finalize paths), or the releasing goroutine is
-// the finalizer, which by construction runs after the last leg's critical
-// section.
+// release repools every answer buffer and the key, then the state itself.
+// Callers must guarantee no leg can still touch rs: either every leg has
+// completed (don == total — the failed-read and last-leg-finalize paths),
+// or the releasing goroutine is the finalizer, which by construction runs
+// after the last leg's critical section.
 func (rs *readState) release() {
 	for i := range rs.resps {
+		putBuf(rs.resps[i].buf)
 		rs.resps[i] = readResp{}
 	}
 	rs.resps = rs.resps[:0]
-	rs.n, rs.view = nil, nil
+	putBuf(rs.key)
+	rs.n, rs.view, rs.key = nil, nil, nil
 	rs.quorum, rs.total, rs.succ, rs.don = 0, 0, 0, 0
 	rs.signaled, rs.answered, rs.finalized = false, false, false
-	rs.returned = kvstore.Version{}
+	rs.winner, rs.returned = 0, 0
 	rs.signaledAt = time.Time{}
 	readStatePool.Put(rs)
 }
 
-// complete records one leg's response, waking the handler once the quorum
-// (or every leg) is in, and finalizing when this was the last leg of an
-// already-answered read.
+// complete records one leg's response, taking over its buffer, waking the
+// handler once the quorum (or every leg) is in, and finalizing when this
+// was the last leg of an already-answered read.
 func (rs *readState) complete(r readResp) {
 	rs.mu.Lock()
 	rs.resps = append(rs.resps, r)
@@ -444,61 +482,100 @@ func (rs *readState) complete(r readResp) {
 
 // answer computes the handler's verdict after waiter fires: the newest
 // version among the first quorum successful responses in arrival order
-// (exactly the v1 channel loop). ok is false when every leg finished
-// without reaching the quorum. When all legs have already landed the
-// handler inherits the finalize pass (finalizeNow) — on a failed read it
-// does not run, matching v1, where the detector never saw failed reads.
-func (rs *readState) answer() (best kvstore.Version, found, ok, finalizeNow bool) {
+// (exactly the v1 channel loop). On success it appends the client GET body
+// for the winner (appendClientGetBody, coordMs as the coordinator latency)
+// to dst — the one copy of the value a read makes — and only then marks
+// the read answered, all under rs.mu: from that mark on, the last leg may
+// finalize and release the state, the winner's buffer with it. ok is false
+// (dst unchanged) when every leg finished without reaching the quorum.
+// When all legs have already landed the handler inherits the finalize pass
+// (finalizeNow) — on a failed read it does not run, matching v1, where the
+// detector never saw failed reads.
+func (rs *readState) answer(dst []byte, coordMs float64) (out []byte, ok, finalizeNow bool) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	succ := 0
-	for _, x := range rs.resps {
+	succ, best := 0, -1
+	for i := range rs.resps {
+		x := &rs.resps[i]
 		if x.err != nil {
 			continue
 		}
 		succ++
-		if x.found && (!found || x.v.Seq > best.Seq) {
-			best, found = x.v, true
+		if x.found && (best < 0 || x.seq > rs.resps[best].seq) {
+			best = i
 		}
 		if succ == rs.quorum {
 			break
 		}
 	}
 	if succ < rs.quorum {
-		return kvstore.Version{}, false, false, false
+		return dst, false, false
 	}
+	// A tombstone wins the newest-of-R comparison like any version — that
+	// is what makes a delete stick against slower live writes — but the
+	// client sees the key as absent. Seq is still reported so callers can
+	// observe the delete's version (and tests can assert tombstone
+	// durability).
+	var w readResp
+	if best >= 0 {
+		w = rs.resps[best]
+	}
+	out = appendClientGetBody(dst, w.found && !w.tombstone, w.seq, coordMs, rs.n.id, w.value)
 	rs.answered = true
-	rs.returned = best
+	rs.winner, rs.returned = best, w.seq
 	if rs.don == rs.total && !rs.finalized {
 		rs.finalized = true
 		finalizeNow = true
 	}
-	return best, found, true, finalizeNow
+	return out, true, finalizeNow
 }
 
 // finalize runs the asynchronous staleness detector and (when enabled)
 // read repair over the complete response set — a direct port of the v1
 // finishRead. It runs exactly once per successful read, after the last leg
-// landed and the handler answered; by then resps is immutable.
+// landed and the handler answered; by then resps is immutable. The
+// detector compares seqs; the newest answer is decoded into a version only
+// when a stale replica is actually repaired.
 func (rs *readState) finalize() {
-	newest := rs.returned
-	for _, x := range rs.resps {
-		if x.err == nil && x.found && x.v.Seq > newest.Seq {
-			newest = x.v
+	newest, seq := rs.winner, rs.returned
+	for i := range rs.resps {
+		if x := &rs.resps[i]; x.err == nil && x.found && x.seq > seq {
+			newest, seq = i, x.seq
 		}
 	}
-	if newest.Seq > rs.returned.Seq {
+	if seq > rs.returned {
 		rs.n.detectorFlags.Add(1)
 	}
-	if !rs.n.params.ReadRepair || newest.Seq == 0 {
+	if !rs.n.params.ReadRepair || seq == 0 {
 		return
 	}
-	for _, x := range rs.resps {
-		if x.err == nil && x.v.Seq < newest.Seq {
-			if _, _, err := rs.view.peers[x.node].Apply(newest); err == nil {
+	var ver kvstore.Version
+	for i := range rs.resps {
+		if x := &rs.resps[i]; x.err == nil && x.seq < seq {
+			if ver.Seq == 0 {
+				ver = rs.resps[newest].version(rs.key)
+			}
+			if _, _, err := rs.view.peers[x.node].Apply(ver); err == nil {
 				rs.n.readRepairs.Add(1)
 			}
 		}
+	}
+}
+
+// finish ends a successful read's handler side: when answer handed it the
+// finalize pass, it runs it — on a goroutine when read repair is on, so
+// repair RPCs never delay the response — and releases the state.
+func (rs *readState) finish(finalizeNow bool) {
+	switch {
+	case !finalizeNow:
+	case rs.n.params.ReadRepair:
+		go func() {
+			rs.finalize()
+			rs.release()
+		}()
+	default:
+		rs.finalize()
+		rs.release()
 	}
 }
 

@@ -45,11 +45,13 @@ func runConcurrentOps(n *Node, prefix string, ops int, sample func()) (lat []flo
 				}
 				return
 			}
-			gr, oe := n.coordinateGetOp(key)
-			lat[i] = gr.CoordMs
+			body, oe := n.coordinateGetOp([]byte(key), nil)
 			if oe != nil {
 				errs[i] = oe
+				return
 			}
+			gr, err := decodeClientGetBody(body)
+			lat[i], errs[i] = gr.CoordMs, err
 		}(i)
 	}
 	close(start)

@@ -365,7 +365,7 @@ func FuzzClientFrameRoundTrip(f *testing.F) {
 		}
 
 		gr := GetResponse{Found: found, Seq: seq, Value: value, CoordMs: coordMs, Node: int(node)}
-		gb := appendClientGetResponse(nil, epoch, gr)
+		gb := appendClientGetBody(binary.BigEndian.AppendUint64(nil, epoch), found, seq, coordMs, int(node), []byte(value))
 		gotEpoch, body, err = decodeClientFrame(statusClientOK, gb)
 		if err != nil || gotEpoch != epoch {
 			t.Fatalf("get frame split: epoch %d->%d err=%v", epoch, gotEpoch, err)
@@ -441,7 +441,7 @@ func FuzzClientBatchFrameRoundTrip(f *testing.F) {
 		if oe != nil {
 			t.Fatalf("mget request decode: %v", oe.msg)
 		}
-		if len(keys) != 2 || keys[0] != key || keys[1] != key+"2" {
+		if len(keys) != 2 || string(keys[0]) != key || string(keys[1]) != key+"2" {
 			t.Fatalf("mget request round trip changed keys: %v", keys)
 		}
 
@@ -468,10 +468,9 @@ func FuzzClientBatchFrameRoundTrip(f *testing.F) {
 		}
 
 		gr := GetResponse{Found: found, Seq: seq, Value: value, CoordMs: coordMs, Node: int(node)}
-		gb := appendClientMGetResponse(nil, epoch, []batchGetOut{
-			{gr: gr},
-			{oe: &opError{code: code, msg: msg}},
-		})
+		gb := binary.BigEndian.AppendUint16(binary.BigEndian.AppendUint64(nil, epoch), 2)
+		gb = appendClientGetBody(append(gb, 0), found, seq, coordMs, int(node), []byte(value))
+		gb = appendVerdictErr(gb, &opError{code: code, msg: msg})
 		gotEpoch, body, err = decodeClientFrame(statusClientOK, gb)
 		if err != nil || gotEpoch != epoch {
 			t.Fatalf("mget frame split: epoch %d->%d err=%v", epoch, gotEpoch, err)

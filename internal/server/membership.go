@@ -57,10 +57,14 @@ func (n *Node) replication(v *memView) int {
 	return nr
 }
 
-// prefs returns key's preference list under view v at the effective
-// replication factor.
-func (n *Node) prefs(v *memView, key string) []int {
-	return v.m.PreferenceList(key, n.replication(v))
+// maxStackPrefs sizes the stack scratch the serving path keeps a
+// preference list in; a larger replication factor grows it on the heap.
+const maxStackPrefs = 8
+
+// prefs appends to dst the preference list, under view v at the effective
+// replication factor, of the key whose ring.Hash is h.
+func (n *Node) prefs(dst []int, v *memView, h uint64) []int {
+	return v.m.AppendPreferenceList(dst, h, n.replication(v))
 }
 
 // mkPeer builds the fault-wrapped RPC client for one member as seen from

@@ -21,9 +21,10 @@ package server
 // delivered either by the reader — which removes it from the pending table
 // before completing it — or by teardown, which takes the whole table; a
 // call is in exactly one of those sets). Idle connections carry a long read
-// deadline; registering a call arms the short rpcTimeout deadline, so a
-// hung peer fails all pending calls within one timeout instead of hanging
-// the coordinator.
+// deadline; the call that makes a connection busy arms the short
+// rpcTimeout deadline, and the reader pushes it on as responses arrive, so
+// a hung peer fails all pending calls within one timeout instead of
+// hanging the coordinator (readLoop has the details).
 
 import (
 	"bufio"
@@ -32,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,8 +51,15 @@ const (
 	// muxIdleDeadline is the read deadline on a mux connection with no
 	// pending calls — long enough that an idle cluster does not churn
 	// connections, finite so an abandoned socket cannot pin a goroutine
-	// forever. Registering a call re-arms the short rpcTimeout deadline.
+	// forever. The call that makes a connection busy re-arms the short
+	// rpcTimeout deadline.
 	muxIdleDeadline = 5 * time.Minute
+
+	// muxRearmEvery is the least progress between two deadline re-arms by a
+	// connection's reader: re-arming per response frame was a few percent
+	// of a loaded node's CPU, and a deadline armed at most this long ago
+	// still expires no later than one armed at the last frame.
+	muxRearmEvery = time.Second
 
 	// muxServerWorkers is the per-connection handler pool on the serving
 	// side. Sized comfortably above the storage engine's group-commit batch
@@ -134,12 +143,21 @@ type muxWrite struct {
 	payload []byte
 }
 
+// muxDeadlines are a connection's read deadlines: rpc bounds how long a
+// connection with calls pending may go without progress, idle how long one
+// without may sit unused, and rearm is the least progress between reader
+// re-arms.
+type muxDeadlines struct{ rpc, idle, rearm time.Duration }
+
+var defaultMuxDeadlines = muxDeadlines{rpc: rpcTimeout, idle: muxIdleDeadline, rearm: muxRearmEvery}
+
 // muxConn is one multiplexed client connection: a writer loop, a reader
 // loop, and a table of pending calls keyed by request id.
 type muxConn struct {
 	c    net.Conn
 	wch  chan muxWrite
 	done chan struct{} // closed by teardown
+	dl   muxDeadlines
 
 	mu      sync.Mutex
 	pending map[uint64]*muxCall
@@ -147,11 +165,20 @@ type muxConn struct {
 	nPend   int
 	dead    bool
 	deadErr error
+	// The read deadline in force: when it was armed, when it expires, and
+	// whether it is the idle one.
+	armedAt, deadline time.Time
+	idle              bool
 }
 
 // dialRole opens a connection to addr and sends the hello for role r; on
 // an accepting reply the connection switches to tagged framing.
 func dialRole(addr string, r role) (*muxConn, error) {
+	return dialRoleWith(addr, r, defaultMuxDeadlines)
+}
+
+// dialRoleWith is dialRole with the given read deadlines.
+func dialRoleWith(addr string, r role, dl muxDeadlines) (*muxConn, error) {
 	c, err := net.DialTimeout("tcp", addr, rpcTimeout)
 	if err != nil {
 		return nil, err
@@ -182,8 +209,10 @@ func dialRole(addr string, r role) (*muxConn, error) {
 		c:       c,
 		wch:     make(chan muxWrite, muxServerQueue),
 		done:    make(chan struct{}),
+		dl:      dl,
 		pending: make(map[uint64]*muxCall),
 	}
+	mc.armLocked(time.Now(), true) // no goroutine shares mc yet
 	go mc.writeLoop(bw)
 	go mc.readLoop(br)
 	return mc, nil
@@ -327,28 +356,53 @@ func (mc *muxConn) writeLoop(bw *bufio.Writer) {
 	}
 }
 
+// armLocked sets the read deadline from now: the idle one, or one rpc
+// timeout. Callers hold mc.mu, which orders every deadline change against
+// the reader's checks.
+func (mc *muxConn) armLocked(now time.Time, idle bool) {
+	d := mc.dl.rpc
+	if idle {
+		d = mc.dl.idle
+	}
+	mc.armedAt, mc.deadline, mc.idle = now, now.Add(d), idle
+	mc.c.SetReadDeadline(mc.deadline)
+}
+
+// readLoop matches responses to pending calls. It keeps the read deadline
+// cheap to maintain and still tight: the call that makes the connection
+// busy arms one rpc timeout (call), and the reader re-arms only on
+// progress — a response read at least dl.rearm after the last arm — so a
+// deadline is never later than one armed at the last response or
+// registration would be. A peer that answers nothing for one timeout with
+// calls pending fails them all. A deadline that expires between frames
+// with no call pending only ends a busy period: the reader re-arms the
+// idle deadline and keeps reading; the idle deadline expiring tears the
+// unused connection down.
 func (mc *muxConn) readLoop(br *bufio.Reader) {
 	for {
-		// Deadline choice is made under the lock so it serializes with
-		// call()'s short-deadline re-arm: a registered call can never be
-		// left behind a stale idle deadline.
-		mc.mu.Lock()
-		if mc.nPend > 0 {
-			mc.c.SetReadDeadline(time.Now().Add(rpcTimeout))
-		} else {
-			mc.c.SetReadDeadline(time.Now().Add(muxIdleDeadline))
+		// Wait for a whole header first: a deadline that expires here
+		// leaves the stream at a frame boundary, so reading can go on.
+		if _, err := br.Peek(taggedHdrLen); err != nil {
+			if errors.Is(err, os.ErrDeadlineExceeded) && mc.outlivesDeadline() {
+				continue
+			}
+			mc.teardown(err)
+			return
 		}
-		mc.mu.Unlock()
 		status, id, payload, err := readTaggedFrame(br)
 		if err != nil {
 			mc.teardown(err)
 			return
 		}
+		now := time.Now()
 		mc.mu.Lock()
 		call := mc.pending[id]
 		if call != nil {
 			delete(mc.pending, id)
 			mc.nPend--
+		}
+		if now.Sub(mc.armedAt) >= mc.dl.rearm {
+			mc.armLocked(now, mc.nPend == 0)
 		}
 		mc.mu.Unlock()
 		if call == nil {
@@ -357,6 +411,24 @@ func (mc *muxConn) readLoop(br *bufio.Reader) {
 		}
 		call.ch <- muxResult{status: status, payload: payload}
 	}
+}
+
+// outlivesDeadline decides, after the read deadline expired between
+// frames, whether the connection lives on: when a call re-armed the
+// deadline after the read failed, or when no call is pending and the
+// expired deadline was a busy one (the reader then arms the idle one).
+func (mc *muxConn) outlivesDeadline() bool {
+	mc.mu.Lock()
+	defer mc.mu.Unlock()
+	now := time.Now()
+	switch {
+	case now.Before(mc.deadline):
+		return true
+	case mc.nPend == 0 && !mc.idle:
+		mc.armLocked(now, true)
+		return true
+	}
+	return false
 }
 
 // call performs one RPC. It takes ownership of payload (pooled; the writer
@@ -375,10 +447,12 @@ func (mc *muxConn) call(op byte, payload []byte) (status byte, resp []byte, err 
 	call := muxCallPool.Get().(*muxCall)
 	mc.pending[id] = call
 	mc.nPend++
-	// Re-arm an idle reader onto the short deadline now that a call is
-	// pending (a deadline set interrupts a blocked Read); done under the
-	// lock so it serializes with the reader's own deadline choice.
-	mc.c.SetReadDeadline(time.Now().Add(rpcTimeout))
+	if mc.nPend == 1 {
+		// Idle to busy: bring the deadline in to one rpc timeout (a
+		// deadline set interrupts a blocked Read). While calls stay
+		// pending, the reader moves it on as responses arrive.
+		mc.armLocked(time.Now(), false)
+	}
 	mc.mu.Unlock()
 	select {
 	case mc.wch <- muxWrite{op: op, id: id, payload: payload}:

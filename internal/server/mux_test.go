@@ -196,16 +196,19 @@ func TestMuxConcurrentCallsNoAliasing(t *testing.T) {
 					errCh <- fmt.Errorf("apply %s: %w", key, err)
 					return
 				}
-				got, found, err := p.GetVersion(key)
+				// The answer's key echo is checked by the decoder: an
+				// answer for another key comes back as an error.
+				got, err := p.GetVersion([]byte(key))
 				if err != nil {
 					errCh <- fmt.Errorf("get %s: %w", key, err)
 					return
 				}
-				if !found || got.Key != key || got.Value != val {
-					errCh <- fmt.Errorf("get %s returned key=%q val=%q (want val=%q): cross-call buffer aliasing?",
-						key, got.Key, got.Value, val)
+				if !got.found || got.seq != ver.Seq || string(got.value) != val {
+					errCh <- fmt.Errorf("get %s returned seq=%d val=%q (want val=%q): cross-call buffer aliasing?",
+						key, got.seq, got.value, val)
 					return
 				}
+				putBuf(got.buf)
 			}
 		}(w)
 	}
@@ -257,5 +260,141 @@ func TestWorkerPathFaultDropAndDelay(t *testing.T) {
 	pr := put("delay-key", "v")
 	if pr.CoordMs < delayMs {
 		t.Fatalf("W=3 commit in %.2fms beat the %dms injected leg delay", pr.CoordMs, delayMs)
+	}
+}
+
+// startSlowMux is a server that completes the peer hello and answers every
+// tagged request with an empty statusOK payload after delay.
+func startSlowMux(t *testing.T, delay time.Duration) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func(c net.Conn) {
+				defer c.Close()
+				br := bufio.NewReader(c)
+				bw := bufio.NewWriter(c)
+				if !answerHello(br, bw, rolePeer) {
+					return
+				}
+				var mu sync.Mutex
+				for {
+					_, id, payload, err := readTaggedFrame(br)
+					if err != nil {
+						return
+					}
+					putBuf(payload)
+					time.AfterFunc(delay, func() {
+						mu.Lock()
+						defer mu.Unlock()
+						if writeTaggedFrame(bw, statusOK, id, nil) == nil {
+							bw.Flush()
+						}
+					})
+				}
+			}(c)
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// shortDeadlines are mux read deadlines scaled down so the deadline tests
+// run in well under a second.
+var shortDeadlines = muxDeadlines{rpc: 150 * time.Millisecond, idle: 5 * time.Second, rearm: 30 * time.Millisecond}
+
+// TestMuxHungPeerFailsWithinTimeout: against a peer that never answers,
+// every call fails within one rpc timeout of its own registration, even
+// while later calls keep registering (each new call does not push the
+// deadline on), and the connection is torn down.
+func TestMuxHungPeerFailsWithinTimeout(t *testing.T) {
+	addr, _, _ := startStallMux(t)
+	mc, err := dialRoleWith(addr, rolePeer, shortDeadlines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc.teardown(errMuxClosed)
+	const calls = 8
+	var wg sync.WaitGroup
+	late := make(chan string, calls)
+	for i := 0; i < calls; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			start := time.Now()
+			_, _, err := mc.call(opPing, nil)
+			if took := time.Since(start); err == nil || took > 2*shortDeadlines.rpc {
+				late <- fmt.Sprintf("call %d: err=%v after %v", i, err, took)
+			}
+		}(i)
+		time.Sleep(shortDeadlines.rpc / 4)
+	}
+	wg.Wait()
+	close(late)
+	for msg := range late {
+		t.Error(msg)
+	}
+	if !mc.isDead() {
+		t.Fatal("connection to a hung peer still open")
+	}
+}
+
+// TestMuxIdleOutlivesBusyDeadline: a connection that goes idle with the
+// busy deadline still armed is not torn down when that deadline passes —
+// the reader starts an idle period — and serves the next call.
+func TestMuxIdleOutlivesBusyDeadline(t *testing.T) {
+	mc, err := dialRoleWith(startSlowMux(t, 0), rolePeer, shortDeadlines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc.teardown(errMuxClosed)
+	for round := 0; round < 3; round++ {
+		if _, _, err := mc.call(opPing, nil); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		time.Sleep(2 * shortDeadlines.rpc)
+		if mc.isDead() {
+			t.Fatalf("round %d: idle connection torn down at the busy deadline", round)
+		}
+	}
+}
+
+// TestMuxProgressKeepsBusyConnAlive: a connection that stays busy far
+// longer than one rpc timeout lives on as long as responses keep arriving
+// — the reader moves the deadline on with progress.
+func TestMuxProgressKeepsBusyConnAlive(t *testing.T) {
+	const delay = 40 * time.Millisecond
+	mc, err := dialRoleWith(startSlowMux(t, delay), rolePeer, shortDeadlines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc.teardown(errMuxClosed)
+	stop := time.Now().Add(5 * shortDeadlines.rpc)
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for w := 0; w < 2; w++ { // two callers overlap, so a call is always pending
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			time.Sleep(time.Duration(w) * delay / 2)
+			for time.Now().Before(stop) {
+				if _, _, err := mc.call(opPing, nil); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("busy connection failed while responses kept arriving: %v", err)
 	}
 }

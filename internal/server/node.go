@@ -35,6 +35,7 @@ import (
 	"pbs/internal/dist"
 	"pbs/internal/gossip"
 	"pbs/internal/kvstore"
+	"pbs/internal/ring"
 	"pbs/internal/storage"
 )
 
@@ -645,7 +646,8 @@ func (n *Node) routeWriteOp(key, value string, tombstone bool, fwdEpoch uint64) 
 	// Sloppy routing: hand the write to the first live preference replica,
 	// falling through the list as candidates fail — ourselves included.
 	sawQuorumFail := false
-	for _, cand := range n.prefs(v, key) {
+	var pbuf [maxStackPrefs]int
+	for _, cand := range n.prefs(pbuf[:0], v, ring.Hash(key)) {
 		if cand == n.id {
 			return n.coordinatePutOp(v, key, value, tombstone, true)
 		}
@@ -701,7 +703,8 @@ func (n *Node) awaitEpoch(epoch uint64) bool {
 
 // onPreferenceList reports whether this node replicates key under view v.
 func (n *Node) onPreferenceList(v *memView, key string) bool {
-	for _, id := range n.prefs(v, key) {
+	var pbuf [maxStackPrefs]int
+	for _, id := range n.prefs(pbuf[:0], v, ring.Hash(key)) {
 		if id == n.id {
 			return true
 		}
@@ -727,7 +730,8 @@ func (n *Node) coordinatePutOp(v *memView, key, value string, tombstone, takeove
 		Value:     value,
 		Tombstone: tombstone,
 	}
-	prefs := n.prefs(v, key)
+	var pbuf [maxStackPrefs]int
+	prefs := n.prefs(pbuf[:0], v, ring.Hash(key))
 	nReps := len(prefs)
 	// The quorum clamps to the replica count: an elastic cluster smaller
 	// than its target N keeps committing with the replicas it has.
@@ -938,28 +942,22 @@ func (n *Node) tryForwardOp(v *memView, cand int, key, value string, tombstone b
 	return PutResponse{}, &opError{code: ce.Code, msg: ce.Msg}, forwardRelayed
 }
 
-// readResp is one replica's answer during a coordinated read.
-type readResp struct {
-	node  int
-	v     kvstore.Version
-	found bool
-	err   error
-}
-
 // readReplica performs one read fan-out leg against target, falling back to
 // live spares (sloppy quorums, spares != nil) when the preference replica
 // is unreachable: a crashed replica's most recent writes live on the spare
 // holding its hints, so the spare's answer is the best available stand-in
 // and counts toward the R quorum.
-func (n *Node) readReplica(view *memView, target int, key string, spares *sparePicker) readResp {
+func (n *Node) readReplica(view *memView, target int, key []byte, spares *sparePicker) readResp {
 	if spares == nil {
-		v, found, err := view.peers[target].GetVersion(key)
-		return readResp{node: target, v: v, found: found, err: err}
+		r, err := view.peers[target].GetVersion(key)
+		r.node, r.err = target, err
+		return r
 	}
 	if n.alive(view, target) {
-		v, found, err := view.peers[target].GetVersion(key)
+		r, err := view.peers[target].GetVersion(key)
 		if err == nil {
-			return readResp{node: target, v: v, found: found}
+			r.node = target
+			return r
 		}
 		if deadError(err) {
 			n.live.markDead(target)
@@ -973,10 +971,11 @@ func (n *Node) readReplica(view *memView, target int, key string, spares *spareP
 		if !n.alive(view, s) {
 			continue
 		}
-		v, found, err := view.peers[s].GetVersion(key)
+		r, err := view.peers[s].GetVersion(key)
 		if err == nil {
 			n.spareReads.Add(1)
-			return readResp{node: s, v: v, found: found}
+			r.node = s
+			return r
 		}
 		if deadError(err) {
 			n.live.markDead(s)
@@ -992,15 +991,18 @@ func (n *Node) readReplica(view *memView, target int, key string, spares *spareP
 // replica is down falls back to the next live spare beyond the preference
 // list — the node that absorbed the down replica's hinted writes — and the
 // spare's response counts toward R (the read-side mirror of the write-side
-// spare behavior).
-func (n *Node) coordinateGetOp(key string) (GetResponse, *opError) {
+// spare behavior). key may alias the client's request frame: the read
+// state keeps its own copy. The answer is appended to dst as a client GET
+// body (appendClientGetBody).
+func (n *Node) coordinateGetOp(key, dst []byte) ([]byte, *opError) {
 	n.coordReads.Add(1)
 
 	v := n.view()
 	if v == nil {
-		return GetResponse{}, errUnavailable("server: node has no membership yet")
+		return dst, errUnavailable("server: node has no membership yet")
 	}
-	prefs := n.prefs(v, key)
+	var pbuf [maxStackPrefs]int
+	prefs := n.prefs(pbuf[:0], v, ring.Hash(key))
 	nReps := len(prefs)
 	quorumR := int(n.rq.Load())
 	if quorumR > nReps {
@@ -1008,55 +1010,32 @@ func (n *Node) coordinateGetOp(key string) (GetResponse, *opError) {
 	}
 	var spares *sparePicker
 	if n.params.SloppyQuorum {
-		spares = n.sparePicker(v, key)
+		spares = n.sparePicker(v, string(key))
 	}
 	start := time.Now()
-	rs := n.newReadState(v, quorumR, nReps)
+	rs := n.newReadState(v, key, quorumR, nReps)
 	for _, nodeID := range prefs {
 		pre, post := n.inj.readLeg()
-		n.submitReadLeg(v, nodeID, key, spares, rs, pre, post)
+		n.submitReadLeg(v, nodeID, spares, rs, pre, post)
 	}
 
 	// Wait for the read quorum (or every leg, if the quorum is
 	// unreachable), then compute the verdict over the first R successful
 	// responses in arrival order.
 	<-rs.waiter
-	answered := rs.signaledAt
-	best, bestFound, ok, finalizeNow := rs.answer()
+	out, ok, finalizeNow := rs.answer(dst, durationMs(rs.signaledAt.Sub(start)))
 	if !ok {
 		// The waiter only fired with succ < quorum because every leg had
 		// answered, so nothing can still touch rs: release it here.
 		n.failedOps.Add(1)
 		rs.release()
-		return GetResponse{}, errQuorumFailed("server: read quorum not reached")
-	}
-	// A tombstone wins the newest-of-R comparison like any version — that is
-	// what makes a delete stick against slower live writes — but the client
-	// sees the key as absent. Seq is still reported so callers can observe
-	// the delete's version (and tests can assert tombstone durability).
-	resp := GetResponse{
-		Found:   bestFound && !best.Tombstone,
-		Seq:     best.Seq,
-		Value:   best.Value,
-		CoordMs: durationMs(answered.Sub(start)),
-		Node:    n.id,
+		return dst, errQuorumFailed("server: read quorum not reached")
 	}
 	// The staleness-detector / read-repair pass over the complete response
 	// set (the v1 finishRead) runs on whichever of {last leg, handler} gets
-	// there last; when it falls to the handler with read repair enabled it
-	// moves to a goroutine so repair RPCs never delay the response.
-	if finalizeNow {
-		if n.params.ReadRepair {
-			go func() {
-				rs.finalize()
-				rs.release()
-			}()
-		} else {
-			rs.finalize()
-			rs.release()
-		}
-	}
-	return resp, nil
+	// there last.
+	rs.finish(finalizeNow)
+	return out, nil
 }
 
 func (n *Node) handleConfig(w http.ResponseWriter, _ *http.Request) {

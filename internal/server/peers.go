@@ -34,15 +34,18 @@ type Peer interface {
 	ApplyHinted(v kvstore.Version, target int) (applied bool, replicaSeq uint64, err error)
 	// Ping is a lightweight liveness probe (one empty round trip).
 	Ping() error
-	// GetVersion reads the peer's current version for key.
-	GetVersion(key string) (v kvstore.Version, found bool, err error)
+	// GetVersion reads the peer's current version for key. The answer
+	// stays in the pooled frame it arrived in: the returned readResp owns
+	// that buffer, and whoever holds the readResp releases it.
+	GetVersion(key []byte) (readResp, error)
 	// ApplyBatch replicates many versions in one round trip (one batched
 	// coordinator leg), answering per version with Apply's
 	// (applied, replicaSeq) pair, index-aligned with vers.
 	ApplyBatch(vers []kvstore.Version) ([]ApplyAck, error)
 	// GetVersionBatch reads the peer's current versions for many keys in
-	// one round trip, index-aligned with keys.
-	GetVersionBatch(keys []string) ([]kvstore.Version, []bool, error)
+	// one round trip into out, index-aligned with keys, each answer in a
+	// pooled buffer its readResp owns.
+	GetVersionBatch(keys [][]byte, out []readResp) error
 	// MerkleNodes returns the peer's Merkle content summary at the given
 	// depth, in heap layout (merkle.Tree.Nodes).
 	MerkleNodes(depth int) ([]uint64, error)
@@ -109,9 +112,9 @@ func (fp *faultPeer) ForwardWrite(key, value string, tombstone bool, fwdEpoch ui
 	return fp.next.ForwardWrite(key, value, tombstone, fwdEpoch)
 }
 
-func (fp *faultPeer) GetVersion(key string) (kvstore.Version, bool, error) {
+func (fp *faultPeer) GetVersion(key []byte) (readResp, error) {
 	if err := fp.f.allow(fp.from, fp.to); err != nil {
-		return kvstore.Version{}, false, err
+		return readResp{}, err
 	}
 	return fp.next.GetVersion(key)
 }
@@ -123,11 +126,11 @@ func (fp *faultPeer) ApplyBatch(vers []kvstore.Version) ([]ApplyAck, error) {
 	return fp.next.ApplyBatch(vers)
 }
 
-func (fp *faultPeer) GetVersionBatch(keys []string) ([]kvstore.Version, []bool, error) {
+func (fp *faultPeer) GetVersionBatch(keys [][]byte, out []readResp) error {
 	if err := fp.f.allow(fp.from, fp.to); err != nil {
-		return nil, nil, err
+		return err
 	}
-	return fp.next.GetVersionBatch(keys)
+	return fp.next.GetVersionBatch(keys, out)
 }
 
 func (fp *faultPeer) MerkleNodes(depth int) ([]uint64, error) {

@@ -220,7 +220,7 @@ func TestGoldenFrames(t *testing.T) {
 	}{
 		{opApply, rolePeer, func(p *peer, _ *BinClient) { p.Apply(ver) },
 			"01" + "0000000000000001" + "00000013" + "00016b" + "0000000000000007" + "00" + "0000000176" + "0000"},
-		{opGet, rolePeer, func(p *peer, _ *BinClient) { p.GetVersion("k") },
+		{opGet, rolePeer, func(p *peer, _ *BinClient) { p.GetVersion([]byte("k")) },
 			"02" + "0000000000000001" + "00000003" + "00016b"},
 		{opTree, rolePeer, func(p *peer, _ *BinClient) { p.MerkleNodes(4) },
 			"03" + "0000000000000001" + "00000001" + "04"},
@@ -246,7 +246,9 @@ func TestGoldenFrames(t *testing.T) {
 			"16" + "0000000000000001" + "00000027" + "0002" +
 				"00016b" + "0000000000000007" + "00" + "0000000176" + "0000" +
 				"000164" + "0000000000000008" + "01" + "00000000" + "0000"},
-		{opGetBatch, rolePeer, func(p *peer, _ *BinClient) { p.GetVersionBatch([]string{"k", "d"}) },
+		{opGetBatch, rolePeer, func(p *peer, _ *BinClient) {
+			p.GetVersionBatch([][]byte{[]byte("k"), []byte("d")}, make([]readResp, 2))
+		},
 			"17" + "0000000000000001" + "00000008" + "0002" + "00016b" + "000164"},
 		{opClientPut, roleClient, func(_ *peer, bc *BinClient) { bc.Put("k", "v") },
 			"0e" + "0000000000000001" + "00000008" + "00016b" + "0000000176"},

@@ -130,7 +130,7 @@ func TestSelfLegFaults(t *testing.T) {
 		if _, _, err := fp.Apply(v); !errors.Is(err, tc.want) {
 			t.Errorf("%s: self Apply = %v, want %v", tc.name, err, tc.want)
 		}
-		if _, _, err := fp.GetVersion(v.Key); !errors.Is(err, tc.want) {
+		if _, err := fp.GetVersion([]byte(v.Key)); !errors.Is(err, tc.want) {
 			t.Errorf("%s: self GetVersion = %v, want %v", tc.name, err, tc.want)
 		}
 		if _, err := fp.ApplyBatch([]kvstore.Version{v}); !errors.Is(err, tc.want) {
@@ -140,18 +140,18 @@ func TestSelfLegFaults(t *testing.T) {
 			t.Errorf("%s: self Ping = %v, want %v", tc.name, err, tc.want)
 		}
 		// Past the fault layer, the replica refuses the leg itself.
-		if _, _, err := p.GetVersion(v.Key); err == nil || !strings.Contains(err.Error(), tc.refusalMsg) {
+		if _, err := p.GetVersion([]byte(v.Key)); err == nil || !strings.Contains(err.Error(), tc.refusalMsg) {
 			t.Errorf("%s: unwrapped self GetVersion = %v, want a %q refusal", tc.name, err, tc.refusalMsg)
 		}
 		tc.heal(n.id)
-		if _, _, err := fp.GetVersion(v.Key); err != nil {
+		if _, err := fp.GetVersion([]byte(v.Key)); err != nil {
 			t.Errorf("%s healed: self GetVersion: %v", tc.name, err)
 		}
 	}
 
 	// A closed node refuses its own legs too.
 	n.Close()
-	if _, _, err := p.GetVersion(v.Key); err == nil {
+	if _, err := p.GetVersion([]byte(v.Key)); err == nil {
 		t.Error("closed node served its own leg")
 	}
 }

@@ -26,6 +26,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -106,12 +107,12 @@ const (
 
 // --- wire encoding -----------------------------------------------------
 
-func appendString16(b []byte, s string) []byte {
+func appendString16[S ~string | ~[]byte](b []byte, s S) []byte {
 	b = binary.BigEndian.AppendUint16(b, uint16(len(s)))
 	return append(b, s...)
 }
 
-func appendString32(b []byte, s string) []byte {
+func appendString32[S ~string | ~[]byte](b []byte, s S) []byte {
 	b = binary.BigEndian.AppendUint32(b, uint32(len(s)))
 	return append(b, s...)
 }
@@ -163,8 +164,12 @@ func (d *decoder) u64() uint64 {
 	return binary.BigEndian.Uint64(b)
 }
 
-func (d *decoder) string16() string { return string(d.take(int(d.u16()))) }
-func (d *decoder) string32() string { return string(d.take(int(d.u32()))) }
+// bytes16 and bytes32 return a length-prefixed field in place, aliasing the
+// frame; string16 and string32 copy it out.
+func (d *decoder) bytes16() []byte  { return d.take(int(d.u16())) }
+func (d *decoder) bytes32() []byte  { return d.take(int(d.u32())) }
+func (d *decoder) string16() string { return string(d.bytes16()) }
+func (d *decoder) string32() string { return string(d.bytes32()) }
 
 // versionFlagTombstone marks a replicated delete in the wire format's
 // version flags byte.
@@ -178,7 +183,11 @@ const versionFlagTombstone byte = 1 << 0
 // Seq alone orders versions, so clockLen is always 0; decoders skip any
 // entries, as peers from when versions carried vector clocks sent them.
 func encodeVersion(b []byte, v kvstore.Version) []byte {
-	b = appendString16(b, v.Key)
+	return appendVersionTail(appendString16(b, v.Key), v)
+}
+
+// appendVersionTail appends everything of v's wire layout after the key.
+func appendVersionTail(b []byte, v kvstore.Version) []byte {
 	b = binary.BigEndian.AppendUint64(b, v.Seq)
 	var flags byte
 	if v.Tombstone {
@@ -202,25 +211,34 @@ func (d *decoder) version() kvstore.Version {
 	return v
 }
 
-// versionForKey decodes a version whose key the caller already holds (a
-// get response echoes the requested key), reusing the caller's string
-// instead of allocating a copy — one leg per replica per coordinated
-// read, so this alone is worth a few allocs/op on the serving hot path.
-// The comparison below does not allocate; a mismatched echo (never
-// expected) falls back to copying.
-func (d *decoder) versionForKey(key string) kvstore.Version {
-	var v kvstore.Version
-	kb := d.take(int(d.u16()))
-	if string(kb) == key {
-		v.Key = key
-	} else {
-		v.Key = string(kb)
+// appendGetAnswer appends a replica's answer to a get of key: found u8,
+// then the version in the wire layout. The key written is the one asked
+// for, taken from the request frame — a miss holds the zero version, and
+// the coordinator checks the echo (readAnswer).
+func appendGetAnswer(b, key []byte, v kvstore.Version, found bool) []byte {
+	var f byte
+	if found {
+		f = 1
 	}
-	v.Seq = d.u64()
-	v.Tombstone = d.u8()&versionFlagTombstone != 0
-	v.Value = d.string32()
+	return appendVersionTail(appendString16(append(b, f), key), v)
+}
+
+// readAnswer decodes one replica's get answer (appendGetAnswer) for key.
+// The value stays in place, aliasing d's frame: the caller decides who
+// owns that memory (readResp.buf). An answer that echoes another key is
+// refused, so a value can never be credited to a key it does not belong
+// to.
+func (d *decoder) readAnswer(key []byte) readResp {
+	var r readResp
+	r.found = d.u8() == 1
+	if echo := d.bytes16(); d.err == nil && !bytes.Equal(echo, key) {
+		d.err = errors.New("server: get answer for another key")
+	}
+	r.seq = d.u64()
+	r.tombstone = d.u8()&versionFlagTombstone != 0
+	r.value = d.bytes32()
 	d.skipClock()
-	return v
+	return r
 }
 
 // --- framing -----------------------------------------------------------
@@ -459,16 +477,13 @@ func (n *Node) handlePeerOp(op byte, payload, buf []byte) (status byte, resp []b
 		}
 		return statusOK, n.applyResponse(v.Key, applied, buf)
 	case opGet:
-		key := d.string16()
+		// The key is looked up straight from the request frame: no copy.
+		key := d.bytes16()
 		if d.err != nil {
 			return statusErr, []byte(d.err.Error())
 		}
-		v, found := n.getLocal(key)
-		out := append(buf, 0)
-		if found {
-			out[len(out)-1] = 1
-		}
-		return statusOK, encodeVersion(out, v)
+		v, found := n.store.GetBytes(key)
+		return statusOK, appendGetAnswer(buf, key, v, found)
 	case opApplyBatch:
 		// The whole batch goes to the engine at once, so a durable replica
 		// makes it durable with one group commit rather than one per version.
@@ -498,17 +513,12 @@ func (n *Node) handlePeerOp(op byte, payload, buf []byte) (status byte, resp []b
 		}
 		out := buf
 		for i := 0; i < count; i++ {
-			key := d.string16()
+			key := d.bytes16()
 			if d.err != nil {
 				return statusErr, []byte(d.err.Error())
 			}
-			v, found := n.getLocal(key)
-			if found {
-				out = append(out, 1)
-			} else {
-				out = append(out, 0)
-			}
-			out = encodeVersion(out, v)
+			v, found := n.store.GetBytes(key)
+			out = appendGetAnswer(out, key, v, found)
 		}
 		return statusOK, out
 	case opTree:
@@ -766,22 +776,23 @@ func (p *peer) Ping() error {
 	return nil
 }
 
-// GetVersion reads the peer's current version for key.
-func (p *peer) GetVersion(key string) (v kvstore.Version, found bool, err error) {
+// GetVersion reads the peer's current version for key. The answer stays
+// in the pooled frame it arrived in, which the returned readResp owns.
+func (p *peer) GetVersion(key []byte) (readResp, error) {
 	resp, err := p.muxRPC(opGet, 2+len(key), func(b []byte) []byte {
 		return appendString16(b, key)
 	})
 	if err != nil {
-		return kvstore.Version{}, false, err
+		return readResp{}, err
 	}
 	d := &decoder{b: resp}
-	found = d.u8() == 1
-	v = d.versionForKey(key)
-	putBuf(resp)
+	r := d.readAnswer(key)
 	if d.err != nil {
-		return kvstore.Version{}, false, d.err
+		putBuf(resp)
+		return readResp{}, d.err
 	}
-	return v, found, nil
+	r.buf = resp
+	return r, nil
 }
 
 // ApplyAck is one version's answer inside a batched apply: Apply's
@@ -825,8 +836,10 @@ func (p *peer) ApplyBatch(vers []kvstore.Version) ([]ApplyAck, error) {
 }
 
 // GetVersionBatch reads the peer's current versions for many keys in one
-// round trip, index-aligned with keys.
-func (p *peer) GetVersionBatch(keys []string) ([]kvstore.Version, []bool, error) {
+// round trip into out, index-aligned with keys (len(out) >= len(keys)).
+// The frame is shared by every key, so each value is copied into a pooled
+// buffer of its own, which its readResp owns; on error out holds nothing.
+func (p *peer) GetVersionBatch(keys [][]byte, out []readResp) error {
 	enc := func(b []byte) []byte {
 		b = binary.BigEndian.AppendUint16(b, uint16(len(keys)))
 		for _, k := range keys {
@@ -840,21 +853,24 @@ func (p *peer) GetVersionBatch(keys []string) ([]kvstore.Version, []bool, error)
 	}
 	resp, err := p.muxRPC(opGetBatch, hint, enc)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	d := &decoder{b: resp}
-	vs := make([]kvstore.Version, len(keys))
-	found := make([]bool, len(keys))
-	for i := range vs {
-		found[i] = d.u8() == 1
-		vs[i] = d.versionForKey(keys[i])
+	for i, k := range keys {
+		out[i] = d.readAnswer(k)
 	}
-	derr := d.err
+	if d.err == nil {
+		for i := range keys {
+			out[i].buf = append(getBuf(len(out[i].value))[:0], out[i].value...)
+			out[i].value = out[i].buf
+		}
+	}
 	putBuf(resp)
-	if derr != nil {
-		return nil, nil, derr
+	if d.err != nil {
+		clear(out[:len(keys)])
+		return d.err
 	}
-	return vs, found, nil
+	return nil
 }
 
 // MerkleNodes fetches the peer's Merkle content summary at the given

@@ -43,9 +43,11 @@ func TestLegacyClockLayout(t *testing.T) {
 			if v := d.version(); d.err != nil || v != tc.want || len(d.b) != 0 {
 				t.Fatalf("version = %+v (err %v, %d bytes left), want %+v", v, d.err, len(d.b), tc.want)
 			}
-			d = &decoder{b: b}
-			if v := d.versionForKey(tc.want.Key); d.err != nil || v != tc.want || len(d.b) != 0 {
-				t.Fatalf("versionForKey = %+v (err %v, %d bytes left), want %+v", v, d.err, len(d.b), tc.want)
+			// A get answer is a found byte, then one version.
+			d = &decoder{b: append([]byte{1}, b...)}
+			r := d.readAnswer([]byte(tc.want.Key))
+			if got := r.version([]byte(tc.want.Key)); d.err != nil || !r.found || got != tc.want || len(d.b) != 0 {
+				t.Fatalf("readAnswer = %+v (err %v, %d bytes left), want %+v", got, d.err, len(d.b), tc.want)
 			}
 			// An opApplyHint payload is a u32 target, then one version.
 			hinted := func(b []byte) (int, kvstore.Version, error) {
@@ -63,9 +65,13 @@ func TestLegacyClockLayout(t *testing.T) {
 			if d.version(); d.err == nil {
 				t.Fatal("version accepted a short clock entry list")
 			}
-			d = &decoder{b: short}
-			if d.versionForKey(tc.want.Key); d.err == nil {
-				t.Fatal("versionForKey accepted a short clock entry list")
+			d = &decoder{b: append([]byte{1}, short...)}
+			if d.readAnswer([]byte(tc.want.Key)); d.err == nil {
+				t.Fatal("readAnswer accepted a short clock entry list")
+			}
+			d = &decoder{b: append([]byte{1}, b...)}
+			if d.readAnswer([]byte(tc.want.Key + "x")); d.err == nil {
+				t.Fatal("readAnswer accepted an answer for another key")
 			}
 			if _, _, err := hinted(short); err == nil {
 				t.Fatal("hinted apply accepted a short clock entry list")

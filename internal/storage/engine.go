@@ -330,29 +330,46 @@ func (e *Engine) hintSeedLocked() []byte {
 
 // Get returns the newest record for key (live or tombstone).
 func (e *Engine) Get(key string) (kvstore.Version, bool) {
+	v, ok := lookup(e, key)
+	if !ok {
+		v.Key = key
+	}
+	return v, ok
+}
+
+// GetBytes is Get for a key held as bytes: the memtable and index lookups
+// do not copy the key, and a miss returns the zero Version.
+func (e *Engine) GetBytes(key []byte) (kvstore.Version, bool) {
+	return lookup(e, key)
+}
+
+// lookup finds key's newest record: memtable, frozen memtable, then the
+// tables newest first. Every tier is a map indexed by string(key), which
+// converts a byte key without copying it.
+func lookup[K ~string | ~[]byte](e *Engine, key K) (kvstore.Version, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if v, ok := e.mem.get(key); ok {
+	if v, ok := e.mem.data[string(key)]; ok {
 		return v, true
 	}
 	if e.frozen != nil {
-		if v, ok := e.frozen.get(key); ok {
+		if v, ok := e.frozen.data[string(key)]; ok {
 			return v, true
 		}
 	}
 	for i := len(e.tables) - 1; i >= 0; i-- {
-		if ent, ok := e.tables[i].index[key]; ok {
-			v, err := e.tables[i].read(key, ent)
+		if ent, ok := e.tables[i].index[string(key)]; ok {
+			v, err := e.tables[i].read(ent)
 			if err != nil {
 				// Treat a damaged table record as absent rather than wedging
 				// reads; anti-entropy will re-fetch it from a peer.
-				return kvstore.Version{Key: key}, false
+				return kvstore.Version{}, false
 			}
 			return v, true
 		}
 	}
 	e.overread++
-	return kvstore.Version{Key: key}, false
+	return kvstore.Version{}, false
 }
 
 // Seq returns the newest sequence number for key (0 when unknown).
@@ -430,7 +447,7 @@ func (e *Engine) Range(f func(kvstore.Version)) {
 		default:
 			t := e.tables[owner]
 			var err error
-			if v, err = t.read(key, t.index[key]); err != nil {
+			if v, err = t.read(t.index[key]); err != nil {
 				continue
 			}
 		}

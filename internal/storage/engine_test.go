@@ -225,6 +225,13 @@ func TestEngineFlushAndCompact(t *testing.T) {
 		if !found || v.Seq != uint64(3000+i) {
 			t.Fatalf("restart Get(%s) = %+v, %v", key, v, found)
 		}
+		// The byte-key lookup reads the same record from every tier.
+		if vb, fb := r.GetBytes([]byte(key)); fb != found || vb != v {
+			t.Fatalf("restart GetBytes(%s) = %+v, %v; Get gives %+v, %v", key, vb, fb, v, found)
+		}
+	}
+	if v, found := r.GetBytes([]byte("absent")); found || v != (kvstore.Version{}) {
+		t.Fatalf("GetBytes(absent) = %+v, %v; want the zero version", v, found)
 	}
 }
 

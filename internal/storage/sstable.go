@@ -104,14 +104,14 @@ func openSSTable(path string, gen uint64) (*sstable, error) {
 }
 
 // read fetches and decodes the full version for an index entry via pread.
-func (t *sstable) read(key string, ent tableEntry) (kvstore.Version, error) {
+func (t *sstable) read(ent tableEntry) (kvstore.Version, error) {
 	frame := make([]byte, ent.length)
 	if _, err := t.f.ReadAt(frame, ent.off); err != nil {
-		return kvstore.Version{}, fmt.Errorf("storage: sstable read %s: %w", key, err)
+		return kvstore.Version{}, fmt.Errorf("storage: sstable read at %d: %w", ent.off, err)
 	}
 	rec, err := decodeFrame(frame)
 	if err != nil {
-		return kvstore.Version{}, fmt.Errorf("storage: sstable read %s: %w", key, err)
+		return kvstore.Version{}, fmt.Errorf("storage: sstable read at %d: %w", ent.off, err)
 	}
 	return rec.Version, nil
 }

@@ -216,30 +216,15 @@ func simulateShard(sc Scenario, cfgs []Config, runs []*Run, s, trials int, r *rn
 	}
 }
 
-// sortRuns sorts every run's three sample arrays, fanning the independent
-// sorts out across workers even for a single configuration.
+// sortRuns sorts every run's three sample arrays on the worker pool, even
+// for a single configuration (sortParallel splits long arrays across
+// workers).
 func sortRuns(runs []*Run, workers int) {
-	if max := 3 * len(runs); workers > max {
-		workers = max
-	}
-	jobs := make(chan []float64)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for xs := range jobs {
-				sortFloat64s(xs)
-			}
-		}()
-	}
+	xss := make([][]float64, 0, 3*len(runs))
 	for _, run := range runs {
-		jobs <- run.thresholds
-		jobs <- run.readLat
-		jobs <- run.writeLat
+		xss = append(xss, run.thresholds, run.readLat, run.writeLat)
 	}
-	close(jobs)
-	wg.Wait()
+	sortParallel(xss, workers)
 }
 
 // orderByValue fills order with 0..len(order)-1 sorted ascending by vals

@@ -103,3 +103,40 @@ func TestSortFloat64sScratchIsFixed(t *testing.T) {
 		t.Fatalf("sorting 2^20 values allocated %d bytes, 2^10 values %d", large, small)
 	}
 }
+
+// TestSortParallelMatchesSerial checks that splitting long arrays by their
+// leading digit across workers changes nothing: at every worker count each
+// array comes out bit for bit as the serial sort leaves it, NaN payloads
+// included, for arrays short of the split length, far beyond it, and of
+// equal keys.
+func TestSortParallelMatchesSerial(t *testing.T) {
+	r := rng.New(23)
+	lens := []int{0, 1, radixCutoff + 1, splitLen, splitLen + 1, 1<<17 + 3, 1 << 18}
+	for _, workers := range []int{1, 2, 3, 8} {
+		var xss, want [][]float64
+		for _, n := range lens {
+			xs := radixInput(r, n)
+			if n > 2 {
+				xs[r.Intn(n)] = math.NaN()
+				xs[r.Intn(n)] = math.Copysign(math.NaN(), -1)
+			}
+			w := append([]float64(nil), xs...)
+			sortFloat64s(w)
+			xss, want = append(xss, xs), append(want, w)
+		}
+		same := make([]float64, splitLen*4)
+		for i := range same {
+			same[i] = 2.5
+		}
+		xss, want = append(xss, same), append(want, append([]float64(nil), same...))
+		sortParallel(xss, workers)
+		for i := range xss {
+			for j := range xss[i] {
+				if math.Float64bits(xss[i][j]) != math.Float64bits(want[i][j]) {
+					t.Fatalf("workers %d, array %d (len %d): [%d] = %v, serial sort gives %v",
+						workers, i, len(xss[i]), j, xss[i][j], want[i][j])
+				}
+			}
+		}
+	}
+}
