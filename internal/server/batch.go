@@ -144,10 +144,10 @@ func (n *Node) coordinateMGet(keys [][]byte, dst []byte) []byte {
 			continue
 		}
 		<-rs.waiter
-		out, ok, finalizeNow := rs.answer(append(dst, 0), durationMs(rs.signaledAt.Sub(start)))
+		out, ok, finalizeNow := rs.answer(append(growBuf(dst, 1), 0), durationMs(rs.signaledAt.Sub(start)))
 		if !ok {
 			n.failedOps.Add(1)
-			dst = appendVerdictErr(dst, errQuorumFailed("server: read quorum not reached"))
+			dst = appendVerdictErr(out[:len(out)-1], errQuorumFailed("server: read quorum not reached"))
 			rs.release()
 			continue
 		}

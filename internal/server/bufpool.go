@@ -51,6 +51,34 @@ func getBuf(n int) []byte {
 	return make([]byte, n)
 }
 
+// growBuf returns b with room for n more bytes. A handler's answer that
+// outgrows its pooled scratch moves to a pooled buffer of a larger class
+// (at least double, so a growing answer copies O(len) bytes in all), and
+// the old one goes back to its pool — so the answer always ends in a
+// pooled array, which its owner releases (answerBuf).
+func growBuf(b []byte, n int) []byte {
+	if cap(b)-len(b) >= n {
+		return b
+	}
+	nb := getBuf(max(len(b)+n, 2*cap(b)))[:len(b)]
+	copy(nb, b)
+	putBuf(b)
+	return nb
+}
+
+// answerBuf returns the array to release once a handler's answer resp is
+// consumed, given the scratch buf the handler was handed. An answer still
+// starting in buf releases buf. Any other answer grew through growBuf,
+// which already repooled buf, or is a fresh slice nothing else holds (an
+// error, a control-plane reply): the answer's own array is released, and
+// in the fresh case buf is left to the collector.
+func answerBuf(buf, resp []byte) []byte {
+	if cap(resp) == 0 || &resp[:1][0] == &buf[:1][0] {
+		return buf
+	}
+	return resp
+}
+
 // putBuf files b back into the pool of the largest class its capacity
 // covers. Buffers below the smallest class (including nil) and above the
 // largest are dropped. Callers must not touch b after putBuf.

@@ -221,6 +221,7 @@ type BatchGetResult struct {
 // appendVerdictErr appends a failed batch entry: its code as the verdict,
 // then its message.
 func appendVerdictErr(b []byte, oe *opError) []byte {
+	b = growBuf(b, 1+2+len(oe.msg))
 	return appendString16(append(b, oe.code), oe.msg)
 }
 
@@ -233,7 +234,7 @@ func appendClientMPutResponse(b []byte, epoch uint64, outs []batchPutOut) []byte
 			continue
 		}
 		pr := outs[i].pr
-		b = append(b, 0)
+		b = append(growBuf(b, 1+8+8+8+4), 0)
 		b = binary.BigEndian.AppendUint64(b, pr.Seq)
 		b = binary.BigEndian.AppendUint64(b, uint64(pr.CommittedUnixNano))
 		b = binary.BigEndian.AppendUint64(b, math.Float64bits(pr.CoordMs))

@@ -520,6 +520,7 @@ func (rs *readState) answer(dst []byte, coordMs float64) (out []byte, ok, finali
 	if best >= 0 {
 		w = rs.resps[best]
 	}
+	dst = growBuf(dst, 1+8+8+4+4+len(w.value))
 	out = appendClientGetBody(dst, w.found && !w.tombstone, w.seq, coordMs, rs.n.id, w.value)
 	rs.answered = true
 	rs.winner, rs.returned = best, w.seq

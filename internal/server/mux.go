@@ -505,7 +505,7 @@ func (n *Node) serveMux(conn net.Conn, br *bufio.Reader, r role) {
 				buf := getBuf(64)
 				status, resp := handle(t.op, t.payload, buf[:0])
 				putBuf(t.payload)
-				resps <- muxDone{status: status, id: t.id, payload: resp, buf: buf}
+				resps <- muxDone{status: status, id: t.id, payload: resp, buf: answerBuf(buf, resp)}
 			}
 		}()
 	}
@@ -536,7 +536,7 @@ func (n *Node) serveMux(conn net.Conn, br *bufio.Reader, r role) {
 			buf := getBuf(64)
 			status, resp := handle(op, payload, buf[:0])
 			putBuf(payload)
-			resps <- muxDone{status: status, id: id, payload: resp, buf: buf}
+			resps <- muxDone{status: status, id: id, payload: resp, buf: answerBuf(buf, resp)}
 			continue
 		}
 		reqs <- muxTask{op: op, id: id, payload: payload}

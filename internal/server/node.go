@@ -498,8 +498,7 @@ func (n *Node) getLocal(key string) (kvstore.Version, bool) {
 // carrying its own residue under the current modulus, which is always safe
 // (claims are monotone).
 func (n *Node) nextSeq(key string, takeover bool) uint64 {
-	ei, _ := n.keys.LoadOrStore(key, &keyEntry{})
-	e := ei.(*keyEntry)
+	e := n.keyEntry(key)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	stored := n.store.Seq(key)
@@ -808,6 +807,17 @@ func (n *Node) ackable(ver kvstore.Version, applied bool, replicaSeq uint64) boo
 	return false
 }
 
+// keyEntry returns key's assignment state, creating it on first use. The
+// Load comes first so a key the node already tracks costs no entry and no
+// boxed key.
+func (n *Node) keyEntry(key string) *keyEntry {
+	if e, ok := n.keys.Load(key); ok {
+		return e.(*keyEntry)
+	}
+	e, _ := n.keys.LoadOrStore(key, &keyEntry{})
+	return e.(*keyEntry)
+}
+
 // deadError reports whether an RPC failure indicates the replica itself is
 // unreachable, as opposed to a single lost message. A dropped RPC
 // (link-level loss injection) must not poison the liveness cache: a lossy
@@ -820,8 +830,7 @@ func deadError(err error) bool {
 // foldSeq folds a replica-observed seq into the key's assignment state, so
 // the next version assigned here claims above it.
 func (n *Node) foldSeq(key string, seq uint64) {
-	ei, _ := n.keys.LoadOrStore(key, &keyEntry{})
-	e := ei.(*keyEntry)
+	e := n.keyEntry(key)
 	e.mu.Lock()
 	if seq > e.next {
 		e.next = seq

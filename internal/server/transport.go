@@ -220,6 +220,7 @@ func appendGetAnswer(b, key []byte, v kvstore.Version, found bool) []byte {
 	if found {
 		f = 1
 	}
+	b = growBuf(b, 1+2+len(key)+8+1+4+len(v.Value)+2)
 	return appendVersionTail(appendString16(append(b, f), key), v)
 }
 
@@ -280,7 +281,7 @@ func readFrame(r *bufio.Reader) (tag byte, payload []byte, err error) {
 // refuse to count the leg toward W (see deliverWrite).
 func (n *Node) applyResponse(key string, applied bool, buf []byte) []byte {
 	cur, _ := n.getLocal(key)
-	out := append(buf, 0)
+	out := append(growBuf(buf, 9), 0)
 	if applied {
 		out[len(out)-1] = 1
 	}
@@ -424,12 +425,13 @@ func (n *Node) serveConn(conn net.Conn) {
 
 // handlePeerOp is the peer role's opcode table: one request against local
 // replica state, with a caller-provided response scratch (hot-path ops
-// append their response to it, cold ops ignore it). Crashed replicas
-// refuse every request: fault injection interposes on the sender side
-// (peers.go), and this server-side check keeps the crash airtight for
-// callers that reach the TCP endpoint directly. A closed node refuses too:
-// Close cuts its connections, and this check does the same for the legs
-// its own coordinator serves in process (peer.local).
+// append their response to it, growing it through growBuf; cold ops
+// ignore it). Crashed replicas refuse every request: fault injection
+// interposes on the sender side (peers.go), and this server-side check
+// keeps the crash airtight for callers that reach the TCP endpoint
+// directly. A closed node refuses too: Close cuts its connections, and
+// this check does the same for the legs its own coordinator serves in
+// process (peer.local).
 func (n *Node) handlePeerOp(op byte, payload, buf []byte) (status byte, resp []byte) {
 	if n.closed.Load() {
 		return statusErr, []byte("server: node closed")
@@ -701,7 +703,7 @@ func (p *peer) localRPC(op byte, sizeHint int, enc func([]byte) []byte) ([]byte,
 	putBuf(payload)
 	if status != statusOK {
 		err := fmt.Errorf("server: peer %s: %s", p.legs.addr, resp)
-		putBuf(buf)
+		putBuf(answerBuf(buf, resp))
 		return nil, err
 	}
 	return resp, nil

@@ -9,6 +9,7 @@ package server
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -111,6 +112,103 @@ func TestGetAllocBudget(t *testing.T) {
 			t.Fatalf("%.1f allocs per in-memory replica get, want 0", allocs)
 		}
 	})
+}
+
+// TestPutAllocBudget: one coordinated PUT of a key the coordinator
+// already tracks, on the cluster TestGetAllocBudget uses, costs at most 10
+// heap allocations end to end (12.00 when every write built and boxed a
+// fresh key entry before finding the existing one).
+func TestPutAllocBudget(t *testing.T) {
+	c, err := StartLocal(3, Params{N: 3, R: 2, W: 2, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	bc := NewBinClient(c.Nodes[0].InternalAddr())
+	defer bc.Close()
+	keys := []string{"k0000001", "k0000002", "k0000003", "k0000004"}
+	vals := make([]string, len(keys))
+	for i, k := range keys {
+		vals[i] = keyedValue(k, 1)
+	}
+	put := func(i int) {
+		k := i % len(keys)
+		if pr, _, err := bc.Put(keys[k], vals[k]); err != nil || pr.Seq == 0 {
+			t.Fatalf("PUT %s = %+v, %v", keys[k], pr, err)
+		}
+	}
+	for i := 0; i < 200; i++ { // track every key; warm the pools, workers and connections
+		put(i)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		i++
+		put(i)
+	})
+	t.Logf("%.2f allocs per coordinated PUT", allocs)
+	if raceEnabled {
+		t.Log("budget not enforced under the race detector")
+		return
+	}
+	if allocs > 10 {
+		t.Fatalf("%.2f allocs per coordinated PUT, want <= 10", allocs)
+	}
+}
+
+// TestMGetAllocBytes: a 64-key MGET of ~100-byte values on the cluster
+// TestGetAllocBudget uses allocates at most half the bytes it did when
+// each replica's batch answer and the coordinator's reply outgrew their
+// 256-byte pooled scratch by append and were dropped to the collector.
+func TestMGetAllocBytes(t *testing.T) {
+	// Measured with this test when answers grew by append: 156408 to
+	// 158011 B per MGET in three runs.
+	const grownByAppend = 157000
+	c, err := StartLocal(3, Params{N: 3, R: 2, W: 2, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	bc := NewBinClient(c.Nodes[0].InternalAddr())
+	defer bc.Close()
+	keys := make([]string, 64)
+	ops := make([]BatchPutOp, len(keys))
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%07d", i)
+		ops[i] = BatchPutOp{Key: keys[i], Value: keyedValue(keys[i], 1)}
+	}
+	if _, _, err := bc.MPut(ops); err != nil {
+		t.Fatal(err)
+	}
+	mget := func() {
+		res, _, err := bc.MGet(keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range res {
+			if r.Err != nil || !r.Resp.Found || r.Resp.Value != ops[i].Value {
+				t.Fatalf("MGET %s = %+v", keys[i], r)
+			}
+		}
+	}
+	for i := 0; i < 200; i++ { // warm the pools, workers and connections
+		mget()
+	}
+	const runs = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		mget()
+	}
+	runtime.ReadMemStats(&after)
+	perOp := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("%.0f bytes allocated per 64-key MGET", perOp)
+	if raceEnabled {
+		t.Log("budget not enforced under the race detector")
+		return
+	}
+	if perOp > grownByAppend/2 {
+		t.Fatalf("%.0f bytes allocated per 64-key MGET, want <= %d", perOp, grownByAppend/2)
+	}
 }
 
 // TestGetStragglerOwnership: many single-key and batched reads race a slow

@@ -17,7 +17,11 @@ package storage
 // and the old-file deletes is safe: the merge is idempotent and the
 // leftover tables hold only records the merged table already subsumes.
 
-import "pbs/internal/kvstore"
+import (
+	"io"
+
+	"pbs/internal/kvstore"
+)
 
 // maybeFlushLocked freezes the memtable and kicks a background flush when
 // it crosses the threshold. Caller holds e.mu.
@@ -100,34 +104,13 @@ func (e *Engine) maybeCompactLocked() {
 }
 
 // compact merges snapshot newest-seq-wins into one table and swaps it in
-// for the snapshot prefix of e.tables.
+// for the snapshot prefix of e.tables. The merge walks the snapshot's
+// mappings without e.mu: nothing unmaps them while it runs, since only
+// this swap and Close (which waits for it) do.
 func (e *Engine) compact(snapshot []*sstable, gen uint64) {
 	defer e.bg.Done()
-	merged := make(map[string]kvstore.Version)
-	for _, t := range snapshot { // oldest → newest; later records win
-		err := t.iterate(func(v kvstore.Version) error {
-			if cur, ok := merged[v.Key]; !ok || v.Seq > cur.Seq {
-				merged[v.Key] = v
-			}
-			return nil
-		})
-		if err != nil {
-			e.mu.Lock()
-			e.compacting = false
-			e.flushErrs++
-			e.mu.Unlock()
-			return
-		}
-	}
-	versions := make([]kvstore.Version, 0, len(merged))
-	for _, v := range merged {
-		// Tombstones are kept forever: dropping one while any replica still
-		// holds an older live version would let anti-entropy resurrect the
-		// delete.
-		versions = append(versions, v)
-	}
 	path := e.sstPath(gen)
-	err := writeSSTable(path, versions)
+	err := writeTable(path, func(w io.Writer) error { return mergeTables(w, snapshot) })
 	var t *sstable
 	if err == nil {
 		t, err = openSSTable(path, gen)
@@ -149,6 +132,8 @@ func (e *Engine) compact(snapshot []*sstable, gen uint64) {
 	e.compactions++
 	e.mu.Unlock()
 
+	// The replaced tables have left e.tables, so no reader can reach their
+	// mappings any more.
 	for _, old := range replaced {
 		old.close()
 		removeFile(old.path)

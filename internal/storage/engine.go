@@ -135,6 +135,9 @@ func Open(opts Options) (*Engine, error) {
 	}
 	e := &Engine{opts: opts, mem: newMemtable(), hints: kvstore.NewHints()}
 	if err := e.recover(); err != nil {
+		for _, t := range e.tables {
+			t.close()
+		}
 		return nil, err
 	}
 	return e, nil
@@ -320,10 +323,9 @@ func (e *Engine) HintStats() kvstore.HintStats {
 // of a fresh WAL segment. Nil when no hint is pending, so a rotation
 // without hints does no extra work. Caller holds e.hmu.
 func (e *Engine) hintSeedLocked() []byte {
-	var seed, payload []byte
+	var seed []byte
 	e.hints.Range(func(target int, v kvstore.Version) {
-		payload = encodePayload(payload[:0], v, flagHintStore, target)
-		seed = appendFrame(seed, payload)
+		seed = appendRecord(seed, flagHintStore, target, v)
 	})
 	return seed
 }
@@ -433,7 +435,8 @@ func (e *Engine) Summary() map[string]uint64 {
 
 // Range calls f for every key's newest version while holding the engine
 // lock; f must not call back into the engine. Table-resident values are
-// read from disk as visited, so memory stays bounded by the key set.
+// copied out of their mappings as visited, so memory stays bounded by the
+// key set.
 func (e *Engine) Range(f func(kvstore.Version)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -489,8 +492,10 @@ func (e *Engine) Metrics() Metrics {
 
 // Close waits for a running flush or compaction to finish, flushes the WAL
 // (memtable contents replay from it on next open) and releases file
-// handles, so the directory can be reopened as soon as Close returns. The
-// engine rejects writes afterwards.
+// handles and table mappings, so the directory can be reopened as soon as
+// Close returns. The engine rejects writes afterwards and holds nothing:
+// its tables leave e.tables under e.mu before they are unmapped, so a
+// lookup after Close finds nothing instead of reading an unmapped table.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -502,6 +507,8 @@ func (e *Engine) Close() error {
 	e.bg.Wait()
 	e.mu.Lock()
 	tables := e.tables
+	e.tables = nil
+	e.mem = newMemtable()
 	wal := e.wal
 	e.mu.Unlock()
 	err := wal.close()

@@ -84,11 +84,22 @@ func encodePayload(dst []byte, v kvstore.Version, kind byte, target int) []byte 
 	return dst
 }
 
-// decodePayload parses one record payload. Trailing bytes are rejected:
-// a frame holds exactly one record.
-func decodePayload(b []byte) (record, error) {
-	var rec record
-	v := &rec.Version
+// recordView is one parsed payload whose key and value alias the bytes it
+// was parsed from: the table code reads metadata and copies out only what
+// a caller keeps.
+type recordView struct {
+	key, value []byte
+	seq        uint64
+	tombstone  bool
+	writtenAt  float64
+	kind       byte // 0 for data
+	target     int
+}
+
+// parsePayload parses one record payload without copying. Trailing bytes
+// are rejected: a frame holds exactly one record.
+func parsePayload(b []byte) (recordView, error) {
+	var rv recordView
 	take := func(n int) ([]byte, error) {
 		if len(b) < n {
 			return nil, errCorruptRecord
@@ -99,57 +110,58 @@ func decodePayload(b []byte) (record, error) {
 	}
 	kl, err := take(2)
 	if err != nil {
-		return rec, err
+		return rv, err
 	}
-	key, err := take(int(binary.BigEndian.Uint16(kl)))
-	if err != nil {
-		return rec, err
+	if rv.key, err = take(int(binary.BigEndian.Uint16(kl))); err != nil {
+		return rv, err
 	}
-	v.Key = string(key)
 	hdr, err := take(8 + 1 + 8)
 	if err != nil {
-		return rec, err
+		return rv, err
 	}
-	v.Seq = binary.BigEndian.Uint64(hdr)
-	v.Tombstone = hdr[8]&flagTombstone != 0
-	if rec.kind = hdr[8] & hintFlags; rec.kind == hintFlags {
-		return rec, errCorruptRecord
+	rv.seq = binary.BigEndian.Uint64(hdr)
+	rv.tombstone = hdr[8]&flagTombstone != 0
+	if rv.kind = hdr[8] & hintFlags; rv.kind == hintFlags {
+		return rv, errCorruptRecord
 	}
-	v.WrittenAt = math.Float64frombits(binary.BigEndian.Uint64(hdr[9:]))
+	rv.writtenAt = math.Float64frombits(binary.BigEndian.Uint64(hdr[9:]))
 	vl, err := take(4)
 	if err != nil {
-		return rec, err
+		return rv, err
 	}
-	val, err := take(int(binary.BigEndian.Uint32(vl)))
-	if err != nil {
-		return rec, err
+	if rv.value, err = take(int(binary.BigEndian.Uint32(vl))); err != nil {
+		return rv, err
 	}
-	v.Value = string(val)
 	cl, err := take(2)
 	if err != nil {
-		return rec, err
+		return rv, err
 	}
 	if _, err := take(12 * int(binary.BigEndian.Uint16(cl))); err != nil {
-		return rec, err
+		return rv, err
 	}
-	if rec.kind != 0 {
+	if rv.kind != 0 {
 		t, err := take(4)
 		if err != nil {
-			return rec, err
+			return rv, err
 		}
-		rec.target = int(int32(binary.BigEndian.Uint32(t)))
+		rv.target = int(int32(binary.BigEndian.Uint32(t)))
 	}
 	if len(b) != 0 {
-		return rec, errCorruptRecord
+		return rv, errCorruptRecord
 	}
-	return rec, nil
+	return rv, nil
 }
 
-// appendFrame appends one framed record (header + payload) to dst.
-func appendFrame(dst []byte, payload []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.BigEndian.AppendUint32(dst, crc32.Checksum(payload, crcTable))
-	return append(dst, payload...)
+// appendRecord appends v framed as a record of the given kind (0 for
+// data) for target, encoding the payload in place behind its header.
+func appendRecord(dst []byte, kind byte, target int, v kvstore.Version) []byte {
+	start := len(dst)
+	var hdr [frameHeaderLen]byte
+	dst = encodePayload(append(dst, hdr[:]...), v, kind, target)
+	payload := dst[start+frameHeaderLen:]
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(dst[start+4:], crc32.Checksum(payload, crcTable))
+	return dst
 }
 
 // encodeRecord frames v as a data record into a fresh byte slice.
@@ -158,10 +170,10 @@ func encodeRecord(v kvstore.Version) []byte {
 }
 
 // encodeHintRecord frames a hint change of the given kind (0 for data)
-// into a fresh byte slice.
+// into a fresh byte slice, sized so the encode never grows it.
 func encodeHintRecord(kind byte, target int, v kvstore.Version) []byte {
-	payload := encodePayload(nil, v, kind, target)
-	return appendFrame(make([]byte, 0, frameHeaderLen+len(payload)), payload)
+	const fixed = frameHeaderLen + 2 + 8 + 1 + 8 + 4 + 2 + 4
+	return appendRecord(make([]byte, 0, fixed+len(v.Key)+len(v.Value)), kind, target, v)
 }
 
 // readRecord reads one framed record from r. It returns io.EOF at a clean
@@ -192,16 +204,40 @@ func readRecord(r *bufio.Reader) (rec record, frameLen int, err error) {
 	return rec, len(frame), nil
 }
 
-// decodeFrame checks one whole frame — its length prefix must cover exactly
-// the rest of frame, and its CRC must match the payload — and decodes the
-// record. The record copies what it keeps, so frame may be reused.
-func decodeFrame(frame []byte) (record, error) {
+// checkFrame checks one whole frame — its length prefix must cover
+// exactly the rest of frame, and its CRC must match the payload — and
+// returns the payload.
+func checkFrame(frame []byte) ([]byte, error) {
 	if len(frame) < frameHeaderLen || int(binary.BigEndian.Uint32(frame)) != len(frame)-frameHeaderLen {
-		return record{}, fmt.Errorf("%w: frame length mismatch", errCorruptRecord)
+		return nil, fmt.Errorf("%w: frame length mismatch", errCorruptRecord)
 	}
 	payload := frame[frameHeaderLen:]
 	if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(frame[4:]) {
-		return record{}, fmt.Errorf("%w: checksum mismatch", errCorruptRecord)
+		return nil, fmt.Errorf("%w: checksum mismatch", errCorruptRecord)
 	}
-	return decodePayload(payload)
+	return payload, nil
+}
+
+// decodeFrame checks one whole frame (checkFrame) and decodes the record.
+// The record copies what it keeps, so frame may be reused.
+func decodeFrame(frame []byte) (record, error) {
+	payload, err := checkFrame(frame)
+	if err != nil {
+		return record{}, err
+	}
+	rv, err := parsePayload(payload)
+	if err != nil {
+		return record{}, err
+	}
+	return record{
+		Version: kvstore.Version{
+			Key:       string(rv.key),
+			Seq:       rv.seq,
+			Tombstone: rv.tombstone,
+			WrittenAt: rv.writtenAt,
+			Value:     string(rv.value),
+		},
+		kind:   rv.kind,
+		target: rv.target,
+	}, nil
 }

@@ -3,8 +3,10 @@ package storage
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -114,4 +116,12 @@ func TestRecordGolden(t *testing.T) {
 	if got := hex.EncodeToString(encodeRecord(v)); got != want {
 		t.Fatalf("encodeRecord = %s\nwant           %s", got, want)
 	}
+}
+
+// appendFrame frames an arbitrary payload, so tests can write records the
+// encoder never produces.
+func appendFrame(dst []byte, payload []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.BigEndian.AppendUint32(dst, crc32.Checksum(payload, crcTable))
+	return append(dst, payload...)
 }
