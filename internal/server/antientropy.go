@@ -146,7 +146,7 @@ func (n *Node) exchangeWith(v *memView, partner int) error {
 		if !ok || lv.Seq <= remoteSeq[k] {
 			continue
 		}
-		if _, _, err := v.peers[partner].Apply(lv); err != nil {
+		if err := applyOne(v.peers[partner], lv); err != nil {
 			return err
 		}
 		n.ae.mu.Lock()

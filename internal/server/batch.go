@@ -3,15 +3,15 @@ package server
 // Batched multi-key coordination. A batch runs the same per-key quorum
 // operations the paper analyzes — each key keeps its own preference list,
 // quorum accounting, and typed verdict — but the fan-out is amortized: the
-// coordinator groups the keys' legs by destination peer and sends ONE
-// multi-key RPC per peer per batch (ApplyBatch / GetVersionBatch), so a
-// 64-key batch on a 3-replica cluster costs 3 frames instead of 192. A leg
-// that carries an injected WARS delay or a sloppy-quorum spare walk cannot
-// share a frame — one frame cannot land entries at different times, or
-// substitute a spare for one entry — so it runs as a single-key leg on the
-// same worker queues, with its own delays or spares; under an injected
-// model a batched key therefore sees exactly the legs of its single-key
-// twin.
+// coordinator groups the keys' legs by destination peer and sends ONE leg
+// per peer per batch, the same list-carrying Apply or Get a single-key
+// operation sends with one entry (fanout.go), so a 64-key batch on a
+// 3-replica cluster costs 3 frames instead of 192. A leg that carries an
+// injected WARS delay or a sloppy-quorum spare walk cannot share a frame —
+// one frame cannot land entries at different times, or substitute a spare
+// for one entry — so it carries one key on the same worker queues, with
+// its own delays or spares (legFor); under an injected model a batched key
+// therefore sees exactly the legs of its single-key twin.
 
 import (
 	"encoding/binary"
@@ -78,21 +78,6 @@ func forEachIndex(idxs []int, fn func(i int)) {
 	wg.Wait()
 }
 
-// batchLegFor finds (or starts) the batch leg targeting peer id. The scan
-// is linear: a batch touches at most the cluster's member count of
-// distinct peers, which is small.
-func batchLegFor(legs *[]*legTask, n *Node, v *memView, id int, read bool) *legTask {
-	for _, t := range *legs {
-		if t.target == id {
-			return t
-		}
-	}
-	t := newLegTask()
-	t.n, t.view, t.target, t.read, t.batch = n, v, id, read, true
-	*legs = append(*legs, t)
-	return t
-}
-
 // coordinateMGet answers a batched read, appending to dst the count and
 // one verdict per key, in input order (the opClientMGet response body):
 // each a client GET body or the key's own typed failure (one key's quorum
@@ -114,23 +99,9 @@ func (n *Node) coordinateMGet(keys [][]byte, dst []byte) []byte {
 		prefs := n.prefs(pbuf[:0], v, ring.Hash(key))
 		rs := n.newReadState(v, key, min(quorumR, len(prefs)), len(prefs))
 		rss[i] = rs
-		var spares *sparePicker
-		if n.params.SloppyQuorum {
-			spares = n.sparePicker(v, string(key))
-		}
-		for _, id := range prefs {
-			if pre, post := n.inj.readLeg(); pre > 0 || post > 0 || spares != nil {
-				n.submitReadLeg(v, id, spares, rs, pre, post)
-				continue
-			}
-			t := batchLegFor(&legs, n, v, id, true)
-			t.bkeys = append(t.bkeys, rs.key)
-			t.brs = append(t.brs, rs)
-		}
+		legs = n.addReadLegs(legs, v, prefs, rs)
 	}
-	for _, t := range legs {
-		n.submitLeg(t.target, t)
-	}
+	n.submitLegs(legs)
 	// Harvest verdicts in input order. The waits overlap (every leg is
 	// already in flight), so the walk costs the slowest key, not the sum;
 	// each key's latency ends at its own quorum signal.
@@ -228,23 +199,9 @@ func (n *Node) coordinateMPut(ops []BatchPutOp) []batchPutOut {
 		ws := newWriteState(q, len(prefs))
 		wss[i] = ws
 		outs[i].pr.Seq = seq
-		var spares *sparePicker
-		if n.params.SloppyQuorum {
-			spares = n.sparePicker(v, ops[i].Key)
-		}
-		for _, id := range prefs {
-			if pre, post := n.inj.writeLeg(); pre > 0 || post > 0 || spares != nil {
-				n.submitWriteLeg(v, id, ver, spares, ws, pre, post)
-				continue
-			}
-			t := batchLegFor(&legs, n, v, id, false)
-			t.bvers = append(t.bvers, ver)
-			t.bws = append(t.bws, ws)
-		}
+		legs = n.addWriteLegs(legs, v, prefs, ver, ws)
 	}
-	for _, t := range legs {
-		n.submitLeg(t.target, t)
-	}
+	n.submitLegs(legs)
 	for _, i := range local {
 		ws := wss[i]
 		<-ws.waiter

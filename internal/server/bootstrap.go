@@ -496,7 +496,7 @@ func (n *Node) Leave() error {
 			if !ok {
 				continue
 			}
-			if _, _, err := p.Apply(ver); err != nil && drainErr == nil {
+			if err := applyOne(p, ver); err != nil && drainErr == nil {
 				drainErr = fmt.Errorf("server: drain to member %d: %w", owner, err)
 			}
 		}

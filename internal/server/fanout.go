@@ -8,6 +8,12 @@ package server
 // pool draining a submission queue, so a quorum write touches N queues
 // instead of spawning N goroutines, and the leg task itself is pooled.
 //
+// A leg has one shape per direction — a list of versions on one Apply, or
+// of keys on one Get — and one runner each (runWrite, runRead): a
+// single-key operation's leg is a list of one. The sloppy-quorum spare
+// walk that moves a leg past an unreachable replica is written once
+// (legTask.call) and serves both directions.
+//
 // Injected WARS delays (latency.go) ride the same tasks as timers: a leg
 // with a request delay arms its timer instead of entering the queue, and
 // the timer enqueues it; a leg with a response delay re-arms the timer
@@ -24,6 +30,7 @@ package server
 // enqueue-vs-shutdown race a per-membership lifecycle would create.
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -143,72 +150,127 @@ func (n *Node) submitLeg(id int, t *legTask) {
 	}
 }
 
-// submitWriteLeg sends one single-key write leg to target with its
-// injected W/A delays and sloppy-quorum spares.
-func (n *Node) submitWriteLeg(v *memView, target int, ver kvstore.Version, spares *sparePicker, ws *writeState, pre, post time.Duration) {
-	t := newLegTask()
-	t.n, t.view, t.target = n, v, target
-	t.ver, t.spares, t.ws = ver, spares, ws
-	t.pre, t.post = pre, post
-	n.submitLeg(target, t)
+// addWriteLegs adds ver's legs, one per preference replica in prefs, to
+// legs and returns them. A leg with an injected W/A delay or a spare walk
+// is a task of its own (alone), submitted at once; the others join the
+// task that groups this operation's (or batch's) entries for their peer,
+// which the caller submits with submitLegs.
+func (n *Node) addWriteLegs(legs []*legTask, v *memView, prefs []int, ver kvstore.Version, ws *writeState) []*legTask {
+	var spares *sparePicker
+	if n.params.SloppyQuorum {
+		spares = n.sparePicker(v, ver.Key)
+	}
+	for _, id := range prefs {
+		var t *legTask
+		pre, post := n.inj.writeLeg()
+		t, legs = n.legFor(legs, v, id, false, spares, pre, post)
+		t.vers = append(t.vers, ver)
+		t.wss = append(t.wss, ws)
+		if t.alone() {
+			n.submitLeg(id, t)
+		}
+	}
+	return legs
 }
 
-// submitReadLeg sends one single-key read leg for rs's key to target with
-// its injected R/S delays and sloppy-quorum spares.
-func (n *Node) submitReadLeg(v *memView, target int, spares *sparePicker, rs *readState, pre, post time.Duration) {
-	t := newLegTask()
-	t.n, t.view, t.target, t.read = n, v, target, true
-	t.spares, t.rs = spares, rs
-	t.pre, t.post = pre, post
-	n.submitLeg(target, t)
+// addReadLegs is addWriteLegs for a read of rs's key.
+func (n *Node) addReadLegs(legs []*legTask, v *memView, prefs []int, rs *readState) []*legTask {
+	var spares *sparePicker
+	if n.params.SloppyQuorum {
+		spares = n.sparePicker(v, string(rs.key))
+	}
+	for _, id := range prefs {
+		var t *legTask
+		pre, post := n.inj.readLeg()
+		t, legs = n.legFor(legs, v, id, true, spares, pre, post)
+		t.keys = append(t.keys, rs.key)
+		t.rss = append(t.rss, rs)
+		if t.alone() {
+			n.submitLeg(id, t)
+		}
+	}
+	return legs
 }
 
-// legTask is one fan-out leg. Pooled: whoever delivers its outcome releases
-// it, so the steady-state hot path allocates no task objects. A batch leg
-// carries one peer's whole share of a multi-key client batch (parallel
-// per-key slices) and costs one RPC frame for all of them; batch legs never
-// carry delays or spares.
+// legFor returns the task one entry's leg to peer id joins, and legs with
+// any task it started there. A leg with injected delays (pre, post) or
+// spares cannot share a frame — one frame cannot land entries at
+// different times, or substitute a spare for one entry — so it gets a
+// fresh task of its own; otherwise it joins the grouping task for id in
+// legs, started on first use. The scan is linear: an operation touches at
+// most the cluster's member count of distinct peers, which is small.
+func (n *Node) legFor(legs []*legTask, v *memView, id int, read bool, spares *sparePicker, pre, post time.Duration) (*legTask, []*legTask) {
+	if pre > 0 || post > 0 || spares != nil {
+		t := newLegTask(n, v, id, read)
+		t.spares, t.pre, t.post = spares, pre, post
+		return t, legs
+	}
+	for _, t := range legs {
+		if t.target == id {
+			return t, legs
+		}
+	}
+	t := newLegTask(n, v, id, read)
+	return t, append(legs, t)
+}
+
+// alone reports whether t carries injected delays or a spare walk, and so
+// one entry of its own (legFor).
+func (t *legTask) alone() bool { return t.pre > 0 || t.post > 0 || t.spares != nil }
+
+// submitLegs submits the grouping tasks addWriteLegs and addReadLegs built.
+func (n *Node) submitLegs(legs []*legTask) {
+	for _, t := range legs {
+		n.submitLeg(t.target, t)
+	}
+}
+
+// legTask is one fan-out leg: the entries one operation, or one peer's
+// share of a multi-key batch, sends to one replica in one RPC frame.
+// Pooled: whoever delivers its outcome releases it, so the steady-state
+// hot path allocates no task objects.
 type legTask struct {
 	n      *Node
 	view   *memView
 	target int
 	read   bool
-	batch  bool
 
-	// Write legs.
-	ver kvstore.Version
-	ws  *writeState
-	// Read legs: the key is rs.key.
-	rs *readState
+	// The leg's entries, index-aligned, capacity kept across pool cycles.
+	// A write leg carries versions, their write states, the replica's acks
+	// and each entry's verdict toward W; a read leg carries keys (each
+	// aliasing its read state's own key), the read states and the answers,
+	// each of which owns its buffer until deliver hands it to its read
+	// state.
+	vers  []kvstore.Version
+	wss   []*writeState
+	acks  []applyAck
+	oks   []bool
+	keys  [][]byte
+	rss   []*readState
+	resps []readResp
 
-	// Batched legs (coordinateMGet/coordinateMPut): index-aligned per-key
-	// slices, capacity preserved across pool cycles. bkeys alias each read
-	// state's own key; bresps is the answers' scratch.
-	bvers  []kvstore.Version
-	bws    []*writeState
-	bkeys  [][]byte
-	brs    []*readState
-	bresps []readResp
-
+	// spares is set on a sloppy-quorum leg (one entry): the picker it
+	// shares with the other legs of its operation.
 	spares *sparePicker
 
 	// Injected WARS delays: pre holds the leg back before its RPC (W or R),
 	// post holds its outcome back after (A or S). timer serves both; it is
 	// made on a task's first delay and kept across pool cycles, so
 	// un-injected tasks never carry one. waited marks pre as served, done
-	// that the RPC ran and its outcome (ok or rr) awaits delivery; rr owns
-	// its answer's buffer until deliver hands it to the read state.
+	// that the RPC ran and its outcome awaits delivery.
 	pre, post time.Duration
 	timer     *time.Timer
 	waited    bool
 	done      bool
-	ok        bool
-	rr        readResp
 }
 
 var legTaskPool = sync.Pool{New: func() any { return new(legTask) }}
 
-func newLegTask() *legTask { return legTaskPool.Get().(*legTask) }
+func newLegTask(n *Node, v *memView, target int, read bool) *legTask {
+	t := legTaskPool.Get().(*legTask)
+	t.n, t.view, t.target, t.read = n, v, target, read
+	return t
+}
 
 // arm schedules fire after d. A new timer is made with a due time that
 // never comes and then reset, so the assignment to t.timer happens before
@@ -230,36 +292,25 @@ func (t *legTask) fire() {
 	t.n.submitLeg(t.target, t)
 }
 
-// run performs the leg's RPC. Batch legs ack each key themselves; a
-// single-key leg stores its outcome and delivers it now, or after its
-// injected response delay. The leg sampler sees the request leg as the
-// injected delay plus the real RPC time, and the response leg as the
-// injected delay alone (zero when nothing is injected).
+// run performs the leg's RPC and stores its outcome, which it delivers now
+// or after its injected response delay. The leg sampler sees one
+// observation per leg: the request leg as the injected delay plus the real
+// RPC time (the entries of a grouped leg shared one round trip), and the
+// response leg as the injected delay alone (zero when nothing is
+// injected).
 func (t *legTask) run() {
 	n := t.n
 	var sent time.Time
 	if n.legs != nil {
 		sent = time.Now()
 	}
-	var ok bool
-	switch {
-	case t.batch && t.read:
-		t.bresps = slices.Grow(t.bresps[:0], len(t.bkeys))[:len(t.bkeys)]
-		n.runReadBatchLeg(t.view, t.target, t.bkeys, t.brs, t.bresps, sent)
-		t.release()
-		return
-	case t.batch:
-		n.runWriteBatchLeg(t.view, t.target, t.bvers, t.bws, sent)
-		t.release()
-		return
-	case t.read:
-		t.rr = n.readReplica(t.view, t.target, t.rs.key, t.spares)
-		ok = t.rr.err == nil
-	default:
-		t.ok = n.deliverWrite(t.view, t.target, t.ver, t.spares)
-		ok = t.ok
+	var err error
+	if t.read {
+		err = t.runRead()
+	} else {
+		err = t.runWrite()
 	}
-	if ok && n.legs != nil {
+	if err == nil && n.legs != nil {
 		n.legs.observeLeg(t.read, durationMs(t.pre+time.Since(sent)), durationMs(t.post))
 	}
 	t.done = true
@@ -270,84 +321,158 @@ func (t *legTask) run() {
 	t.deliver()
 }
 
-// deliver hands a single-key leg's outcome to its operation and releases
-// the task.
+// runWrite lands the leg's versions and records each entry's verdict, so
+// ackable's stale-epoch refusal applies per key. A spare that stands in
+// for the target takes the version as a hinted write, which counts toward
+// W. When neither the target nor a spare takes the leg, every entry fails
+// and the coordinator buffers one hint per version for the target itself.
+func (t *legTask) runWrite() error {
+	n, count := t.n, len(t.vers)
+	t.acks = slices.Grow(t.acks[:0], count)[:count]
+	t.oks = slices.Grow(t.oks[:0], count)[:count]
+	dest, err := t.call(func(dest int) error {
+		if dest == t.target {
+			return t.view.peers[dest].Apply(t.vers, t.acks)
+		}
+		var err error
+		t.acks[0], err = t.view.peers[dest].ApplyHinted(t.vers[0], t.target)
+		return err
+	})
+	if err != nil {
+		if n.params.Handoff {
+			for _, ver := range t.vers {
+				n.store.StoreHint(t.target, ver)
+			}
+		}
+		clear(t.oks)
+		return err
+	}
+	if dest != t.target {
+		n.spareWrites.Add(1)
+	}
+	for i := range t.vers {
+		t.oks[i] = n.ackable(t.vers[i], t.acks[i])
+	}
+	return nil
+}
+
+// runRead reads the leg's keys into its answers. A spare that stands in
+// for the target answers in its place and counts toward R: a crashed
+// replica's most recent writes live on the spare holding its hints, so the
+// spare's answer is the best available stand-in. A failure completes every
+// entry with the error, each key's quorum accounting staying independent.
+func (t *legTask) runRead() error {
+	count := len(t.keys)
+	t.resps = slices.Grow(t.resps[:0], count)[:count]
+	dest, err := t.call(func(dest int) error {
+		return t.view.peers[dest].Get(t.keys, t.resps)
+	})
+	for i := range t.resps {
+		if err != nil {
+			t.resps[i].err = err
+		}
+		t.resps[i].node = dest
+	}
+	if err == nil && dest != t.target {
+		t.n.spareReads.Add(1)
+	}
+	return err
+}
+
+// call runs rpc against the leg's target and returns the node that
+// answered. In sloppy mode (spares set) this is the one spare walk of both
+// directions: when the target is unreachable the leg moves to the next
+// live spare past the preference list, and since one operation's legs
+// share its picker, two of its legs never land on one spare.
+func (t *legTask) call(rpc func(dest int) error) (int, error) {
+	if t.spares == nil {
+		return t.target, rpc(t.target)
+	}
+	n, v := t.n, t.view
+	if n.alive(v, t.target) {
+		err := rpc(t.target)
+		if err == nil {
+			return t.target, nil
+		}
+		if deadError(err) {
+			n.live.markDead(t.target)
+		}
+	}
+	for s := t.spares.next(); s >= 0; s = t.spares.next() {
+		if !n.alive(v, s) {
+			continue
+		}
+		err := rpc(s)
+		if err == nil {
+			return s, nil
+		}
+		if deadError(err) {
+			n.live.markDead(s)
+		}
+	}
+	return t.target, fmt.Errorf("%w: replica %d and all spares unreachable", ErrReplicaDown, t.target)
+}
+
+// sparePicker hands out each spare node (ring order beyond the preference
+// list) at most once per operation, so two substituted legs of one write
+// never land on the same physical node — the W quorum must count distinct
+// nodes to mean anything for durability.
+type sparePicker struct {
+	mu    sync.Mutex
+	cands []int
+}
+
+func (n *Node) sparePicker(v *memView, key string) *sparePicker {
+	full := v.m.PreferenceList(key, v.m.Size())
+	return &sparePicker{cands: full[n.replication(v):]}
+}
+
+// next returns the next unclaimed spare, or -1 when the ring is exhausted.
+func (sp *sparePicker) next() int {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	if len(sp.cands) == 0 {
+		return -1
+	}
+	s := sp.cands[0]
+	sp.cands = sp.cands[1:]
+	return s
+}
+
+// deliver hands each entry's outcome to its operation and releases the
+// task. Every answer was decoded before the first is handed over: a
+// completed read state may be released at once, and the keys alias the
+// states' own keys.
 func (t *legTask) deliver() {
 	if t.read {
-		t.rs.complete(t.rr)
+		for i, rs := range t.rss {
+			rs.complete(t.resps[i])
+			t.resps[i] = readResp{}
+		}
 	} else {
-		t.ws.ack(t.ok)
+		for i, ws := range t.wss {
+			ws.ack(t.oks[i])
+		}
 	}
 	t.release()
 }
 
-// release clears the task and returns it to the pool, zeroing the batch
-// slices' elements (they hold strings, keys and pooled state pointers)
-// while keeping their capacity — the per-peer grouping buffers are the
-// batch path's hottest allocation — and keeping the timer. Every answer
-// buffer has moved to its read state by now (deliver, runReadBatchLeg), so
-// none is released here.
+// release clears the task and returns it to the pool, zeroing the entry
+// slices that hold strings, keys and pooled state pointers while keeping
+// every slice's capacity — the per-peer grouping buffers are the batch
+// path's hottest allocation — and keeping the timer. Every answer buffer
+// has moved to its read state by now (deliver), so none is released here.
 func (t *legTask) release() {
-	clear(t.bvers)
-	clear(t.bws)
-	clear(t.bkeys)
-	clear(t.brs)
-	clear(t.bresps)
-	bvers, bws, bkeys, brs, bresps := t.bvers[:0], t.bws[:0], t.bkeys[:0], t.brs[:0], t.bresps[:0]
-	*t = legTask{bvers: bvers, bws: bws, bkeys: bkeys, brs: brs, bresps: bresps, timer: t.timer}
+	clear(t.vers)
+	clear(t.wss)
+	clear(t.keys)
+	clear(t.rss)
+	*t = legTask{
+		vers: t.vers[:0], wss: t.wss[:0], acks: t.acks[:0], oks: t.oks[:0],
+		keys: t.keys[:0], rss: t.rss[:0], resps: t.resps[:0],
+		timer: t.timer,
+	}
 	legTaskPool.Put(t)
-}
-
-// runWriteBatchLeg delivers one peer's share of a batched write fan-out as
-// a single ApplyBatch round trip and acks each key's write state from the
-// peer's per-version answers, so ackable's stale-epoch refusal applies per
-// key exactly as on the single-key path. A transport failure fails every
-// key's leg and buffers one hint per version, mirroring deliverWrite.
-// Keys with a spare walk never ride a batch leg, so there is none here.
-func (n *Node) runWriteBatchLeg(v *memView, target int, vers []kvstore.Version, wss []*writeState, sent time.Time) {
-	acks, err := v.peers[target].ApplyBatch(vers)
-	if err != nil {
-		if n.params.Handoff {
-			for i := range vers {
-				n.store.StoreHint(target, vers[i])
-			}
-		}
-		for _, ws := range wss {
-			ws.ack(false)
-		}
-		return
-	}
-	if n.legs != nil {
-		// One observation per batch RPC: the keys shared one round trip.
-		n.legs.observeLeg(false, durationMs(time.Since(sent)), 0)
-	}
-	for i, ws := range wss {
-		ws.ack(n.ackable(vers[i], acks[i].Applied, acks[i].Seq))
-	}
-}
-
-// runReadBatchLeg performs one peer's share of a batched read fan-out as a
-// single GetVersionBatch round trip into out, handing each key's answer —
-// and its buffer — to the key's read state. A transport failure completes
-// every key's leg with the error (each key's quorum accounting stays
-// independent). Every answer is decoded before the first is handed over:
-// a completed read state may be released at once, and keys alias the
-// states' own keys.
-func (n *Node) runReadBatchLeg(v *memView, target int, keys [][]byte, rss []*readState, out []readResp, sent time.Time) {
-	if err := v.peers[target].GetVersionBatch(keys, out); err != nil {
-		for _, rs := range rss {
-			rs.complete(readResp{node: target, err: err})
-		}
-		return
-	}
-	if n.legs != nil {
-		n.legs.observeLeg(true, durationMs(time.Since(sent)), 0)
-	}
-	for i, rs := range rss {
-		out[i].node = target
-		rs.complete(out[i])
-		out[i] = readResp{}
-	}
 }
 
 // --- coordinated-read state ---------------------------------------------
@@ -355,9 +480,9 @@ func (n *Node) runReadBatchLeg(v *memView, target int, keys [][]byte, rss []*rea
 // readResp is one replica's answer during a coordinated read: what the
 // quorum logic compares (seq, found, tombstone) and the replica's value,
 // left where it arrived — value aliases buf, the pooled frame of a remote
-// or self leg (or, on a batch leg, a pooled copy of the key's share). A
-// readResp owns buf: a leg hands it to its read state with complete, and
-// readState.release repools it.
+// or self leg (or, on a leg of several keys, a pooled copy of the key's
+// share). A readResp owns buf: a leg hands it to its read state with
+// complete, and readState.release repools it.
 type readResp struct {
 	node      int
 	seq       uint64
@@ -556,7 +681,7 @@ func (rs *readState) finalize() {
 			if ver.Seq == 0 {
 				ver = rs.resps[newest].version(rs.key)
 			}
-			if _, _, err := rs.view.peers[x.node].Apply(ver); err == nil {
+			if err := applyOne(rs.view.peers[x.node], ver); err == nil {
 				rs.n.readRepairs.Add(1)
 			}
 		}

@@ -160,7 +160,7 @@ func TestWorkerPathCloseWithArmedLegs(t *testing.T) {
 				return
 			default:
 			}
-			lt := newLegTask()
+			lt := legTaskPool.Get().(*legTask)
 			if lt.timer != nil && lt.timer.Stop() {
 				probeDone <- fmt.Errorf("pooled leg task with an armed timer")
 				return

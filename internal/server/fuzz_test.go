@@ -60,11 +60,28 @@ func fuzzNode() *Node {
 	return sharedFuzzNode
 }
 
+// legPayloads returns opApply and opGet payloads for the fuzz seeds: a
+// one-entry list, then the same entry behind a count of 0 and behind a
+// count of maxBatchOps+1, both of which a replica refuses.
+func legPayloads() (apply, get [3][]byte) {
+	apply[0] = appendApply(nil, []kvstore.Version{{Key: "k", Seq: 7, Value: "hello"}})
+	get[0] = appendGet(nil, [][]byte{[]byte("seeded")})
+	for i, count := range []uint16{0, maxBatchOps + 1} {
+		apply[i+1] = append(binary.BigEndian.AppendUint16(nil, count), apply[0][2:]...)
+		get[i+1] = append(binary.BigEndian.AppendUint16(nil, count), get[0][2:]...)
+	}
+	return apply, get
+}
+
 func FuzzFrameDecoder(f *testing.F) {
-	// Well-formed frames for every opcode.
+	// Well-formed frames for every opcode, and the data legs' refused
+	// counts.
 	ver := kvstore.Version{Key: "k", Seq: 7, Value: "hello"}
-	f.Add(frame(opApply, encodeVersion(nil, ver)))
-	f.Add(frame(opGet, appendString16(nil, "seeded")))
+	apply, get := legPayloads()
+	for i := range apply {
+		f.Add(frame(opApply, apply[i]))
+		f.Add(frame(opGet, get[i]))
+	}
 	f.Add(frame(opTree, []byte{8}))
 	bucketReq := []byte{6, 0, 2, 0, 0, 0, 1, 0, 0, 0, 5}
 	f.Add(frame(opBucket, bucketReq))
@@ -80,7 +97,7 @@ func FuzzFrameDecoder(f *testing.F) {
 	// Malformed: truncated header, truncated payload, oversized length
 	// prefix, zero-length frame, unknown opcode, garbage version fields.
 	f.Add([]byte{opApply, 0, 0})
-	f.Add(frame(opApply, []byte{0, 5, 'a'}))
+	f.Add(frame(opApply, []byte{0, 1, 0, 5, 'a'}))
 	f.Add([]byte{opGet, 0xff, 0xff, 0xff, 0xff})
 	f.Add(frame(opGet, nil))
 	f.Add(frame(99, []byte("junk")))
@@ -143,8 +160,11 @@ func taggedFrame(tag byte, id uint64, payload []byte) []byte {
 // the rest of a short run. An integer length is never minimized; the
 // pattern is, and no coverage depends on it.
 func FuzzTaggedFrameRoundTrip(f *testing.F) {
-	ver := encodeVersion(nil, kvstore.Version{Key: "k", Seq: 7, Value: "v"})
-	f.Add(opApply, uint64(1), uint32(len(ver)), ver)
+	apply, get := legPayloads()
+	for i := range apply {
+		f.Add(opApply, uint64(i), uint32(len(apply[i])), apply[i])
+		f.Add(opGet, uint64(i), uint32(len(get[i])), get[i])
+	}
 	f.Add(opPing, uint64(0), uint32(0), []byte{})
 	f.Add(byte(255), ^uint64(0), uint32(1024), []byte{0xab})
 	f.Add(statusOK, uint64(1<<40), uint32(1), []byte{1})
@@ -186,15 +206,15 @@ func FuzzTaggedFrameRoundTrip(f *testing.F) {
 // the peer role, statusClientOK/statusClientErr on the client and forward
 // roles.
 func FuzzMuxStream(f *testing.F) {
-	ver := kvstore.Version{Key: "k", Seq: 7, Value: "hello"}
-	two := append(taggedFrame(opApply, 1, encodeVersion(nil, ver)),
-		taggedFrame(opGet, 2, appendString16(nil, "seeded"))...)
-	f.Add(two)
+	apply, get := legPayloads()
+	for i := range apply {
+		f.Add(append(taggedFrame(opApply, 1, apply[i]), taggedFrame(opGet, 2, get[i])...))
+	}
 	f.Add(taggedFrame(opPing, 9, nil))
 	f.Add(taggedFrame(opPeerHello, 3, []byte{peerProtoVersion}))
 	f.Add([]byte{opApply, 0, 0, 0, 0, 0})                                // truncated header
 	f.Add([]byte{opGet, 0, 0, 0, 0, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff}) // oversized length
-	f.Add(taggedFrame(opApply, 4, []byte{0, 5, 'a'}))                    // truncated version
+	f.Add(taggedFrame(opApply, 4, []byte{0, 1, 0, 5, 'a'}))              // truncated version
 	f.Add(taggedFrame(99, 5, []byte("junk")))                            // unknown opcode
 	f.Add(taggedFrame(opClientPut, 6, appendString32(appendString16(nil, "k"), "v")))
 	f.Add(taggedFrame(opForwardWrite, 7, appendForwardWrite(nil, "seeded", "v", false, 1)))

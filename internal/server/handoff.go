@@ -75,7 +75,7 @@ func (n *Node) runHandoff(interval time.Duration) {
 					if n.faults.Down(n.id) {
 						return
 					}
-					if _, _, err := p.Apply(v); err != nil {
+					if err := applyOne(p, v); err != nil {
 						return // target still unreachable; retry next round
 					}
 					n.store.ClearHint(target, v)

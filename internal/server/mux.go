@@ -515,11 +515,7 @@ func (n *Node) serveMux(conn net.Conn, br *bufio.Reader, r role) {
 	}()
 	go muxWriteResponses(conn, resps)
 
-	// Apply is only a blocking op when a durable engine is underneath (WAL
-	// append + group-commit fsync, which wants many concurrent appliers per
-	// batch); against the in-memory store it is a microsecond of mutex work
-	// and can ride the inline path with the reads.
-	inMemApply := n.params.DataDir == ""
+	durable := n.params.DataDir != ""
 	peerRole := r == rolePeer
 	for {
 		op, id, payload, err := readTaggedFrame(br)
@@ -527,12 +523,10 @@ func (n *Node) serveMux(conn net.Conn, br *bufio.Reader, r role) {
 			break
 		}
 		// Peer ops that never block on storage are handled inline by the
-		// reader instead of paying two channel hops and a worker wakeup —
-		// reads are the serving path's highest-rate op. Anything that can
-		// block (durable applies, hinted handoff, the control plane, every
-		// client and forward op) goes to the pool.
-		if peerRole && (op == opGet || op == opPing || op == opGetBatch ||
-			(inMemApply && (op == opApply || op == opApplyBatch))) {
+		// reader (inlineLeg) — reads are the serving path's highest-rate op.
+		// Anything that can block (durable applies, hinted applies, the
+		// control plane, every client and forward op) goes to the pool.
+		if peerRole && inlineLeg(op, durable) {
 			buf := getBuf(64)
 			status, resp := handle(op, payload, buf[:0])
 			putBuf(payload)

@@ -168,7 +168,7 @@ func TestMuxPeerRedialsTornDownConn(t *testing.T) {
 }
 
 // TestMuxConcurrentCallsNoAliasing hammers one shared peer with
-// concurrent Apply/GetVersion calls for distinct keys and checks every
+// concurrent Apply/Get calls for distinct keys and checks every
 // response against its own key — pooled request and response buffers must
 // never bleed between in-flight calls. Run under -race in CI.
 func TestMuxConcurrentCallsNoAliasing(t *testing.T) {
@@ -192,17 +192,18 @@ func TestMuxConcurrentCallsNoAliasing(t *testing.T) {
 				key := fmt.Sprintf("k-%d-%d", w, i)
 				val := strings.Repeat(fmt.Sprintf("v-%d-%d.", w, i), 1+i%7)
 				ver := kvstore.Version{Key: key, Seq: uint64(i + 1), Value: val}
-				if _, _, err := p.Apply(ver); err != nil {
+				if err := applyOne(p, ver); err != nil {
 					errCh <- fmt.Errorf("apply %s: %w", key, err)
 					return
 				}
 				// The answer's key echo is checked by the decoder: an
 				// answer for another key comes back as an error.
-				got, err := p.GetVersion([]byte(key))
-				if err != nil {
+				var out [1]readResp
+				if err := p.Get([][]byte{[]byte(key)}, out[:]); err != nil {
 					errCh <- fmt.Errorf("get %s: %w", key, err)
 					return
 				}
+				got := out[0]
 				if !got.found || got.seq != ver.Seq || string(got.value) != val {
 					errCh <- fmt.Errorf("get %s returned seq=%d val=%q (want val=%q): cross-call buffer aliasing?",
 						key, got.seq, got.value, val)

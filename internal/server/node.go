@@ -738,16 +738,10 @@ func (n *Node) coordinatePutOp(v *memView, key, value string, tombstone, takeove
 	if quorumW > nReps {
 		quorumW = nReps
 	}
-	var spares *sparePicker
-	if n.params.SloppyQuorum {
-		spares = n.sparePicker(v, key)
-	}
 	start := time.Now()
 	ws := newWriteState(quorumW, nReps)
-	for _, nodeID := range prefs {
-		pre, post := n.inj.writeLeg()
-		n.submitWriteLeg(v, nodeID, ver, spares, ws, pre, post)
-	}
+	var lbuf [maxStackPrefs]*legTask
+	n.submitLegs(n.addWriteLegs(lbuf[:0], v, prefs, ver, ws))
 
 	<-ws.waiter
 	committed := ws.signaledAt
@@ -763,32 +757,6 @@ func (n *Node) coordinatePutOp(v *memView, key, value string, tombstone, takeove
 	}, nil
 }
 
-// sparePicker hands out each spare node (ring order beyond the preference
-// list) at most once per write, so two substituted legs of one operation
-// never land on the same physical node — the W quorum must count distinct
-// nodes to mean anything for durability.
-type sparePicker struct {
-	mu    sync.Mutex
-	cands []int
-}
-
-func (n *Node) sparePicker(v *memView, key string) *sparePicker {
-	full := v.m.PreferenceList(key, v.m.Size())
-	return &sparePicker{cands: full[n.replication(v):]}
-}
-
-// next returns the next unclaimed spare, or -1 when the ring is exhausted.
-func (sp *sparePicker) next() int {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	if len(sp.cands) == 0 {
-		return -1
-	}
-	s := sp.cands[0]
-	sp.cands = sp.cands[1:]
-	return s
-}
-
 // ackable decides whether a delivered write leg counts toward W. A replica
 // that ignored the version because it already holds a same- or
 // lower-epoch seq is a benign duplicate race (two concurrent writes of one
@@ -799,11 +767,11 @@ func (sp *sparePicker) next() int {
 // would report durability for a value the cluster is about to discard.
 // The observed seq is folded into the key's assignment state so the
 // client's retry is assigned above the usurping epoch and commits cleanly.
-func (n *Node) ackable(ver kvstore.Version, applied bool, replicaSeq uint64) bool {
-	if applied || SeqEpoch(replicaSeq) <= SeqEpoch(ver.Seq) {
+func (n *Node) ackable(ver kvstore.Version, ack applyAck) bool {
+	if ack.applied || SeqEpoch(ack.seq) <= SeqEpoch(ver.Seq) {
 		return true
 	}
-	n.foldSeq(ver.Key, replicaSeq)
+	n.foldSeq(ver.Key, ack.seq)
 	return false
 }
 
@@ -836,52 +804,6 @@ func (n *Node) foldSeq(key string, seq uint64) {
 		e.next = seq
 	}
 	e.mu.Unlock()
-}
-
-// deliverWrite lands one write fan-out leg. In strict mode the leg goes to
-// its preference replica, buffering a coordinator-side hint on failure. In
-// sloppy mode (spares != nil) a leg whose replica is unreachable goes to
-// the next live spare beyond the preference list as a hinted write that
-// counts toward W; only when no spare can take it either does the
-// coordinator fall back to buffering the hint itself, unacked.
-func (n *Node) deliverWrite(v *memView, target int, ver kvstore.Version, spares *sparePicker) bool {
-	if spares == nil {
-		applied, replicaSeq, err := v.peers[target].Apply(ver)
-		if err != nil && n.params.Handoff {
-			n.store.StoreHint(target, ver)
-		}
-		return err == nil && n.ackable(ver, applied, replicaSeq)
-	}
-	if n.alive(v, target) {
-		applied, replicaSeq, err := v.peers[target].Apply(ver)
-		if err == nil {
-			return n.ackable(ver, applied, replicaSeq)
-		}
-		if deadError(err) {
-			n.live.markDead(target)
-		}
-	}
-	for {
-		s := spares.next()
-		if s < 0 {
-			break
-		}
-		if !n.alive(v, s) {
-			continue
-		}
-		applied, replicaSeq, err := v.peers[s].ApplyHinted(ver, target)
-		if err == nil {
-			n.spareWrites.Add(1)
-			return n.ackable(ver, applied, replicaSeq)
-		}
-		if deadError(err) {
-			n.live.markDead(s)
-		}
-	}
-	if n.params.Handoff {
-		n.store.StoreHint(target, ver)
-	}
-	return false
 }
 
 // forwardWrite proxies a write to the key's primary coordinator
@@ -951,48 +873,6 @@ func (n *Node) tryForwardOp(v *memView, cand int, key, value string, tombstone b
 	return PutResponse{}, &opError{code: ce.Code, msg: ce.Msg}, forwardRelayed
 }
 
-// readReplica performs one read fan-out leg against target, falling back to
-// live spares (sloppy quorums, spares != nil) when the preference replica
-// is unreachable: a crashed replica's most recent writes live on the spare
-// holding its hints, so the spare's answer is the best available stand-in
-// and counts toward the R quorum.
-func (n *Node) readReplica(view *memView, target int, key []byte, spares *sparePicker) readResp {
-	if spares == nil {
-		r, err := view.peers[target].GetVersion(key)
-		r.node, r.err = target, err
-		return r
-	}
-	if n.alive(view, target) {
-		r, err := view.peers[target].GetVersion(key)
-		if err == nil {
-			r.node = target
-			return r
-		}
-		if deadError(err) {
-			n.live.markDead(target)
-		}
-	}
-	for {
-		s := spares.next()
-		if s < 0 {
-			break
-		}
-		if !n.alive(view, s) {
-			continue
-		}
-		r, err := view.peers[s].GetVersion(key)
-		if err == nil {
-			n.spareReads.Add(1)
-			r.node = s
-			return r
-		}
-		if deadError(err) {
-			n.live.markDead(s)
-		}
-	}
-	return readResp{node: target, err: fmt.Errorf("%w: replica %d and all spares unreachable", ErrReplicaDown, target)}
-}
-
 // coordinateGetOp coordinates a read: fan out to all N preference replicas
 // with injected R/S delays, answer with the newest of the first R
 // responses, then keep collecting in the background for the staleness
@@ -1017,16 +897,10 @@ func (n *Node) coordinateGetOp(key, dst []byte) ([]byte, *opError) {
 	if quorumR > nReps {
 		quorumR = nReps
 	}
-	var spares *sparePicker
-	if n.params.SloppyQuorum {
-		spares = n.sparePicker(v, string(key))
-	}
 	start := time.Now()
 	rs := n.newReadState(v, key, quorumR, nReps)
-	for _, nodeID := range prefs {
-		pre, post := n.inj.readLeg()
-		n.submitReadLeg(v, nodeID, spares, rs, pre, post)
-	}
+	var lbuf [maxStackPrefs]*legTask
+	n.submitLegs(n.addReadLegs(lbuf[:0], v, prefs, rs))
 
 	// Wait for the read quorum (or every leg, if the quorum is
 	// unreachable), then compute the verdict over the first R successful

@@ -8,44 +8,42 @@ package server
 // interposes a fault layer (faults.go) between the coordinator and the
 // transport. Behind the seam a peer holds connections of two roles to its
 // replica: peer-role connections carry every method but ForwardWrite,
-// forward-role connections carry ForwardWrite. The peer a node builds for
-// itself serves its own replica legs (Apply, ApplyHinted, GetVersion,
-// Ping and the batched forms) in process instead: still behind the fault
-// layer, still encoded, served by handlePeerOp and decoded with the same
-// codec, but without a socket round trip to itself; its control-plane
-// methods keep the mux. The fault-free path adds one interface dispatch
-// and a nil check per RPC, preserving the WARS measurement semantics the
-// conformance suite pins.
+// forward-role connections carry ForwardWrite. A data leg has one shape
+// per direction: Apply sends a list of versions and Get asks for a list of
+// keys, whether the list holds one operation's key or one peer's share of
+// a multi-key batch; only a sloppy-quorum spare write (ApplyHinted) carries
+// one version on its own opcode. The peer a node builds for itself serves
+// its own replica legs (Apply, ApplyHinted, Get and Ping) in process
+// instead: still behind the fault layer, still encoded, served by
+// handlePeerOp and decoded with the same codec, but without a socket round
+// trip to itself; its control-plane methods keep the mux. The fault-free
+// path adds one interface dispatch and a nil check per RPC, preserving the
+// WARS measurement semantics the conformance suite pins.
 
 import "pbs/internal/kvstore"
 
 // Peer is one replica's internal RPC surface as seen from a coordinator.
 type Peer interface {
-	// Apply replicates v to the peer, reporting whether the peer's state
-	// changed and the peer's resulting seq for the key (>= v.Seq when the
-	// peer ignored v as a stale duplicate — coordinators use the seq's
-	// epoch to detect that they are assigning in a superseded epoch).
-	Apply(v kvstore.Version) (applied bool, replicaSeq uint64, err error)
+	// Apply replicates vers (1 to maxBatchOps versions) to the peer in one
+	// round trip, answering into acks, index-aligned (len(acks) >=
+	// len(vers)): whether the peer's state changed, and the peer's
+	// resulting seq for the key (>= the version's seq when the peer ignored
+	// it as a stale duplicate — coordinators use the seq's epoch to detect
+	// that they are assigning in a superseded epoch).
+	Apply(vers []kvstore.Version, acks []applyAck) error
 	// ApplyHinted replicates v to the peer as a sloppy-quorum spare write:
 	// the peer installs it locally and buffers a hint naming the
 	// preference-list replica (target) the write was intended for, to be
 	// replayed by the peer's own handoff loop once the target recovers.
-	// The return values mirror Apply.
-	ApplyHinted(v kvstore.Version, target int) (applied bool, replicaSeq uint64, err error)
+	// The answer is Apply's.
+	ApplyHinted(v kvstore.Version, target int) (applyAck, error)
 	// Ping is a lightweight liveness probe (one empty round trip).
 	Ping() error
-	// GetVersion reads the peer's current version for key. The answer
-	// stays in the pooled frame it arrived in: the returned readResp owns
-	// that buffer, and whoever holds the readResp releases it.
-	GetVersion(key []byte) (readResp, error)
-	// ApplyBatch replicates many versions in one round trip (one batched
-	// coordinator leg), answering per version with Apply's
-	// (applied, replicaSeq) pair, index-aligned with vers.
-	ApplyBatch(vers []kvstore.Version) ([]ApplyAck, error)
-	// GetVersionBatch reads the peer's current versions for many keys in
-	// one round trip into out, index-aligned with keys, each answer in a
-	// pooled buffer its readResp owns.
-	GetVersionBatch(keys [][]byte, out []readResp) error
+	// Get reads the peer's current versions for keys (1 to maxBatchOps) in
+	// one round trip into out, index-aligned (len(out) >= len(keys)). Each
+	// answer owns a pooled buffer — a one-key answer, the frame it arrived
+	// in — and whoever holds the readResp releases it.
+	Get(keys [][]byte, out []readResp) error
 	// MerkleNodes returns the peer's Merkle content summary at the given
 	// depth, in heap layout (merkle.Tree.Nodes).
 	MerkleNodes(depth int) ([]uint64, error)
@@ -80,16 +78,24 @@ type faultPeer struct {
 	next     Peer
 }
 
-func (fp *faultPeer) Apply(v kvstore.Version) (bool, uint64, error) {
-	if err := fp.f.allow(fp.from, fp.to); err != nil {
-		return false, 0, err
-	}
-	return fp.next.Apply(v)
+// applyOne replicates one version to p, dropping the answer: the legs that
+// are not a quorum's (read repair, hint replay, anti-entropy push, the
+// Leave drain) only need to know that it landed.
+func applyOne(p Peer, v kvstore.Version) error {
+	var ack [1]applyAck
+	return p.Apply([]kvstore.Version{v}, ack[:])
 }
 
-func (fp *faultPeer) ApplyHinted(v kvstore.Version, target int) (bool, uint64, error) {
+func (fp *faultPeer) Apply(vers []kvstore.Version, acks []applyAck) error {
 	if err := fp.f.allow(fp.from, fp.to); err != nil {
-		return false, 0, err
+		return err
+	}
+	return fp.next.Apply(vers, acks)
+}
+
+func (fp *faultPeer) ApplyHinted(v kvstore.Version, target int) (applyAck, error) {
+	if err := fp.f.allow(fp.from, fp.to); err != nil {
+		return applyAck{}, err
 	}
 	return fp.next.ApplyHinted(v, target)
 }
@@ -112,25 +118,11 @@ func (fp *faultPeer) ForwardWrite(key, value string, tombstone bool, fwdEpoch ui
 	return fp.next.ForwardWrite(key, value, tombstone, fwdEpoch)
 }
 
-func (fp *faultPeer) GetVersion(key []byte) (readResp, error) {
-	if err := fp.f.allow(fp.from, fp.to); err != nil {
-		return readResp{}, err
-	}
-	return fp.next.GetVersion(key)
-}
-
-func (fp *faultPeer) ApplyBatch(vers []kvstore.Version) ([]ApplyAck, error) {
-	if err := fp.f.allow(fp.from, fp.to); err != nil {
-		return nil, err
-	}
-	return fp.next.ApplyBatch(vers)
-}
-
-func (fp *faultPeer) GetVersionBatch(keys [][]byte, out []readResp) error {
+func (fp *faultPeer) Get(keys [][]byte, out []readResp) error {
 	if err := fp.f.allow(fp.from, fp.to); err != nil {
 		return err
 	}
-	return fp.next.GetVersionBatch(keys, out)
+	return fp.next.Get(keys, out)
 }
 
 func (fp *faultPeer) MerkleNodes(depth int) ([]uint64, error) {

@@ -42,6 +42,7 @@ func TestRoleRefusal(t *testing.T) {
 	// A replica version far above any coordinator's seq: installed, it
 	// would shadow every later write to its key.
 	shadow := kvstore.Version{Key: key, Seq: 1 << 60, Value: "shadow"}
+	shadows := []kvstore.Version{shadow}
 
 	cases := []struct {
 		name    string
@@ -51,12 +52,13 @@ func TestRoleRefusal(t *testing.T) {
 	}{
 		{"forward-tagged client put", roleClient, opClientPut, append(appendClientWrite(nil, key, "v", false), epochTail...)},
 		{"forward-tagged client delete", roleClient, opClientDelete, append(appendClientWrite(nil, key, "", true), epochTail...)},
-		{"replica apply on a client connection", roleClient, opApply, encodeVersion(nil, shadow)},
+		{"replica apply on a client connection", roleClient, opApply, appendApply(nil, shadows)},
 		{"hinted apply on a client connection", roleClient, opApplyHint, appendHintedApply(nil, 1, shadow)},
 		{"forwarded write on a client connection", roleClient, opForwardWrite, appendForwardWrite(nil, key, "v", false, n.RingEpoch()+1)},
 		{"client put on a peer connection", rolePeer, opClientPut, appendClientWrite(nil, key, "v", false)},
 		{"forwarded write on a peer connection", rolePeer, opForwardWrite, appendForwardWrite(nil, key, "v", false, n.RingEpoch())},
-		{"replica apply on a forward connection", roleForward, opApply, encodeVersion(nil, shadow)},
+		{"replica apply on a forward connection", roleForward, opApply, appendApply(nil, shadows)},
+		{"retired batched apply on a peer connection", rolePeer, retiredApplyBatch, appendApply(nil, shadows)},
 		{"client put on a forward connection", roleForward, opClientPut, appendClientWrite(nil, key, "v", false)},
 		{"gossip on a forward connection", roleForward, opGossip, nil},
 	}
@@ -97,7 +99,7 @@ func TestRoleRefusal(t *testing.T) {
 		defer conn.Close()
 		br, bw := bufio.NewReader(conn), bufio.NewWriter(conn)
 		for _, op := range []byte{opApply, opPing, opClientPut, opForwardWrite} {
-			payload := encodeVersion(nil, shadow)
+			payload := appendApply(nil, shadows)
 			if op == opClientPut {
 				payload = appendClientWrite(nil, key, "v", false)
 			}
@@ -199,18 +201,26 @@ func (t ioTee) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// The opcodes of protocol 3's batched legs, retired when every apply and
+// get became a list: a peer connection refuses them.
+const (
+	retiredApplyBatch byte = 22
+	retiredGetBatch   byte = 23
+)
+
 // TestGoldenFrames pins one request frame per opcode, every role
 // included: the exact bytes the real callers (peer, BinClient) put on the
 // wire for fixed inputs, each on a fresh connection (request id 1), after
-// the hello of that connection's role.
+// the hello of that connection's role. An apply and a get are pinned with
+// one entry and with two.
 func TestGoldenFrames(t *testing.T) {
 	addr, frames := goldenRecorder(t)
 	ver := kvstore.Version{Key: "k", Seq: 7, Value: "v"}
 	del := kvstore.Version{Key: "d", Seq: 8, Tombstone: true}
 	wantHello := map[role]string{
-		rolePeer:    "0c0000000103",
+		rolePeer:    "0c0000000104",
 		roleClient:  "0d0000000101",
-		roleForward: "180000000103",
+		roleForward: "180000000104",
 	}
 	rows := []struct {
 		op   byte
@@ -218,10 +228,18 @@ func TestGoldenFrames(t *testing.T) {
 		call func(p *peer, bc *BinClient)
 		want string
 	}{
-		{opApply, rolePeer, func(p *peer, _ *BinClient) { p.Apply(ver) },
-			"01" + "0000000000000001" + "00000013" + "00016b" + "0000000000000007" + "00" + "0000000176" + "0000"},
-		{opGet, rolePeer, func(p *peer, _ *BinClient) { p.GetVersion([]byte("k")) },
-			"02" + "0000000000000001" + "00000003" + "00016b"},
+		{opApply, rolePeer, func(p *peer, _ *BinClient) { applyOne(p, ver) },
+			"01" + "0000000000000001" + "00000015" + "0001" + "00016b" + "0000000000000007" + "00" + "0000000176" + "0000"},
+		{opApply, rolePeer, func(p *peer, _ *BinClient) { p.Apply([]kvstore.Version{ver, del}, make([]applyAck, 2)) },
+			"01" + "0000000000000001" + "00000027" + "0002" +
+				"00016b" + "0000000000000007" + "00" + "0000000176" + "0000" +
+				"000164" + "0000000000000008" + "01" + "00000000" + "0000"},
+		{opGet, rolePeer, func(p *peer, _ *BinClient) { p.Get([][]byte{[]byte("k")}, make([]readResp, 1)) },
+			"02" + "0000000000000001" + "00000005" + "0001" + "00016b"},
+		{opGet, rolePeer, func(p *peer, _ *BinClient) {
+			p.Get([][]byte{[]byte("k"), []byte("d")}, make([]readResp, 2))
+		},
+			"02" + "0000000000000001" + "00000008" + "0002" + "00016b" + "000164"},
 		{opTree, rolePeer, func(p *peer, _ *BinClient) { p.MerkleNodes(4) },
 			"03" + "0000000000000001" + "00000001" + "04"},
 		{opBucket, rolePeer, func(p *peer, _ *BinClient) { p.BucketVersions(4, []int{1, 9}) },
@@ -242,14 +260,6 @@ func TestGoldenFrames(t *testing.T) {
 			"0a" + "0000000000000001" + "00000001" + "67"},
 		{opConfigLog, rolePeer, func(p *peer, _ *BinClient) { p.ConfigRPC([]byte("c")) },
 			"0b" + "0000000000000001" + "00000001" + "63"},
-		{opApplyBatch, rolePeer, func(p *peer, _ *BinClient) { p.ApplyBatch([]kvstore.Version{ver, del}) },
-			"16" + "0000000000000001" + "00000027" + "0002" +
-				"00016b" + "0000000000000007" + "00" + "0000000176" + "0000" +
-				"000164" + "0000000000000008" + "01" + "00000000" + "0000"},
-		{opGetBatch, rolePeer, func(p *peer, _ *BinClient) {
-			p.GetVersionBatch([][]byte{[]byte("k"), []byte("d")}, make([]readResp, 2))
-		},
-			"17" + "0000000000000001" + "00000008" + "0002" + "00016b" + "000164"},
 		{opClientPut, roleClient, func(_ *peer, bc *BinClient) { bc.Put("k", "v") },
 			"0e" + "0000000000000001" + "00000008" + "00016b" + "0000000176"},
 		{opClientDelete, roleClient, func(_ *peer, bc *BinClient) { bc.Delete("k") },
@@ -294,7 +304,7 @@ func TestGoldenFrames(t *testing.T) {
 		seen[h.op] = true
 	}
 	for op := byte(1); op <= opForwardWrite; op++ {
-		if !seen[op] {
+		if !seen[op] && op != retiredApplyBatch && op != retiredGetBatch {
 			t.Errorf("op %d has no golden frame", op)
 		}
 	}

@@ -112,8 +112,14 @@ func TestSelfLegFaults(t *testing.T) {
 	n := c.Nodes[1]
 	fp, p := selfPeer(t, n)
 	v := kvstore.Version{Key: "self-fault", Seq: 1, Value: "v"}
-	if _, _, err := fp.Apply(v); err != nil {
+	if err := applyOne(fp, v); err != nil {
 		t.Fatalf("healthy self apply: %v", err)
+	}
+	get := func(p Peer) error {
+		var out [1]readResp
+		err := p.Get([][]byte{[]byte(v.Key)}, out[:])
+		putBuf(out[0].buf)
+		return err
 	}
 
 	for _, tc := range []struct {
@@ -127,31 +133,31 @@ func TestSelfLegFaults(t *testing.T) {
 		{"partition", c.Faults().Partition, c.Faults().Heal, ErrPartitioned, ErrPartitioned.Error()},
 	} {
 		tc.inject(n.id)
-		if _, _, err := fp.Apply(v); !errors.Is(err, tc.want) {
+		if err := applyOne(fp, v); !errors.Is(err, tc.want) {
 			t.Errorf("%s: self Apply = %v, want %v", tc.name, err, tc.want)
 		}
-		if _, err := fp.GetVersion([]byte(v.Key)); !errors.Is(err, tc.want) {
-			t.Errorf("%s: self GetVersion = %v, want %v", tc.name, err, tc.want)
+		if err := get(fp); !errors.Is(err, tc.want) {
+			t.Errorf("%s: self Get = %v, want %v", tc.name, err, tc.want)
 		}
-		if _, err := fp.ApplyBatch([]kvstore.Version{v}); !errors.Is(err, tc.want) {
-			t.Errorf("%s: self ApplyBatch = %v, want %v", tc.name, err, tc.want)
+		if _, err := fp.ApplyHinted(v, n.id); !errors.Is(err, tc.want) {
+			t.Errorf("%s: self ApplyHinted = %v, want %v", tc.name, err, tc.want)
 		}
 		if err := fp.Ping(); !errors.Is(err, tc.want) {
 			t.Errorf("%s: self Ping = %v, want %v", tc.name, err, tc.want)
 		}
 		// Past the fault layer, the replica refuses the leg itself.
-		if _, err := p.GetVersion([]byte(v.Key)); err == nil || !strings.Contains(err.Error(), tc.refusalMsg) {
-			t.Errorf("%s: unwrapped self GetVersion = %v, want a %q refusal", tc.name, err, tc.refusalMsg)
+		if err := get(p); err == nil || !strings.Contains(err.Error(), tc.refusalMsg) {
+			t.Errorf("%s: unwrapped self Get = %v, want a %q refusal", tc.name, err, tc.refusalMsg)
 		}
 		tc.heal(n.id)
-		if _, err := fp.GetVersion([]byte(v.Key)); err != nil {
-			t.Errorf("%s healed: self GetVersion: %v", tc.name, err)
+		if err := get(fp); err != nil {
+			t.Errorf("%s healed: self Get: %v", tc.name, err)
 		}
 	}
 
 	// A closed node refuses its own legs too.
 	n.Close()
-	if _, err := p.GetVersion([]byte(v.Key)); err == nil {
+	if err := get(p); err == nil {
 		t.Error("closed node served its own leg")
 	}
 }

@@ -125,6 +125,52 @@ func TestSpareWritesCarryHints(t *testing.T) {
 	}
 }
 
+// TestSloppyWriteSparesDistinct: with two of a key's three preference
+// replicas down and W = N, the write commits only if both dead replicas'
+// legs take spares — and those must be two distinct nodes, each holding
+// one hint for a different victim. One write's legs share one spare claim
+// (sparePicker), so the W quorum counts distinct nodes.
+func TestSloppyWriteSparesDistinct(t *testing.T) {
+	c, err := StartLocal(5, Params{N: 3, R: 1, W: 3, Seed: 5, SloppyQuorum: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// In a 5-node cluster with N=3 the full ring order is the 3 preference
+	// replicas plus exactly two spares.
+	key := "distinct-0"
+	full := c.Nodes[0].Membership().PreferenceList(key, 5)
+	victims, spares := full[1:3], full[3:]
+	for _, v := range victims {
+		c.Faults().Crash(v)
+	}
+	before := c.Stats().SpareWrites
+	pr := binPut(t, c.Nodes[full[0]], key, "v")
+	if pr.Node != full[0] {
+		t.Fatalf("write coordinated by node %d, want primary %d", pr.Node, full[0])
+	}
+	if d := c.Stats().SpareWrites - before; d != 2 {
+		t.Fatalf("SpareWrites rose by %d, want 2 (one per dead replica)", d)
+	}
+	named := map[int]bool{}
+	for _, s := range spares {
+		var held []int
+		for target, kh := range c.Nodes[s].store.Hints() {
+			for range kh {
+				held = append(held, target)
+			}
+		}
+		if len(held) != 1 {
+			t.Fatalf("spare %d holds hints for %v, want exactly one", s, held)
+		}
+		named[held[0]] = true
+	}
+	if len(named) != 2 || !named[victims[0]] || !named[victims[1]] {
+		t.Fatalf("the spares' hints name %v, want both victims %v", named, victims)
+	}
+}
+
 // TestSloppySpareWriteIsOneGroupCommit pins what a durable spare write
 // costs: the spare stages the hint and the data record in its one WAL and
 // makes both durable with a single group commit — two appends, at most
@@ -270,6 +316,10 @@ func TestRecoveredPrimaryCannotShadowFailoverWrites(t *testing.T) {
 	if pr2.Seq <= pr1.Seq {
 		t.Fatalf("retry assigned seq %#x <= failover seq %#x", pr2.Seq, pr1.Seq)
 	}
+	// R=1 with W=2 of N=3 is a partial quorum: the retry is acked once two
+	// legs land, so the leg to node 1 may still be in flight. Wait for it,
+	// so the read below checks what the retry left, not a leg race.
+	waitReplicaSeqs(t, c, 1, []string{key}, pr2.Seq, 5*time.Second)
 	gr := binGet(t, c.Nodes[1], key)
 	if gr.Value != "retry-value" || gr.Seq != pr2.Seq {
 		t.Fatalf("read %+v after retry, want retry-value at seq %#x", gr, pr2.Seq)

@@ -9,9 +9,9 @@ package server
 // and that hello fixes the connection's role for its lifetime:
 //
 //   - peer (opPeerHello): everything one node asks of another's replica —
-//     the data legs (apply, hinted apply, get, ping and their batched
-//     forms) and the control plane (Merkle trees and buckets, join,
-//     membership, gossip, the config log, range streaming);
+//     the data legs (apply, hinted apply, get and ping) and the control
+//     plane (Merkle trees and buckets, join, membership, gossip, the
+//     config log, range streaming);
 //   - client (opClientHello, clientproto.go): client requests into the
 //     coordinator;
 //   - forward (opForwardHello): a write one node proxies to the key's
@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -45,17 +46,17 @@ const (
 	opClientHello  byte = 13 // clientProtoVersion u8
 	opForwardHello byte = 24 // peerProtoVersion u8
 
-	// Peer role: replica data legs.
+	// Peer role: replica data legs. An apply or get carries a list of 1 to
+	// maxBatchOps entries — a count u16, then versions or string16 keys —
+	// answered per entry, index-aligned: one coordinator leg is one frame,
+	// whether it holds one operation's key or one peer's share of a
+	// multi-key batch. A hinted apply is one spare write: a target u32,
+	// then one version. 22 and 23 are retired (protocol 3's separate
+	// batched legs).
 	opApply     byte = 1
 	opGet       byte = 2
 	opPing      byte = 5
 	opApplyHint byte = 6
-	// Batched legs: one frame carries one coordinator's whole share of a
-	// multi-key batch for one peer — a length-prefixed version list for
-	// opApplyBatch, a key list for opGetBatch — answered per entry,
-	// index-aligned.
-	opApplyBatch byte = 22
-	opGetBatch   byte = 23
 	// Peer role: control plane. opTree and opBucket serve Merkle
 	// anti-entropy; opJoin asks a seed member for an ID assignment and the
 	// current membership; opMembership pushes/pulls the versioned
@@ -90,7 +91,7 @@ const (
 	// peerProtoVersion is the peer and forward hellos' version. It changes
 	// with either role's opcode table or payload layouts, so nodes that
 	// disagree fail at the hello rather than on their first mismatched op.
-	peerProtoVersion byte = 3
+	peerProtoVersion byte = 4
 
 	statusOK  byte = 0
 	statusErr byte = 1
@@ -170,6 +171,16 @@ func (d *decoder) bytes16() []byte  { return d.take(int(d.u16())) }
 func (d *decoder) bytes32() []byte  { return d.take(int(d.u32())) }
 func (d *decoder) string16() string { return string(d.bytes16()) }
 func (d *decoder) string32() string { return string(d.bytes32()) }
+
+// legCount reads the entry count of an apply or get, which must lie in
+// [1, maxBatchOps].
+func (d *decoder) legCount() int {
+	count := int(d.u16())
+	if d.err == nil && (count == 0 || count > maxBatchOps) {
+		d.err = fmt.Errorf("server: leg of %d entries outside [1, %d]", count, maxBatchOps)
+	}
+	return count
+}
 
 // versionFlagTombstone marks a replicated delete in the wire format's
 // version flags byte.
@@ -278,7 +289,7 @@ func readFrame(r *bufio.Reader) (tag byte, payload []byte, err error) {
 // replica's now-current seq for the key. The seq lets a coordinator detect
 // that its write was ignored in favor of a *higher-epoch* version — the
 // signature of a recovered primary coordinating in a stale epoch — and
-// refuse to count the leg toward W (see deliverWrite).
+// refuse to count the leg toward W (see ackable).
 func (n *Node) applyResponse(key string, applied bool, buf []byte) []byte {
 	cur, _ := n.getLocal(key)
 	out := append(growBuf(buf, 9), 0)
@@ -288,20 +299,20 @@ func (n *Node) applyResponse(key string, applied bool, buf []byte) []byte {
 	return binary.BigEndian.AppendUint64(out, cur.Seq)
 }
 
-// applyBatchScratch is the reusable decode space of one batched apply.
-type applyBatchScratch struct {
+// applyScratch is the reusable decode space of one apply.
+type applyScratch struct {
 	vers    []kvstore.Version
 	applied []bool
 }
 
-var applyBatchPool = sync.Pool{New: func() any { return new(applyBatchScratch) }}
+var applyPool = sync.Pool{New: func() any { return new(applyScratch) }}
 
 // release drops the decoded versions (so the pool pins no values) and
 // repools the scratch.
-func (sc *applyBatchScratch) release() {
+func (sc *applyScratch) release() {
 	clear(sc.vers)
 	sc.vers = sc.vers[:0]
-	applyBatchPool.Put(sc)
+	applyPool.Put(sc)
 }
 
 // --- server side -------------------------------------------------------
@@ -448,11 +459,27 @@ func (n *Node) handlePeerOp(op byte, payload, buf []byte) (status byte, resp []b
 	d := &decoder{b: payload}
 	switch op {
 	case opApply:
-		v := d.version()
+		// The whole list goes to the engine at once, so a durable replica
+		// makes it durable with one group commit rather than one per version.
+		count := d.legCount()
 		if d.err != nil {
 			return statusErr, []byte(d.err.Error())
 		}
-		return statusOK, n.applyResponse(v.Key, n.applyLocal(v), buf)
+		sc := applyPool.Get().(*applyScratch)
+		defer sc.release()
+		for i := 0; i < count && d.err == nil; i++ {
+			sc.vers = append(sc.vers, d.version())
+		}
+		if d.err != nil {
+			return statusErr, []byte(d.err.Error())
+		}
+		sc.applied = slices.Grow(sc.applied[:0], count)[:count]
+		n.store.ApplyBatch(sc.vers, n.nowMs(), sc.applied)
+		out := buf
+		for i, v := range sc.vers {
+			out = n.applyResponse(v.Key, sc.applied[i], out)
+		}
+		return statusOK, out
 	case opPing:
 		// Liveness probe: reaching this point proves the replica is up
 		// (crashed replicas were already refused above).
@@ -479,48 +506,18 @@ func (n *Node) handlePeerOp(op byte, payload, buf []byte) (status byte, resp []b
 		}
 		return statusOK, n.applyResponse(v.Key, applied, buf)
 	case opGet:
-		// The key is looked up straight from the request frame: no copy.
-		key := d.bytes16()
-		if d.err != nil {
-			return statusErr, []byte(d.err.Error())
-		}
-		v, found := n.store.GetBytes(key)
-		return statusOK, appendGetAnswer(buf, key, v, found)
-	case opApplyBatch:
-		// The whole batch goes to the engine at once, so a durable replica
-		// makes it durable with one group commit rather than one per version.
-		count := int(d.u16())
-		if d.err != nil || count == 0 || count > maxBatchOps {
-			return statusErr, []byte("server: malformed batch apply")
-		}
-		sc := applyBatchPool.Get().(*applyBatchScratch)
-		defer sc.release()
-		for i := 0; i < count; i++ {
-			sc.vers = append(sc.vers, d.version())
-		}
-		if d.err != nil {
-			return statusErr, []byte(d.err.Error())
-		}
-		sc.applied = append(sc.applied[:0], make([]bool, count)...)
-		n.store.ApplyBatch(sc.vers, n.nowMs(), sc.applied)
+		// Each key is looked up straight from the request frame: no copy.
+		count := d.legCount()
 		out := buf
-		for i, v := range sc.vers {
-			out = n.applyResponse(v.Key, sc.applied[i], out)
-		}
-		return statusOK, out
-	case opGetBatch:
-		count := int(d.u16())
-		if d.err != nil || count == 0 || count > maxBatchOps {
-			return statusErr, []byte("server: malformed batch get")
-		}
-		out := buf
-		for i := 0; i < count; i++ {
+		for i := 0; i < count && d.err == nil; i++ {
 			key := d.bytes16()
-			if d.err != nil {
-				return statusErr, []byte(d.err.Error())
+			if d.err == nil {
+				v, found := n.store.GetBytes(key)
+				out = appendGetAnswer(out, key, v, found)
 			}
-			v, found := n.store.GetBytes(key)
-			out = appendGetAnswer(out, key, v, found)
+		}
+		if d.err != nil {
+			return statusErr, []byte(d.err.Error())
 		}
 		return statusOK, out
 	case opTree:
@@ -677,17 +674,37 @@ func (p *peer) muxRPC(op byte, sizeHint int, enc func([]byte) []byte) ([]byte, e
 	return nil, lastErr
 }
 
-// legOp reports whether op is a replica data leg: an op that only reads
-// or writes local replica state, never waits on another node or on a lock
-// its caller may hold, and so may be served in the caller's goroutine.
-// The control plane (Merkle, join, membership, gossip, the config log,
-// range streaming) is not.
-func legOp(op byte) bool {
-	switch op {
-	case opApply, opApplyHint, opGet, opApplyBatch, opGetBatch, opPing:
-		return true
-	}
-	return false
+// legInline says when a peer connection's reader serves a data leg itself
+// instead of on the worker pool (serveMux): a get or a ping never blocks on
+// storage; an apply blocks only on a durable engine, whose WAL group commit
+// wants many concurrent appliers per batch; a hinted apply commits its hint.
+type legInline uint8
+
+const (
+	inlineNever legInline = iota + 1
+	inlineInMem
+	inlineAlways
+)
+
+// legOps is the one table of replica data legs: ops that only read or
+// write local replica state, never wait on another node or on a lock their
+// caller may hold, and so may be served in the caller's goroutine. The
+// control plane (Merkle, join, membership, gossip, the config log, range
+// streaming) is not in it.
+var legOps = [256]legInline{
+	opApply:     inlineInMem,
+	opApplyHint: inlineNever,
+	opGet:       inlineAlways,
+	opPing:      inlineAlways,
+}
+
+// legOp reports whether op is a replica data leg.
+func legOp(op byte) bool { return legOps[op] != 0 }
+
+// inlineLeg reports whether a peer connection's reader serves op itself on
+// a node whose engine is durable or not.
+func inlineLeg(op byte, durable bool) bool {
+	return legOps[op] == inlineAlways || (legOps[op] == inlineInMem && !durable)
 }
 
 // localRPC is muxRPC for a node's own replica leg: the request is encoded
@@ -716,50 +733,66 @@ func (p *peer) ctrlRPC(op byte, payload []byte) ([]byte, error) {
 	return p.muxRPC(op, len(payload), func(b []byte) []byte { return append(b, payload...) })
 }
 
-// decodeApply parses an apply answer: applied flag + the peer's current
-// seq for the key.
-func decodeApply(resp []byte) (applied bool, replicaSeq uint64, err error) {
-	d := &decoder{b: resp}
-	applied = d.u8() == 1
-	replicaSeq = d.u64()
-	if d.err != nil {
-		return false, 0, d.err
-	}
-	return applied, replicaSeq, nil
-}
-
 // versionSizeHint estimates v's encoded size, for pooled-buffer sizing.
 func versionSizeHint(v kvstore.Version) int {
 	return 32 + len(v.Key) + len(v.Value)
 }
 
-// Apply replicates v to the peer, reporting whether the peer's state
-// changed and the peer's resulting seq for the key.
-func (p *peer) Apply(v kvstore.Version) (applied bool, replicaSeq uint64, err error) {
-	resp, err := p.muxRPC(opApply, versionSizeHint(v), func(b []byte) []byte {
-		return encodeVersion(b, v)
-	})
-	if err != nil {
-		return false, 0, err
+// applyAck is one version's answer to an apply: whether the replica's
+// state changed, and its resulting seq for the key — at least the
+// version's own when the replica ignored it as a stale duplicate (ackable
+// reads the seq's epoch).
+type applyAck struct {
+	applied bool
+	seq     uint64
+}
+
+func (d *decoder) applyAck() applyAck {
+	return applyAck{applied: d.u8() == 1, seq: d.u64()}
+}
+
+// appendApply appends an opApply payload: the count, then each version.
+func appendApply(b []byte, vers []kvstore.Version) []byte {
+	b = binary.BigEndian.AppendUint16(b, uint16(len(vers)))
+	for i := range vers {
+		b = encodeVersion(b, vers[i])
 	}
-	applied, replicaSeq, err = decodeApply(resp)
+	return b
+}
+
+// Apply replicates vers (1 to maxBatchOps versions) to the peer in one
+// round trip, answering into acks, index-aligned (len(acks) >= len(vers)).
+func (p *peer) Apply(vers []kvstore.Version, acks []applyAck) error {
+	hint := 2
+	for i := range vers {
+		hint += versionSizeHint(vers[i])
+	}
+	resp, err := p.muxRPC(opApply, hint, func(b []byte) []byte { return appendApply(b, vers) })
+	if err != nil {
+		return err
+	}
+	d := &decoder{b: resp}
+	for i := range vers {
+		acks[i] = d.applyAck()
+	}
 	putBuf(resp)
-	return applied, replicaSeq, err
+	return d.err
 }
 
 // ApplyHinted replicates v to the peer as a sloppy-quorum spare write: the
 // peer installs it locally and buffers a hint naming the preference-list
 // replica (target) the write was intended for.
-func (p *peer) ApplyHinted(v kvstore.Version, target int) (applied bool, replicaSeq uint64, err error) {
+func (p *peer) ApplyHinted(v kvstore.Version, target int) (applyAck, error) {
 	resp, err := p.muxRPC(opApplyHint, 4+versionSizeHint(v), func(b []byte) []byte {
 		return appendHintedApply(b, target, v)
 	})
 	if err != nil {
-		return false, 0, err
+		return applyAck{}, err
 	}
-	applied, replicaSeq, err = decodeApply(resp)
+	d := &decoder{b: resp}
+	ack := d.applyAck()
 	putBuf(resp)
-	return applied, replicaSeq, err
+	return ack, d.err
 }
 
 // appendHintedApply appends an opApplyHint payload: the target replica
@@ -778,82 +811,27 @@ func (p *peer) Ping() error {
 	return nil
 }
 
-// GetVersion reads the peer's current version for key. The answer stays
-// in the pooled frame it arrived in, which the returned readResp owns.
-func (p *peer) GetVersion(key []byte) (readResp, error) {
-	resp, err := p.muxRPC(opGet, 2+len(key), func(b []byte) []byte {
-		return appendString16(b, key)
-	})
-	if err != nil {
-		return readResp{}, err
+// appendGet appends an opGet payload: the count, then each key.
+func appendGet(b []byte, keys [][]byte) []byte {
+	b = binary.BigEndian.AppendUint16(b, uint16(len(keys)))
+	for _, k := range keys {
+		b = appendString16(b, k)
 	}
-	d := &decoder{b: resp}
-	r := d.readAnswer(key)
-	if d.err != nil {
-		putBuf(resp)
-		return readResp{}, d.err
-	}
-	r.buf = resp
-	return r, nil
+	return b
 }
 
-// ApplyAck is one version's answer inside a batched apply: Apply's
-// (applied, replicaSeq) pair.
-type ApplyAck struct {
-	Applied bool
-	Seq     uint64
-}
-
-// ApplyBatch replicates many versions to the peer in one round trip (one
-// batched coordinator leg), answering per version, index-aligned with
-// vers. The answer carries the same per-version information as Apply, so
-// the coordinator's stale-epoch refusal (ackable) applies per key.
-func (p *peer) ApplyBatch(vers []kvstore.Version) ([]ApplyAck, error) {
-	enc := func(b []byte) []byte {
-		b = binary.BigEndian.AppendUint16(b, uint16(len(vers)))
-		for i := range vers {
-			b = encodeVersion(b, vers[i])
-		}
-		return b
-	}
-	hint := 2
-	for i := range vers {
-		hint += versionSizeHint(vers[i])
-	}
-	resp, err := p.muxRPC(opApplyBatch, hint, enc)
-	if err != nil {
-		return nil, err
-	}
-	d := &decoder{b: resp}
-	acks := make([]ApplyAck, len(vers))
-	for i := range acks {
-		acks[i] = ApplyAck{Applied: d.u8() == 1, Seq: d.u64()}
-	}
-	derr := d.err
-	putBuf(resp)
-	if derr != nil {
-		return nil, derr
-	}
-	return acks, nil
-}
-
-// GetVersionBatch reads the peer's current versions for many keys in one
-// round trip into out, index-aligned with keys (len(out) >= len(keys)).
-// The frame is shared by every key, so each value is copied into a pooled
-// buffer of its own, which its readResp owns; on error out holds nothing.
-func (p *peer) GetVersionBatch(keys [][]byte, out []readResp) error {
-	enc := func(b []byte) []byte {
-		b = binary.BigEndian.AppendUint16(b, uint16(len(keys)))
-		for _, k := range keys {
-			b = appendString16(b, k)
-		}
-		return b
-	}
+// Get reads the peer's current versions for keys (1 to maxBatchOps) in one
+// round trip into out, index-aligned (len(out) >= len(keys)); on error out
+// holds nothing. Each answer owns the pooled buffer its value aliases: a
+// one-key answer keeps the frame it arrived in, while the answers to a
+// longer list, which share one frame, each get a pooled copy of their
+// value.
+func (p *peer) Get(keys [][]byte, out []readResp) error {
 	hint := 2
 	for _, k := range keys {
 		hint += 2 + len(k)
 	}
-	resp, err := p.muxRPC(opGetBatch, hint, enc)
+	resp, err := p.muxRPC(opGet, hint, func(b []byte) []byte { return appendGet(b, keys) })
 	if err != nil {
 		return err
 	}
@@ -861,18 +839,20 @@ func (p *peer) GetVersionBatch(keys [][]byte, out []readResp) error {
 	for i, k := range keys {
 		out[i] = d.readAnswer(k)
 	}
-	if d.err == nil {
+	switch {
+	case d.err != nil:
+		clear(out[:len(keys)])
+	case len(keys) == 1:
+		out[0].buf = resp
+		return nil
+	default:
 		for i := range keys {
 			out[i].buf = append(getBuf(len(out[i].value))[:0], out[i].value...)
 			out[i].value = out[i].buf
 		}
 	}
 	putBuf(resp)
-	if d.err != nil {
-		clear(out[:len(keys)])
-		return d.err
-	}
-	return nil
+	return d.err
 }
 
 // MerkleNodes fetches the peer's Merkle content summary at the given

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"pbs/internal/kvstore"
@@ -38,10 +39,10 @@ func TestLegacyClockLayout(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// An opApply payload is exactly one version.
-			d := &decoder{b: b}
-			if v := d.version(); d.err != nil || v != tc.want || len(d.b) != 0 {
-				t.Fatalf("version = %+v (err %v, %d bytes left), want %+v", v, d.err, len(d.b), tc.want)
+			// An opApply payload is a count, then that many versions.
+			d := &decoder{b: append([]byte{0, 1}, b...)}
+			if count, v := d.legCount(), d.version(); d.err != nil || count != 1 || v != tc.want || len(d.b) != 0 {
+				t.Fatalf("apply of %d: version = %+v (err %v, %d bytes left), want 1 of %+v", count, v, d.err, len(d.b), tc.want)
 			}
 			// A get answer is a found byte, then one version.
 			d = &decoder{b: append([]byte{1}, b...)}
@@ -61,9 +62,10 @@ func TestLegacyClockLayout(t *testing.T) {
 
 			// The count still says two entries but only one is present.
 			short := b[:len(b)-12]
-			d = &decoder{b: short}
+			d = &decoder{b: append([]byte{0, 1}, short...)}
+			d.legCount()
 			if d.version(); d.err == nil {
-				t.Fatal("version accepted a short clock entry list")
+				t.Fatal("apply accepted a short clock entry list")
 			}
 			d = &decoder{b: append([]byte{1}, short...)}
 			if d.readAnswer([]byte(tc.want.Key)); d.err == nil {
@@ -86,5 +88,40 @@ func TestVersionGolden(t *testing.T) {
 	const want = "0002" + "6b31" + "0001000000000007" + "01" + "00000001" + "76" + "0000"
 	if got := hex.EncodeToString(encodeVersion(nil, v)); got != want {
 		t.Fatalf("encodeVersion = %s\nwant            %s", got, want)
+	}
+}
+
+// TestLegCountBounds: an apply or get carries 1 to maxBatchOps entries. A
+// replica answers a full list entry by entry, and refuses a count outside
+// the range without touching its store.
+func TestLegCountBounds(t *testing.T) {
+	n := fuzzNode()
+	for _, count := range []int{0, 1, maxBatchOps, maxBatchOps + 1} {
+		key := fmt.Sprintf("bounds-%d", count)
+		vers := make([]kvstore.Version, count)
+		keys := make([][]byte, count)
+		for i := range vers {
+			vers[i] = kvstore.Version{Key: key, Seq: uint64(i + 1), Value: "v"}
+			keys[i] = []byte(key)
+		}
+		ok := count >= 1 && count <= maxBatchOps
+		status, resp := n.handlePeerOp(opApply, appendApply(nil, vers), nil)
+		if got := status == statusOK && len(resp) == 9*count; got != ok {
+			t.Errorf("apply of %d: status %d with %d answer bytes, want served %v", count, status, len(resp), ok)
+		}
+		if _, found := n.getLocal(key); found != ok {
+			t.Errorf("apply of %d: key stored %v, want %v", count, found, ok)
+		}
+		status, resp = n.handlePeerOp(opGet, appendGet(nil, keys), nil)
+		served := status == statusOK
+		d := &decoder{b: resp}
+		for i := 0; served && i < count; i++ {
+			if r := d.readAnswer(keys[i]); d.err != nil || r.seq != uint64(count) {
+				t.Fatalf("get of %d: answer %d = seq %d (err %v), want seq %d", count, i, r.seq, d.err, count)
+			}
+		}
+		if served != ok || (served && len(d.b) != 0) {
+			t.Errorf("get of %d: status %d with %d bytes left over, want served %v", count, status, len(d.b), ok)
+		}
 	}
 }

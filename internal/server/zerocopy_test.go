@@ -98,8 +98,8 @@ func TestGetAllocBudget(t *testing.T) {
 	})
 
 	t.Run("replica_get", func(t *testing.T) {
-		hit := appendString16(nil, keys[0])
-		miss := appendString16(nil, "absent")
+		hit := appendGet(nil, [][]byte{[]byte(keys[0])})
+		miss := appendGet(nil, [][]byte{[]byte("absent")})
 		buf := make([]byte, 0, 256)
 		if status, resp := n.handlePeerOp(opGet, hit, buf); status != statusOK ||
 			string((&decoder{b: resp}).readAnswer([]byte(keys[0])).value) != vals[0] {
