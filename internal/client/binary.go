@@ -49,23 +49,9 @@ func DialBinary(seedURL string) (*Client, error) {
 	return c, nil
 }
 
-// BatchPutOutcome is one op's outcome inside a transport-level batched
-// write: exactly one of Resp and Err is meaningful. Err follows the same
-// retryable/final classification as single-op transport errors.
-type BatchPutOutcome struct {
-	Resp server.PutResponse
-	Err  error
-}
-
-// BatchGetOutcome is one key's outcome inside a transport-level batched
-// read.
-type BatchGetOutcome struct {
-	Resp server.GetResponse
-	Err  error
-}
-
-// binaryTransport performs single operations against single members;
-// routing across members is the Client's job. Safe for concurrent use.
+// binaryTransport performs list calls against single members, answering
+// into caller-owned slices; routing across members is the Client's job.
+// Safe for concurrent use.
 type binaryTransport struct {
 	// notify receives the ring epoch carried on each response, feeding the
 	// client's view-refresh loop. Set once before the client is shared.
@@ -131,68 +117,27 @@ func (t *binaryTransport) FetchConfig(m server.MemberInfo) (server.ConfigRespons
 	return cfg, translate(err)
 }
 
-func (t *binaryTransport) Put(m server.MemberInfo, key, value string, tombstone bool) (server.PutResponse, error) {
+// MPut writes ops through member m in one frame, answering into out (one
+// result per op). Per-op verdicts stay typed server errors; the call's
+// own failure comes back translated.
+func (t *binaryTransport) MPut(m server.MemberInfo, ops []server.BatchPutOp, out []server.BatchPutResult) error {
 	bc, err := t.conn(m)
 	if err != nil {
-		return server.PutResponse{}, err
+		return err
 	}
-	var pr server.PutResponse
-	var epoch uint64
-	if tombstone {
-		pr, epoch, err = bc.Delete(key)
-	} else {
-		pr, epoch, err = bc.Put(key, value)
-	}
-	return pr, t.finish(epoch, err)
+	epoch, err := bc.MPut(ops, out)
+	return t.finish(epoch, err)
 }
 
-func (t *binaryTransport) Get(m server.MemberInfo, key string) (server.GetResponse, error) {
+// MGet reads keys through member m in one frame, answering into out (one
+// result per key), like MPut.
+func (t *binaryTransport) MGet(m server.MemberInfo, keys []string, out []server.BatchGetResult) error {
 	bc, err := t.conn(m)
 	if err != nil {
-		return server.GetResponse{}, err
+		return err
 	}
-	gr, epoch, err := bc.Get(key)
-	return gr, t.finish(epoch, err)
-}
-
-func (t *binaryTransport) MPut(m server.MemberInfo, ops []server.BatchPutOp) ([]BatchPutOutcome, error) {
-	bc, err := t.conn(m)
-	if err != nil {
-		return nil, err
-	}
-	res, epoch, err := bc.MPut(ops)
-	if err := t.finish(epoch, err); err != nil {
-		return nil, err
-	}
-	outs := make([]BatchPutOutcome, len(res))
-	for i, r := range res {
-		if r.Err != nil {
-			outs[i].Err = translate(r.Err)
-		} else {
-			outs[i].Resp = r.Resp
-		}
-	}
-	return outs, nil
-}
-
-func (t *binaryTransport) MGet(m server.MemberInfo, keys []string) ([]BatchGetOutcome, error) {
-	bc, err := t.conn(m)
-	if err != nil {
-		return nil, err
-	}
-	res, epoch, err := bc.MGet(keys)
-	if err := t.finish(epoch, err); err != nil {
-		return nil, err
-	}
-	outs := make([]BatchGetOutcome, len(res))
-	for i, r := range res {
-		if r.Err != nil {
-			outs[i].Err = translate(r.Err)
-		} else {
-			outs[i].Resp = r.Resp
-		}
-	}
-	return outs, nil
+	epoch, err := bc.MGet(keys, out)
+	return t.finish(epoch, err)
 }
 
 func (t *binaryTransport) Stats(m server.MemberInfo) (server.StatsResponse, error) {

@@ -10,6 +10,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -42,8 +43,8 @@ type Client struct {
 }
 
 // clientView is one immutable snapshot of the cluster as seen by the
-// client. Members are kept in ID order; positional APIs (GetVia, Stats,
-// sticky sessions) index into that order.
+// client. Members are kept in ID order; positional APIs (GetVia, MGetVia,
+// Stats) index into that order, while sticky sessions pin a member ID.
 type clientView struct {
 	epoch   uint64
 	n       int
@@ -134,9 +135,13 @@ func (c *Client) install(nv *clientView) {
 // is triggered. Routing keeps working off the stale view meanwhile — the
 // servers proxy mis-routed operations to the right owners.
 func (c *Client) noteEpoch(e uint64) {
-	if e <= c.view.Load().epoch {
-		return
+	if e > c.view.Load().epoch {
+		c.refreshInBackground()
 	}
+}
+
+// refreshInBackground starts one background Refresh unless one is running.
+func (c *Client) refreshInBackground() {
 	if c.refreshing.CompareAndSwap(false, true) {
 		go func() {
 			defer c.refreshing.Store(false)
@@ -185,7 +190,7 @@ type GetResult struct {
 // reached" is returned immediately: it is the cluster's verdict, and
 // re-coordinating it at every other node would only repeat the failure.
 func (c *Client) Put(key, value string) (PutResult, error) {
-	return c.write(key, value, false)
+	return c.write(PutOp{Key: key, Value: value})
 }
 
 // Delete removes key through the key's primary coordinator. On the server
@@ -196,34 +201,32 @@ func (c *Client) Put(key, value string) (PutResult, error) {
 // routing-level unavailability fall through the key's ring order, a
 // coordinator's own quorum failure is final.
 func (c *Client) Delete(key string) (PutResult, error) {
-	return c.write(key, "", true)
+	return c.write(PutOp{Key: key, Delete: true})
 }
 
-func (c *Client) write(key, value string, tombstone bool) (PutResult, error) {
+// write walks op's key's ring order with a write list of one per node.
+func (c *Client) write(op PutOp) (PutResult, error) {
 	start := time.Now()
 	v := c.view.Load()
+	ops := [1]server.BatchPutOp{{Key: op.Key, Value: op.Value, Tombstone: op.Delete}}
+	var out [1]PutOutcome
 	var lastErr error
-	for _, id := range v.ring.PreferenceList(key, len(v.members)) {
-		pr, err := c.tr.Put(v.byID[id], key, value, tombstone)
-		if err != nil {
+	for _, id := range v.ring.PreferenceList(op.Key, len(v.members)) {
+		c.putVia(v.byID[id], ops[:], out[:], start)
+		if err := out[0].Err; err != nil {
 			if isRetryable(err) {
 				lastErr = err
 				continue
 			}
 			return PutResult{}, err
 		}
-		return PutResult{
-			Seq:         pr.Seq,
-			CommittedAt: time.Unix(0, pr.CommittedUnixNano),
-			CoordMs:     pr.CoordMs,
-			ClientMs:    float64(time.Since(start)) / float64(time.Millisecond),
-		}, nil
+		return out[0].PutResult, nil
 	}
 	verb := "put"
-	if tombstone {
+	if op.Delete {
 		verb = "delete"
 	}
-	return PutResult{}, fmt.Errorf("client: %s %q failed on every node: %w", verb, key, lastErr)
+	return PutResult{}, fmt.Errorf("client: %s %q failed on every node: %w", verb, op.Key, lastErr)
 }
 
 // Get reads key through a round-robin coordinator. A coordinator that is
@@ -236,10 +239,10 @@ func (c *Client) Get(key string) (GetResult, error) {
 	// walk from it: concurrent Gets bumping the counter must not be able
 	// to alias every retry of this Get onto the same (crashed) node.
 	base := c.readRR.Add(1)
-	nodes := c.Nodes()
-	for attempt := 0; attempt < nodes; attempt++ {
-		node := int((base + uint64(attempt)) % uint64(nodes))
-		res, err := c.GetVia(node, key)
+	v := c.view.Load()
+	nodes := uint64(len(v.members))
+	for attempt := range nodes {
+		res, err := c.getOne(v.members[(base+attempt)%nodes], key)
 		if err != nil {
 			if isRetryable(err) {
 				lastErr = err
@@ -263,25 +266,31 @@ func isRetryable(err error) bool {
 	return errors.As(err, &re)
 }
 
-// GetVia reads key through a specific coordinator (sticky sessions,
-// tests). node indexes the current member list positionally (ID order).
-func (c *Client) GetVia(node int, key string) (GetResult, error) {
+// member returns the node-th member of the current view (ID order).
+func (c *Client) member(node int) (server.MemberInfo, error) {
 	v := c.view.Load()
 	if node < 0 || node >= len(v.members) {
-		return GetResult{}, fmt.Errorf("client: node %d outside cluster of %d", node, len(v.members))
+		return server.MemberInfo{}, fmt.Errorf("client: node %d outside cluster of %d", node, len(v.members))
 	}
-	start := time.Now()
-	gr, err := c.tr.Get(v.members[node], key)
+	return v.members[node], nil
+}
+
+// GetVia reads key through a specific coordinator (tests). node indexes
+// the current member list positionally (ID order).
+func (c *Client) GetVia(node int, key string) (GetResult, error) {
+	m, err := c.member(node)
 	if err != nil {
 		return GetResult{}, err
 	}
-	return GetResult{
-		Found:    gr.Found,
-		Seq:      gr.Seq,
-		Value:    gr.Value,
-		CoordMs:  gr.CoordMs,
-		ClientMs: float64(time.Since(start)) / float64(time.Millisecond),
-	}, nil
+	return c.getOne(m, key)
+}
+
+// getOne reads key through member m as a read list of one.
+func (c *Client) getOne(m server.MemberInfo, key string) (GetResult, error) {
+	keys := [1]string{key}
+	var out [1]GetOutcome
+	c.getVia(m, keys[:], out[:], time.Now())
+	return out[0].GetResult, out[0].Err
 }
 
 // PutOp is one write inside a batched Client.MPut.
@@ -303,6 +312,85 @@ type GetOutcome struct {
 	Err error
 }
 
+// putVia writes ops through member m in one list call, writing each op's
+// outcome into out (index-aligned); ClientMs runs from start. A call that
+// fails as a whole fails every op, and is returned too.
+func (c *Client) putVia(m server.MemberInfo, ops []server.BatchPutOp, out []PutOutcome, start time.Time) error {
+	var one [1]server.BatchPutResult
+	res := one[:]
+	if len(ops) != 1 {
+		res = make([]server.BatchPutResult, len(ops))
+	}
+	err := c.tr.MPut(m, ops, res)
+	elapsed := msSince(start)
+	for i := range out {
+		switch r := &res[i]; {
+		case err != nil:
+			out[i] = PutOutcome{Err: err}
+		case r.Err != nil:
+			out[i] = PutOutcome{Err: translate(r.Err)}
+		default:
+			out[i] = PutOutcome{PutResult: PutResult{
+				Seq:         r.Resp.Seq,
+				CommittedAt: time.Unix(0, r.Resp.CommittedUnixNano),
+				CoordMs:     r.Resp.CoordMs,
+				ClientMs:    elapsed,
+			}}
+		}
+	}
+	return err
+}
+
+// getVia is putVia for a read list.
+func (c *Client) getVia(m server.MemberInfo, keys []string, out []GetOutcome, start time.Time) error {
+	var one [1]server.BatchGetResult
+	res := one[:]
+	if len(keys) != 1 {
+		res = make([]server.BatchGetResult, len(keys))
+	}
+	err := c.tr.MGet(m, keys, res)
+	elapsed := msSince(start)
+	for i := range out {
+		switch r := &res[i]; {
+		case err != nil:
+			out[i] = GetOutcome{Err: err}
+		case r.Err != nil:
+			out[i] = GetOutcome{Err: translate(r.Err)}
+		default:
+			out[i] = GetOutcome{GetResult: GetResult{
+				Found:    r.Resp.Found,
+				Seq:      r.Resp.Seq,
+				Value:    r.Resp.Value,
+				CoordMs:  r.Resp.CoordMs,
+				ClientMs: elapsed,
+			}}
+		}
+	}
+	return err
+}
+
+func msSince(start time.Time) float64 { return float64(time.Since(start)) / float64(time.Millisecond) }
+
+// scatter groups n entries by each key's ring primary under view v (key
+// names entry i's key) and runs call once per group, concurrently, with
+// the group's member and entry indexes.
+func scatter(v *clientView, n int, key func(i int) string, call func(m server.MemberInfo, idxs []int)) {
+	groups := make(map[int][]int)
+	for i := range n {
+		id := v.ring.Coordinator(key(i))
+		groups[id] = append(groups[id], i)
+	}
+	var wg sync.WaitGroup
+	for id, idxs := range groups {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			call(v.byID[id], idxs)
+		}()
+	}
+	wg.Wait()
+}
+
 // MGet reads many keys with one request per coordinator: keys are grouped
 // by their ring primary under the current view (so the receiving node
 // coordinates its own keys and the server's grouped fan-out stays local),
@@ -317,47 +405,17 @@ func (c *Client) MGet(keys []string) ([]GetOutcome, error) {
 		return nil, nil
 	}
 	outs := make([]GetOutcome, len(keys))
-	v := c.view.Load()
 	start := time.Now()
-	groups := make(map[int][]int)
-	for i, key := range keys {
-		id := v.ring.Coordinator(key)
-		groups[id] = append(groups[id], i)
-	}
-	var wg sync.WaitGroup
-	for id, idxs := range groups {
-		wg.Add(1)
-		go func(id int, idxs []int) {
-			defer wg.Done()
-			gkeys := make([]string, len(idxs))
-			for j, i := range idxs {
-				gkeys[j] = keys[i]
-			}
-			res, err := c.tr.MGet(v.byID[id], gkeys)
-			if err != nil {
-				for _, i := range idxs {
-					outs[i].Err = err
-				}
-				return
-			}
-			elapsed := float64(time.Since(start)) / float64(time.Millisecond)
-			for j, i := range idxs {
-				if res[j].Err != nil {
-					outs[i].Err = res[j].Err
-					continue
-				}
-				gr := res[j].Resp
-				outs[i].GetResult = GetResult{
-					Found:    gr.Found,
-					Seq:      gr.Seq,
-					Value:    gr.Value,
-					CoordMs:  gr.CoordMs,
-					ClientMs: elapsed,
-				}
-			}
-		}(id, idxs)
-	}
-	wg.Wait()
+	scatter(c.view.Load(), len(keys), func(i int) string { return keys[i] }, func(m server.MemberInfo, idxs []int) {
+		gkeys, gouts := make([]string, len(idxs)), make([]GetOutcome, len(idxs))
+		for j, i := range idxs {
+			gkeys[j] = keys[i]
+		}
+		c.getVia(m, gkeys, gouts, start)
+		for j, i := range idxs {
+			outs[i] = gouts[j]
+		}
+	})
 	for i := range outs {
 		if outs[i].Err != nil && isRetryable(outs[i].Err) {
 			res, err := c.Get(keys[i])
@@ -368,31 +426,21 @@ func (c *Client) MGet(keys []string) ([]GetOutcome, error) {
 }
 
 // MGetVia reads many keys through one specific coordinator in a single
-// request (sticky sessions, tests) — no grouping, no per-key retry.
+// request (tests) — no grouping, no per-key retry. node indexes the
+// current member list positionally (ID order).
 func (c *Client) MGetVia(node int, keys []string) ([]GetOutcome, error) {
-	v := c.view.Load()
-	if node < 0 || node >= len(v.members) {
-		return nil, fmt.Errorf("client: node %d outside cluster of %d", node, len(v.members))
-	}
-	start := time.Now()
-	res, err := c.tr.MGet(v.members[node], keys)
+	m, err := c.member(node)
 	if err != nil {
 		return nil, err
 	}
-	elapsed := float64(time.Since(start)) / float64(time.Millisecond)
-	outs := make([]GetOutcome, len(res))
-	for i, r := range res {
-		if r.Err != nil {
-			outs[i].Err = r.Err
-			continue
-		}
-		outs[i].GetResult = GetResult{
-			Found:    r.Resp.Found,
-			Seq:      r.Resp.Seq,
-			Value:    r.Resp.Value,
-			CoordMs:  r.Resp.CoordMs,
-			ClientMs: elapsed,
-		}
+	return c.mgetAt(m, keys)
+}
+
+// mgetAt reads keys through member m in one request.
+func (c *Client) mgetAt(m server.MemberInfo, keys []string) ([]GetOutcome, error) {
+	outs := make([]GetOutcome, len(keys))
+	if err := c.getVia(m, keys, outs, time.Now()); err != nil {
+		return nil, err
 	}
 	return outs, nil
 }
@@ -406,53 +454,20 @@ func (c *Client) MPut(ops []PutOp) ([]PutOutcome, error) {
 		return nil, nil
 	}
 	outs := make([]PutOutcome, len(ops))
-	v := c.view.Load()
 	start := time.Now()
-	sops := make([]server.BatchPutOp, len(ops))
-	for i, op := range ops {
-		sops[i] = server.BatchPutOp{Key: op.Key, Value: op.Value, Tombstone: op.Delete}
-	}
-	groups := make(map[int][]int)
-	for i := range ops {
-		id := v.ring.Coordinator(ops[i].Key)
-		groups[id] = append(groups[id], i)
-	}
-	var wg sync.WaitGroup
-	for id, idxs := range groups {
-		wg.Add(1)
-		go func(id int, idxs []int) {
-			defer wg.Done()
-			gops := make([]server.BatchPutOp, len(idxs))
-			for j, i := range idxs {
-				gops[j] = sops[i]
-			}
-			res, err := c.tr.MPut(v.byID[id], gops)
-			if err != nil {
-				for _, i := range idxs {
-					outs[i].Err = err
-				}
-				return
-			}
-			elapsed := float64(time.Since(start)) / float64(time.Millisecond)
-			for j, i := range idxs {
-				if res[j].Err != nil {
-					outs[i].Err = res[j].Err
-					continue
-				}
-				pr := res[j].Resp
-				outs[i].PutResult = PutResult{
-					Seq:         pr.Seq,
-					CommittedAt: time.Unix(0, pr.CommittedUnixNano),
-					CoordMs:     pr.CoordMs,
-					ClientMs:    elapsed,
-				}
-			}
-		}(id, idxs)
-	}
-	wg.Wait()
+	scatter(c.view.Load(), len(ops), func(i int) string { return ops[i].Key }, func(m server.MemberInfo, idxs []int) {
+		gops, gouts := make([]server.BatchPutOp, len(idxs)), make([]PutOutcome, len(idxs))
+		for j, i := range idxs {
+			gops[j] = server.BatchPutOp{Key: ops[i].Key, Value: ops[i].Value, Tombstone: ops[i].Delete}
+		}
+		c.putVia(m, gops, gouts, start)
+		for j, i := range idxs {
+			outs[i] = gouts[j]
+		}
+	})
 	for i := range outs {
 		if outs[i].Err != nil && isRetryable(outs[i].Err) {
-			res, err := c.write(ops[i].Key, ops[i].Value, ops[i].Delete)
+			res, err := c.write(ops[i])
 			outs[i] = PutOutcome{PutResult: res, Err: err}
 		}
 	}
@@ -514,12 +529,11 @@ func (c *Client) ClusterStats() (server.StatsResponse, error) {
 // Stats fetches one node's counters (node indexes the member list
 // positionally).
 func (c *Client) Stats(node int) (server.StatsResponse, error) {
-	var st server.StatsResponse
-	v := c.view.Load()
-	if node < 0 || node >= len(v.members) {
-		return st, fmt.Errorf("client: node %d outside cluster of %d", node, len(v.members))
+	m, err := c.member(node)
+	if err != nil {
+		return server.StatsResponse{}, err
 	}
-	return c.tr.Stats(v.members[node])
+	return c.tr.Stats(m)
 }
 
 // Session is a client session with monotonic-reads tracking (paper
@@ -529,7 +543,9 @@ func (c *Client) Stats(node int) (server.StatsResponse, error) {
 // mitigation.
 type Session struct {
 	c      *Client
-	sticky int // -1: round-robin
+	sticky bool
+	// pin is the member ID a sticky session reads through (pinned).
+	pin atomic.Int64
 
 	mu         sync.Mutex
 	lastSeen   map[string]uint64
@@ -538,25 +554,53 @@ type Session struct {
 }
 
 // NewSession starts a session. When sticky is true all reads route through
-// one fixed coordinator.
+// one coordinator, pinned by member ID.
 func (c *Client) NewSession(sticky bool) *Session {
-	s := &Session{c: c, sticky: -1, lastSeen: make(map[string]uint64)}
+	s := &Session{c: c, sticky: sticky, lastSeen: make(map[string]uint64)}
 	if sticky {
-		s.sticky = int(c.readRR.Add(1)) % c.Nodes()
+		v := c.view.Load()
+		s.pin.Store(int64(v.ids[c.readRR.Add(1)%uint64(len(v.ids))]))
 	}
 	return s
+}
+
+// pinned returns the member a sticky session reads through: its pinned
+// member while the current view holds it. Once that member has left, the
+// session re-pins to the first member above it in ID order (wrapping
+// around), so it keeps contacting one replica, as the paper's mitigation
+// asks, rather than failing or drifting.
+func (s *Session) pinned() server.MemberInfo {
+	v := s.c.view.Load()
+	id := s.pin.Load()
+	if m, ok := v.byID[int(id)]; ok {
+		return m
+	}
+	i, _ := slices.BinarySearch(v.ids, int(id))
+	m := v.members[i%len(v.members)]
+	s.pin.CompareAndSwap(id, int64(m.ID))
+	return m
+}
+
+// unreachable reacts to a failed sticky read: a pinned member that cannot
+// be reached may have left the cluster, and no answer will carry the
+// epoch that says so, so the view is refreshed in the background.
+func (s *Session) unreachable(err error) {
+	if s.sticky && isRetryable(err) {
+		s.c.refreshInBackground()
+	}
 }
 
 // Get reads key within the session, reporting whether this read violated
 // monotonic reads (observed an older version than a previous session
 // read).
 func (s *Session) Get(key string) (res GetResult, violated bool, err error) {
-	if s.sticky >= 0 {
-		res, err = s.c.GetVia(s.sticky, key)
+	if s.sticky {
+		res, err = s.c.getOne(s.pinned(), key)
 	} else {
 		res, err = s.c.Get(key)
 	}
 	if err != nil {
+		s.unreachable(err)
 		return res, false, err
 	}
 	s.mu.Lock()
@@ -578,12 +622,13 @@ func (s *Session) Get(key string) (res GetResult, violated bool, err error) {
 // is index-aligned with keys; failed keys count neither as reads nor as
 // violations.
 func (s *Session) MGet(keys []string) (res []GetOutcome, violated []bool, err error) {
-	if s.sticky >= 0 {
-		res, err = s.c.MGetVia(s.sticky, keys)
+	if s.sticky {
+		res, err = s.c.mgetAt(s.pinned(), keys)
 	} else {
 		res, err = s.c.MGet(keys)
 	}
 	if err != nil {
+		s.unreachable(err)
 		return nil, nil, err
 	}
 	violated = make([]bool, len(res))

@@ -1,17 +1,18 @@
 package server
 
-// Batched multi-key coordination. A batch runs the same per-key quorum
-// operations the paper analyzes — each key keeps its own preference list,
-// quorum accounting, and typed verdict — but the fan-out is amortized: the
-// coordinator groups the keys' legs by destination peer and sends ONE leg
-// per peer per batch, the same list-carrying Apply or Get a single-key
-// operation sends with one entry (fanout.go), so a 64-key batch on a
-// 3-replica cluster costs 3 frames instead of 192. A leg that carries an
-// injected WARS delay or a sloppy-quorum spare walk cannot share a frame —
-// one frame cannot land entries at different times, or substitute a spare
-// for one entry — so it carries one key on the same worker queues, with
-// its own delays or spares (legFor); under an injected model a batched key
-// therefore sees exactly the legs of its single-key twin.
+// The coordinator: one write path and one read path, each over a list of
+// operations. A client's single-key PUT, DELETE or GET is a list of one,
+// and a batch is many of the per-key quorum operations the paper analyzes
+// — each key keeps its own preference list, quorum accounting, and typed
+// verdict — with the fan-out amortized: the coordinator groups the keys'
+// legs by destination peer and sends ONE leg per peer per list, the same
+// list-carrying Apply or Get (fanout.go), so a 64-key batch on a 3-replica
+// cluster costs 3 frames instead of 192. A leg that carries an injected
+// WARS delay or a sloppy-quorum spare walk cannot share a frame — one
+// frame cannot land entries at different times, or substitute a spare for
+// one entry — so it carries one key on the same worker queues, with its
+// own delays or spares (legFor); under an injected model a batched key
+// therefore sees exactly the legs it would see alone.
 
 import (
 	"encoding/binary"
@@ -23,91 +24,97 @@ import (
 	"pbs/internal/ring"
 )
 
-// maxBatchOps bounds one client batch.
+// maxBatchOps bounds one client operation's entry list.
 const maxBatchOps = 4096
 
-// remoteWriteConcurrency bounds the concurrent routed writes for batch keys
+// remoteWriteConcurrency bounds the concurrent routed writes for list keys
 // another node coordinates. Wide enough to overlap their forward hops,
 // narrow enough not to stampede the transport.
 const remoteWriteConcurrency = 32
 
-// BatchPutOp is one write inside a batched client operation.
+// BatchPutOp is one write inside a client operation's entry list.
 type BatchPutOp struct {
 	Key       string
 	Value     string
 	Tombstone bool
 }
 
-// batchPutOut carries one write's outcome in front-end-neutral form (same
-// split as the single-key entry points): exactly one of the response and
-// the typed error is set.
-type batchPutOut struct {
-	pr PutResponse
-	oe *opError
+// putOp is one write at the node serving it, and its verdict once served:
+// exactly one of pr and oe is then set. ws is the op's write quorum while
+// its legs are in flight; routed marks a key another node coordinates.
+type putOp struct {
+	BatchPutOp
+	pr     PutResponse
+	oe     *opError
+	ws     *writeState
+	routed bool
 }
 
-// forEachIndex runs fn(i) for every index in idxs on a bounded worker
-// group and waits for all of them.
-func forEachIndex(idxs []int, fn func(i int)) {
-	if len(idxs) == 0 {
-		return
-	}
-	if len(idxs) == 1 {
-		fn(idxs[0])
-		return
-	}
-	workers := remoteWriteConcurrency
-	if workers > len(idxs) {
-		workers = len(idxs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				j := int(next.Add(1)) - 1
-				if j >= len(idxs) {
-					return
-				}
-				fn(idxs[j])
-			}
-		}()
-	}
-	wg.Wait()
+// pending reports whether op is still to be coordinated here. routed is
+// read first: a routed op's verdict may be written concurrently.
+func (op *putOp) pending() bool { return !op.routed && op.oe == nil }
+
+// getOp is one read at the node serving it: its key, aliasing the request
+// frame, and its read state while its legs are in flight.
+type getOp struct {
+	key []byte
+	rs  *readState
 }
 
-// coordinateMGet answers a batched read, appending to dst the count and
+// opScratch is the pooled entry list of one client operation, so a list
+// of one costs no allocation a single-key path would not.
+type opScratch struct {
+	puts []putOp
+	gets []getOp
+}
+
+var opScratchPool = sync.Pool{New: func() any { return new(opScratch) }}
+
+// release drops the entries' strings, keys and states (so the pool pins
+// nothing) and repools the scratch.
+func (sc *opScratch) release() {
+	clear(sc.puts)
+	clear(sc.gets)
+	sc.puts, sc.gets = sc.puts[:0], sc.gets[:0]
+	opScratchPool.Put(sc)
+}
+
+// coordinateReads answers a list of reads, appending to dst the count and
 // one verdict per key, in input order (the opClientMGet response body):
 // each a client GET body or the key's own typed failure (one key's quorum
-// failure does not fail the batch). keys may alias the client's request
-// frame: each key's read state keeps its own copy.
-func (n *Node) coordinateMGet(keys [][]byte, dst []byte) []byte {
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(keys)))
+// failure does not fail the others). Each read fans out to all N
+// preference replicas with injected R/S delays and answers with the
+// newest of the first R responses; the rest are collected in the
+// background for the staleness detector and read repair. With sloppy
+// quorums a leg whose replica is down falls back to the next live spare
+// beyond the preference list, whose answer counts toward R. Keys may
+// alias the client's request frame: each read state keeps its own copy.
+func (n *Node) coordinateReads(gets []getOp, dst []byte) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(gets)))
 	v := n.view()
 	quorumR := int(n.rq.Load())
 	start := time.Now()
-	rss := make([]*readState, len(keys))
-	var legs []*legTask
+	var lbuf [maxStackPrefs]*legTask
+	legs := lbuf[:0]
 	var pbuf [maxStackPrefs]int
-	for i, key := range keys {
-		if len(key) == 0 || v == nil {
+	for i := range gets {
+		g := &gets[i]
+		if len(g.key) == 0 || v == nil {
 			continue
 		}
 		n.coordReads.Add(1)
-		prefs := n.prefs(pbuf[:0], v, ring.Hash(key))
-		rs := n.newReadState(v, key, min(quorumR, len(prefs)), len(prefs))
-		rss[i] = rs
-		legs = n.addReadLegs(legs, v, prefs, rs)
+		prefs := n.prefs(pbuf[:0], v, ring.Hash(g.key))
+		g.rs = n.newReadState(v, g.key, min(quorumR, len(prefs)), len(prefs))
+		legs = n.addReadLegs(legs, v, prefs, g.rs)
 	}
 	n.submitLegs(legs)
 	// Harvest verdicts in input order. The waits overlap (every leg is
 	// already in flight), so the walk costs the slowest key, not the sum;
 	// each key's latency ends at its own quorum signal.
-	for i, rs := range rss {
+	for i := range gets {
+		rs := gets[i].rs
 		switch {
-		case len(keys[i]) == 0:
+		case len(gets[i].key) == 0:
 			dst = appendVerdictErr(dst, errBadRequest("server: empty key"))
 			continue
 		case v == nil:
@@ -117,6 +124,8 @@ func (n *Node) coordinateMGet(keys [][]byte, dst []byte) []byte {
 		<-rs.waiter
 		out, ok, finalizeNow := rs.answer(append(growBuf(dst, 1), 0), durationMs(rs.signaledAt.Sub(start)))
 		if !ok {
+			// The waiter only fired with succ < quorum because every leg had
+			// answered, so nothing can still touch rs: release it here.
 			n.failedOps.Add(1)
 			dst = appendVerdictErr(out[:len(out)-1], errQuorumFailed("server: read quorum not reached"))
 			rs.release()
@@ -128,96 +137,124 @@ func (n *Node) coordinateMGet(keys [][]byte, dst []byte) []byte {
 	return dst
 }
 
-// coordinateMPut answers a batched write: one entry per op, in input
-// order, each with its own verdict. Keys this node coordinates fan out on
-// grouped multi-key legs where they can; keys owned elsewhere (a client
-// raced a ring change) take the single-key routing path — including the
-// forward hop — so correctness never depends on the client's grouping being
-// current.
-func (n *Node) coordinateMPut(ops []BatchPutOp) []batchPutOut {
-	outs := make([]batchPutOut, len(ops))
-	todo := make([]int, 0, len(ops))
-	for i, op := range ops {
-		if op.Key == "" {
-			outs[i].oe = errBadRequest("server: empty key")
-			continue
-		}
-		if len(op.Value) > maxValueBytes {
-			outs[i].oe = errBadRequest(errValueTooLarge)
-			continue
-		}
-		todo = append(todo, i)
-	}
+// coordinateMPut serves a client's write list: every op gets its own
+// verdict, in place. Keys this node coordinates fan out together
+// (coordinateWrites); keys owned elsewhere (a client raced a ring change)
+// take the routing path — including the forward hop — so correctness
+// never depends on the client's grouping being current.
+func (n *Node) coordinateMPut(ops []putOp) {
 	v := n.view()
-	if v == nil {
-		oe := errUnavailable("server: node has no membership yet")
-		for _, i := range todo {
-			outs[i].oe = oe
+	local, routed := 0, 0
+	for i := range ops {
+		switch op := &ops[i]; {
+		case op.Key == "":
+			op.oe = errBadRequest("server: empty key")
+		case len(op.Value) > maxValueBytes:
+			op.oe = errBadRequest(errValueTooLarge)
+		case v == nil:
+			op.oe = errUnavailable("server: node has no membership yet")
+		case v.m.Coordinator(op.Key) != n.id:
+			op.routed = true
+			routed++
+		default:
+			local++
 		}
-		return outs
 	}
-	local := make([]int, 0, len(todo))
-	var remote []int
-	for _, i := range todo {
-		if v.m.Coordinator(ops[i].Key) == n.id {
-			local = append(local, i)
-		} else {
-			remote = append(remote, i)
-		}
+	if routed == 0 || local == 0 {
+		n.routeWrites(ops, routed)
+		n.coordinateWrites(v, ops, false)
+		return
 	}
 	// Mis-grouped keys route (and forward) concurrently with the local
-	// batch's quorum waits.
-	var remoteWG sync.WaitGroup
-	if len(remote) > 0 {
-		remoteWG.Add(1)
+	// keys' quorum waits.
+	done := make(chan struct{})
+	go func() {
+		n.routeWrites(ops, routed)
+		close(done)
+	}()
+	n.coordinateWrites(v, ops, false)
+	<-done
+}
+
+// routeWrites routes the routed ops, each on the single-key routing path
+// (routeWriteOp), at most remoteWriteConcurrency at a time. One routed op
+// runs inline.
+func (n *Node) routeWrites(ops []putOp, routed int) {
+	if routed <= 1 {
+		for i := range ops {
+			if op := &ops[i]; op.routed {
+				op.pr, op.oe = n.routeWriteOp(op.BatchPutOp, 0)
+			}
+		}
+		return
+	}
+	workers := min(routed, remoteWriteConcurrency)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
 		go func() {
-			defer remoteWG.Done()
-			forEachIndex(remote, func(i int) {
-				outs[i].pr, outs[i].oe = n.routeWriteOp(ops[i].Key, ops[i].Value, ops[i].Tombstone, 0)
-			})
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(ops); i = int(next.Add(1)) - 1 {
+				if op := &ops[i]; op.routed {
+					op.pr, op.oe = n.routeWriteOp(op.BatchPutOp, 0)
+				}
+			}
 		}()
 	}
-	n.coordWrites.Add(int64(len(local)))
+	wg.Wait()
+}
+
+// coordinateWrites coordinates the pending ops at this node under view v:
+// each gets the next version of its key and fans out to all N preference
+// replicas with injected W/A delays (redirecting legs for unreachable
+// replicas to hinted spares in sloppy mode), and commits at its own W-th
+// acknowledgment. takeover marks failover coordination (sloppy quorums:
+// the key's primary is down, see nextSeq). Every op gets its verdict in
+// place; ops that already carry one, or are routed, are left alone.
+func (n *Node) coordinateWrites(v *memView, ops []putOp, takeover bool) {
 	quorumW := int(n.wq.Load())
 	start := time.Now()
-	wss := make([]*writeState, len(ops))
-	var legs []*legTask
+	var lbuf [maxStackPrefs]*legTask
+	legs := lbuf[:0]
 	var pbuf [maxStackPrefs]int
-	for _, i := range local {
-		seq := n.nextSeq(ops[i].Key, false)
-		ver := kvstore.Version{
-			Key:       ops[i].Key,
-			Seq:       seq,
-			Value:     ops[i].Value,
-			Tombstone: ops[i].Tombstone,
-		}
-		prefs := n.prefs(pbuf[:0], v, ring.Hash(ops[i].Key))
-		q := quorumW
-		if q > len(prefs) {
-			q = len(prefs)
-		}
-		ws := newWriteState(q, len(prefs))
-		wss[i] = ws
-		outs[i].pr.Seq = seq
-		legs = n.addWriteLegs(legs, v, prefs, ver, ws)
-	}
-	n.submitLegs(legs)
-	for _, i := range local {
-		ws := wss[i]
-		<-ws.waiter
-		committed := ws.signaledAt
-		if !ws.finish() {
-			n.failedOps.Add(1)
-			outs[i] = batchPutOut{oe: errQuorumFailed("server: write quorum not reached")}
+	for i := range ops {
+		op := &ops[i]
+		if !op.pending() {
 			continue
 		}
-		outs[i].pr = PutResponse{
-			Seq:               outs[i].pr.Seq,
+		n.coordWrites.Add(1)
+		if takeover {
+			n.failoverWrites.Add(1)
+		}
+		op.pr.Seq = n.nextSeq(op.Key, takeover)
+		ver := kvstore.Version{Key: op.Key, Seq: op.pr.Seq, Value: op.Value, Tombstone: op.Tombstone}
+		// The quorum clamps to the replica count: an elastic cluster smaller
+		// than its target N keeps committing with the replicas it has.
+		prefs := n.prefs(pbuf[:0], v, ring.Hash(op.Key))
+		op.ws = newWriteState(min(quorumW, len(prefs)), len(prefs))
+		legs = n.addWriteLegs(legs, v, prefs, ver, op.ws)
+	}
+	n.submitLegs(legs)
+	for i := range ops {
+		op := &ops[i]
+		if op.ws == nil {
+			continue
+		}
+		<-op.ws.waiter
+		committed := op.ws.signaledAt
+		ok := op.ws.finish()
+		op.ws = nil
+		if !ok {
+			n.failedOps.Add(1)
+			op.oe = errQuorumFailed("server: write quorum not reached")
+			continue
+		}
+		op.pr = PutResponse{
+			Seq:               op.pr.Seq,
 			CommittedUnixNano: committed.UnixNano(),
 			CoordMs:           durationMs(committed.Sub(start)),
 			Node:              n.id,
 		}
 	}
-	remoteWG.Wait()
-	return outs
 }

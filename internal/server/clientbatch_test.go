@@ -30,7 +30,7 @@ func TestBinClientBatchRoundTrip(t *testing.T) {
 	for i := range ops {
 		ops[i] = BatchPutOp{Key: fmt.Sprintf("mb%d", i), Value: fmt.Sprintf("val%d", i)}
 	}
-	prs, epoch, err := bc.MPut(ops)
+	prs, epoch, err := mput(bc, ops)
 	if err != nil {
 		t.Fatalf("mput: %v", err)
 	}
@@ -48,7 +48,7 @@ func TestBinClientBatchRoundTrip(t *testing.T) {
 		keys = append(keys, ops[i].Key)
 	}
 	keys = append(keys, "mb-missing")
-	grs, epoch, err := bc.MGet(keys)
+	grs, epoch, err := mget(bc, keys)
 	if err != nil {
 		t.Fatalf("mget: %v", err)
 	}
@@ -68,10 +68,10 @@ func TestBinClientBatchRoundTrip(t *testing.T) {
 
 	// Tombstones ride the same batch op.
 	dels := []BatchPutOp{{Key: ops[0].Key, Tombstone: true}, {Key: ops[1].Key, Tombstone: true}}
-	if prs, _, err = bc.MPut(dels); err != nil || prs[0].Err != nil || prs[1].Err != nil {
+	if prs, _, err = mput(bc, dels); err != nil || prs[0].Err != nil || prs[1].Err != nil {
 		t.Fatalf("mput tombstones: %v %v %v", err, prs[0].Err, prs[1].Err)
 	}
-	grs, _, err = bc.MGet([]string{ops[0].Key, ops[1].Key, ops[2].Key})
+	grs, _, err = mget(bc, []string{ops[0].Key, ops[1].Key, ops[2].Key})
 	if err != nil {
 		t.Fatalf("mget after delete: %v", err)
 	}
@@ -99,7 +99,7 @@ func TestBinClientBatchPartialBadRequest(t *testing.T) {
 		{Key: "", Value: "v"},
 		{Key: "pb-ok-2", Value: "v2"},
 	}
-	prs, _, err := bc.MPut(ops)
+	prs, _, err := mput(bc, ops)
 	if err != nil {
 		t.Fatalf("mput: %v", err)
 	}
@@ -113,13 +113,13 @@ func TestBinClientBatchPartialBadRequest(t *testing.T) {
 			t.Fatalf("op %d should have failed final CodeBadRequest, got %v", i, prs[i].Err)
 		}
 	}
-	grs, _, err := bc.MGet([]string{"pb-ok-1", "pb-ok-2"})
+	grs, _, err := mget(bc, []string{"pb-ok-1", "pb-ok-2"})
 	if err != nil || !grs[0].Resp.Found || !grs[1].Resp.Found {
 		t.Fatalf("committed ops not readable: %v %+v %+v", err, grs[0], grs[1])
 	}
 
 	// An empty key inside a read batch fails its slot only.
-	grs, _, err = bc.MGet([]string{"pb-ok-1", ""})
+	grs, _, err = mget(bc, []string{"pb-ok-1", ""})
 	if err != nil {
 		t.Fatalf("mget with empty key: %v", err)
 	}
@@ -173,7 +173,7 @@ func TestBinClientBatchPartialQuorumFailure(t *testing.T) {
 
 	bc := NewBinClient(c.Nodes[0].selfInternal)
 	defer bc.Close()
-	prs, _, err := bc.MPut([]BatchPutOp{
+	prs, _, err := mput(bc, []BatchPutOp{
 		{Key: okKey, Value: "v-ok"},
 		{Key: failKey, Value: "v-fail"},
 	})
@@ -187,7 +187,7 @@ func TestBinClientBatchPartialQuorumFailure(t *testing.T) {
 		t.Fatalf("dead-replica key should have failed final CodeQuorumFailed, got %v", prs[1].Err)
 	}
 
-	grs, _, err := bc.MGet([]string{okKey, failKey})
+	grs, _, err := mget(bc, []string{okKey, failKey})
 	if err != nil {
 		t.Fatalf("mget: %v", err)
 	}
@@ -216,7 +216,7 @@ func TestBinClientBatchTeardownFailsInFlight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			keys := []string{fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i), fmt.Sprintf("c%d", i)}
-			outs[i], _, errs[i] = bc.MGet(keys)
+			outs[i], _, errs[i] = mget(bc, keys)
 		}(i)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -274,7 +274,7 @@ func TestBinClientBatchAliasing(t *testing.T) {
 					keys[j] = fmt.Sprintf("al-%d-%d-%d", w, i, j)
 					ops[j] = BatchPutOp{Key: keys[j], Value: fmt.Sprintf("v-%d-%d-%d", w, i, j)}
 				}
-				prs, _, err := bc.MPut(ops)
+				prs, _, err := mput(bc, ops)
 				if err != nil {
 					errCh <- fmt.Errorf("mput round %d: %w", i, err)
 					return
@@ -285,7 +285,7 @@ func TestBinClientBatchAliasing(t *testing.T) {
 						return
 					}
 				}
-				grs, _, err := bc.MGet(keys)
+				grs, _, err := mget(bc, keys)
 				if err != nil {
 					errCh <- fmt.Errorf("mget round %d: %w", i, err)
 					return
@@ -304,5 +304,126 @@ func TestBinClientBatchAliasing(t *testing.T) {
 	close(errCh)
 	if err := <-errCh; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOneEntryListVerdicts pins that a single-key operation is a list of
+// one: each case the retired single-key opcodes served gives the same
+// typed verdict through BinClient's single-key call and through an
+// explicit one-entry MPut or MGet — a found and a missing key, a
+// tombstone, an empty key, an oversized value, a quorum failure, and a
+// crashed coordinator. A verdict is (found, value, seq) for a read, the
+// seq's presence for a write, and the client error code either way; a
+// crashed coordinator refuses the whole frame, so its code is the call's.
+func TestOneEntryListVerdicts(t *testing.T) {
+	c, err := StartLocal(3, Params{N: 3, R: 2, W: 2, Seed: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	keys := keysWithPrimary(t, c, 0, 3, "one-entry-")
+	live, dead := keys[0], keys[1]
+	bc := NewBinClient(c.Nodes[0].InternalAddr())
+	defer bc.Close()
+	pr, _, err := bc.Put(live, "v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := bc.Put(dead, "v"); err != nil {
+		t.Fatal(err)
+	}
+	del, _, err := bc.Delete(dead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashed := NewBinClient(c.Nodes[1].InternalAddr())
+	defer crashed.Close()
+
+	type verdict struct {
+		found bool
+		value string
+		seq   uint64
+		code  byte
+	}
+	read := func(bc *BinClient, key string) (single, list verdict) {
+		gr, _, err := bc.Get(key)
+		single = verdict{gr.Found, gr.Value, gr.Seq, clientCode(err)}
+		res, _, err := mget(bc, []string{key})
+		if err != nil {
+			return single, verdict{code: clientCode(err)}
+		}
+		r := res[0].Resp
+		list = verdict{r.Found, r.Value, r.Seq, 0}
+		if res[0].Err != nil {
+			list.code = res[0].Err.Code
+		}
+		return single, list
+	}
+	// A write's seq is fresh on every call, so only its presence counts.
+	write := func(bc *BinClient, w BatchPutOp) (single, list verdict) {
+		var pr PutResponse
+		if w.Tombstone {
+			pr, _, err = bc.Delete(w.Key)
+		} else {
+			pr, _, err = bc.Put(w.Key, w.Value)
+		}
+		single = verdict{seq: min(pr.Seq, 1), code: clientCode(err)}
+		res, _, err := mput(bc, []BatchPutOp{w})
+		if err != nil {
+			return single, verdict{code: clientCode(err)}
+		}
+		list = verdict{seq: min(res[0].Resp.Seq, 1)}
+		if res[0].Err != nil {
+			list.code = res[0].Err.Code
+		}
+		return single, list
+	}
+
+	cases := []struct {
+		name string
+		run  func() (single, list verdict)
+		want verdict
+	}{
+		{"found get", func() (verdict, verdict) { return read(bc, live) }, verdict{true, "v", pr.Seq, 0}},
+		{"missing get", func() (verdict, verdict) { return read(bc, "one-entry-missing") }, verdict{}},
+		{"tombstone get", func() (verdict, verdict) { return read(bc, dead) }, verdict{false, "", del.Seq, 0}},
+		{"empty-key get", func() (verdict, verdict) { return read(bc, "") }, verdict{code: CodeBadRequest}},
+		{"empty-key put", func() (verdict, verdict) { return write(bc, BatchPutOp{Value: "v"}) }, verdict{code: CodeBadRequest}},
+		{"oversized put", func() (verdict, verdict) {
+			return write(bc, BatchPutOp{Key: live, Value: strings.Repeat("x", maxValueBytes+1)})
+		}, verdict{code: CodeBadRequest}},
+		{"put", func() (verdict, verdict) { return write(bc, BatchPutOp{Key: keys[2], Value: "w"}) }, verdict{seq: 1}},
+		{"delete", func() (verdict, verdict) { return write(bc, BatchPutOp{Key: keys[2], Tombstone: true}) }, verdict{seq: 1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			single, list := tc.run()
+			if single != tc.want || list != tc.want {
+				t.Fatalf("single-key %+v, one-entry list %+v, want %+v", single, list, tc.want)
+			}
+		})
+	}
+
+	// Node 0 stays live but cannot reach W=2 or R=2; node 1 is a crashed
+	// coordinator.
+	c.Faults().Crash(1)
+	c.Faults().Crash(2)
+	faulted := []struct {
+		name string
+		run  func() (single, list verdict)
+		want verdict
+	}{
+		{"quorum-failed put", func() (verdict, verdict) { return write(bc, BatchPutOp{Key: live, Value: "x"}) }, verdict{code: CodeQuorumFailed}},
+		{"quorum-failed get", func() (verdict, verdict) { return read(bc, live) }, verdict{code: CodeQuorumFailed}},
+		{"crashed-coordinator put", func() (verdict, verdict) { return write(crashed, BatchPutOp{Key: live, Value: "x"}) }, verdict{code: CodeUnavailable}},
+		{"crashed-coordinator get", func() (verdict, verdict) { return read(crashed, live) }, verdict{code: CodeUnavailable}},
+	}
+	for _, tc := range faulted {
+		t.Run(tc.name, func(t *testing.T) {
+			single, list := tc.run()
+			if single != tc.want || list != tc.want {
+				t.Fatalf("single-key %+v, one-entry list %+v, want %+v", single, list, tc.want)
+			}
+		})
 	}
 }

@@ -5,14 +5,15 @@ package server
 // internal address and sends opClientHello carrying the protocol version
 // it speaks (transport.go); on an accepting reply the connection is a
 // client-role connection in tagged framing (tag|id|len|payload), with
-// pipelined PUT/GET/DELETE/batch/config/stats/WARS requests multiplexed
-// over it by the same machinery peers use (mux.go). Server-side, client
-// ops dispatch into the coordinator entry points (routeWriteOp,
-// coordinateGetOp, coordinateMPut/MGet, configLocal, statsLocal). A node
-// forwarding a write to the key's coordinator does not speak this role: it
-// sends opForwardWrite, tagged with its ring epoch, on a forward-role
+// pipelined write-list, read-list, config, stats and WARS requests
+// multiplexed over it by the same machinery peers use (mux.go). A
+// single-key PUT, DELETE or GET is a list of one. Server-side, client ops
+// dispatch into the coordinator entry points (coordinateMPut,
+// coordinateReads, configLocal, statsLocal). A node forwarding a write to
+// the key's coordinator does not speak this role: it sends
+// opForwardWrite, tagged with its ring epoch, on a forward-role
 // connection (peer.ForwardWrite), and is answered in the same status
-// family.
+// family with the put body a write-list entry carries.
 //
 // Every response payload is prefixed with the responding node's ring epoch:
 // clients compare it against their cached view and re-fetch membership on
@@ -31,24 +32,23 @@ import (
 
 // clientProtoVersion is the client hello's version; a node refuses
 // versions it does not speak, so a newer client fails loudly rather than
-// misframing.
-const clientProtoVersion byte = 1
+// misframing. Version 2 retired version 1's single-key opcodes.
+const clientProtoVersion byte = 2
 
 // Client request layouts (opcodes in transport.go):
 //
-//	opClientPut     key string16 | value string32
-//	opClientDelete  key string16
-//	opClientGet     key string16
-//	opClientConfig, opClientStats, opClientWARS: empty
 //	opClientMPut    count u16 | (key string16 | flags u8 | value string32)*
 //	opClientMGet    count u16 | (key string16)*
+//	opClientConfig, opClientStats, opClientWARS: empty
 //
-// A batched op's response carries one typed verdict per entry,
-// index-aligned, so one key's failure never fails its batch (batch codecs
-// below; coordination in batch.go).
+// A list holds 1 to maxBatchOps entries, and a single-key operation is a
+// list of one. The response carries one typed verdict per entry,
+// index-aligned, so one key's failure never fails its list (codecs below;
+// coordination in batch.go). Opcodes 14, 15 and 16 are retired (version
+// 1's single-key put, delete and get): a node refuses them.
 
-// batchFlagTombstone marks a delete inside an opClientMPut op list and on
-// an opForwardWrite.
+// batchFlagTombstone marks a delete inside an opClientMPut entry and on an
+// opForwardWrite.
 const batchFlagTombstone byte = 1 << 0
 
 // Client response statuses, disjoint from the peer statuses (statusOK = 0,
@@ -82,48 +82,41 @@ func (e *ClientError) Retryable() bool { return e.Code == CodeUnavailable }
 
 // --- wire codecs ----------------------------------------------------------
 
-// appendClientWrite encodes an opClientPut (or, for a tombstone,
-// opClientDelete) request.
-func appendClientWrite(b []byte, key, value string, tombstone bool) []byte {
-	b = appendString16(b, key)
-	if !tombstone {
-		b = appendString32(b, value)
+// appendPutEntry appends one write in its wire layout — key string16 |
+// flags u8 | value string32 — an opClientMPut entry, and the body of an
+// opForwardWrite.
+func appendPutEntry(b []byte, w BatchPutOp) []byte {
+	b = appendString16(b, w.Key)
+	var flags byte
+	if w.Tombstone {
+		flags |= batchFlagTombstone
 	}
-	return b
+	return appendString32(append(b, flags), w.Value)
 }
 
-// decodeClientWrite parses appendClientWrite's payload; ok is false on a
-// truncated frame or trailing bytes.
-func decodeClientWrite(payload []byte, tombstone bool) (key, value string, ok bool) {
-	d := &decoder{b: payload}
-	key = d.string16()
-	if !tombstone {
-		value = d.string32()
-	}
-	return key, value, d.err == nil && len(d.b) == 0
+// putEntry decodes appendPutEntry's layout, copying the key and value out.
+func (d *decoder) putEntry() BatchPutOp {
+	var w BatchPutOp
+	w.Key = d.string16()
+	w.Tombstone = d.u8()&batchFlagTombstone != 0
+	w.Value = d.string32()
+	return w
 }
 
 // appendForwardWrite encodes an opForwardWrite request: the forwarder's
 // ring epoch, then the write as one opClientMPut entry.
 func appendForwardWrite(b []byte, key, value string, tombstone bool, fwdEpoch uint64) []byte {
 	b = binary.BigEndian.AppendUint64(b, fwdEpoch)
-	b = appendString16(b, key)
-	var flags byte
-	if tombstone {
-		flags |= batchFlagTombstone
-	}
-	return appendString32(append(b, flags), value)
+	return appendPutEntry(b, BatchPutOp{Key: key, Value: value, Tombstone: tombstone})
 }
 
 // decodeForwardWrite parses appendForwardWrite's payload; ok is false on a
 // truncated frame or trailing bytes.
-func decodeForwardWrite(payload []byte) (key, value string, tombstone bool, fwdEpoch uint64, ok bool) {
+func decodeForwardWrite(payload []byte) (w BatchPutOp, fwdEpoch uint64, ok bool) {
 	d := &decoder{b: payload}
 	fwdEpoch = d.u64()
-	key = d.string16()
-	tombstone = d.u8()&batchFlagTombstone != 0
-	value = d.string32()
-	return key, value, tombstone, fwdEpoch, d.err == nil && len(d.b) == 0
+	w = d.putEntry()
+	return w, fwdEpoch, d.err == nil && len(d.b) == 0
 }
 
 func appendClientError(b []byte, epoch uint64, code byte, msg string) []byte {
@@ -139,37 +132,58 @@ func decodeClientError(pl []byte) (epoch uint64, cerr *ClientError, err error) {
 	return binary.BigEndian.Uint64(pl), &ClientError{Code: pl[8], Msg: string(pl[9:])}, nil
 }
 
-func appendClientPutResponse(b []byte, epoch uint64, pr PutResponse) []byte {
-	b = binary.BigEndian.AppendUint64(b, epoch)
+// putBodyLen is the length of appendPutBody's layout.
+const putBodyLen = 8 + 8 + 8 + 4
+
+// appendPutBody appends the body of one write's answer — seq u64 |
+// committed u64 | coordMs f64 | node u32 — the body of each successful
+// opClientMPut verdict and of a forwarded write's answer.
+func appendPutBody(b []byte, pr PutResponse) []byte {
 	b = binary.BigEndian.AppendUint64(b, pr.Seq)
 	b = binary.BigEndian.AppendUint64(b, uint64(pr.CommittedUnixNano))
 	b = binary.BigEndian.AppendUint64(b, math.Float64bits(pr.CoordMs))
 	return binary.BigEndian.AppendUint32(b, uint32(pr.Node))
 }
 
-// decodeClientPutBody decodes the op-specific body of a put/delete
-// response (the epoch prefix already stripped by decodeClientFrame).
-func decodeClientPutBody(body []byte) (PutResponse, error) {
-	d := &decoder{b: body}
-	pr := PutResponse{
+// putBody decodes appendPutBody's layout.
+func (d *decoder) putBody() PutResponse {
+	return PutResponse{
 		Seq:               d.u64(),
 		CommittedUnixNano: int64(d.u64()),
 		CoordMs:           math.Float64frombits(d.u64()),
 		Node:              int(int32(d.u32())),
 	}
-	if d.err != nil {
-		return PutResponse{}, fmt.Errorf("server: malformed put response: %w", d.err)
+}
+
+// appendPutAnswer encodes the answer to a forwarded write: the ring epoch,
+// then the put body.
+func appendPutAnswer(b []byte, epoch uint64, pr PutResponse) []byte {
+	return appendPutBody(binary.BigEndian.AppendUint64(b, epoch), pr)
+}
+
+// putAnswer decodes the answer to a forwarded write (appendPutAnswer).
+func putAnswer(st byte, resp []byte, err error) (PutResponse, uint64, error) {
+	if err != nil {
+		return PutResponse{}, 0, err
 	}
-	return pr, nil
+	defer putBuf(resp)
+	epoch, body, err := decodeClientFrame(st, resp)
+	if err != nil {
+		return PutResponse{}, epoch, err
+	}
+	d := &decoder{b: body}
+	if pr := d.putBody(); d.err == nil {
+		return pr, epoch, nil
+	}
+	return PutResponse{}, epoch, fmt.Errorf("server: malformed put response: %w", d.err)
 }
 
 const clientGetFlagFound = 1
 
-// appendClientGetBody appends the op-specific body of a get response —
-// flags u8 | seq u64 | coordMs f64 | node u32 | value string32 — the body
-// of an opClientGet answer and of each successful opClientMGet verdict.
-// The coordinator appends it straight from the winning replica's answer
-// (readState.answer).
+// appendClientGetBody appends the body of one read's answer — flags u8 |
+// seq u64 | coordMs f64 | node u32 | value string32 — the body of each
+// successful opClientMGet verdict. The coordinator appends it straight
+// from the winning replica's answer (readState.answer).
 func appendClientGetBody(b []byte, found bool, seq uint64, coordMs float64, node int, value []byte) []byte {
 	var flags byte
 	if found {
@@ -182,8 +196,8 @@ func appendClientGetBody(b []byte, found bool, seq uint64, coordMs float64, node
 	return appendString32(b, value)
 }
 
-func decodeClientGetBody(body []byte) (GetResponse, error) {
-	d := &decoder{b: body}
+// getBody decodes appendClientGetBody's layout, copying the value out.
+func (d *decoder) getBody() GetResponse {
 	flags := d.u8()
 	gr := GetResponse{
 		Found:   flags&clientGetFlagFound != 0,
@@ -192,146 +206,137 @@ func decodeClientGetBody(body []byte) (GetResponse, error) {
 		Node:    int(int32(d.u32())),
 	}
 	gr.Value = d.string32()
-	if d.err != nil {
-		return GetResponse{}, fmt.Errorf("server: malformed get response: %w", d.err)
-	}
-	return gr, nil
+	return gr
 }
 
-// --- batch codecs ---------------------------------------------------------
+// --- list codecs ----------------------------------------------------------
 
-// A batch response body is `count u16` followed by one entry per request
-// op, index-aligned: `verdict u8 | entry-body`. Verdict 0 is success and
-// the entry body is exactly the single-op response body; a nonzero
-// verdict is the entry's client error code and the body is `msg string16`.
+// A list response body is `count u16` followed by one entry per request
+// entry, index-aligned: `verdict u8 | entry-body`. Verdict 0 is success and
+// the entry body is a put or get body; a nonzero verdict is the entry's
+// client error code and the body is `msg string16`.
 
-// BatchPutResult is one op's outcome inside a batched write: exactly one
+// BatchPutResult is one write's outcome inside a write list: exactly one
 // of Resp and Err is meaningful (Err nil on success).
 type BatchPutResult struct {
 	Resp PutResponse
 	Err  *ClientError
 }
 
-// BatchGetResult is one key's outcome inside a batched read.
+// BatchGetResult is one key's outcome inside a read list.
 type BatchGetResult struct {
 	Resp GetResponse
 	Err  *ClientError
 }
 
-// appendVerdictErr appends a failed batch entry: its code as the verdict,
+// appendVerdictErr appends a failed list entry: its code as the verdict,
 // then its message.
 func appendVerdictErr(b []byte, oe *opError) []byte {
 	b = growBuf(b, 1+2+len(oe.msg))
 	return appendString16(append(b, oe.code), oe.msg)
 }
 
-func appendClientMPutResponse(b []byte, epoch uint64, outs []batchPutOut) []byte {
+func appendClientMPutResponse(b []byte, epoch uint64, ops []putOp) []byte {
 	b = binary.BigEndian.AppendUint64(b, epoch)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(outs)))
-	for i := range outs {
-		if oe := outs[i].oe; oe != nil {
+	b = binary.BigEndian.AppendUint16(b, uint16(len(ops)))
+	for i := range ops {
+		if oe := ops[i].oe; oe != nil {
 			b = appendVerdictErr(b, oe)
 			continue
 		}
-		pr := outs[i].pr
-		b = append(growBuf(b, 1+8+8+8+4), 0)
-		b = binary.BigEndian.AppendUint64(b, pr.Seq)
-		b = binary.BigEndian.AppendUint64(b, uint64(pr.CommittedUnixNano))
-		b = binary.BigEndian.AppendUint64(b, math.Float64bits(pr.CoordMs))
-		b = binary.BigEndian.AppendUint32(b, uint32(pr.Node))
+		b = appendPutBody(append(growBuf(b, 1+putBodyLen), 0), ops[i].pr)
 	}
 	return b
 }
 
-func decodeClientMPutBody(body []byte) ([]BatchPutResult, error) {
-	d := &decoder{b: body}
-	count := int(d.u16())
-	if d.err != nil || count > maxBatchOps {
-		return nil, errors.New("server: malformed batch put response")
+// listCount reads a list response's entry count, which must be want.
+func (d *decoder) listCount(want int) {
+	if count := int(d.u16()); d.err == nil && count != want {
+		d.err = fmt.Errorf("server: %d answers for %d entries", count, want)
 	}
-	outs := make([]BatchPutResult, count)
-	for i := range outs {
-		verdict := d.u8()
-		if verdict == 0 {
-			outs[i].Resp = PutResponse{
-				Seq:               d.u64(),
-				CommittedUnixNano: int64(d.u64()),
-				CoordMs:           math.Float64frombits(d.u64()),
-				Node:              int(int32(d.u32())),
-			}
-		} else {
-			outs[i].Err = &ClientError{Code: verdict, Msg: d.string16()}
+}
+
+// verdictErr reads a failed entry's verdict message; nil on success.
+func (d *decoder) verdictErr() *ClientError {
+	if verdict := d.u8(); verdict != 0 && d.err == nil {
+		return &ClientError{Code: verdict, Msg: d.string16()}
+	}
+	return nil
+}
+
+// decodeClientMPutBody decodes an opClientMPut response body into out,
+// one result per entry sent.
+func decodeClientMPutBody(body []byte, out []BatchPutResult) error {
+	d := &decoder{b: body}
+	d.listCount(len(out))
+	for i := range out {
+		if out[i].Err = d.verdictErr(); out[i].Err == nil {
+			out[i].Resp = d.putBody()
 		}
 	}
 	if d.err != nil {
-		return nil, fmt.Errorf("server: malformed batch put response: %w", d.err)
+		return fmt.Errorf("server: malformed batch put response: %w", d.err)
 	}
-	return outs, nil
+	return nil
 }
 
-func decodeClientMGetBody(body []byte) ([]BatchGetResult, error) {
+// decodeClientMGetBody decodes an opClientMGet response body into out,
+// one result per key sent.
+func decodeClientMGetBody(body []byte, out []BatchGetResult) error {
 	d := &decoder{b: body}
-	count := int(d.u16())
-	if d.err != nil || count > maxBatchOps {
-		return nil, errors.New("server: malformed batch get response")
-	}
-	outs := make([]BatchGetResult, count)
-	for i := range outs {
-		verdict := d.u8()
-		if verdict == 0 {
-			flags := d.u8()
-			outs[i].Resp = GetResponse{
-				Found:   flags&clientGetFlagFound != 0,
-				Seq:     d.u64(),
-				CoordMs: math.Float64frombits(d.u64()),
-				Node:    int(int32(d.u32())),
-			}
-			outs[i].Resp.Value = d.string32()
-		} else {
-			outs[i].Err = &ClientError{Code: verdict, Msg: d.string16()}
+	d.listCount(len(out))
+	for i := range out {
+		if out[i].Err = d.verdictErr(); out[i].Err == nil {
+			out[i].Resp = d.getBody()
 		}
 	}
 	if d.err != nil {
-		return nil, fmt.Errorf("server: malformed batch get response: %w", d.err)
+		return fmt.Errorf("server: malformed batch get response: %w", d.err)
 	}
-	return outs, nil
+	return nil
 }
 
-// decodeBatchPutOps parses an opClientMPut payload. Frame-level failures
-// (bad count, truncation) reject the whole batch; per-op semantic
-// problems (empty key, oversized value) become per-op verdicts in
-// coordinateMPut so the rest of the batch proceeds.
-func decodeBatchPutOps(d *decoder) ([]BatchPutOp, *opError) {
+// requestCount reads a list request's entry count. Frame-level failures
+// (bad count, truncation, trailing bytes) reject the whole list; per-entry
+// semantic problems (empty key, oversized value) become per-entry
+// verdicts, so the rest of the list proceeds.
+func (d *decoder) requestCount() int {
 	count := int(d.u16())
-	if d.err != nil || count == 0 || count > maxBatchOps {
-		return nil, errBadRequest("server: malformed batch request")
+	if d.err == nil && (count == 0 || count > maxBatchOps) {
+		d.err = errors.New("server: list count out of range")
 	}
-	ops := make([]BatchPutOp, count)
-	for i := range ops {
-		ops[i].Key = d.string16()
-		ops[i].Tombstone = d.u8()&batchFlagTombstone != 0
-		ops[i].Value = d.string32()
+	return count
+}
+
+var errMalformedList = errBadRequest("server: malformed batch request")
+
+// decodeBatchPutOps appends an opClientMPut payload's writes to ops.
+func decodeBatchPutOps(d *decoder, ops []putOp) ([]putOp, *opError) {
+	for range d.requestCount() {
+		if d.err != nil {
+			break
+		}
+		ops = append(ops, putOp{BatchPutOp: d.putEntry()})
 	}
-	if d.err != nil {
-		return nil, errBadRequest("server: malformed batch request")
+	if d.err != nil || len(d.b) != 0 {
+		return ops, errMalformedList
 	}
 	return ops, nil
 }
 
-// decodeBatchKeys parses an opClientMGet payload; the keys alias it.
-func decodeBatchKeys(d *decoder) ([][]byte, *opError) {
-	count := int(d.u16())
-	if d.err != nil || count == 0 || count > maxBatchOps {
-		return nil, errBadRequest("server: malformed batch request")
+// decodeBatchKeys appends an opClientMGet payload's keys to gets; the
+// keys alias the payload.
+func decodeBatchKeys(d *decoder, gets []getOp) ([]getOp, *opError) {
+	for range d.requestCount() {
+		if d.err != nil {
+			break
+		}
+		gets = append(gets, getOp{key: d.bytes16()})
 	}
-	keys := make([][]byte, count)
-	for i := range keys {
-		keys[i] = d.bytes16()
+	if d.err != nil || len(d.b) != 0 {
+		return gets, errMalformedList
 	}
-	if d.err != nil {
-		return nil, errBadRequest("server: malformed batch request")
-	}
-	return keys, nil
+	return gets, nil
 }
 
 // decodeClientFrame splits a client or forward response into its
@@ -375,19 +380,6 @@ func (n *Node) downRefusal() *opError {
 	return nil
 }
 
-// serveWrite routes one decoded client or forwarded write and encodes its
-// answer; fwdEpoch is 0 for a client's own write.
-func (n *Node) serveWrite(epoch uint64, buf []byte, key, value string, tombstone bool, fwdEpoch uint64) (byte, []byte) {
-	if len(value) > maxValueBytes {
-		return clientFail(epoch, buf, errBadRequest(errValueTooLarge))
-	}
-	pr, oe := n.routeWriteOp(key, value, tombstone, fwdEpoch)
-	if oe != nil {
-		return clientFail(epoch, buf, oe)
-	}
-	return statusClientOK, appendClientPutResponse(buf[:0], epoch, pr)
-}
-
 // handleClientOp is the client role's opcode table. It runs on the mux
 // worker pool (client ops block on quorums, so they never run inline in
 // the reader loop). buf is the pooled response scratch from serveMux.
@@ -396,37 +388,9 @@ func (n *Node) handleClientOp(op byte, payload, buf []byte) (byte, []byte) {
 	if oe := n.downRefusal(); oe != nil {
 		return clientFail(epoch, buf, oe)
 	}
-	d := &decoder{b: payload}
 	switch op {
-	case opClientPut, opClientDelete:
-		key, value, ok := decodeClientWrite(payload, op == opClientDelete)
-		if !ok || key == "" {
-			return clientFail(epoch, buf, errBadRequest("server: malformed client request"))
-		}
-		return n.serveWrite(epoch, buf, key, value, op == opClientDelete, 0)
-	case opClientGet:
-		// The key stays in the request frame, which outlives this call.
-		key := d.bytes16()
-		if d.err != nil || len(key) == 0 {
-			return clientFail(epoch, buf, errBadRequest("server: malformed client request"))
-		}
-		out, oe := n.coordinateGetOp(key, binary.BigEndian.AppendUint64(buf[:0], epoch))
-		if oe != nil {
-			return clientFail(epoch, buf, oe)
-		}
-		return statusClientOK, out
-	case opClientMPut:
-		ops, oe := decodeBatchPutOps(d)
-		if oe != nil {
-			return clientFail(epoch, buf, oe)
-		}
-		return statusClientOK, appendClientMPutResponse(buf[:0], epoch, n.coordinateMPut(ops))
-	case opClientMGet:
-		keys, oe := decodeBatchKeys(d)
-		if oe != nil {
-			return clientFail(epoch, buf, oe)
-		}
-		return statusClientOK, n.coordinateMGet(keys, binary.BigEndian.AppendUint64(buf[:0], epoch))
+	case opClientMPut, opClientMGet:
+		return n.serveList(op, epoch, payload, buf)
 	case opClientConfig:
 		cfg, oe := n.configLocal()
 		if oe != nil {
@@ -442,6 +406,24 @@ func (n *Node) handleClientOp(op byte, payload, buf []byte) (byte, []byte) {
 	}
 }
 
+// serveList decodes a write or read list into pooled scratch, coordinates
+// it, and answers one verdict per entry.
+func (n *Node) serveList(op byte, epoch uint64, payload, buf []byte) (byte, []byte) {
+	sc := opScratchPool.Get().(*opScratch)
+	defer sc.release()
+	d := &decoder{b: payload}
+	var oe *opError
+	if op == opClientMPut {
+		if sc.puts, oe = decodeBatchPutOps(d, sc.puts); oe == nil {
+			n.coordinateMPut(sc.puts)
+			return statusClientOK, appendClientMPutResponse(buf[:0], epoch, sc.puts)
+		}
+	} else if sc.gets, oe = decodeBatchKeys(d, sc.gets); oe == nil {
+		return statusClientOK, n.coordinateReads(sc.gets, binary.BigEndian.AppendUint64(buf[:0], epoch))
+	}
+	return clientFail(epoch, buf, oe)
+}
+
 // handleForwardOp is the forward role's opcode table: one write another
 // node proxies here as the key's coordinator, tagged with that node's ring
 // epoch (routeWriteOp). It answers in the client status family with the
@@ -454,11 +436,18 @@ func (n *Node) handleForwardOp(op byte, payload, buf []byte) (byte, []byte) {
 	if op != opForwardWrite {
 		return clientFail(epoch, buf, errBadRequest(fmt.Sprintf("server: op %d is not a forward op", op)))
 	}
-	key, value, tombstone, fwdEpoch, ok := decodeForwardWrite(payload)
-	if !ok || key == "" || fwdEpoch == 0 {
+	w, fwdEpoch, ok := decodeForwardWrite(payload)
+	switch {
+	case !ok || w.Key == "" || fwdEpoch == 0:
 		return clientFail(epoch, buf, errBadRequest("server: malformed forward request"))
+	case len(w.Value) > maxValueBytes:
+		return clientFail(epoch, buf, errBadRequest(errValueTooLarge))
 	}
-	return n.serveWrite(epoch, buf, key, value, tombstone, fwdEpoch)
+	pr, oe := n.routeWriteOp(w, fwdEpoch)
+	if oe != nil {
+		return clientFail(epoch, buf, oe)
+	}
+	return statusClientOK, appendPutAnswer(buf[:0], epoch, pr)
 }
 
 // clientJSON answers a cold-path client op (config/stats/WARS) with an
@@ -492,69 +481,47 @@ func NewBinClient(addr string) *BinClient {
 	return &BinClient{slots: connSlots{addr: addr, role: roleClient}}
 }
 
-// Put writes key=value through the node's coordinator. The returned epoch
-// is the node's ring epoch at response time (0 only on transport errors).
+// Put writes key=value through the node's coordinator, as a write list of
+// one. The returned epoch is the node's ring epoch at response time (0
+// only on transport errors).
 func (bc *BinClient) Put(key, value string) (PutResponse, uint64, error) {
-	return bc.write(key, value, false)
+	return bc.putOne(BatchPutOp{Key: key, Value: value})
 }
 
-// Delete writes a tombstone for key.
+// Delete writes a tombstone for key, as a write list of one.
 func (bc *BinClient) Delete(key string) (PutResponse, uint64, error) {
-	return bc.write(key, "", true)
+	return bc.putOne(BatchPutOp{Key: key, Tombstone: true})
 }
 
-// write sends one put or delete frame.
-func (bc *BinClient) write(key, value string, tombstone bool) (PutResponse, uint64, error) {
-	op := opClientPut
-	if tombstone {
-		op = opClientDelete
-	}
-	return putAnswer(bc.slots.call(op, 6+len(key)+len(value), func(b []byte) []byte {
-		return appendClientWrite(b, key, value, tombstone)
-	}))
+func (bc *BinClient) putOne(w BatchPutOp) (PutResponse, uint64, error) {
+	var out [1]BatchPutResult
+	epoch, err := bc.MPut([]BatchPutOp{w}, out[:])
+	return out[0].Resp, epoch, entryErr(err, out[0].Err)
 }
 
-// putAnswer decodes the response to a put, delete or forwarded write.
-func putAnswer(st byte, resp []byte, err error) (PutResponse, uint64, error) {
-	if err != nil {
-		return PutResponse{}, 0, err
-	}
-	defer putBuf(resp)
-	epoch, body, err := decodeClientFrame(st, resp)
-	if err != nil {
-		return PutResponse{}, epoch, err
-	}
-	pr, err := decodeClientPutBody(body)
-	return pr, epoch, err
-}
-
-// Get reads key through the node's coordinator.
+// Get reads key through the node's coordinator, as a read list of one.
 func (bc *BinClient) Get(key string) (GetResponse, uint64, error) {
-	st, resp, err := bc.slots.call(opClientGet, 2+len(key), func(b []byte) []byte {
-		return appendString16(b, key)
-	})
-	if err != nil {
-		return GetResponse{}, 0, err
-	}
-	defer putBuf(resp)
-	epoch, body, err := decodeClientFrame(st, resp)
-	if err != nil {
-		return GetResponse{}, epoch, err
-	}
-	gr, err := decodeClientGetBody(body)
-	return gr, epoch, err
+	var out [1]BatchGetResult
+	epoch, err := bc.MGet([]string{key}, out[:])
+	return out[0].Resp, epoch, entryErr(err, out[0].Err)
 }
 
-// MPut writes a batch of operations through the node's coordinator in one
-// frame, answering per op (index-aligned with ops). A transport- or
-// frame-level failure returns err; per-op failures come back as typed
-// verdicts in the result slice.
-func (bc *BinClient) MPut(ops []BatchPutOp) ([]BatchPutResult, uint64, error) {
-	if len(ops) == 0 {
-		return nil, 0, nil
+// entryErr is a list-of-one call's error: the call's own, else its one
+// entry's verdict.
+func entryErr(err error, ce *ClientError) error {
+	if err == nil && ce != nil {
+		return ce
 	}
-	if len(ops) > maxBatchOps {
-		return nil, 0, fmt.Errorf("server: batch of %d ops exceeds %d", len(ops), maxBatchOps)
+	return err
+}
+
+// MPut writes a list of operations through the node's coordinator in one
+// frame, answering per op into out (one slot per op, index-aligned). A
+// transport- or frame-level failure returns err; per-op failures come back
+// as typed verdicts in out.
+func (bc *BinClient) MPut(ops []BatchPutOp, out []BatchPutResult) (uint64, error) {
+	if err := listBounds(len(ops), len(out)); err != nil || len(ops) == 0 {
+		return 0, err
 	}
 	hint := 2
 	for i := range ops {
@@ -563,42 +530,26 @@ func (bc *BinClient) MPut(ops []BatchPutOp) ([]BatchPutResult, uint64, error) {
 	st, resp, err := bc.slots.call(opClientMPut, hint, func(b []byte) []byte {
 		b = binary.BigEndian.AppendUint16(b, uint16(len(ops)))
 		for i := range ops {
-			b = appendString16(b, ops[i].Key)
-			var flags byte
-			if ops[i].Tombstone {
-				flags |= batchFlagTombstone
-			}
-			b = append(b, flags)
-			b = appendString32(b, ops[i].Value)
+			b = appendPutEntry(b, ops[i])
 		}
 		return b
 	})
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	defer putBuf(resp)
 	epoch, body, err := decodeClientFrame(st, resp)
-	if err != nil {
-		return nil, epoch, err
+	if err == nil {
+		err = decodeClientMPutBody(body, out)
 	}
-	outs, err := decodeClientMPutBody(body)
-	if err == nil && len(outs) != len(ops) {
-		err = errors.New("server: batch put response count mismatch")
-	}
-	if err != nil {
-		return nil, epoch, err
-	}
-	return outs, epoch, nil
+	return epoch, err
 }
 
-// MGet reads a batch of keys through the node's coordinator in one frame,
-// answering per key (index-aligned with keys).
-func (bc *BinClient) MGet(keys []string) ([]BatchGetResult, uint64, error) {
-	if len(keys) == 0 {
-		return nil, 0, nil
-	}
-	if len(keys) > maxBatchOps {
-		return nil, 0, fmt.Errorf("server: batch of %d keys exceeds %d", len(keys), maxBatchOps)
+// MGet reads a list of keys through the node's coordinator in one frame,
+// answering per key into out (one slot per key, index-aligned), like MPut.
+func (bc *BinClient) MGet(keys []string, out []BatchGetResult) (uint64, error) {
+	if err := listBounds(len(keys), len(out)); err != nil || len(keys) == 0 {
+		return 0, err
 	}
 	hint := 2
 	for _, k := range keys {
@@ -612,21 +563,26 @@ func (bc *BinClient) MGet(keys []string) ([]BatchGetResult, uint64, error) {
 		return b
 	})
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	defer putBuf(resp)
 	epoch, body, err := decodeClientFrame(st, resp)
-	if err != nil {
-		return nil, epoch, err
+	if err == nil {
+		err = decodeClientMGetBody(body, out)
 	}
-	outs, err := decodeClientMGetBody(body)
-	if err == nil && len(outs) != len(keys) {
-		err = errors.New("server: batch get response count mismatch")
+	return epoch, err
+}
+
+// listBounds checks a list call's size and answer slots before anything
+// is sent.
+func listBounds(entries, slots int) error {
+	switch {
+	case entries > maxBatchOps:
+		return fmt.Errorf("server: list of %d entries exceeds %d", entries, maxBatchOps)
+	case slots != entries:
+		return fmt.Errorf("server: %d answer slots for %d entries", slots, entries)
 	}
-	if err != nil {
-		return nil, epoch, err
-	}
-	return outs, epoch, nil
+	return nil
 }
 
 func (bc *BinClient) jsonOp(op byte, out any) (uint64, error) {

@@ -38,20 +38,20 @@ func runConcurrentOps(n *Node, prefix string, ops int, sample func()) (lat []flo
 			<-start
 			key := fmt.Sprintf("%s-%d", prefix, i/2)
 			if i%2 == 0 {
-				pr, oe := n.coordinatePutOp(v, key, "v", false, false)
-				lat[i] = pr.CoordMs
-				if oe != nil {
-					errs[i] = oe
+				ops := []putOp{{BatchPutOp: BatchPutOp{Key: key, Value: "v"}}}
+				n.coordinateWrites(v, ops, false)
+				lat[i] = ops[0].pr.CoordMs
+				if ops[0].oe != nil {
+					errs[i] = ops[0].oe
 				}
 				return
 			}
-			body, oe := n.coordinateGetOp([]byte(key), nil)
-			if oe != nil {
-				errs[i] = oe
-				return
+			res := make([]BatchGetResult, 1)
+			errs[i] = decodeClientMGetBody(n.coordinateReads([]getOp{{key: []byte(key)}}, nil), res)
+			lat[i] = res[0].Resp.CoordMs
+			if errs[i] == nil && res[0].Err != nil {
+				errs[i] = res[0].Err
 			}
-			gr, err := decodeClientGetBody(body)
-			lat[i], errs[i] = gr.CoordMs, err
 		}(i)
 	}
 	close(start)

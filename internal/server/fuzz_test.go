@@ -32,7 +32,7 @@ var (
 
 // fuzzNode returns a process-shared detached replica (storage and
 // membership, no listeners) for dispatching RPCs against. Shared, not
-// per-iteration: client ops (opClientPut/Get/...) fan out through the
+// per-iteration: client ops (opClientMPut/MGet) fan out through the
 // persistent leg-worker queues, whose workers park on n.stop — a node per
 // fuzz iteration would leak its workers. The internal addresses point at
 // closed loopback ports so fan-out legs fail instantly; no assertion in
@@ -71,6 +71,34 @@ func legPayloads() (apply, get [3][]byte) {
 		get[i+1] = append(binary.BigEndian.AppendUint16(nil, count), get[0][2:]...)
 	}
 	return apply, get
+}
+
+// listPayloads returns opClientMPut and opClientMGet payloads for the
+// fuzz seeds, as legPayloads does for the replica legs: a one-entry list
+// (a single-key write or read), then the same entry behind a count of 0
+// and behind a count of maxBatchOps+1, both of which a node refuses.
+func listPayloads() (mput, mget [3][]byte) {
+	mput[0] = appendPutEntry(binary.BigEndian.AppendUint16(nil, 1), BatchPutOp{Key: "k", Value: "v"})
+	mget[0] = appendString16(binary.BigEndian.AppendUint16(nil, 1), "seeded")
+	for i, count := range []uint16{0, maxBatchOps + 1} {
+		mput[i+1] = append(binary.BigEndian.AppendUint16(nil, count), mput[0][2:]...)
+		mget[i+1] = append(binary.BigEndian.AppendUint16(nil, count), mget[0][2:]...)
+	}
+	return mput, mget
+}
+
+// oneEntry prefixes a list entry with a count of one.
+func oneEntry(entry []byte) []byte {
+	return append(binary.BigEndian.AppendUint16(nil, 1), entry...)
+}
+
+// listSlots returns a list response body's entry count, for sizing the
+// decoders' answer slots.
+func listSlots(body []byte) int {
+	if len(body) < 2 {
+		return 0
+	}
+	return int(binary.BigEndian.Uint16(body))
 }
 
 func FuzzFrameDecoder(f *testing.F) {
@@ -216,8 +244,12 @@ func FuzzMuxStream(f *testing.F) {
 	f.Add([]byte{opGet, 0, 0, 0, 0, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff}) // oversized length
 	f.Add(taggedFrame(opApply, 4, []byte{0, 1, 0, 5, 'a'}))              // truncated version
 	f.Add(taggedFrame(99, 5, []byte("junk")))                            // unknown opcode
-	f.Add(taggedFrame(opClientPut, 6, appendString32(appendString16(nil, "k"), "v")))
+	f.Add(taggedFrame(opClientMPut, 6, oneEntry(appendPutEntry(nil, BatchPutOp{Key: "k", Value: "v"}))))
 	f.Add(taggedFrame(opForwardWrite, 7, appendForwardWrite(nil, "seeded", "v", false, 1)))
+	mput, mget := listPayloads()
+	for i := range mput {
+		f.Add(append(taggedFrame(opClientMPut, 10, mput[i]), taggedFrame(opClientMGet, 11, mget[i])...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n := fuzzNode()
 		br := bufio.NewReader(bytes.NewReader(data))
@@ -256,15 +288,16 @@ func FuzzMuxStream(f *testing.F) {
 // client-status frame whose payload decodes (epoch prefix, error code +
 // message), never a panic or an unframeable response.
 func FuzzClientStream(f *testing.F) {
-	f.Add(taggedFrame(opClientPut, 1, appendString32(appendString16(nil, "k"), "v")))
-	f.Add(taggedFrame(opClientGet, 2, appendString16(nil, "seeded")))
-	f.Add(taggedFrame(opClientDelete, 3, appendString16(nil, "k")))
+	put := func(w BatchPutOp) []byte { return oneEntry(appendPutEntry(nil, w)) }
+	f.Add(taggedFrame(opClientMPut, 1, put(BatchPutOp{Key: "k", Value: "v"})))
+	f.Add(taggedFrame(opClientMGet, 2, oneEntry(appendString16(nil, "seeded"))))
+	f.Add(taggedFrame(opClientMPut, 3, put(BatchPutOp{Key: "k", Tombstone: true})))
 	f.Add(taggedFrame(opClientConfig, 4, nil))
 	f.Add(taggedFrame(opClientStats, 5, nil))
 	f.Add(taggedFrame(opClientWARS, 6, nil))
-	f.Add(taggedFrame(opClientPut, 7, []byte{0, 5, 'a'}))       // truncated key
-	f.Add(taggedFrame(opClientPut, 8, appendString16(nil, ""))) // empty key, no value
-	f.Add(taggedFrame(opClientGet, 9, []byte{0xff, 0xff, 'x'})) // oversized key length
+	f.Add(taggedFrame(opClientMPut, 7, oneEntry([]byte{0, 5, 'a'})))       // truncated key
+	f.Add(taggedFrame(opClientMPut, 8, put(BatchPutOp{})))                 // empty key
+	f.Add(taggedFrame(opClientMGet, 9, oneEntry([]byte{0xff, 0xff, 'x'}))) // oversized key length
 	f.Add(taggedFrame(opClientHello, 10, []byte{clientProtoVersion}))
 	mputReq := binary.BigEndian.AppendUint16(nil, 2)
 	mputReq = appendString32(append(appendString16(mputReq, "a"), 0), "v1")
@@ -278,9 +311,14 @@ func FuzzClientStream(f *testing.F) {
 	// A client write with a forward epoch appended is refused as malformed:
 	// only the forward role carries an epoch.
 	epochTail := []byte{0, 0, 0, 0, 0, 0, 0, 1}
-	f.Add(taggedFrame(opClientPut, 15, append(appendClientWrite(nil, "seeded", "v", false), epochTail...)))
-	f.Add(taggedFrame(opClientDelete, 16, append(appendClientWrite(nil, "k", "", true), epochTail...)))
-	f.Add(taggedFrame(opClientPut, 17, append(appendClientWrite(nil, "k", "v", false), 1, 2, 3))) // trailing junk
+	f.Add(taggedFrame(opClientMPut, 15, append(put(BatchPutOp{Key: "seeded", Value: "v"}), epochTail...)))
+	f.Add(taggedFrame(opClientMPut, 16, append(put(BatchPutOp{Key: "k", Tombstone: true}), epochTail...)))
+	f.Add(taggedFrame(opClientMPut, 17, append(put(BatchPutOp{Key: "k", Value: "v"}), 1, 2, 3))) // trailing junk
+	mput, mget := listPayloads()
+	for i := range mput {
+		f.Add(append(taggedFrame(opClientMPut, 18, mput[i]), taggedFrame(opClientMGet, 19, mget[i])...))
+	}
+	f.Add(taggedFrame(retiredClientPut, 20, appendString32(appendString16(nil, "k"), "v")))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n := fuzzNode()
 		br := bufio.NewReader(bytes.NewReader(data))
@@ -289,36 +327,31 @@ func FuzzClientStream(f *testing.F) {
 			if err != nil {
 				return
 			}
-			// Coerce every opcode into the client range so the fuzzer spends
-			// its budget on the client dispatch path, not the peer ops.
-			op := opClientPut + tag%(opClientMGet-opClientPut+1)
+			// Coerce every opcode into the client range, retired opcodes
+			// included, so the fuzzer spends its budget on the client
+			// dispatch path, not the peer ops.
+			op := retiredClientPut + tag%(opClientMGet-retiredClientPut+1)
 			out := getBuf(64)
 			status, resp := n.handleClientOp(op, payload, out[:0])
 			if status != statusClientOK && status != statusClientErr {
 				t.Fatalf("client dispatcher returned status %d", status)
 			}
-			epoch, body, err := decodeClientFrame(status, resp)
+			_, body, err := decodeClientFrame(status, resp)
 			if status == statusClientOK {
 				if err != nil {
 					t.Fatalf("OK response failed to decode: %v", err)
 				}
 				switch op {
-				case opClientPut, opClientDelete:
-					if _, err := decodeClientPutBody(body); err != nil {
-						t.Fatalf("put response body failed to decode: %v", err)
-					}
-				case opClientGet:
-					if _, err := decodeClientGetBody(body); err != nil {
-						t.Fatalf("get response body failed to decode: %v", err)
-					}
 				case opClientMPut:
-					if _, err := decodeClientMPutBody(body); err != nil {
+					if err := decodeClientMPutBody(body, make([]BatchPutResult, listSlots(body))); err != nil {
 						t.Fatalf("mput response body failed to decode: %v", err)
 					}
 				case opClientMGet:
-					if _, err := decodeClientMGetBody(body); err != nil {
+					if err := decodeClientMGetBody(body, make([]BatchGetResult, listSlots(body))); err != nil {
 						t.Fatalf("mget response body failed to decode: %v", err)
 					}
+				case retiredClientPut, retiredClientDelete, retiredClientGet:
+					t.Fatalf("retired op %d answered OK", op)
 				}
 			} else {
 				ce, ok := err.(*ClientError)
@@ -326,7 +359,6 @@ func FuzzClientStream(f *testing.F) {
 					t.Fatalf("error frame decoded to %v (want *ClientError with message)", err)
 				}
 			}
-			_ = epoch
 			putBuf(payload)
 			putBuf(out)
 		}
@@ -344,59 +376,74 @@ func FuzzClientFrameRoundTrip(f *testing.F) {
 	f.Add(uint64(3), uint64(9), int64(1), 0.25, int32(1), "fwd-value", false, byte(0), "fwd-key", uint64(3))
 	f.Add(uint64(3), uint64(9), int64(1), 0.25, int32(1), "", true, byte(0), "fwd-key", uint64(1<<63))
 	f.Fuzz(func(t *testing.T, epoch, seq uint64, committed int64, coordMs float64, node int32, value string, found bool, code byte, msg string, fwdEpoch uint64) {
-		// Write requests: msg doubles as the key, found as the tombstone
-		// flag. Client deletes carry no value on the wire; a forwarded
-		// write carries its value and the forwarder's epoch.
+		// Requests: msg doubles as the key, found as the tombstone flag. A
+		// single-key write or read is a list of one; behind a count of 0 or
+		// of maxBatchOps+1 it is refused. A forwarded write carries the
+		// same entry behind the forwarder's epoch.
 		if len(msg) <= 0xffff {
-			tombstone := found
-			wantValue := value
-			if tombstone {
-				wantValue = ""
+			w := BatchPutOp{Key: msg, Value: value, Tombstone: found}
+			req := oneEntry(appendPutEntry(nil, w))
+			ops, oe := decodeBatchPutOps(&decoder{b: req}, nil)
+			if oe != nil || len(ops) != 1 || ops[0].BatchPutOp != w {
+				t.Fatalf("one-entry write round trip: %+v %v, want %+v", ops, oe, w)
 			}
-			req := appendClientWrite(nil, msg, value, tombstone)
-			k, v, ok := decodeClientWrite(req, tombstone)
-			if !ok || k != msg || v != wantValue {
-				t.Fatalf("write request round trip: %q %q ok=%v, want %q %q", k, v, ok, msg, wantValue)
-			}
-			if _, _, ok := decodeClientWrite(binary.BigEndian.AppendUint64(req, fwdEpoch), tombstone); ok {
+			if _, oe := decodeBatchPutOps(&decoder{b: binary.BigEndian.AppendUint64(req, fwdEpoch)}, nil); oe == nil {
 				t.Fatal("client write with a trailing epoch decoded")
 			}
-			freq := appendForwardWrite(nil, msg, value, tombstone, fwdEpoch)
-			k, v, tomb, e, ok := decodeForwardWrite(freq)
-			if !ok || k != msg || v != value || tomb != tombstone || e != fwdEpoch {
-				t.Fatalf("forward request round trip: %q %q %v %d ok=%v, want %q %q %v %d",
-					k, v, tomb, e, ok, msg, value, tombstone, fwdEpoch)
+			kreq := oneEntry(appendString16(nil, msg))
+			gets, oe := decodeBatchKeys(&decoder{b: kreq}, nil)
+			if oe != nil || len(gets) != 1 || string(gets[0].key) != msg {
+				t.Fatalf("one-entry read round trip: %v %v, want %q", gets, oe, msg)
+			}
+			for _, count := range []uint16{0, maxBatchOps + 1} {
+				if _, oe := decodeBatchPutOps(&decoder{b: append(binary.BigEndian.AppendUint16(nil, count), req[2:]...)}, nil); oe == nil {
+					t.Fatalf("write list of count %d decoded", count)
+				}
+				if _, oe := decodeBatchKeys(&decoder{b: append(binary.BigEndian.AppendUint16(nil, count), kreq[2:]...)}, nil); oe == nil {
+					t.Fatalf("read list of count %d decoded", count)
+				}
+			}
+			fw, e, ok := decodeForwardWrite(appendForwardWrite(nil, msg, value, found, fwdEpoch))
+			if !ok || fw != w || e != fwdEpoch {
+				t.Fatalf("forward request round trip: %+v %d ok=%v, want %+v %d", fw, e, ok, w, fwdEpoch)
 			}
 		}
 
+		// Answers: a one-entry list of each direction, and the forward
+		// answer, which carries the same put body.
 		pr := PutResponse{Seq: seq, CommittedUnixNano: committed, CoordMs: coordMs, Node: int(node)}
-		pb := appendClientPutResponse(nil, epoch, pr)
+		samePut := func(got PutResponse) bool {
+			return got.Seq == pr.Seq && got.CommittedUnixNano == pr.CommittedUnixNano &&
+				math.Float64bits(got.CoordMs) == math.Float64bits(pr.CoordMs) && got.Node == pr.Node
+		}
+		pb := appendClientMPutResponse(nil, epoch, []putOp{{pr: pr}})
 		gotEpoch, body, err := decodeClientFrame(statusClientOK, pb)
 		if err != nil || gotEpoch != epoch {
 			t.Fatalf("put frame split: epoch %d->%d err=%v", epoch, gotEpoch, err)
 		}
-		gotPut, err := decodeClientPutBody(body)
-		if err != nil {
-			t.Fatalf("put body decode: %v", err)
+		var prs [1]BatchPutResult
+		if err := decodeClientMPutBody(body, prs[:]); err != nil || prs[0].Err != nil || !samePut(prs[0].Resp) {
+			t.Fatalf("put round trip changed response: %+v %v vs %+v", prs[0], err, pr)
 		}
-		if gotPut.Seq != pr.Seq || gotPut.CommittedUnixNano != pr.CommittedUnixNano ||
-			math.Float64bits(gotPut.CoordMs) != math.Float64bits(pr.CoordMs) || gotPut.Node != pr.Node {
-			t.Fatalf("put round trip changed response: %+v vs %+v", gotPut, pr)
+		fpr, fepoch, err := putAnswer(statusClientOK, appendPutAnswer(getBuf(0)[:0], epoch, pr), nil)
+		if err != nil || fepoch != epoch || !samePut(fpr) {
+			t.Fatalf("forward answer round trip: %+v epoch %d %v vs %+v", fpr, fepoch, err, pr)
 		}
 
 		gr := GetResponse{Found: found, Seq: seq, Value: value, CoordMs: coordMs, Node: int(node)}
-		gb := appendClientGetBody(binary.BigEndian.AppendUint64(nil, epoch), found, seq, coordMs, int(node), []byte(value))
+		gb := binary.BigEndian.AppendUint16(binary.BigEndian.AppendUint64(nil, epoch), 1)
+		gb = appendClientGetBody(append(gb, 0), found, seq, coordMs, int(node), []byte(value))
 		gotEpoch, body, err = decodeClientFrame(statusClientOK, gb)
 		if err != nil || gotEpoch != epoch {
 			t.Fatalf("get frame split: epoch %d->%d err=%v", epoch, gotEpoch, err)
 		}
-		gotGet, err := decodeClientGetBody(body)
-		if err != nil {
-			t.Fatalf("get body decode: %v", err)
+		var grs [1]BatchGetResult
+		if err := decodeClientMGetBody(body, grs[:]); err != nil || grs[0].Err != nil {
+			t.Fatalf("get body decode: %+v %v", grs[0], err)
 		}
-		if gotGet.Found != gr.Found || gotGet.Seq != gr.Seq || gotGet.Value != gr.Value ||
-			math.Float64bits(gotGet.CoordMs) != math.Float64bits(gr.CoordMs) || gotGet.Node != gr.Node {
-			t.Fatalf("get round trip changed response: %+v vs %+v", gotGet, gr)
+		if got := grs[0].Resp; got.Found != gr.Found || got.Seq != gr.Seq || got.Value != gr.Value ||
+			math.Float64bits(got.CoordMs) != math.Float64bits(gr.CoordMs) || got.Node != gr.Node {
+			t.Fatalf("get round trip changed response: %+v vs %+v", got, gr)
 		}
 
 		eb := appendClientError(nil, epoch, code, msg)
@@ -412,9 +459,10 @@ func FuzzClientFrameRoundTrip(f *testing.F) {
 		// The decoders must fail cleanly on arbitrary bytes (never panic,
 		// never read out of bounds).
 		raw := []byte(msg)
-		decodeClientPutBody(raw)
-		decodeClientGetBody(raw)
-		decodeClientWrite(raw, found)
+		decodeClientMPutBody(raw, prs[:])
+		decodeClientMGetBody(raw, grs[:])
+		decodeBatchPutOps(&decoder{b: raw}, nil)
+		decodeBatchKeys(&decoder{b: raw}, nil)
 		decodeForwardWrite(raw)
 		decodeClientError(raw)
 		decodeClientFrame(code, raw)
@@ -448,7 +496,7 @@ func FuzzClientBatchFrameRoundTrip(f *testing.F) {
 		}
 		req = appendString32(append(appendString16(req, key), flags), value)
 		req = appendString32(append(appendString16(req, key+"2"), 0), "")
-		ops, oe := decodeBatchPutOps(&decoder{b: req})
+		ops, oe := decodeBatchPutOps(&decoder{b: req}, nil)
 		if oe != nil {
 			t.Fatalf("mput request decode: %v", oe.msg)
 		}
@@ -457,17 +505,31 @@ func FuzzClientBatchFrameRoundTrip(f *testing.F) {
 			t.Fatalf("mput request round trip changed ops: %+v", ops)
 		}
 		kreq := appendString16(appendString16(binary.BigEndian.AppendUint16(nil, 2), key), key+"2")
-		keys, oe := decodeBatchKeys(&decoder{b: kreq})
+		keys, oe := decodeBatchKeys(&decoder{b: kreq}, nil)
 		if oe != nil {
 			t.Fatalf("mget request decode: %v", oe.msg)
 		}
-		if len(keys) != 2 || string(keys[0]) != key || string(keys[1]) != key+"2" {
+		if len(keys) != 2 || string(keys[0].key) != key || string(keys[1].key) != key+"2" {
 			t.Fatalf("mget request round trip changed keys: %v", keys)
+		}
+		// The first entry alone is a list of one; behind a count of 0 or of
+		// maxBatchOps+1 the same entries are refused.
+		one := oneEntry(req[2 : 2+2+len(key)+1+4+len(value)])
+		if ops, oe := decodeBatchPutOps(&decoder{b: one}, nil); oe != nil || len(ops) != 1 || ops[0].Key != key {
+			t.Fatalf("one-entry mput request: %+v %v", ops, oe)
+		}
+		for _, count := range []uint16{0, maxBatchOps + 1} {
+			if _, oe := decodeBatchPutOps(&decoder{b: append(binary.BigEndian.AppendUint16(nil, count), req[2:]...)}, nil); oe == nil {
+				t.Fatalf("mput request of count %d decoded", count)
+			}
+			if _, oe := decodeBatchKeys(&decoder{b: append(binary.BigEndian.AppendUint16(nil, count), kreq[2:]...)}, nil); oe == nil {
+				t.Fatalf("mget request of count %d decoded", count)
+			}
 		}
 
 		// Response round trips: one success verdict, one error verdict.
 		pr := PutResponse{Seq: seq, CommittedUnixNano: int64(seq) - 1, CoordMs: coordMs, Node: int(node)}
-		pb := appendClientMPutResponse(nil, epoch, []batchPutOut{
+		pb := appendClientMPutResponse(nil, epoch, []putOp{
 			{pr: pr},
 			{oe: &opError{code: code, msg: msg}},
 		})
@@ -475,9 +537,12 @@ func FuzzClientBatchFrameRoundTrip(f *testing.F) {
 		if err != nil || gotEpoch != epoch {
 			t.Fatalf("mput frame split: epoch %d->%d err=%v", epoch, gotEpoch, err)
 		}
-		prs, err := decodeClientMPutBody(body)
-		if err != nil || len(prs) != 2 {
-			t.Fatalf("mput body decode: %v (%d results)", err, len(prs))
+		prs := make([]BatchPutResult, 2)
+		if err := decodeClientMPutBody(body, prs); err != nil {
+			t.Fatalf("mput body decode: %v", err)
+		}
+		if err := decodeClientMPutBody(body, make([]BatchPutResult, 1)); err == nil {
+			t.Fatal("mput body of two answers decoded into one slot")
 		}
 		if got := prs[0].Resp; prs[0].Err != nil || got.Seq != pr.Seq || got.CommittedUnixNano != pr.CommittedUnixNano ||
 			math.Float64bits(got.CoordMs) != math.Float64bits(pr.CoordMs) || got.Node != pr.Node {
@@ -495,9 +560,9 @@ func FuzzClientBatchFrameRoundTrip(f *testing.F) {
 		if err != nil || gotEpoch != epoch {
 			t.Fatalf("mget frame split: epoch %d->%d err=%v", epoch, gotEpoch, err)
 		}
-		grs, err := decodeClientMGetBody(body)
-		if err != nil || len(grs) != 2 {
-			t.Fatalf("mget body decode: %v (%d results)", err, len(grs))
+		grs := make([]BatchGetResult, 2)
+		if err := decodeClientMGetBody(body, grs); err != nil {
+			t.Fatalf("mget body decode: %v", err)
 		}
 		if got := grs[0].Resp; grs[0].Err != nil || got.Found != gr.Found || got.Seq != gr.Seq || got.Value != gr.Value ||
 			math.Float64bits(got.CoordMs) != math.Float64bits(gr.CoordMs) || got.Node != gr.Node {
@@ -509,10 +574,10 @@ func FuzzClientBatchFrameRoundTrip(f *testing.F) {
 
 		// The decoders must fail cleanly on arbitrary bytes.
 		raw := []byte(msg)
-		decodeClientMPutBody(raw)
-		decodeClientMGetBody(raw)
-		decodeBatchPutOps(&decoder{b: raw})
-		decodeBatchKeys(&decoder{b: raw})
+		decodeClientMPutBody(raw, prs)
+		decodeClientMGetBody(raw, grs)
+		decodeBatchPutOps(&decoder{b: raw}, nil)
+		decodeBatchKeys(&decoder{b: raw}, nil)
 	})
 }
 

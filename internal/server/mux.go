@@ -221,7 +221,7 @@ func dialRoleWith(addr string, r role, dl muxDeadlines) (*muxConn, error) {
 // connSlots holds the connections of one role to one address: muxSlots of
 // them, dialed lazily, picked round robin, and redialed when found dead.
 // A peer has one per role it dials (peer, forward); a BinClient has one
-// for the client role.
+// for the client role, whose every data call is a write or read list.
 type connSlots struct {
 	addr string
 	role role

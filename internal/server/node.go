@@ -165,7 +165,8 @@ type ConfigResponse struct {
 	Members   []MemberInfo `json:"members"`
 }
 
-// PutResponse answers a client write (opClientPut/opClientDelete).
+// PutResponse answers one write: an opClientMPut entry or a forwarded
+// write.
 type PutResponse struct {
 	Seq uint64 `json:"seq"`
 	// CommittedUnixNano is the coordinator wall clock at quorum commit (the
@@ -178,7 +179,7 @@ type PutResponse struct {
 	Node    int     `json:"node"`
 }
 
-// GetResponse answers a client read (opClientGet).
+// GetResponse answers one read: an opClientMGet entry.
 type GetResponse struct {
 	Found bool   `json:"found"`
 	Seq   uint64 `json:"seq"`
@@ -450,7 +451,7 @@ func (n *Node) applyLocal(v kvstore.Version) bool {
 // getLocal reads this replica's current version for key. The boolean means
 // a record exists — a tombstone reads as found here, so quorum reads can
 // pick the newest version across live and deleted states; visibility is
-// decided at the coordinator (coordinateGetOp).
+// decided at the coordinator (readState.answer).
 func (n *Node) getLocal(key string) (kvstore.Version, bool) {
 	return n.store.Get(key)
 }
@@ -580,8 +581,8 @@ const maxValueBytes = 1 << 20
 const errValueTooLarge = "server: value exceeds 1 MiB"
 
 // opError is a coordination failure in typed form: code is the binary
-// client protocol's error code (clientproto.go). Single-key, batched and
-// forwarded writes all route through the typed entry points below, so
+// client protocol's error code (clientproto.go). Client and forwarded
+// writes all route through the typed entry points below, so
 // they cannot drift on failure semantics — in particular on which
 // failures a client may retry at another node (CodeUnavailable) versus
 // which are the cluster's final verdict (quorum failures, bad requests).
@@ -608,55 +609,66 @@ func errInternal(msg string) *opError { return &opError{code: CodeInternal, msg:
 // coordinator is normally the key's ring primary; with sloppy quorums it
 // is the first *live* node on the preference list, so a crashed primary
 // costs availability nothing (the failover coordinator claims a fresh seq
-// epoch, see nextSeq).
+// epoch, see nextSeq). A write this node coordinates itself is a list of
+// one on coordinateWrites.
 //
 // fwdEpoch is the forwarder's ring epoch, 0 when the write was not
 // forwarded. A receiver that is not the key's primary forwards again only
 // when its own view is newer than the forwarder's, so every hop carries a
 // strictly higher epoch and forwarding cannot loop; a receiver whose view
 // is older waits for the forwarder's newer view to arrive (awaitEpoch).
-func (n *Node) routeWriteOp(key, value string, tombstone bool, fwdEpoch uint64) (PutResponse, *opError) {
+func (n *Node) routeWriteOp(w BatchPutOp, fwdEpoch uint64) (PutResponse, *opError) {
 	v := n.view()
 	if v == nil {
 		return PutResponse{}, errUnavailable("server: node has no membership yet")
 	}
-	primary := v.m.Coordinator(key)
-	if primary == n.id {
-		return n.coordinatePutOp(v, key, value, tombstone, false)
-	}
-	if !n.params.SloppyQuorum {
+	takeover := false
+	switch primary := v.m.Coordinator(w.Key); {
+	case primary == n.id:
+	case !n.params.SloppyQuorum:
 		switch epoch := v.m.Epoch(); {
 		case fwdEpoch == 0 || epoch > fwdEpoch:
-			return n.forwardWrite(v, primary, key, value, tombstone)
+			return n.forwardWrite(v, primary, w)
 		case epoch < fwdEpoch && n.awaitEpoch(fwdEpoch):
-			return n.routeWriteOp(key, value, tombstone, fwdEpoch)
+			return n.routeWriteOp(w, fwdEpoch)
 		}
 		return PutResponse{}, errInternal("server: forwarding loop: not the primary coordinator")
-	}
-	if fwdEpoch != 0 {
+	case fwdEpoch != 0:
 		// The forwarder decided we are the first live preference replica.
 		// Accept the takeover if we really are on the preference list;
 		// re-forwarding here risks loops whenever liveness views disagree.
-		if !n.onPreferenceList(v, key) {
+		if !n.onPreferenceList(v, w.Key) {
 			return PutResponse{}, errInternal("server: forwarded to a non-replica coordinator")
 		}
-		return n.coordinatePutOp(v, key, value, tombstone, true)
+		takeover = true
+	default:
+		if pr, oe, relayed := n.sloppyRoute(v, w); relayed {
+			return pr, oe
+		}
+		takeover = true
 	}
-	// Sloppy routing: hand the write to the first live preference replica,
-	// falling through the list as candidates fail — ourselves included.
+	ops := [1]putOp{{BatchPutOp: w}}
+	n.coordinateWrites(v, ops[:], takeover)
+	return ops[0].pr, ops[0].oe
+}
+
+// sloppyRoute hands a write to the first live preference replica, falling
+// through the list as candidates fail. It reports relayed false when the
+// walk reaches this node, which then coordinates the write itself.
+func (n *Node) sloppyRoute(v *memView, w BatchPutOp) (PutResponse, *opError, bool) {
 	sawQuorumFail := false
 	var pbuf [maxStackPrefs]int
-	for _, cand := range n.prefs(pbuf[:0], v, ring.Hash(key)) {
+	for _, cand := range n.prefs(pbuf[:0], v, ring.Hash(w.Key)) {
 		if cand == n.id {
-			return n.coordinatePutOp(v, key, value, tombstone, true)
+			return PutResponse{}, nil, false
 		}
 		if !n.alive(v, cand) {
 			continue
 		}
-		pr, oe, outcome := n.tryForwardOp(v, cand, key, value, tombstone)
+		pr, oe, outcome := n.tryForwardOp(v, cand, w)
 		switch outcome {
 		case forwardRelayed:
-			return pr, oe
+			return pr, oe, true
 		case forwardFailed:
 			// The candidate is alive — it coordinated (or proxied) and
 			// genuinely failed; it is not dead and already counted the
@@ -669,14 +681,14 @@ func (n *Node) routeWriteOp(key, value string, tombstone bool, fwdEpoch uint64) 
 		// A live coordinator owned the failure and counted it; relaying
 		// its verdict without another failedOps increment keeps one failed
 		// client write from counting 2-3 times across the routing chain.
-		return PutResponse{}, errQuorumFailed("server: write quorum not reached")
+		return PutResponse{}, errQuorumFailed("server: write quorum not reached"), true
 	}
 	// No coordination happened here, so nothing is added to failedOps —
 	// that counter means failed coordinations, and a client walking the
 	// ring would otherwise count one dead key range once per live routing
 	// node it tried. Routing-level unavailability surfaces as the client's
 	// own error count.
-	return PutResponse{}, errUnavailable("server: no live coordinator for key")
+	return PutResponse{}, errUnavailable("server: no live coordinator for key"), true
 }
 
 // awaitEpoch waits, for at most a second, until this node has installed a
@@ -709,52 +721,6 @@ func (n *Node) onPreferenceList(v *memView, key string) bool {
 		}
 	}
 	return false
-}
-
-// coordinatePutOp coordinates a write at this node: assign the next
-// version, fan it out to all N preference replicas with injected W/A delays
-// (redirecting legs for unreachable replicas to hinted spares in sloppy
-// mode), answer at the W-th acknowledgment. The whole operation runs under
-// the membership view loaded at admission.
-func (n *Node) coordinatePutOp(v *memView, key, value string, tombstone, takeover bool) (PutResponse, *opError) {
-	n.coordWrites.Add(1)
-	if takeover {
-		n.failoverWrites.Add(1)
-	}
-
-	seq := n.nextSeq(key, takeover)
-	ver := kvstore.Version{
-		Key:       key,
-		Seq:       seq,
-		Value:     value,
-		Tombstone: tombstone,
-	}
-	var pbuf [maxStackPrefs]int
-	prefs := n.prefs(pbuf[:0], v, ring.Hash(key))
-	nReps := len(prefs)
-	// The quorum clamps to the replica count: an elastic cluster smaller
-	// than its target N keeps committing with the replicas it has.
-	quorumW := int(n.wq.Load())
-	if quorumW > nReps {
-		quorumW = nReps
-	}
-	start := time.Now()
-	ws := newWriteState(quorumW, nReps)
-	var lbuf [maxStackPrefs]*legTask
-	n.submitLegs(n.addWriteLegs(lbuf[:0], v, prefs, ver, ws))
-
-	<-ws.waiter
-	committed := ws.signaledAt
-	if !ws.finish() {
-		n.failedOps.Add(1)
-		return PutResponse{}, errQuorumFailed("server: write quorum not reached")
-	}
-	return PutResponse{
-		Seq:               seq,
-		CommittedUnixNano: committed.UnixNano(),
-		CoordMs:           durationMs(committed.Sub(start)),
-		Node:              n.id,
-	}, nil
 }
 
 // ackable decides whether a delivered write leg counts toward W. A replica
@@ -813,8 +779,8 @@ func (n *Node) foldSeq(key string, seq uint64) {
 // quorum verdict: no coordinator has ruled on the write (as with a
 // client's own broken connection, a retry may repeat a write whose answer
 // was lost).
-func (n *Node) forwardWrite(v *memView, primary int, key, value string, tombstone bool) (PutResponse, *opError) {
-	pr, err := v.peers[primary].ForwardWrite(key, value, tombstone, v.m.Epoch())
+func (n *Node) forwardWrite(v *memView, primary int, w BatchPutOp) (PutResponse, *opError) {
+	pr, err := v.peers[primary].ForwardWrite(w.Key, w.Value, w.Tombstone, v.m.Epoch())
 	if err == nil {
 		return pr, nil
 	}
@@ -846,8 +812,8 @@ const (
 // failure the cluster can absorb. Only a candidate that is down or
 // partitioned is marked dead in the liveness cache; the response/error
 // pair is meaningful only on forwardRelayed.
-func (n *Node) tryForwardOp(v *memView, cand int, key, value string, tombstone bool) (PutResponse, *opError, forwardOutcome) {
-	pr, err := v.peers[cand].ForwardWrite(key, value, tombstone, v.m.Epoch())
+func (n *Node) tryForwardOp(v *memView, cand int, w BatchPutOp) (PutResponse, *opError, forwardOutcome) {
+	pr, err := v.peers[cand].ForwardWrite(w.Key, w.Value, w.Tombstone, v.m.Epoch())
 	if err == nil {
 		return pr, nil, forwardRelayed
 	}
@@ -871,54 +837,6 @@ func (n *Node) tryForwardOp(v *memView, cand int, key, value string, tombstone b
 		return PutResponse{}, nil, forwardFailed
 	}
 	return PutResponse{}, &opError{code: ce.Code, msg: ce.Msg}, forwardRelayed
-}
-
-// coordinateGetOp coordinates a read: fan out to all N preference replicas
-// with injected R/S delays, answer with the newest of the first R
-// responses, then keep collecting in the background for the staleness
-// detector and read repair. With sloppy quorums, a leg whose preference
-// replica is down falls back to the next live spare beyond the preference
-// list — the node that absorbed the down replica's hinted writes — and the
-// spare's response counts toward R (the read-side mirror of the write-side
-// spare behavior). key may alias the client's request frame: the read
-// state keeps its own copy. The answer is appended to dst as a client GET
-// body (appendClientGetBody).
-func (n *Node) coordinateGetOp(key, dst []byte) ([]byte, *opError) {
-	n.coordReads.Add(1)
-
-	v := n.view()
-	if v == nil {
-		return dst, errUnavailable("server: node has no membership yet")
-	}
-	var pbuf [maxStackPrefs]int
-	prefs := n.prefs(pbuf[:0], v, ring.Hash(key))
-	nReps := len(prefs)
-	quorumR := int(n.rq.Load())
-	if quorumR > nReps {
-		quorumR = nReps
-	}
-	start := time.Now()
-	rs := n.newReadState(v, key, quorumR, nReps)
-	var lbuf [maxStackPrefs]*legTask
-	n.submitLegs(n.addReadLegs(lbuf[:0], v, prefs, rs))
-
-	// Wait for the read quorum (or every leg, if the quorum is
-	// unreachable), then compute the verdict over the first R successful
-	// responses in arrival order.
-	<-rs.waiter
-	out, ok, finalizeNow := rs.answer(dst, durationMs(rs.signaledAt.Sub(start)))
-	if !ok {
-		// The waiter only fired with succ < quorum because every leg had
-		// answered, so nothing can still touch rs: release it here.
-		n.failedOps.Add(1)
-		rs.release()
-		return dst, errQuorumFailed("server: read quorum not reached")
-	}
-	// The staleness-detector / read-repair pass over the complete response
-	// set (the v1 finishRead) runs on whichever of {last leg, handler} gets
-	// there last.
-	rs.finish(finalizeNow)
-	return out, nil
 }
 
 func (n *Node) handleConfig(w http.ResponseWriter, _ *http.Request) {

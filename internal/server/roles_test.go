@@ -43,6 +43,7 @@ func TestRoleRefusal(t *testing.T) {
 	// would shadow every later write to its key.
 	shadow := kvstore.Version{Key: key, Seq: 1 << 60, Value: "shadow"}
 	shadows := []kvstore.Version{shadow}
+	put, del := BatchPutOp{Key: key, Value: "v"}, BatchPutOp{Key: key, Tombstone: true}
 
 	cases := []struct {
 		name    string
@@ -50,16 +51,17 @@ func TestRoleRefusal(t *testing.T) {
 		op      byte
 		payload []byte
 	}{
-		{"forward-tagged client put", roleClient, opClientPut, append(appendClientWrite(nil, key, "v", false), epochTail...)},
-		{"forward-tagged client delete", roleClient, opClientDelete, append(appendClientWrite(nil, key, "", true), epochTail...)},
+		{"forward-tagged client put", roleClient, opClientMPut, append(oneEntry(appendPutEntry(nil, put)), epochTail...)},
+		{"forward-tagged client delete", roleClient, opClientMPut, append(oneEntry(appendPutEntry(nil, del)), epochTail...)},
+		{"retired single-key put on a client connection", roleClient, retiredClientPut, appendString32(appendString16(nil, key), "v")},
 		{"replica apply on a client connection", roleClient, opApply, appendApply(nil, shadows)},
 		{"hinted apply on a client connection", roleClient, opApplyHint, appendHintedApply(nil, 1, shadow)},
 		{"forwarded write on a client connection", roleClient, opForwardWrite, appendForwardWrite(nil, key, "v", false, n.RingEpoch()+1)},
-		{"client put on a peer connection", rolePeer, opClientPut, appendClientWrite(nil, key, "v", false)},
+		{"client put on a peer connection", rolePeer, opClientMPut, oneEntry(appendPutEntry(nil, put))},
 		{"forwarded write on a peer connection", rolePeer, opForwardWrite, appendForwardWrite(nil, key, "v", false, n.RingEpoch())},
 		{"replica apply on a forward connection", roleForward, opApply, appendApply(nil, shadows)},
 		{"retired batched apply on a peer connection", rolePeer, retiredApplyBatch, appendApply(nil, shadows)},
-		{"client put on a forward connection", roleForward, opClientPut, appendClientWrite(nil, key, "v", false)},
+		{"client put on a forward connection", roleForward, opClientMPut, oneEntry(appendPutEntry(nil, put))},
 		{"gossip on a forward connection", roleForward, opGossip, nil},
 	}
 	for _, tc := range cases {
@@ -98,10 +100,10 @@ func TestRoleRefusal(t *testing.T) {
 		}
 		defer conn.Close()
 		br, bw := bufio.NewReader(conn), bufio.NewWriter(conn)
-		for _, op := range []byte{opApply, opPing, opClientPut, opForwardWrite} {
+		for _, op := range []byte{opApply, opPing, opClientMPut, opForwardWrite} {
 			payload := appendApply(nil, shadows)
-			if op == opClientPut {
-				payload = appendClientWrite(nil, key, "v", false)
+			if op == opClientMPut {
+				payload = oneEntry(appendPutEntry(nil, put))
 			}
 			if err := writeFrame(bw, op, payload); err != nil {
 				t.Fatal(err)
@@ -208,18 +210,28 @@ const (
 	retiredGetBatch   byte = 23
 )
 
+// The opcodes of client protocol 1's single-key put, delete and get,
+// retired when a single-key operation became a list of one: a client
+// connection refuses them.
+const (
+	retiredClientPut    byte = 14
+	retiredClientDelete byte = 15
+	retiredClientGet    byte = 16
+)
+
 // TestGoldenFrames pins one request frame per opcode, every role
 // included: the exact bytes the real callers (peer, BinClient) put on the
 // wire for fixed inputs, each on a fresh connection (request id 1), after
 // the hello of that connection's role. An apply and a get are pinned with
-// one entry and with two.
+// one entry and with two, and so are a client write and read list: a
+// single-key Put, Delete or Get is a list of one.
 func TestGoldenFrames(t *testing.T) {
 	addr, frames := goldenRecorder(t)
 	ver := kvstore.Version{Key: "k", Seq: 7, Value: "v"}
 	del := kvstore.Version{Key: "d", Seq: 8, Tombstone: true}
 	wantHello := map[role]string{
 		rolePeer:    "0c0000000104",
-		roleClient:  "0d0000000101",
+		roleClient:  "0d0000000102",
 		roleForward: "180000000104",
 	}
 	rows := []struct {
@@ -260,12 +272,12 @@ func TestGoldenFrames(t *testing.T) {
 			"0a" + "0000000000000001" + "00000001" + "67"},
 		{opConfigLog, rolePeer, func(p *peer, _ *BinClient) { p.ConfigRPC([]byte("c")) },
 			"0b" + "0000000000000001" + "00000001" + "63"},
-		{opClientPut, roleClient, func(_ *peer, bc *BinClient) { bc.Put("k", "v") },
-			"0e" + "0000000000000001" + "00000008" + "00016b" + "0000000176"},
-		{opClientDelete, roleClient, func(_ *peer, bc *BinClient) { bc.Delete("k") },
-			"0f" + "0000000000000001" + "00000003" + "00016b"},
-		{opClientGet, roleClient, func(_ *peer, bc *BinClient) { bc.Get("k") },
-			"10" + "0000000000000001" + "00000003" + "00016b"},
+		{opClientMPut, roleClient, func(_ *peer, bc *BinClient) { bc.Put("k", "v") },
+			"14" + "0000000000000001" + "0000000b" + "0001" + "00016b" + "00" + "0000000176"},
+		{opClientMPut, roleClient, func(_ *peer, bc *BinClient) { bc.Delete("k") },
+			"14" + "0000000000000001" + "0000000a" + "0001" + "00016b" + "01" + "00000000"},
+		{opClientMGet, roleClient, func(_ *peer, bc *BinClient) { bc.Get("k") },
+			"15" + "0000000000000001" + "00000005" + "0001" + "00016b"},
 		{opClientConfig, roleClient, func(_ *peer, bc *BinClient) { bc.Config() },
 			"11" + "0000000000000001" + "00000000"},
 		{opClientStats, roleClient, func(_ *peer, bc *BinClient) { bc.Stats() },
@@ -273,9 +285,9 @@ func TestGoldenFrames(t *testing.T) {
 		{opClientWARS, roleClient, func(_ *peer, bc *BinClient) { bc.WARS() },
 			"13" + "0000000000000001" + "00000000"},
 		{opClientMPut, roleClient, func(_ *peer, bc *BinClient) {
-			bc.MPut([]BatchPutOp{{Key: "k", Value: "v"}, {Key: "d", Tombstone: true}})
+			mput(bc, []BatchPutOp{{Key: "k", Value: "v"}, {Key: "d", Tombstone: true}})
 		}, "14" + "0000000000000001" + "00000013" + "0002" + "00016b" + "00" + "0000000176" + "000164" + "01" + "00000000"},
-		{opClientMGet, roleClient, func(_ *peer, bc *BinClient) { bc.MGet([]string{"k", "d"}) },
+		{opClientMGet, roleClient, func(_ *peer, bc *BinClient) { mget(bc, []string{"k", "d"}) },
 			"15" + "0000000000000001" + "00000008" + "0002" + "00016b" + "000164"},
 		{opForwardWrite, roleForward, func(p *peer, _ *BinClient) { p.ForwardWrite("k", "v", false, 5) },
 			"19" + "0000000000000001" + "00000011" + "0000000000000005" + "00016b" + "00" + "0000000176"},
@@ -304,7 +316,9 @@ func TestGoldenFrames(t *testing.T) {
 		seen[h.op] = true
 	}
 	for op := byte(1); op <= opForwardWrite; op++ {
-		if !seen[op] && op != retiredApplyBatch && op != retiredGetBatch {
+		retired := op == retiredApplyBatch || op == retiredGetBatch ||
+			op == retiredClientPut || op == retiredClientDelete || op == retiredClientGet
+		if !seen[op] && !retired {
 			t.Errorf("op %d has no golden frame", op)
 		}
 	}

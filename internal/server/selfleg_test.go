@@ -69,7 +69,7 @@ func TestSelfLegServedInProcess(t *testing.T) {
 		keys[i] = fmt.Sprintf("batch-%d", i)
 		ops[i] = BatchPutOp{Key: keys[i], Value: fmt.Sprintf("b%d", i)}
 	}
-	puts, _, err := bc.MPut(ops)
+	puts, _, err := mput(bc, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestSelfLegServedInProcess(t *testing.T) {
 			t.Fatalf("MPut %s: %v", keys[i], r.Err)
 		}
 	}
-	gets, _, err := bc.MGet(keys)
+	gets, _, err := mget(bc, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestSelfLegBatchOneGroupCommit(t *testing.T) {
 		ops[i] = BatchPutOp{Key: fmt.Sprintf("gc-%d", i), Value: "v"}
 	}
 	before := eng.Metrics()
-	res, _, err := bc.MPut(ops)
+	res, _, err := mput(bc, ops)
 	if err != nil {
 		t.Fatal(err)
 	}

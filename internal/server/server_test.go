@@ -42,6 +42,26 @@ func binGet(t *testing.T, n *Node, key string) GetResponse {
 	return gr
 }
 
+// mput and mget run a write or read list, answering into fresh slots (nil
+// when the list fails as a whole).
+func mput(bc *BinClient, ops []BatchPutOp) ([]BatchPutResult, uint64, error) {
+	out := make([]BatchPutResult, len(ops))
+	epoch, err := bc.MPut(ops, out)
+	if err != nil {
+		return nil, epoch, err
+	}
+	return out, epoch, nil
+}
+
+func mget(bc *BinClient, keys []string) ([]BatchGetResult, uint64, error) {
+	out := make([]BatchGetResult, len(keys))
+	epoch, err := bc.MGet(keys, out)
+	if err != nil {
+		return nil, epoch, err
+	}
+	return out, epoch, nil
+}
+
 // clientCode returns err's client-protocol error code (0 if err is not a
 // typed client error).
 func clientCode(err error) byte {

@@ -73,10 +73,8 @@ const (
 	opGossip      byte = 10
 	opConfigLog   byte = 11
 
-	// Client role (clientproto.go has the payload layouts).
-	opClientPut    byte = 14
-	opClientDelete byte = 15
-	opClientGet    byte = 16
+	// Client role (clientproto.go has the payload layouts). 14, 15 and 16
+	// are retired (client protocol 1's single-key put, delete and get).
 	opClientConfig byte = 17
 	opClientStats  byte = 18
 	opClientWARS   byte = 19
